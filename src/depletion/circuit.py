@@ -7,10 +7,19 @@ circuit is a static single-assignment gate list in topological order.
 Two builders share every construction routine: `CircuitBuilder`
 materializes gates, `CountingBuilder` only accumulates gate counts so
 benchmark-scale circuits (10^8 gates) can be sized without being built.
+
+`CircuitBuilder` records each wire's full topological level and AND
+depth as it emits the gate, and `barrier()` marks where a reactive
+opening splits evaluation (later gates get AND depths above every
+earlier one). From those facts `BooleanCircuit.schedule()` derives, with
+one sort per segment, the layered plan that both the plaintext evaluator
+and the MPC engine run; `gate_counts().depth_and` is its number of AND
+layers.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,21 +55,73 @@ class GateCounts:
         return self.and_count + self.xor_count
 
 
-class BooleanCircuit:
-    """Immutable gate list with per-party input map and output wires."""
+@dataclass
+class Layer:
+    """XOR groups computable before one AND round, then that round's ANDs.
 
-    def __init__(self, n_wires, kind, in_a, in_b, out, input_map, output_wires):
+    Each group is (in_a, in_b, out) index arrays of mutually independent
+    gates.
+    """
+
+    pre_xors: list
+    and_gates: tuple
+
+
+@dataclass
+class Segment:
+    """AND layers between two reactive openings, then the XORs after them."""
+
+    layers: list
+    trailing_xors: list
+
+
+@dataclass
+class Schedule:
+    segments: list
+    and_layers: int
+    and_count: int
+
+
+def _wire_indices(values) -> np.ndarray:
+    """Wire indices as int32; an int32 buffer is adopted without a copy."""
+    arr = np.asarray(values)
+    if arr.dtype == np.int32:
+        return arr
+    arr = np.asarray(values, dtype=np.int64)
+    limit = np.iinfo(np.int32)
+    if arr.size and (arr.min() < limit.min or arr.max() > limit.max):
+        raise CircuitError("wire index does not fit in 32 bits")
+    return arr.astype(np.int32)
+
+
+class BooleanCircuit:
+    """Immutable gate list with per-party input map and output wires.
+
+    `wire_level` (full topological level) and `wire_depth` (AND depth)
+    hold one entry per wire, as `CircuitBuilder` recorded them while it
+    emitted the gates; `barriers` are the gate indices where evaluation
+    must stop for a reactive opening. A circuit made without levels (a
+    loaded text file, a hand-built gate list) gets them by replaying its
+    gates through a `CircuitBuilder`.
+    """
+
+    def __init__(self, n_wires, kind, in_a, in_b, out, input_map, output_wires,
+                 *, wire_level=None, wire_depth=None, barriers=()):
         self.n_wires = int(n_wires)
         self.kind = np.asarray(kind, dtype=np.uint8)
-        self.in_a = np.asarray(in_a, dtype=np.int64)
-        self.in_b = np.asarray(in_b, dtype=np.int64)
-        self.out = np.asarray(out, dtype=np.int64)
+        self.in_a = _wire_indices(in_a)
+        self.in_b = _wire_indices(in_b)
+        self.out = _wire_indices(out)
         self.input_map = {int(p): list(map(int, ws)) for p, ws in input_map.items()}
         self.output_wires = list(map(int, output_wires))
+        self.barriers = tuple(map(int, barriers))
         self.const_one = 0
-        self._levels = None
-        self._wire_and_depth = None
         self._validate()
+        if wire_level is None or wire_depth is None:
+            wire_level, wire_depth = _replay_levels(self)
+        self.wire_level = np.asarray(wire_level, dtype=np.int32)
+        self.wire_depth = np.asarray(wire_depth, dtype=np.int32)
+        self._schedule = None
 
     # -- structure ---------------------------------------------------------
 
@@ -73,64 +134,112 @@ class BooleanCircuit:
         return sum(len(ws) for ws in self.input_map.values())
 
     def _validate(self) -> None:
-        n_in = self.n_input_wires
-        if self.n_wires != 1 + n_in + self.n_gates:
+        n_in, n_gates = self.n_input_wires, self.n_gates
+        if not len(self.in_a) == len(self.in_b) == len(self.out) == n_gates:
+            raise CircuitError("gate arrays differ in length")
+        if self.n_wires != 1 + n_in + n_gates:
             raise CircuitError("wire count does not match inputs + gates")
-        expect = 1 + n_in
-        for g in range(self.n_gates):
-            a, b, o = self.in_a[g], self.in_b[g], self.out[g]
-            if o != expect + g:
-                raise CircuitError(f"gate {g} output {o} breaks SSA ordering")
-            if not (0 <= a < o and 0 <= b < o):
-                raise CircuitError(f"gate {g} reads a wire not yet driven")
-        for w in self.output_wires:
-            if not 0 <= w < self.n_wires:
-                raise CircuitError(f"output wire {w} is not driven")
+        inputs = np.sort(np.fromiter(
+            (w for ws in self.input_map.values() for w in ws), dtype=np.int64, count=n_in
+        ))
+        if not np.array_equal(inputs, np.arange(1, 1 + n_in)):
+            raise CircuitError("input wires must be 1..n_inputs, each listed once")
+        bad = np.flatnonzero(self.out != np.arange(1 + n_in, self.n_wires, dtype=np.int32))
+        if bad.size:
+            g = int(bad[0])
+            raise CircuitError(f"gate {g} output {self.out[g]} breaks SSA ordering")
+        # with outputs in SSA order, a gate may read only wires below its own
+        bad = np.flatnonzero(
+            (self.in_a < 0) | (self.in_a >= self.out) | (self.in_b < 0) | (self.in_b >= self.out)
+        )
+        if bad.size:
+            raise CircuitError(f"gate {int(bad[0])} reads a wire not yet driven")
+        bad = np.flatnonzero(self.kind > AND)
+        if bad.size:
+            raise CircuitError(f"gate {int(bad[0])} has unknown kind {self.kind[bad[0]]}")
+        outs = np.asarray(self.output_wires, dtype=np.int64)
+        bad = np.flatnonzero((outs < 0) | (outs >= self.n_wires))
+        if bad.size:
+            raise CircuitError(f"output wire {outs[bad[0]]} is not driven")
+        if list(self.barriers) != sorted(self.barriers) or any(
+            not 0 <= g <= n_gates for g in self.barriers
+        ):
+            raise CircuitError("barriers must be ascending gate indices")
 
     def gate_counts(self) -> GateCounts:
+        """Exact counts; `depth_and` is the number of AND layers the
+        schedule executes (with barriers, the segments' depths summed)."""
         and_count = int(np.count_nonzero(self.kind == AND))
         return GateCounts(
             and_count=and_count,
             xor_count=self.n_gates - and_count,
-            depth_and=int(self.wire_and_depth().max(initial=0)),
+            depth_and=int(self.wire_depth.max(initial=0)),
         )
 
-    def wire_and_depth(self) -> np.ndarray:
-        """Per-wire AND-depth; inputs and the constant are depth 0."""
-        if self._wire_and_depth is None:
-            depth = np.zeros(self.n_wires, dtype=np.int32)
-            kind, in_a, in_b, out = self.kind, self.in_a, self.in_b, self.out
-            for g in range(self.n_gates):
-                d = max(depth[in_a[g]], depth[in_b[g]])
-                depth[out[g]] = d + 1 if kind[g] == AND else d
-            self._wire_and_depth = depth
-        return self._wire_and_depth
+    # -- schedule ----------------------------------------------------------
 
-    def _level_groups(self):
-        """Gates grouped by full topological level for vectorized eval."""
-        if self._levels is None:
-            level = np.zeros(self.n_wires, dtype=np.int32)
-            kind, in_a, in_b, out = self.kind, self.in_a, self.in_b, self.out
-            gate_level = np.empty(self.n_gates, dtype=np.int32)
-            for g in range(self.n_gates):
-                lv = max(level[in_a[g]], level[in_b[g]]) + 1
-                level[out[g]] = lv
-                gate_level[g] = lv
-            groups = []
-            if self.n_gates:
-                order = np.argsort(gate_level, kind="stable")
-                sorted_levels = gate_level[order]
-                splits = np.flatnonzero(np.diff(sorted_levels)) + 1
-                for chunk in np.split(order, splits):
-                    is_and = kind[chunk] == AND
-                    groups.append(
-                        (
-                            (in_a[chunk[~is_and]], in_b[chunk[~is_and]], out[chunk[~is_and]]),
-                            (in_a[chunk[is_and]], in_b[chunk[is_and]], out[chunk[is_and]]),
-                        )
-                    )
-            self._levels = groups
-        return self._levels
+    def schedule(self) -> Schedule:
+        """Layered evaluation plan shared by the plaintext and MPC paths,
+        built once from the recorded levels and kept on the circuit.
+        """
+        if self._schedule is None:
+            first = 1 + self.n_input_wires
+            bounds = [0, *self.barriers, self.n_gates]
+            segments, base = [], 0
+            for g0, g1 in zip(bounds, bounds[1:]):
+                segment, depth = self._segment(g0, g1, first, base)
+                segments.append(segment)
+                base += depth
+            self._schedule = Schedule(
+                segments, base, int(np.count_nonzero(self.kind == AND))
+            )
+        return self._schedule
+
+    def _segment(self, g0, g1, first, base):
+        """Schedule gates g0..g1, whose AND depths start above `base`.
+
+        One stable sort over a packed key (depth, AND before XOR, full
+        level) lines the gates up as XORs at depth 0, ANDs at depth 1,
+        XORs at depth 1, ...; XORs of one depth are split further by
+        full level, ANDs keep gate order. Layer d is then the XORs of
+        depth d-1 plus the ANDs of depth d; the XORs of the top depth
+        trail the segment.
+        """
+        if g0 == g1:
+            return Segment([], []), 0
+        is_xor = self.kind[g0:g1] != AND
+        key = self.wire_depth[first + g0 : first + g1].astype(np.int64)
+        key -= base
+        top = int(key.max())
+        key <<= 1
+        key += is_xor
+        key <<= 32
+        key |= np.where(is_xor, self.wire_level[first + g0 : first + g1], 0)
+        del is_xor
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
+        group_key = (key[np.concatenate(([0], cuts))] >> 32).tolist()
+        del key
+        order += g0
+        gate_a = self.in_a[order].astype(np.intp)
+        gate_b = self.in_b[order].astype(np.intp)
+        gate_out = order
+        gate_out += first  # gate g drives wire first + g
+        empty = np.zeros(0, dtype=np.intp)
+        layers = [Layer([], (empty, empty, empty)) for _ in range(top)]
+        trailing = []
+        bounds = [0, *cuts.tolist(), len(gate_out)]
+        for k, s, e in zip(group_key, bounds, bounds[1:]):
+            group = (gate_a[s:e], gate_b[s:e], gate_out[s:e])
+            depth, xor = divmod(k, 2)
+            if not xor:
+                layers[depth - 1].and_gates = group
+            elif depth < top:
+                layers[depth].pre_xors.append(group)
+            else:
+                trailing.append(group)
+        return Segment(layers, trailing), top
 
     # -- evaluation --------------------------------------------------------
 
@@ -142,11 +251,17 @@ class BooleanCircuit:
         `extra_wires`, returns (outputs, extra wire values) instead.
         """
         values, batched = self._assign_inputs(inputs)
-        for (xa, xb, xo), (aa, ab, ao) in self._level_groups():
-            if len(xo):
-                values[xo] = values[xa] ^ values[xb]
-            if len(ao):
-                values[ao] = values[aa] & values[ab]
+
+        def xors(groups):
+            for a, b, o in groups:
+                values[o] = values[a] ^ values[b]
+
+        for segment in self.schedule().segments:
+            for layer in segment.layers:
+                xors(layer.pre_xors)
+                a, b, o = layer.and_gates
+                values[o] = values[a] & values[b]
+            xors(segment.trailing_xors)
         out = values[self.output_wires]
         if extra_wires is None:
             return out if batched else out[:, 0]
@@ -296,41 +411,58 @@ class BuilderBase:
 
 
 class CircuitBuilder(BuilderBase):
-    """Materializing builder; finish() freezes a BooleanCircuit."""
+    """Materializing builder; finish() freezes a BooleanCircuit.
+
+    Gates and per-wire levels live in typed arrays, which the finished
+    circuit adopts without a copy. Each gate's full topological level
+    and AND depth are recorded as it is emitted; after `barrier()`, AND
+    depths start above every gate emitted so far.
+    """
 
     def __init__(self):
         self.one = 0
         self._zero = None
         self._n_wires = 1
-        self._kind: list[int] = []
-        self._a: list[int] = []
-        self._b: list[int] = []
+        self._kind = array("B")
+        self._a = array("i")
+        self._b = array("i")
+        self._level = array("i", [0])  # per wire; wire 0 is the constant
+        self._depth = array("i", [0])
+        self._floor = 0  # AND depth of the last barrier
+        self._barriers: list[int] = []
         self._input_map: dict[int, list[int]] = {}
-        self._inputs_done = False
         self.and_count = 0
-        self.xor_count = 0
 
     def input_vector(self, party: int, n: int) -> list[int]:
-        if self._inputs_done:
+        if self._kind:
             raise CircuitError("all inputs must be declared before the first gate")
         wires = list(range(self._n_wires, self._n_wires + n))
         self._n_wires += n
+        self._level.extend(array("i", [0]) * n)
+        self._depth.extend(array("i", [0]) * n)
         self._input_map.setdefault(party, []).extend(wires)
         return wires
 
     def _gate(self, kind, a, b):
-        if not (0 <= a < self._n_wires and 0 <= b < self._n_wires):
+        out = self._n_wires
+        if not (0 <= a < out and 0 <= b < out):
             raise CircuitError("gate input references an undriven wire")
-        self._inputs_done = True
         self._kind.append(kind)
         self._a.append(a)
         self._b.append(b)
+        level, depth = self._level, self._depth
+        la, lb = level[a], level[b]
+        level.append(la + 1 if la > lb else lb + 1)
+        d, db = depth[a], depth[b]
+        if db > d:
+            d = db
+        if d < self._floor:
+            d = self._floor
         if kind == AND:
+            d += 1
             self.and_count += 1
-        else:
-            self.xor_count += 1
-        out = self._n_wires
-        self._n_wires += 1
+        depth.append(d)
+        self._n_wires = out + 1
         return out
 
     def xor(self, a, b):
@@ -339,9 +471,19 @@ class CircuitBuilder(BuilderBase):
     def and_(self, a, b):
         return self._gate(AND, a, b)
 
+    def barrier(self):
+        """End an evaluation segment here, so that a reactive opening can
+        run between the gates so far and the gates after."""
+        self._barriers.append(self.n_gates)
+        self._floor = max(self._depth)
+
     @property
     def n_gates(self) -> int:
         return len(self._kind)
+
+    @property
+    def xor_count(self) -> int:
+        return len(self._kind) - self.and_count
 
     @property
     def next_wire(self) -> int:
@@ -349,11 +491,29 @@ class CircuitBuilder(BuilderBase):
 
     def finish(self, output_wires) -> BooleanCircuit:
         n_in = sum(len(w) for w in self._input_map.values())
-        out = np.arange(1 + n_in, self._n_wires, dtype=np.int64)
+        out = np.arange(1 + n_in, self._n_wires, dtype=np.int32)
         return BooleanCircuit(
             self._n_wires, self._kind, self._a, self._b, out,
             self._input_map, output_wires,
+            wire_level=self._level, wire_depth=self._depth, barriers=self._barriers,
         )
+
+
+def _replay_levels(circuit: BooleanCircuit):
+    """Per-wire levels of a validated gate list, re-emitted gate by gate."""
+    b = CircuitBuilder()
+    b.input_vector(0, circuit.n_input_wires)
+    bounds = [0, *circuit.barriers, circuit.n_gates]
+    for i, (g0, g1) in enumerate(zip(bounds, bounds[1:])):
+        if i:
+            b.barrier()
+        for kind, x, y in zip(
+            circuit.kind[g0:g1].tolist(),
+            circuit.in_a[g0:g1].tolist(),
+            circuit.in_b[g0:g1].tolist(),
+        ):
+            b._gate(kind, x, y)
+    return b._level, b._depth
 
 
 class CountingBuilder(BuilderBase):
@@ -377,6 +537,9 @@ class CountingBuilder(BuilderBase):
     def and_(self, a, b):
         self.and_count += 1
         return 0
+
+    def barrier(self):
+        """Segment boundaries change no gate count."""
 
     # Closed forms for the composite blocks (validated against the
     # materializing builder in the test suite).
@@ -431,7 +594,8 @@ _KIND_VALUES = {v: k for k, v in _KIND_NAMES.items()}
 
 def save_circuit_text(circuit: BooleanCircuit) -> str:
     """Serialize to the line format: header `W G I O`, one gate per
-    line, then CONST1/INPUTS/OUTPUTS trailer. Round-trips bit-exactly.
+    line, then CONST1/INPUTS/OUTPUTS trailer (and BARRIERS, if any).
+    Round-trips bit-exactly.
     """
     lines = [
         f"{circuit.n_wires} {circuit.n_gates} "
@@ -447,10 +611,14 @@ def save_circuit_text(circuit: BooleanCircuit) -> str:
         wires = " ".join(str(w) for w in circuit.input_map[party])
         lines.append(f"INPUTS {party} {wires}".rstrip())
     lines.append("OUTPUTS " + " ".join(str(w) for w in circuit.output_wires))
+    if circuit.barriers:
+        lines.append("BARRIERS " + " ".join(map(str, circuit.barriers)))
     return "\n".join(lines) + "\n"
 
 
 def load_circuit_text(text: str) -> BooleanCircuit:
+    """Parse the line format; levels are recomputed by replaying the
+    gates through a CircuitBuilder."""
     lines = text.splitlines()
     if not lines:
         raise CircuitError("empty circuit file")
@@ -469,6 +637,7 @@ def load_circuit_text(text: str) -> BooleanCircuit:
         out.append(int(parts[3]))
     input_map: dict[int, list[int]] = {}
     output_wires: list[int] = []
+    barriers: list[int] = []
     for ln in lines[1 + n_gates :]:
         parts = ln.split()
         if not parts:
@@ -480,9 +649,13 @@ def load_circuit_text(text: str) -> BooleanCircuit:
             input_map[int(parts[1])] = [int(w) for w in parts[2:]]
         elif parts[0] == "OUTPUTS":
             output_wires = [int(w) for w in parts[1:]]
+        elif parts[0] == "BARRIERS":
+            barriers = [int(g) for g in parts[1:]]
         else:
             raise CircuitError(f"unknown trailer line: {ln!r}")
-    circ = BooleanCircuit(n_wires, kind, a, b, out, input_map, output_wires)
+    circ = BooleanCircuit(
+        n_wires, kind, a, b, out, input_map, output_wires, barriers=barriers
+    )
     if circ.n_input_wires != n_in or len(output_wires) != n_out:
         raise CircuitError("header input/output counts disagree with trailer")
     return circ

@@ -268,7 +268,8 @@ def _construct(b, cfg: CircuitConfig):
         else:
             flags.append(b.zero())
     log.close("SortCheck")
-    barrier_gate = None if log.counting else log.stages[-1].gate_range[1]
+    # the sortedness flags are opened before any later gate is evaluated
+    b.barrier()
 
     log.open()
     runs = []
@@ -297,7 +298,7 @@ def _construct(b, cfg: CircuitConfig):
     log.close("Shuffle")
 
     merged_v = [rec.v for rec in merged]
-    return flags, out_keys, log.stages, barrier_gate, merged_v
+    return flags, out_keys, log.stages, merged_v
 
 
 def _dup_select(b, cfg: CircuitConfig, merged: list[_Rec]) -> list[list]:
@@ -367,22 +368,22 @@ def _dup_select(b, cfg: CircuitConfig, merged: list[_Rec]) -> list[list]:
     return keys
 
 
-@lru_cache(maxsize=6)
+@lru_cache(maxsize=2)  # one configuration plus one alternate
 def compile_circuit(cfg: CircuitConfig) -> Compiled:
     """Materialize the full circuit plus stage metadata (cached)."""
     b = CircuitBuilder()
-    flags, out_keys, stages, barrier, merged_v = _construct(b, cfg)
+    flags, out_keys, stages, merged_v = _construct(b, cfg)
     outputs = [w for vec in out_keys for w in vec]
     circuit = b.finish(outputs)
     n_out = 2 * cfg.total_records
     key_wires = [outputs[i * cfg.sigma : (i + 1) * cfg.sigma] for i in range(n_out)]
-    return Compiled(cfg, circuit, stages, flags, barrier, key_wires, merged_v)
+    return Compiled(cfg, circuit, stages, flags, circuit.barriers[0], key_wires, merged_v)
 
 
 def stage_counts(cfg: CircuitConfig) -> list[CompiledStage]:
     """Exact per-stage gate counts without materializing the circuit."""
     b = CountingBuilder()
-    _, _, stages, _, _ = _construct(b, cfg)
+    _, _, stages, _ = _construct(b, cfg)
     return stages
 
 

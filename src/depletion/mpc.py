@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import AND, BooleanCircuit, MissingInput
+from .circuit import BooleanCircuit, MissingInput, Schedule
 
 FRAME_VERSION = 1
 _HEAD = struct.Struct("<BIIHII")
@@ -40,6 +40,10 @@ class AbortUnsorted(MpcError):
 
 class TriplePoolExhausted(MpcError):
     """More AND gates evaluated than triples dealt."""
+
+
+class AccountingMismatch(MpcError):
+    """A transcript broke a communication-accounting identity."""
 
 
 class TransportFailure(MpcError):
@@ -147,82 +151,12 @@ def share_input(bits: np.ndarray, n_shares: int, rng) -> list[np.ndarray]:
 # -- evaluation schedule -------------------------------------------------------
 
 
-@dataclass
-class Layer:
-    pre_xors: list
-    and_gates: tuple | None
-
-
-@dataclass
-class Segment:
-    layers: list
-    trailing_xors: list
-
-
-@dataclass
-class Schedule:
-    segments: list
-    and_layers: int
-    and_count: int
-
-
-def build_schedule(circuit: BooleanCircuit, barriers: tuple[int, ...] = ()) -> Schedule:
-    """Layered plan: ANDs batched per depth, with barriers forcing every
-    gate after a reactive-open point into later rounds.
+def build_schedule(circuit: BooleanCircuit) -> Schedule:
+    """Layered plan: XOR groups, then one AND round per depth, with the
+    circuit's barriers closing a segment before each reactive opening.
+    Built from the levels the builder recorded; memoized on the circuit.
     """
-    cache = getattr(circuit, "_schedule_cache", None)
-    if cache is None:
-        cache = circuit._schedule_cache = {}
-    key = tuple(barriers)
-    if key in cache:
-        return cache[key]
-
-    kind, in_a, in_b, out = circuit.kind, circuit.in_a, circuit.in_b, circuit.out
-    bounds = [0, *key, circuit.n_gates]
-    full_level = np.zeros(circuit.n_wires, dtype=np.int32)
-    for g in range(circuit.n_gates):
-        full_level[out[g]] = max(full_level[in_a[g]], full_level[in_b[g]]) + 1
-
-    def groups_of(gate_ids):
-        """Split gates into independent chunks by full topological level."""
-        if not len(gate_ids):
-            return []
-        gate_ids = np.asarray(gate_ids)
-        levels = full_level[out[gate_ids]]
-        order = np.argsort(levels, kind="stable")
-        gate_ids = gate_ids[order]
-        splits = np.flatnonzero(np.diff(levels[order])) + 1
-        return [
-            (in_a[chunk], in_b[chunk], out[chunk])
-            for chunk in np.split(gate_ids, splits)
-        ]
-
-    segments = []
-    total_layers = 0
-    and_count = 0
-    for g0, g1 in zip(bounds, bounds[1:]):
-        depth = np.zeros(circuit.n_wires, dtype=np.int32)
-        gate_depth = np.empty(g1 - g0, dtype=np.int32)
-        for g in range(g0, g1):
-            d = max(depth[in_a[g]], depth[in_b[g]]) + (1 if kind[g] == AND else 0)
-            depth[out[g]] = d
-            gate_depth[g - g0] = d
-        ids = np.arange(g0, g1)
-        is_and = kind[g0:g1] == AND
-        and_count += int(np.count_nonzero(is_and))
-        max_depth = int(gate_depth[is_and].max()) if is_and.any() else 0
-        layers = []
-        for lv in range(1, max_depth + 1):
-            pre = ids[(~is_and) & (gate_depth == lv - 1)]
-            ands = ids[is_and & (gate_depth == lv)]
-            chunk = (in_a[ands], in_b[ands], out[ands])
-            layers.append(Layer(groups_of(pre), chunk))
-        trailing = ids[(~is_and) & (gate_depth == max_depth)]
-        segments.append(Segment(layers, groups_of(trailing)))
-        total_layers += max_depth
-    sched = Schedule(segments, total_layers, and_count)
-    cache[key] = sched
-    return sched
+    return circuit.schedule()
 
 
 # -- parties -------------------------------------------------------------------
@@ -325,13 +259,13 @@ class Transcript:
     def verify(self):
         """Communication-accounting identities; raises on violation."""
         if self.rounds != self.and_layers + self.reactive_opens + 1:
-            raise AssertionError(
+            raise AccountingMismatch(
                 f"rounds {self.rounds} != AND layers {self.and_layers} "
                 f"+ opens {self.reactive_opens} + 1"
             )
         for pid, used in self.triples_consumed.items():
             if used != self.and_count:
-                raise AssertionError(
+                raise AccountingMismatch(
                     f"party {pid} consumed {used} triples for {self.and_count} ANDs"
                 )
 
@@ -356,7 +290,6 @@ class Engine:
         circuit: BooleanCircuit,
         computing_ids: list[int],
         *,
-        barriers: tuple[int, ...] = (),
         reactive: list[ReactiveOpen] = (),
         dealer_seed=0,
         batch: int = 1,
@@ -365,7 +298,7 @@ class Engine:
     ):
         self.circuit = circuit
         self.computing_ids = list(computing_ids)
-        self.schedule = build_schedule(circuit, barriers)
+        self.schedule = build_schedule(circuit)
         self.reactive = list(reactive)
         self.batch = batch
         self.epoch = epoch

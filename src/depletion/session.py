@@ -476,7 +476,6 @@ def run_sessions(
         engine = mpc.Engine(
             compiled.circuit,
             _computing_ids(config),
-            barriers=(compiled.barrier_gate,),
             reactive=[
                 mpc.ReactiveOpen(0, list(compiled.flag_wires), check_flags)
             ],
@@ -550,7 +549,6 @@ class Session:
             for p in self.slots
         }
         self._seed = np.random.SeedSequence(seed)
-        self._epoch_seeds = iter(self._seed.spawn(64))
         self.epoch = config.epoch
         self.store: dict[tuple[int, int], tuple[int, bytes]] = {}
 
@@ -581,7 +579,7 @@ class Session:
             epoch=self.epoch,
             count_bits=self.config.count_bits,
         )
-        seed = next(self._epoch_seeds)
+        seed = self._seed.spawn(1)[0]  # children are numbered in spawn order
         sigma = config.sigma
         required = {
             p: len(self.state[p].submitted) + len(set(self.state[p].pending) - self.state[p].real_values)
@@ -675,8 +673,7 @@ class Session:
             engine = mpc.Engine(
                 compiled.circuit,
                 _computing_ids(config),
-                barriers=(compiled.barrier_gate,),
-                reactive=[mpc.ReactiveOpen(0, list(compiled.flag_wires), check_flags)],
+                    reactive=[mpc.ReactiveOpen(0, list(compiled.flag_wires), check_flags)],
                 dealer_seed=dealer_seed,
                 batch=1,
                 epoch=self.epoch,

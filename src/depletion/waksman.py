@@ -25,6 +25,10 @@ from .circuit import CircuitBuilder
 _TOP, _BOT = 0, 1
 
 
+class RoutingError(ValueError):
+    """The router reached a switch setting that contradicts an earlier one."""
+
+
 @lru_cache(maxsize=None)
 def switch_count(n: int) -> int:
     if n <= 1:
@@ -146,12 +150,12 @@ def route_permutation(perm) -> list[bool]:
             idx, c = stack.pop()
             if color[idx] is not None:
                 if color[idx] != c:
-                    raise AssertionError("inconsistent subnet assignment")
+                    raise RoutingError("inconsistent subnet assignment")
                 continue
             color[idx] = c
             if odd and idx == n - 1:
                 if c != _BOT:
-                    raise AssertionError("direct input must use the bottom subnet")
+                    raise RoutingError("direct input must use the bottom subnet")
             else:
                 s = idx // 2
                 val = (idx % 2 == 0) == (c == _BOT)
@@ -159,14 +163,14 @@ def route_permutation(perm) -> list[bool]:
                     in_sw[s] = val
                     stack.append((idx ^ 1, _TOP + _BOT - c))
                 elif in_sw[s] != val:
-                    raise AssertionError("input switch conflict")
+                    raise RoutingError("input switch conflict")
             o = inv[idx]
             if odd and o == n - 1:
                 if c != _BOT:
-                    raise AssertionError("direct output must use the bottom subnet")
+                    raise RoutingError("direct output must use the bottom subnet")
             elif not odd and o >= n - 2:
                 if c != (_TOP if o == n - 2 else _BOT):
-                    raise AssertionError("fixed output pair conflict")
+                    raise RoutingError("fixed output pair conflict")
             else:
                 t = o // 2
                 val = (o % 2 == 0) == (c == _BOT)
@@ -174,7 +178,7 @@ def route_permutation(perm) -> list[bool]:
                     out_sw[t] = val
                     stack.append((perm[o ^ 1], _TOP + _BOT - c))
                 elif out_sw[t] != val:
-                    raise AssertionError("output switch conflict")
+                    raise RoutingError("output switch conflict")
 
     if odd:
         assign(n - 1, _BOT)

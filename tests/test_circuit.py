@@ -209,6 +209,8 @@ def test_text_format_rejects_garbage():
         C.load_circuit_text("1 2\n")
     with pytest.raises(C.CircuitError):
         C.load_circuit_text("2 1 1 1\nNAND 0 1 2\nCONST1 0\nINPUTS 0 1\nOUTPUTS 2\n")
+    with pytest.raises(C.CircuitError):
+        C.load_circuit_text("3 1 1 1\nXOR 0 1 3000000000\nCONST1 0\nINPUTS 0 1\nOUTPUTS 2\n")
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 8])

@@ -165,6 +165,19 @@ def test_accounting_identities():
         assert t.messages_sent[pid] >= (t.rounds) * (t.n_parties - 1)
 
 
+def test_tampered_transcript_raises_accounting_mismatch():
+    _, engine = run_engine(tiny_and_circuit(), {0: [1], 1: [1]})
+    t = engine.transcript
+    t.verify()
+    t.rounds += 1
+    with pytest.raises(mpc.AccountingMismatch):
+        t.verify()
+    t.rounds -= 1
+    t.triples_consumed[0] -= 1
+    with pytest.raises(mpc.AccountingMismatch):
+        t.verify()
+
+
 def test_open_wires_consistent():
     b = CircuitBuilder()
     x = b.input_vector(0, 4)
@@ -185,7 +198,7 @@ def test_reactive_open_aborts_and_preserves_shares():
     x = b.input_vector(0, 2)
     y = b.input_vector(1, 2)
     flag = b.and_(x[0], y[0])
-    barrier = b.n_gates
+    b.barrier()
     out = b.xor(b.and_(x[1], y[1]), flag)
     circ = b.finish([out])
 
@@ -200,7 +213,6 @@ def test_reactive_open_aborts_and_preserves_shares():
         engine = mpc.Engine(
             circ,
             [0, 1],
-            barriers=(barrier,),
             reactive=[mpc.ReactiveOpen(0, [flag], validator)],
             dealer_seed=3,
         )
@@ -238,7 +250,7 @@ def test_full_compiled_circuit_mpc_equals_plaintext():
     assert not flags.any()
     ids = [0, 1, 2]
     engine = mpc.Engine(
-        comp.circuit, ids, barriers=(comp.barrier_gate,),
+        comp.circuit, ids,
         reactive=[mpc.ReactiveOpen(0, list(comp.flag_wires), lambda bits: None)],
         dealer_seed=11,
     )

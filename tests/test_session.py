@@ -1,11 +1,14 @@
 """Round orchestration: preparation, negotiation, reports, epochs, modes."""
 
+import gc
 import random
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from depletion import compiler as CP
 from depletion import mpc, oracle, session as S
 
 
@@ -270,3 +273,23 @@ def test_epoch_two_actually_restores_persisted_shares():
     assert second.u == 3
     for key, (epoch, _) in stored.items():
         assert epoch == 1
+
+
+def test_session_survives_more_than_64_epochs():
+    sess = S.Session(cfg2(sigma=16), {0: {5, 9}, 1: {9, 12}}, seed=40)
+    for epoch in range(70):
+        if epoch:
+            sess.epoch_advance({})
+        reports = sess.run_epoch(execution="plaintext").reports[0]
+        assert reports[0].shared == {9} and reports[1].shared == {9}
+
+
+def test_compile_cache_drops_circuits_of_past_epochs():
+    sess = S.Session(cfg2(sigma=12), {0: {5}, 1: {6}}, seed=41)
+    first = weakref.ref(sess.run_epoch(execution="plaintext").compiled)
+    for v in (7, 8):  # u grows 1 -> 2 -> 3
+        sess.epoch_advance({0: {v}, 1: {v + 10}})
+        sess.run_epoch(execution="plaintext")
+    gc.collect()
+    assert first() is None
+    assert CP.compile_circuit.cache_info().maxsize == 2
