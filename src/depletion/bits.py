@@ -25,13 +25,19 @@ def bits_to_int(bits) -> int:
 
 
 def ints_to_bit_array(values, width: int) -> np.ndarray:
-    """Stack big-endian bit rows: shape (len(values), width), dtype uint8."""
-    arr = np.empty((len(values), width), dtype=np.uint8)
-    for i, v in enumerate(values):
-        arr[i] = int_to_bits(int(v), width)
-    return arr
+    """Stack big-endian bit rows: shape (len(values), width), dtype uint8.
 
-
-def bit_array_to_ints(arr: np.ndarray) -> list[int]:
-    """Rows of a (k, width) 0/1 array back to integers."""
-    return [bits_to_int(row) for row in arr]
+    Raises ValueError, as int_to_bits does, for a negative value or one
+    wider than `width`.
+    """
+    nbytes = (width + 7) // 8
+    try:
+        blob = b"".join([int(v).to_bytes(nbytes, "big") for v in values])
+    except OverflowError:
+        raise ValueError(f"a value does not fit in {width} bits") from None
+    raw = np.frombuffer(blob, dtype=np.uint8).reshape(len(values), nbytes)
+    bits = np.unpackbits(raw, axis=1)
+    pad = 8 * nbytes - width
+    if bits[:, :pad].any():
+        raise ValueError(f"a value does not fit in {width} bits")
+    return bits[:, pad:]

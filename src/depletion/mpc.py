@@ -123,12 +123,23 @@ class TriplePool:
 
 
 def deal_triples(n_parties: int, count: int, seed, batch: int = 1) -> list[TriplePool]:
-    """Dealer-made XOR shares of (a, b, c=a&b); deterministic under seed."""
+    """Dealer-made XOR shares of (a, b, c=a&b); deterministic under seed.
+
+    The share bits are unpacked from packed random words.
+    """
     rng = np.random.default_rng(seed)
     shape = (n_parties, count, batch)
-    a_sh = rng.integers(0, 2, size=shape, dtype=np.uint8)
-    b_sh = rng.integers(0, 2, size=shape, dtype=np.uint8)
-    c_sh = rng.integers(0, 2, size=shape, dtype=np.uint8)
+    size = n_parties * count * batch
+
+    def share_bits():
+        # One array per kind, unpacked from raw 64-bit draws with no other
+        # copy: a single array for all three kinds, or `rng.bytes` (which
+        # copies its buffer), raised the process's peak RSS.
+        words = rng.bit_generator.random_raw((size + 63) // 64)
+        packed = words.astype("<u8", copy=False).view(np.uint8)
+        return np.unpackbits(packed, count=size).reshape(shape)
+
+    a_sh, b_sh, c_sh = share_bits(), share_bits(), share_bits()
     a = np.bitwise_xor.reduce(a_sh, axis=0)
     b = np.bitwise_xor.reduce(b_sh, axis=0)
     c_sh[-1] ^= np.bitwise_xor.reduce(c_sh, axis=0) ^ (a & b)

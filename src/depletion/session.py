@@ -22,7 +22,7 @@ import numpy as np
 
 from . import compiler as CP
 from . import mpc, waksman
-from .bits import int_to_bits
+from .bits import ints_to_bit_array
 
 VARIANT_KINDS = ("at-least-two", "at-least-m", "fixed-plus-m")
 
@@ -267,15 +267,33 @@ def _compiler_config(config: SessionConfig, u: int) -> CP.CircuitConfig:
     )
 
 
-def _record_bits(prepared: PreparedParty, sigma: int) -> list[int]:
-    bits: list[int] = []
-    for r in prepared.records:
-        bits += int_to_bits(r.v, sigma) + int_to_bits(r.k0, sigma) + int_to_bits(r.k1, sigma)
-    return bits
+def _round_inputs(
+    prepared: list[dict[int, PreparedParty]], slots, cfg: CP.CircuitConfig, control_seed
+) -> dict[int, np.ndarray]:
+    """Every owner's input bits for a batch, (bits, batch) each: the
+    record bits of each party, then each control party's shuffle bits.
+
+    Shuffle permutations are drawn control party by control party,
+    session by session, and all of them are routed by one call.
+    """
+    batch = len(prepared)
+    inputs = {}
+    for i, p in enumerate(slots):
+        values = [x for pp in prepared for r in pp[p].records for x in (r.v, r.k0, r.k1)]
+        inputs[i] = ints_to_bit_array(values, cfg.sigma).reshape(batch, -1).T
+    rng = np.random.default_rng(control_seed)
+    n_keys = 2 * cfg.total_records
+    perms = [rng.permutation(n_keys) for _ in cfg.control_parties for _ in range(batch)]
+    bits = waksman.route_permutation(np.array(perms))
+    for j, owner in enumerate(cfg.control_parties):
+        ctl = bits[j * batch : (j + 1) * batch].T
+        inputs[owner] = np.concatenate([inputs[owner], ctl]) if owner in inputs else ctl
+    return inputs
 
 
 def _keys_from_output(out_bits: np.ndarray, n_keys: int, sigma: int) -> list[list[int]]:
-    """Opened output bits [n_keys*sigma, B] to per-element key lists."""
+    """Opened output bits [n_keys*sigma, B] to per-element lists of
+    big-endian sigma-bit integers."""
     batch = out_bits.shape[1]
     arr = out_bits.reshape(n_keys, sigma, batch)
     pad = (-sigma) % 8
@@ -283,11 +301,12 @@ def _keys_from_output(out_bits: np.ndarray, n_keys: int, sigma: int) -> list[lis
         arr = np.concatenate(
             [np.zeros((n_keys, pad, batch), dtype=np.uint8), arr], axis=1
         )
-    packed = np.packbits(arr, axis=1)
-    return [
-        [int.from_bytes(packed[i, :, b].tobytes(), "big") for i in range(n_keys)]
-        for b in range(batch)
+    nbytes = (sigma + 7) // 8
+    blob = np.packbits(arr, axis=1).transpose(2, 0, 1).tobytes()  # (B, n_keys, nbytes)
+    keys = [
+        int.from_bytes(blob[j : j + nbytes], "big") for j in range(0, len(blob), nbytes)
     ]
+    return [keys[b * n_keys : (b + 1) * n_keys] for b in range(batch)]
 
 
 # -- round execution --------------------------------------------------------------
@@ -333,16 +352,10 @@ def negotiate_u(config: SessionConfig, counts: dict[int, list[int]], seed) -> li
     )
     inputs = {}
     for i, p in enumerate(slots):
-        cols = [int_to_bits(c, config.count_bits) for c in counts[p]]
-        inputs[i] = np.array(cols, dtype=np.uint8).T
+        inputs[i] = ints_to_bit_array(counts[p], config.count_bits).T
     out = engine.run(inputs, lambda owner: rngs[owner])
     engine.transcript.verify()
-    pad = (-config.count_bits) % 8
-    arr = np.concatenate(
-        [np.zeros((pad, batch), dtype=np.uint8), out], axis=0
-    )
-    packed = np.packbits(arr, axis=0)
-    maxima = [int.from_bytes(packed[:, b].tobytes(), "big") for b in range(batch)]
+    maxima = [m for (m,) in _keys_from_output(out, 1, config.count_bits)]
     expected = [
         max(counts[p][b] for p in slots) for b in range(batch)
     ]
@@ -435,20 +448,7 @@ def run_sessions(
     compiled = CP.compile_circuit(cfg)
     n_keys = 2 * cfg.total_records
 
-    inputs: dict[int, np.ndarray] = {}
-    for i, p in enumerate(slots):
-        cols = [_record_bits(prepared[b][p], config.sigma) for b in range(batch)]
-        inputs[i] = np.array(cols, dtype=np.uint8).T
-    control_rng = np.random.default_rng(control_seed)
-    for owner in cfg.control_parties:
-        cols = []
-        for b in range(batch):
-            perm = control_rng.permutation(n_keys).tolist()
-            cols.append([int(x) for x in waksman.route_permutation(perm)])
-        ctl = np.array(cols, dtype=np.uint8).T
-        inputs[owner] = (
-            np.concatenate([inputs[owner], ctl]) if owner in inputs else ctl
-        )
+    inputs = _round_inputs(prepared, slots, cfg, control_seed)
 
     flag_parties = [slots[i] for i in range(len(slots))]
 
@@ -643,21 +643,7 @@ class Session:
         compiled = CP.compile_circuit(cfg)
         n_keys = 2 * cfg.total_records
 
-        inputs = {
-            i: np.array(
-                [_record_bits(prepared[p], sigma)], dtype=np.uint8
-            ).T
-            for i, p in enumerate(self.slots)
-        }
-        control_rng = np.random.default_rng(control_seed)
-        for owner in cfg.control_parties:
-            perm = control_rng.permutation(n_keys).tolist()
-            ctl = np.array(
-                [[int(x) for x in waksman.route_permutation(perm)]], dtype=np.uint8
-            ).T
-            inputs[owner] = (
-                np.concatenate([inputs[owner], ctl]) if owner in inputs else ctl
-            )
+        inputs = _round_inputs([prepared], self.slots, cfg, control_seed)
 
         def check_flags(flag_bits):
             bad = [self.slots[i] for i in range(len(self.slots)) if flag_bits[i].any()]

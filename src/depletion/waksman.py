@@ -5,7 +5,9 @@ binary switches (n*log2(n) - n + 1 at powers of two) and can realize
 every permutation of its inputs. One recursion shape drives three
 consumers that must stay in lockstep: plain application of a control
 setting, gate-level construction, and the router that turns a target
-permutation into a control setting.
+permutation into a control setting. The router walks the recursion a
+level at a time over arrays, so one call routes a whole stack of
+permutations.
 
 Layout at each level: floor(n/2) input switches pair inputs (2i, 2i+1)
 and feed a top subnetwork of size floor(n/2) and a bottom one of size
@@ -20,13 +22,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .circuit import CircuitBuilder
+import numpy as np
 
-_TOP, _BOT = 0, 1
+from .circuit import CircuitBuilder
 
 
 class RoutingError(ValueError):
-    """The router reached a switch setting that contradicts an earlier one."""
+    """The router was given something other than permutations of range(n)."""
 
 
 @lru_cache(maxsize=None)
@@ -119,98 +121,105 @@ def build_network(b, control_wires, items: list) -> list:
     return out
 
 
-def route_permutation(perm) -> list[bool]:
+def _perm_stack(perm) -> tuple[np.ndarray, bool]:
+    """Validated (B, n) int64 stack of permutations of range(n), and
+    whether `perm` was a single permutation."""
+    try:
+        arr = np.asarray(perm)
+    except ValueError:
+        raise RoutingError("permutation rows differ in length") from None
+    if arr.ndim not in (1, 2):
+        raise RoutingError(f"expected one permutation or a stack, got shape {arr.shape}")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise RoutingError(f"permutation entries must be integers, got {arr.dtype}")
+    stack = np.atleast_2d(arr).astype(np.int64)
+    expect = np.broadcast_to(np.arange(stack.shape[1]), stack.shape)
+    if not np.array_equal(np.sort(stack, axis=1), expect):
+        raise RoutingError("not a permutation")
+    return stack, arr.ndim == 1
+
+
+def _route_level(perms: np.ndarray):
+    """Outer switches and subnetwork permutations for a (R, k) stack, k >= 3.
+
+    Input i and its input partner i^1 use different subnets, and so do
+    the inputs perm[o] and perm[o^1] of an output pair; odd k gains a
+    virtual input and output k that closes the last pair. Every node then
+    lies on one cycle that alternates the two partner kinds, and
+    `step` (input partner, then output partner) walks each color class.
+    One anchor per row (perm[k-2] for even k, the virtual node for odd k)
+    goes top, as does the smallest node of every other cycle, which is
+    the choice the constraint-propagation router makes. Each node's key
+    is its id, the anchor's is -1; pointer jumping gives each node the
+    least key in its class, and the class holding its cycle's least key
+    is top.
+    """
+    r, k = perms.shape
+    half = k // 2
+    if k % 2:
+        perms = np.concatenate([perms, np.full((r, 1), k, dtype=perms.dtype)], axis=1)
+    m = perms.shape[1]
+    # Flat ids: node j and output position o of row i are i*m + j and
+    # i*m + o, so both partner maps are `^ 1` and every row's cycles stay
+    # in its own id range.
+    row = np.arange(0, r * m, m)[:, None]
+    ids = np.arange(r * m)
+    carried = (perms + row).ravel()  # flat node at each flat output position
+    position = np.empty_like(carried)
+    position[carried] = ids
+    step = carried[position[ids ^ 1] ^ 1]
+    key = ids.copy()
+    key[carried[m - 2 :: m] if k % 2 == 0 else row[:, 0] + k] = -1
+    for _ in range((m // 2 - 1).bit_length()):
+        key = np.minimum(key, key[step])
+        step = step[step]
+    top = key < key[ids ^ 1]
+    first, second = carried[0::2], carried[1::2]
+    first_top = top[first]
+    in_sw = ~top.reshape(r, m)[:, 0 : 2 * half : 2]
+    out_sw = ~first_top.reshape(r, m // 2)[:, :-1]
+    top_perm = (np.where(first_top, first, second).reshape(r, m // 2)[:, :half] - row) // 2
+    bot_perm = (np.where(first_top, second, first).reshape(r, m // 2) - row) // 2
+    return in_sw, out_sw, top_perm, bot_perm
+
+
+def route_permutation(perm) -> np.ndarray:
     """Control bits realizing `perm`: output o carries input perm[o].
 
-    Constraint propagation over the switch graph: the removed output
-    switch (and, for odd n, the direct bottom wires) seed subnet
-    assignments which alternate between the input and output layers;
-    remaining free cycles are closed with straight input switches.
+    `perm` is one permutation of range(n), giving a uint8 array of
+    switch_count(n) bits, or a (B, n) stack of them, giving (B,
+    switch_count(n)). The network is routed a level at a time: every
+    subnetwork of one size, across all rows, is routed by one call of
+    `_route_level`, whose subnetwork permutations make up the next
+    level's stacks. Raises RoutingError (a ValueError) unless every row
+    is a permutation of range(n).
     """
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation")
-    if n <= 1:
-        return []
-    if n == 2:
-        return [perm[0] == 1]
-    half = n // 2
-    odd = n % 2
-    n_out_sw = half - 1 + odd
-    inv = [0] * n
-    for o, i in enumerate(perm):
-        inv[i] = o
-    color: list[int | None] = [None] * n
-    in_sw: list[bool | None] = [None] * half
-    out_sw: list[bool | None] = [None] * n_out_sw
-
-    def assign(i: int, col: int) -> None:
-        stack = [(i, col)]
-        while stack:
-            idx, c = stack.pop()
-            if color[idx] is not None:
-                if color[idx] != c:
-                    raise RoutingError("inconsistent subnet assignment")
+    stack, single = _perm_stack(perm)
+    rows, n = stack.shape
+    size = switch_count(n)
+    bits = np.zeros((rows, size), dtype=np.uint8)
+    flat = bits.reshape(-1)
+    # (permutations, flat position of their first control bit) per size
+    level = {n: [(stack, np.arange(rows) * size)]}
+    while level:
+        below: dict[int, list] = {}
+        for k, parts in level.items():
+            perms, base = (np.concatenate(a) for a in zip(*parts))
+            if k == 2:
+                flat[base] = perms[:, 0]
+            if k <= 2:
                 continue
-            color[idx] = c
-            if odd and idx == n - 1:
-                if c != _BOT:
-                    raise RoutingError("direct input must use the bottom subnet")
-            else:
-                s = idx // 2
-                val = (idx % 2 == 0) == (c == _BOT)
-                if in_sw[s] is None:
-                    in_sw[s] = val
-                    stack.append((idx ^ 1, _TOP + _BOT - c))
-                elif in_sw[s] != val:
-                    raise RoutingError("input switch conflict")
-            o = inv[idx]
-            if odd and o == n - 1:
-                if c != _BOT:
-                    raise RoutingError("direct output must use the bottom subnet")
-            elif not odd and o >= n - 2:
-                if c != (_TOP if o == n - 2 else _BOT):
-                    raise RoutingError("fixed output pair conflict")
-            else:
-                t = o // 2
-                val = (o % 2 == 0) == (c == _BOT)
-                if out_sw[t] is None:
-                    out_sw[t] = val
-                    stack.append((perm[o ^ 1], _TOP + _BOT - c))
-                elif out_sw[t] != val:
-                    raise RoutingError("output switch conflict")
-
-    if odd:
-        assign(n - 1, _BOT)
-        assign(perm[n - 1], _BOT)
-    else:
-        assign(perm[n - 2], _TOP)
-        assign(perm[n - 1], _BOT)
-    for i in range(n):
-        if color[i] is None:
-            assign(i, _TOP)
-
-    def in_slot(i: int) -> int:
-        return half if (odd and i == n - 1) else i // 2
-
-    top_perm: list[int] = [0] * half
-    bot_perm: list[int] = [0] * (n - half)
-    for j in range(n_out_sw):
-        o_top = 2 * j + (1 if out_sw[j] else 0)
-        o_bot = 2 * j + (0 if out_sw[j] else 1)
-        top_perm[j] = in_slot(perm[o_top])
-        bot_perm[j] = in_slot(perm[o_bot])
-    if odd:
-        bot_perm[half] = in_slot(perm[n - 1])
-    else:
-        top_perm[half - 1] = in_slot(perm[n - 2])
-        bot_perm[half - 1] = in_slot(perm[n - 1])
-    return (
-        [bool(v) for v in in_sw]
-        + route_permutation(top_perm)
-        + route_permutation(bot_perm)
-        + [bool(v) for v in out_sw]
-    )
+            in_sw, out_sw, top_perm, bot_perm = _route_level(perms)
+            half = k // 2
+            top_base = base + half
+            bot_base = top_base + switch_count(half)
+            out_base = bot_base + switch_count(k - half)
+            flat[base[:, None] + np.arange(half)] = in_sw
+            flat[out_base[:, None] + np.arange(out_sw.shape[1])] = out_sw
+            below.setdefault(half, []).append((top_perm, top_base))
+            below.setdefault(k - half, []).append((bot_perm, bot_base))
+        level = below
+    return bits[0] if single else bits
 
 
 def build_waksman(n: int, width: int):

@@ -90,6 +90,30 @@ def test_triples_seed_determinism():
     assert not np.array_equal(one[0].a, other[0].a)
 
 
+def test_triples_batched_with_ragged_bit_count():
+    n_parties, count, batch = 3, 7, 3  # 189 share bits per kind, not a multiple of 8
+    pools = mpc.deal_triples(n_parties, count, seed=11, batch=batch)
+    assert len(pools) == n_parties
+    for pool in pools:
+        assert pool.a.shape == pool.b.shape == pool.c.shape == (count, batch)
+    a, b, c = (
+        np.bitwise_xor.reduce([getattr(p, name) for p in pools], axis=0)
+        for name in "abc"
+    )
+    assert np.array_equal(c, a & b)
+    again = mpc.deal_triples(n_parties, count, seed=11, batch=batch)
+    other = mpc.deal_triples(n_parties, count, seed=12, batch=batch)
+    for name in "abc":
+        assert all(
+            np.array_equal(getattr(p, name), getattr(q, name)) for p, q in zip(pools, again)
+        )
+    assert any(
+        not np.array_equal(getattr(p, name), getattr(q, name))
+        for p, q in zip(pools, other)
+        for name in "abc"
+    )
+
+
 def test_triple_pool_exhaustion():
     pool = mpc.deal_triples(2, 4, seed=0)[0]
     pool.take(3)

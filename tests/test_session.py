@@ -79,6 +79,18 @@ def test_interpret_output_corruption():
         S.interpret_output({5: (10, 11)}, [12, 13])
 
 
+@pytest.mark.parametrize("sigma", [1, 8, 13, 32, 64, 256])
+def test_keys_from_output_reads_each_key_big_endian(sigma):
+    rng = np.random.default_rng(sigma)
+    n_keys, batch = 5, 3
+    out = rng.integers(0, 2, size=(n_keys * sigma, batch), dtype=np.uint8)
+    expect = [
+        [int("".join(map(str, out[i * sigma : (i + 1) * sigma, b])), 2) for i in range(n_keys)]
+        for b in range(batch)
+    ]
+    assert S._keys_from_output(out, n_keys, sigma) == expect
+
+
 # -- negotiation --------------------------------------------------------------------
 
 
