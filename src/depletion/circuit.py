@@ -40,10 +40,6 @@ class WidthMismatch(CircuitError):
     """An input bit vector does not match its declared wire count."""
 
 
-class NotPowerOfTwo(CircuitError):
-    """A builder requiring power-of-two input size got something else."""
-
-
 @dataclass(frozen=True)
 class GateCounts:
     and_count: int
@@ -298,16 +294,6 @@ class BooleanCircuit:
                 raise WidthMismatch("inconsistent batch widths across parties")
             values[wires] = arr
         return values, batched
-
-
-def eval_plaintext(circuit: BooleanCircuit, inputs: dict[int, np.ndarray]) -> np.ndarray:
-    """Gate-by-gate reference evaluation (see BooleanCircuit.evaluate)."""
-    return circuit.evaluate(inputs)
-
-
-def count_gates(circuit: BooleanCircuit) -> GateCounts:
-    """Exact counts from a direct scan of the gate list."""
-    return circuit.gate_counts()
 
 
 # -- builders ----------------------------------------------------------------

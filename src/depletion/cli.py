@@ -17,7 +17,7 @@ from . import ledger as LG
 from . import mpc, oracle
 from . import session as S
 from . import vulnid as V
-from .circuit import count_gates, save_circuit_text
+from .circuit import save_circuit_text
 
 log = logging.getLogger("depletion")
 
@@ -120,7 +120,7 @@ def cmd_compile(args) -> int:
                 f"{args.max_gates}; rerun with --counts-only"
             )
         comp = CP.compile_circuit(cfg)
-        depth = count_gates(comp.circuit).depth_and
+        depth = comp.circuit.gate_counts().depth_and
         Path(args.out).write_text(save_circuit_text(comp.circuit))
         man = CP.manifest(cfg, comp.stages, depth_and=depth)
         print(f"circuit -> {args.out}")

@@ -1,16 +1,12 @@
-"""Oblivious merging networks over comparison-exchange callbacks.
+"""Oblivious merging over comparison-exchange callbacks.
 
 `odd_even_merge` is Batcher's merge generalized to arbitrary run
-lengths; `bitonic_merge_pow2` is the classic bitonic merger for
-power-of-two sizes with exactly (n/2)*log2(n) compare-exchanges. Both
-are data-independent: the exchange positions depend only on the input
-sizes, so the same recursion drives plain lists, gate materialization,
-and gate counting.
+lengths. It is data-independent: the exchange positions depend only on
+the input sizes, so the same recursion drives plain lists, gate
+materialization, and gate counting.
 """
 
 from __future__ import annotations
-
-from .circuit import CircuitBuilder, NotPowerOfTwo
 
 
 def odd_even_merge(swap, run_a: list, run_b: list) -> list:
@@ -56,58 +52,10 @@ def odd_even_merge_ce_count(p: int, q: int) -> int:
     return evens + odds + min(len_o, len_e - 1)
 
 
-def bitonic_merge_pow2(swap, items: list) -> list:
-    """Sort a power-of-two bitonic sequence ascending."""
-    n = len(items)
-    if n == 1:
-        return list(items)
-    half = n // 2
-    lows, highs = [], []
-    for i in range(half):
-        lo, hi = swap(items[i], items[i + half])
-        lows.append(lo)
-        highs.append(hi)
-    return bitonic_merge_pow2(swap, lows) + bitonic_merge_pow2(swap, highs)
-
-
-def merge_sorted_pair(swap, run_a: list, run_b: list, bitonic: bool = False) -> list:
-    """Merge ascending runs; the bitonic path reverses the second run."""
-    if bitonic:
-        if len(run_a) != len(run_b) or len(run_a) & (len(run_a) - 1):
-            raise NotPowerOfTwo("bitonic merge needs equal power-of-two runs")
-        return bitonic_merge_pow2(swap, list(run_a) + list(run_b)[::-1])
-    return odd_even_merge(swap, run_a, run_b)
-
-
-def merge_plain(run_a: list[int], run_b: list[int], bitonic: bool = False) -> list[int]:
+def merge_plain(run_a: list[int], run_b: list[int]) -> list[int]:
     """Run the network on plain integers (test oracle substrate)."""
 
     def swap(x, y):
         return (x, y) if x <= y else (y, x)
 
-    return merge_sorted_pair(swap, run_a, run_b, bitonic=bitonic)
-
-
-def build_bitonic_merger(n: int, key_bits: int, payload_bits: int):
-    """Circuit fragment merging two sorted halves of n records total.
-
-    Party i supplies record i as key ++ payload; the two halves
-    (records [0, n/2) and [n/2, n)) must each be ascending by key.
-    Outputs are the merged records, key ++ payload, ascending.
-    """
-    if n < 2 or n & (n - 1):
-        raise NotPowerOfTwo(f"record count {n} is not a power of two")
-    b = CircuitBuilder()
-    records = [
-        (b.input_vector(i, key_bits), b.input_vector(i, payload_bits))
-        for i in range(n)
-    ]
-
-    def swap(ra, rb):
-        c = b.lt(rb[0], ra[0])
-        wa, wb = b.cond_swap(c, ra[0] + ra[1], rb[0] + rb[1])
-        return (wa[:key_bits], wa[key_bits:]), (wb[:key_bits], wb[key_bits:])
-
-    merged = merge_sorted_pair(swap, records[: n // 2], records[n // 2 :], bitonic=True)
-    outputs = [w for key, payload in merged for w in key + payload]
-    return b.finish(outputs)
+    return odd_even_merge(swap, run_a, run_b)

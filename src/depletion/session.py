@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -189,6 +189,15 @@ def _draw_distinct(rng, count, width, taken: set[int], lowest: int) -> list[int]
     return out
 
 
+def _distinct_values(values, sigma: int) -> list[int]:
+    """Sorted distinct values; each must lie in the nonzero sigma-bit space."""
+    real = sorted(set(int(v) for v in values))
+    for v in real:
+        if not 0 < v < (1 << sigma):
+            raise SessionError(f"value {v} outside the nonzero {sigma}-bit space")
+    return real
+
+
 def prepare_inputs(
     values,
     u: int,
@@ -204,10 +213,7 @@ def prepare_inputs(
     list is sorted, which interleaves them instead of revealing the
     real count through trailing positions.
     """
-    real = sorted(set(int(v) for v in values))
-    for v in real:
-        if not 0 < v < (1 << sigma):
-            raise SessionError(f"value {v} outside the nonzero {sigma}-bit space")
+    real = _distinct_values(values, sigma)
     if len(real) > u:
         raise TooManyEntries(f"{len(real)} distinct values exceed bound u={u}")
     taken = set(real) | set(forbidden_values)
@@ -220,6 +226,23 @@ def prepare_inputs(
     for i, v in enumerate(sorted(real + dummies)):
         records.append(InputRecord(v, keys[2 * i], keys[2 * i + 1], v in dummy_set))
     return PreparedParty(records)
+
+
+def _prepare_parties(values: dict[int, list[int]], u: int, sigma: int, rngs) -> dict[int, PreparedParty]:
+    """Prepare one session's parties in slot order. Dummies avoid every
+    party's values and earlier dummies; keys avoid earlier parties' keys."""
+    taken_values = set().union(*values.values())
+    taken_keys: set[int] = set()
+    prepared = {}
+    for i, p in enumerate(sorted(values)):
+        pp = prepare_inputs(
+            values[p], u, sigma, rngs[i],
+            forbidden_values=taken_values, forbidden_keys=taken_keys,
+        )
+        taken_values |= {r.v for r in pp.records}
+        taken_keys |= {k for r in pp.records for k in (r.k0, r.k1)}
+        prepared[p] = pp
+    return prepared
 
 
 def interpret_output(key_table: dict[int, tuple[int, int]], opened) -> IntersectionReport:
@@ -242,10 +265,6 @@ def interpret_output(key_table: dict[int, tuple[int, int]], opened) -> Intersect
 def _compiler_config(config: SessionConfig, u: int) -> CP.CircuitConfig:
     slots = sorted(config.parties)
     n = len(slots)
-    if config.mode == "outsourced":
-        control = tuple(range(n, n + config.n_servers))
-    else:
-        control = tuple(range(n))
     spec = config.variant
     if spec.kind == "at-least-two":
         variant, tags = CP.AtLeastTwo(), ()
@@ -263,7 +282,7 @@ def _compiler_config(config: SessionConfig, u: int) -> CP.CircuitConfig:
         sigma=config.sigma,
         variant=variant,
         party_tags=tags,
-        control_parties=control,
+        control_parties=tuple(_computing_ids(config)),
     )
 
 
@@ -354,7 +373,6 @@ def negotiate_u(config: SessionConfig, counts: dict[int, list[int]], seed) -> li
     for i, p in enumerate(slots):
         inputs[i] = ints_to_bit_array(counts[p], config.count_bits).T
     out = engine.run(inputs, lambda owner: rngs[owner])
-    engine.transcript.verify()
     maxima = [m for (m,) in _keys_from_output(out, 1, config.count_bits)]
     expected = [
         max(counts[p][b] for p in slots) for b in range(batch)
@@ -371,6 +389,80 @@ def _computing_ids(config: SessionConfig) -> list[int]:
     return list(range(n))
 
 
+def _execute(config: SessionConfig, seed, counts: dict[int, list[int]], prepare,
+             execution: str, restore=None) -> RoundResult:
+    """Run one round of `config` for a batch of sessions.
+
+    `counts` maps each party to its number of distinct values in each
+    session; u is their maximum, negotiated under the protocol unless
+    only the plaintext circuit runs. `prepare(u, party_rngs)` returns
+    every session's prepared parties. `execution` is "mpc",
+    "plaintext", or "both" (evaluates both paths and insists on
+    bit-identical opened keys). `restore(engine, compiled, prepared)`,
+    if given, loads stored shares into the round's engine before it
+    runs and returns the `preset` input offsets it covered per owner.
+    """
+    if execution not in ("mpc", "plaintext", "both"):
+        raise SessionError(f"unknown execution {execution!r}")
+    slots = sorted(config.parties)
+    n_owners = len(slots) + (config.n_servers if config.mode == "outsourced" else 0)
+    neg_seed, dealer_seed, control_seed, *owner_seeds = _seed_seq(seed).spawn(3 + n_owners)
+    party_rngs = {i: np.random.default_rng(s) for i, s in enumerate(owner_seeds)}
+
+    if execution == "plaintext":
+        maxima = [max(per_session) for per_session in zip(*counts.values())]
+    else:
+        maxima = negotiate_u(config, counts, neg_seed)
+    u = max(1, max(maxima))
+    prepared = prepare(u, party_rngs)
+
+    cfg = _compiler_config(config, u)
+    compiled = CP.compile_circuit(cfg)
+    inputs = _round_inputs(prepared, slots, cfg, control_seed)
+
+    def check_flags(flag_bits: np.ndarray) -> None:
+        bad = [p for p, flags in zip(slots, flag_bits) if flags.any()]
+        if bad:
+            raise mpc.AbortUnsorted(bad)
+
+    opened = engine = None
+    if execution != "mpc":
+        opened, flags = compiled.circuit.evaluate(inputs, extra_wires=compiled.flag_wires)
+        check_flags(flags)
+    if execution != "plaintext":
+        engine = mpc.Engine(
+            compiled.circuit,
+            _computing_ids(config),
+            reactive=[mpc.ReactiveOpen(0, list(compiled.flag_wires), check_flags)],
+            dealer_seed=dealer_seed,
+            batch=len(prepared),
+            epoch=config.epoch,
+        )
+        preset = restore(engine, compiled, prepared) if restore else None
+        out = engine.run(inputs, lambda owner: party_rngs[owner], preset=preset)
+        if opened is not None and not np.array_equal(out, opened):
+            raise ProtocolCorruption("protocol output differs from plaintext circuit")
+        opened = out
+
+    keys_per_element = _keys_from_output(opened, 2 * cfg.total_records, config.sigma)
+    reports: list[dict[int, IntersectionReport]] = []
+    for b, keys in enumerate(keys_per_element):
+        bag = Counter(keys)
+        if sum(bag.values()) != 2 * u * len(slots):
+            raise ProtocolCorruption("opened key count does not match 2*u*N")
+        reports.append({p: interpret_output(prepared[b][p].key_table, bag) for p in slots})
+    return RoundResult(
+        u=u,
+        reports=reports,
+        opened_keys=keys_per_element,
+        prepared=prepared,
+        transcript=engine.transcript if engine else None,
+        config_digest=config.digest(),
+        engine=engine,
+        compiled=compiled,
+    )
+
+
 def run_sessions(
     config: SessionConfig,
     stockpiles_batch: list[dict[int, object]],
@@ -378,7 +470,6 @@ def run_sessions(
     execution: str = "mpc",
     inject_unsorted: int | None = None,
     config_overrides: dict[int, SessionConfig] | None = None,
-    negotiate: bool | None = None,
 ) -> RoundResult:
     """Run one full round for a batch of independent stockpile sets.
 
@@ -388,130 +479,26 @@ def run_sessions(
     paths and insists on bit-identical opened keys).
     """
     config.validate()
-    if execution not in ("mpc", "plaintext", "both"):
-        raise SessionError(f"unknown execution {execution!r}")
     slots = sorted(config.parties)
     digest = config.digest()
     if config_overrides:
         for p, other in config_overrides.items():
             if other.digest() != digest:
                 raise ConfigMismatch(f"party {p} disagrees on the session config")
-    batch = len(stockpiles_batch)
-    values = [
-        {p: sorted(set(int(v) for v in sp[p])) for p in slots}
-        for sp in stockpiles_batch
-    ]
+    values = [{p: _distinct_values(sp[p], config.sigma) for p in slots} for sp in stockpiles_batch]
 
-    ss = _seed_seq(seed)
-    n_owner_rngs = len(slots) + (config.n_servers if config.mode == "outsourced" else 0)
-    neg_seed, dealer_seed, control_seed, *party_seeds = ss.spawn(3 + n_owner_rngs)
-    party_rngs = {i: np.random.default_rng(s) for i, s in enumerate(party_seeds)}
+    def prepare(u, party_rngs):
+        prepared = [_prepare_parties(v, u, config.sigma, party_rngs) for v in values]
+        if inject_unsorted is not None:
+            if u < 2:
+                raise SessionError("unsorted injection needs at least two records")
+            for per_party in prepared:
+                recs = per_party[inject_unsorted].records
+                recs[0], recs[1] = recs[1], recs[0]
+        return prepared
 
-    counts = {p: [len(values[b][p]) for b in range(batch)] for p in slots}
-    if negotiate is None:
-        negotiate = execution in ("mpc", "both")
-    if negotiate:
-        maxima = negotiate_u(config, counts, neg_seed)
-    else:
-        maxima = [max(counts[p][b] for p in slots) for b in range(batch)]
-    u = max(1, max(maxima))
-
-    prepared: list[dict[int, PreparedParty]] = []
-    for b in range(batch):
-        taken_values: set[int] = set()
-        for p in slots:
-            taken_values |= set(values[b][p])
-        taken_keys: set[int] = set()
-        per_party = {}
-        for i, p in enumerate(slots):
-            pp = prepare_inputs(
-                values[b][p],
-                u,
-                config.sigma,
-                party_rngs[i],
-                forbidden_values=taken_values,
-                forbidden_keys=taken_keys,
-            )
-            taken_values |= {r.v for r in pp.records}
-            taken_keys |= {k for r in pp.records for k in (r.k0, r.k1)}
-            per_party[p] = pp
-        prepared.append(per_party)
-
-    if inject_unsorted is not None:
-        if u < 2:
-            raise SessionError("unsorted injection needs at least two records")
-        for per_party in prepared:
-            recs = per_party[inject_unsorted].records
-            recs[0], recs[1] = recs[1], recs[0]
-
-    cfg = _compiler_config(config, u)
-    compiled = CP.compile_circuit(cfg)
-    n_keys = 2 * cfg.total_records
-
-    inputs = _round_inputs(prepared, slots, cfg, control_seed)
-
-    flag_parties = [slots[i] for i in range(len(slots))]
-
-    def check_flags(flag_bits: np.ndarray) -> None:
-        bad = [
-            flag_parties[i]
-            for i in range(len(flag_parties))
-            if flag_bits[i].any()
-        ]
-        if bad:
-            raise mpc.AbortUnsorted(bad)
-
-    opened_plain = None
-    if execution in ("plaintext", "both"):
-        out, flags = compiled.circuit.evaluate(inputs, extra_wires=compiled.flag_wires)
-        if out.ndim == 1:
-            out, flags = out[:, None], flags[:, None]
-        check_flags(flags)
-        opened_plain = out
-
-    engine = None
-    transcript = None
-    opened = opened_plain
-    if execution in ("mpc", "both"):
-        engine = mpc.Engine(
-            compiled.circuit,
-            _computing_ids(config),
-            reactive=[
-                mpc.ReactiveOpen(0, list(compiled.flag_wires), check_flags)
-            ],
-            dealer_seed=dealer_seed,
-            batch=batch,
-            epoch=config.epoch,
-        )
-        out = engine.run(inputs, lambda owner: party_rngs[owner])
-        transcript = engine.transcript
-        transcript.verify()
-        if execution == "both" and not np.array_equal(out, opened_plain):
-            raise ProtocolCorruption("protocol output differs from plaintext circuit")
-        opened = out
-
-    keys_per_element = _keys_from_output(opened, n_keys, config.sigma)
-    reports: list[dict[int, IntersectionReport]] = []
-    for b in range(batch):
-        bag = Counter(keys_per_element[b])
-        if sum(bag.values()) != 2 * u * len(slots):
-            raise ProtocolCorruption("opened key count does not match 2*u*N")
-        reports.append(
-            {
-                p: interpret_output(prepared[b][p].key_table, bag)
-                for p in slots
-            }
-        )
-    return RoundResult(
-        u=u,
-        reports=reports,
-        opened_keys=keys_per_element,
-        prepared=prepared,
-        transcript=transcript,
-        config_digest=digest,
-        engine=engine,
-        compiled=compiled,
-    )
+    counts = {p: [len(v[p]) for v in values] for p in slots}
+    return _execute(config, seed, counts, prepare, execution)
 
 
 # -- multi-epoch session ----------------------------------------------------------
@@ -545,7 +532,7 @@ class Session:
         self.config = config
         self.slots = sorted(config.parties)
         self.state = {
-            p: _PartyEpochState(pending=sorted(set(int(v) for v in stockpiles.get(p, ()))))
+            p: _PartyEpochState(pending=_distinct_values(stockpiles.get(p, ()), config.sigma))
             for p in self.slots
         }
         self._seed = np.random.SeedSequence(seed)
@@ -558,149 +545,60 @@ class Session:
         dummy_pool = {
             r.v for st in self.state.values() for r in st.submitted if r.is_dummy
         }
+        fresh = {}
         for p, vals in additions.items():
-            st = self.state[p]
-            fresh = sorted(set(int(v) for v in vals) - st.real_values)
-            for v in fresh:
+            real = self.state[p].real_values
+            fresh[p] = [v for v in _distinct_values(vals, self.config.sigma) if v not in real]
+            for v in fresh[p]:
                 if v in dummy_pool:
                     raise RandomnessFailure(
                         f"new value {v} collides with a submitted dummy"
                     )
-            st.pending.extend(v for v in fresh if v not in set(st.pending))
+        for p, vals in fresh.items():
+            pending = set(self.state[p].pending)
+            self.state[p].pending.extend(v for v in vals if v not in pending)
         self.epoch += 1
 
     def run_epoch(self, execution: str = "mpc") -> RoundResult:
-        config = SessionConfig(
-            parties=self.config.parties,
-            sigma=self.config.sigma,
-            variant=self.config.variant,
-            mode=self.config.mode,
-            n_servers=self.config.n_servers,
-            epoch=self.epoch,
-            count_bits=self.config.count_bits,
-        )
+        """Run this epoch's round; the parties' records are committed
+        only once it has succeeded, so a failed epoch can be retried."""
+        config = replace(self.config, epoch=self.epoch)
+        values = {
+            p: st.submitted_values + sorted(set(st.pending) - st.real_values)
+            for p, st in self.state.items()
+        }
+
+        def prepare(u, party_rngs):
+            prepared = _prepare_parties(values, u, config.sigma, party_rngs)
+            for p, st in self.state.items():
+                kept = {r.v for r in st.submitted if r.is_dummy}
+                for r in prepared[p].records:
+                    r.is_dummy = r.is_dummy or r.v in kept
+            return [prepared]
+
         seed = self._seed.spawn(1)[0]  # children are numbered in spawn order
-        sigma = config.sigma
-        required = {
-            p: len(self.state[p].submitted) + len(set(self.state[p].pending) - self.state[p].real_values)
-            for p in self.slots
-        }
-        u = max(1, max(required.values()))
-
-        n_owner_rngs = len(self.slots) + (
-            config.n_servers if config.mode == "outsourced" else 0
-        )
-        rng_children = seed.spawn(3 + n_owner_rngs)
-        neg_seed, dealer_seed, control_seed = rng_children[:3]
-        party_rngs = {
-            i: np.random.default_rng(s) for i, s in enumerate(rng_children[3:])
-        }
-        if execution != "plaintext":
-            negotiate_u(config, {p: [required[p]] for p in self.slots}, neg_seed)
-
-        taken_values = {
-            v for st in self.state.values() for v in st.submitted_values
-        }
-        for st in self.state.values():
-            taken_values |= set(st.pending)
-        prepared: dict[int, PreparedParty] = {}
-        mapping: dict[int, list[int | None]] = {}
-        taken_keys: set[int] = set()
-        for i, p in enumerate(self.slots):
-            st = self.state[p]
-            old = {r.v: (j, r) for j, r in enumerate(st.submitted)}
-            new_real = sorted(set(st.pending) - st.real_values)
-            need_dummies = u - len(st.submitted) - len(new_real)
-            if need_dummies < 0:
-                raise TooManyEntries(f"party {p} exceeds the negotiated bound")
-            dummies = _draw_distinct(
-                party_rngs[i], need_dummies, sigma, taken_values, lowest=1
-            )
-            taken_values |= set(dummies)
-            all_vs = sorted(st.submitted_values + new_real + dummies)
-            keys = _draw_distinct(party_rngs[i], 2 * u, sigma, taken_keys, lowest=0)
-            taken_keys |= set(keys)
-            dummy_vs = {r.v for r in st.submitted if r.is_dummy} | set(dummies)
-            records = [
-                InputRecord(v, keys[2 * j], keys[2 * j + 1], v in dummy_vs)
-                for j, v in enumerate(all_vs)
-            ]
-            prepared[p] = PreparedParty(records)
-            mapping[p] = [old[v][0] if v in old else None for v in all_vs]
+        counts = {p: [len(vs)] for p, vs in values.items()}
+        result = _execute(config, seed, counts, prepare, execution,
+                          restore=self._restore_persisted)
+        if result.engine is not None:
+            self._persist(result.engine, result.compiled)
+        for p, st in self.state.items():
             st.submitted = [
-                InputRecord(r.v, 0, 0, r.is_dummy) for r in records
+                InputRecord(r.v, 0, 0, r.is_dummy) for r in result.prepared[0][p].records
             ]
             st.pending = []
+        return result
 
-        return self._run_prepared(config, prepared, mapping, dealer_seed,
-                                   control_seed, party_rngs, execution)
-
-    def _run_prepared(self, config, prepared, mapping, dealer_seed, control_seed,
-                      party_rngs, execution):
-        sigma = config.sigma
-        u = len(prepared[self.slots[0]].records)
-        cfg = _compiler_config(config, u)
-        compiled = CP.compile_circuit(cfg)
-        n_keys = 2 * cfg.total_records
-
-        inputs = _round_inputs([prepared], self.slots, cfg, control_seed)
-
-        def check_flags(flag_bits):
-            bad = [self.slots[i] for i in range(len(self.slots)) if flag_bits[i].any()]
-            if bad:
-                raise mpc.AbortUnsorted(bad)
-
-        if execution == "plaintext":
-            out, flags = compiled.circuit.evaluate(inputs, extra_wires=compiled.flag_wires)
-            check_flags(flags)
-            engine = transcript = None
-            opened = out
-        else:
-            engine = mpc.Engine(
-                compiled.circuit,
-                _computing_ids(config),
-                    reactive=[mpc.ReactiveOpen(0, list(compiled.flag_wires), check_flags)],
-                dealer_seed=dealer_seed,
-                batch=1,
-                epoch=self.epoch,
-            )
-            preset = self._restore_persisted(engine, compiled, mapping)
-            out = engine.run(
-                inputs,
-                lambda owner: party_rngs[owner],
-                preset=preset,
-            )
-            transcript = engine.transcript
-            transcript.verify()
-            self._persist(engine, compiled)
-            opened = out
-
-        keys_per_element = _keys_from_output(opened, n_keys, sigma)
-        bag = Counter(keys_per_element[0])
-        reports = [
-            {p: interpret_output(prepared[p].key_table, bag) for p in self.slots}
-        ]
-        return RoundResult(
-            u=u,
-            reports=reports,
-            opened_keys=keys_per_element,
-            prepared=[prepared],
-            transcript=transcript,
-            config_digest=config.digest(),
-            engine=engine,
-            compiled=compiled,
-        )
-
-    def _restore_persisted(self, engine, compiled, mapping):
+    def _restore_persisted(self, engine, compiled, prepared):
         """Scatter stored v-shares into this epoch's input positions."""
         sigma = compiled.config.sigma
         preset: dict[int, set[int]] = {}
         for i, p in enumerate(self.slots):
-            remap = mapping[p]
+            old = {r.v: j for j, r in enumerate(self.state[p].submitted)}
             stored = [
-                (new_slot, old_slot)
-                for new_slot, old_slot in enumerate(remap)
-                if old_slot is not None
+                (new_slot, old[r.v])
+                for new_slot, r in enumerate(prepared[0][p].records)
+                if r.v in old
             ]
             if not stored:
                 continue

@@ -269,11 +269,7 @@ def test_criterion_6_shuffle_unlinkability():
     ).astype(np.uint8)
 
     def controls():
-        cols = []
-        for _ in range(runs):
-            perm = rng.permutation(n).tolist()
-            cols.append([int(x) for x in W.route_permutation(perm)])
-        return np.array(cols, dtype=np.uint8).T
+        return W.route_permutation(np.array([rng.permutation(n) for _ in range(runs)])).T
 
     got = circ.evaluate({0: key_input, 1: controls(), 2: controls()})
     counts = np.zeros((n, n), dtype=np.int64)  # position x marker

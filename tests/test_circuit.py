@@ -6,8 +6,22 @@ import numpy as np
 import pytest
 
 from depletion import circuit as C
-from depletion.blocks import build_cond_swap, build_equality, build_less_than, build_mux
 from depletion.bits import int_to_bits, bits_to_int, ints_to_bit_array
+
+
+def fragment(widths, block):
+    """One operand per input party, in order; `block(builder, *operands)`
+    returns the output wires."""
+    b = C.CircuitBuilder()
+    return b.finish(block(b, *(b.input_vector(i, w) for i, w in enumerate(widths))))
+
+
+def less_than(sigma):
+    return fragment((sigma, sigma), lambda b, x, y: [b.lt(x, y)])
+
+
+def equality(sigma):
+    return fragment((sigma, sigma), lambda b, x, y: [b.eq(x, y)])
 
 
 def naive_eval(circ, inputs):
@@ -91,7 +105,7 @@ def test_batched_evaluation_matches_single():
 
 
 def test_less_than_exhaustive_sigma4():
-    circ = build_less_than(4)
+    circ = less_than(4)
     a = ints_to_bit_array([x for x in range(16) for _ in range(16)], 4).T
     bb = ints_to_bit_array([y for _ in range(16) for y in range(16)], 4).T
     got = circ.evaluate({0: a, 1: bb})[0]
@@ -100,14 +114,14 @@ def test_less_than_exhaustive_sigma4():
 
 
 def test_less_than_examples_and_bounds():
-    circ = build_less_than(4)
+    circ = less_than(4)
     assert circ.evaluate({0: int_to_bits(2, 4), 1: int_to_bits(5, 4)}).tolist() == [1]
     assert circ.evaluate({0: int_to_bits(9, 4), 1: int_to_bits(9, 4)}).tolist() == [0]
-    assert build_less_than(8).gate_counts().and_count <= 8
+    assert less_than(8).gate_counts().and_count <= 8
 
 
 def test_equality_exhaustive_sigma3():
-    circ = build_equality(3)
+    circ = equality(3)
     a = ints_to_bit_array([x for x in range(8) for _ in range(8)], 3).T
     bb = ints_to_bit_array([y for _ in range(8) for y in range(8)], 3).T
     got = circ.evaluate({0: a, 1: bb})[0]
@@ -116,7 +130,7 @@ def test_equality_exhaustive_sigma3():
 
 
 def test_equality_examples_and_counts():
-    circ = build_equality(8)
+    circ = equality(8)
     a, b = int_to_bits(0x5A, 8), int_to_bits(0x5A, 8)
     assert circ.evaluate({0: a, 1: b}).tolist() == [1]
     assert circ.evaluate({0: a, 1: int_to_bits(0x5B, 8)}).tolist() == [0]
@@ -124,7 +138,7 @@ def test_equality_examples_and_counts():
 
 
 def test_mux_exhaustive_width2():
-    circ = build_mux(2)
+    circ = fragment((1, 2, 2), lambda b, s, x0, x1: b.mux(s[0], x0, x1))
     cases = [
         (s, x0, x1)
         for s in range(2)
@@ -141,7 +155,7 @@ def test_mux_exhaustive_width2():
 
 
 def test_cond_swap_exhaustive_width2():
-    circ = build_cond_swap(2)
+    circ = fragment((1, 2, 2), lambda b, c, x, y: [w for out in b.cond_swap(c[0], x, y) for w in out])
     cases = [(c, a, b) for c in range(2) for a in range(4) for b in range(4)]
     ctl = np.array([[c for c, _, _ in cases]], dtype=np.uint8)
     av = ints_to_bit_array([a for _, a, _ in cases], 2).T
@@ -154,10 +168,10 @@ def test_cond_swap_exhaustive_width2():
     assert circ.gate_counts().and_count == 2
 
 
-def test_count_gates_empty_circuit():
+def test_gate_counts_empty_circuit():
     b = C.CircuitBuilder()
     w = b.input_vector(0, 1)
-    counts = C.count_gates(b.finish(w))
+    counts = b.finish(w).gate_counts()
     assert (counts.and_count, counts.xor_count, counts.depth_and) == (0, 0, 0)
 
 

@@ -9,7 +9,6 @@ import pytest
 from depletion import compiler as CP
 from depletion import oracle, waksman
 from depletion.bits import bits_to_int, int_to_bits
-from depletion.circuit import count_gates
 
 
 def make_cfg(n, u, sigma, variant=None, party_tags=(), controls=None):
@@ -116,7 +115,7 @@ def test_stage_partition_and_names():
     assert comp.stages[-1].gate_range[1] == comp.circuit.n_gates
     assert len(comp.flag_wires) == 3
     assert comp.barrier_gate == comp.stages[0].gate_range[1]
-    total = count_gates(comp.circuit)
+    total = comp.circuit.gate_counts()
     assert total.and_count == sum(s.and_count for s in comp.stages)
     assert total.xor_count == sum(s.xor_count for s in comp.stages)
 
@@ -419,7 +418,7 @@ def test_max_circuit_exhaustive_3bit():
 def test_manifest_shape():
     cfg = make_cfg(2, 2, 8)
     comp = CP.compile_circuit(cfg)
-    man = CP.manifest(cfg, comp.stages, depth_and=count_gates(comp.circuit).depth_and)
+    man = CP.manifest(cfg, comp.stages, depth_and=comp.circuit.gate_counts().depth_and)
     assert [row["name"] for row in man["stages"]] == list(CP.STAGE_NAMES)
     for row in man["stages"]:
         assert row["and_count"] <= row["and_bound"]

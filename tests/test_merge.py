@@ -1,13 +1,8 @@
-"""Merging networks: Batcher odd-even (any sizes) and bitonic (powers of two)."""
+"""Merging network: Batcher odd-even merge over runs of any sizes."""
 
 import random
 
-import numpy as np
-import pytest
-
 from depletion import merge as M
-from depletion.bits import bits_to_int, ints_to_bit_array
-from depletion.circuit import NotPowerOfTwo
 
 
 def sorted_01_lists(length):
@@ -46,74 +41,3 @@ def test_odd_even_ce_count_matches_network():
             M.odd_even_merge(swap, list(range(p)), list(range(q)))
             assert seen == M.odd_even_merge_ce_count(p, q)
 
-
-def test_bitonic_merge_textbook_cases():
-    assert M.merge_plain([1, 3], [2, 4], bitonic=True) == [1, 2, 3, 4]
-    assert M.merge_plain([1, 2], [1, 2], bitonic=True) == [1, 1, 2, 2]
-
-
-def test_bitonic_requires_power_of_two():
-    with pytest.raises(NotPowerOfTwo):
-        M.merge_plain([1, 2, 3], [4, 5, 6], bitonic=True)
-    with pytest.raises(NotPowerOfTwo):
-        M.build_bitonic_merger(6, 3, 2)
-
-
-def test_bitonic_merger_circuit_exhaustive_sigma3_n4():
-    """All sorted half-pairs over 3-bit keys match a sort oracle."""
-    sigma, payload = 3, 2
-    circ = M.build_bitonic_merger(4, sigma, payload)
-    halves = [
-        (a0, a1) for a0 in range(8) for a1 in range(8) if a0 <= a1
-    ]
-    cases = [(h1, h2) for h1 in halves for h2 in halves]
-    inputs = {}
-    for i in range(4):
-        keys = []
-        for h1, h2 in cases:
-            rec = (h1 + h2)[i]
-            keys.append(rec)
-        key_bits = ints_to_bit_array(keys, sigma)
-        pay_bits = ints_to_bit_array([i] * len(cases), payload)
-        inputs[i] = np.concatenate([key_bits, pay_bits], axis=1).T
-    got = circ.evaluate(inputs)
-    width = sigma + payload
-    for k, (h1, h2) in enumerate(cases):
-        recs = []
-        for i in range(4):
-            key = bits_to_int(got[i * width : i * width + sigma, k])
-            pay = bits_to_int(got[i * width + sigma : (i + 1) * width, k])
-            recs.append((key, pay))
-        keys = [r[0] for r in recs]
-        assert keys == sorted(h1 + h2), (h1, h2, keys)
-        # payload tags still pair up with the keys they entered with
-        entered = sorted(zip(h1 + h2, range(4)))
-        assert sorted(recs) == sorted((k, p) for k, p in entered)
-
-
-def test_bitonic_merger_gate_counts():
-    for n, sigma, payload in [(2, 4, 3), (4, 8, 16), (8, 5, 0)]:
-        circ = M.build_bitonic_merger(n, sigma, payload)
-        ces = (n // 2) * n.bit_length() - (n // 2)  # (n/2) * log2(n)
-        assert circ.gate_counts().and_count == ces * (2 * sigma + payload)
-        assert circ.gate_counts().and_count <= ces * (sigma + sigma + payload)
-
-
-def test_merger_payload_follows_keys_random():
-    rng = random.Random(5)
-    sigma, payload = 4, 3
-    circ = M.build_bitonic_merger(8, sigma, payload)
-    for _ in range(50):
-        h1 = sorted(rng.randint(0, 15) for _ in range(4))
-        h2 = sorted(rng.randint(0, 15) for _ in range(4))
-        inputs = {}
-        for i in range(8):
-            key = (h1 + h2)[i]
-            inputs[i] = ints_to_bit_array([key], sigma)[0].tolist() + ints_to_bit_array([i], payload)[0].tolist()
-        got = circ.evaluate(inputs)
-        width = sigma + payload
-        keys = [bits_to_int(got[i * width : i * width + sigma]) for i in range(8)]
-        assert keys == sorted(h1 + h2)
-        pays = [bits_to_int(got[i * width + sigma : (i + 1) * width]) for i in range(8)]
-        orig = {(k, p) for p, k in enumerate(h1 + h2)}
-        assert set(zip(keys, pays)) == orig or sorted(zip(keys, pays)) == sorted(orig)

@@ -305,3 +305,71 @@ def test_compile_cache_drops_circuits_of_past_epochs():
     gc.collect()
     assert first() is None
     assert CP.compile_circuit.cache_info().maxsize == 2
+
+
+@pytest.mark.parametrize("bad", [0, 1 << 8])
+def test_session_rejects_values_outside_the_nonzero_space(bad):
+    with pytest.raises(S.SessionError):
+        S.Session(cfg2(), {0: {bad, 5}, 1: {7}}, seed=42)
+    sess = S.Session(cfg2(), {0: {5}, 1: {5, 7}}, seed=42)
+    sess.run_epoch()
+    with pytest.raises(S.SessionError):
+        sess.epoch_advance({0: {9}, 1: {bad}})
+    assert sess.epoch == 1 and all(not st.pending for st in sess.state.values())
+    sess.epoch_advance({0: {9}})
+    reports = sess.run_epoch().reports[0]
+    assert reports[0].shared == {5} and reports[1].shared == {5}
+
+
+def test_failed_epoch_can_be_retried(monkeypatch):
+    start, extra = {0: {10, 20}, 1: {20, 30}}, {0: {40}, 1: {40, 50}}
+    sess = S.Session(cfg2(), start, seed=43)
+    sess.run_epoch()
+    sess.epoch_advance(extra)
+    run_shared = mpc.Engine.run_shared
+
+    def fail_once(engine):
+        if not engine.reactive:  # the negotiation engine runs unharmed
+            return run_shared(engine)
+        monkeypatch.setattr(mpc.Engine, "run_shared", run_shared)
+        raise mpc.TransportFailure("injected")
+
+    monkeypatch.setattr(mpc.Engine, "run_shared", fail_once)
+    with pytest.raises(mpc.TransportFailure):
+        sess.run_epoch()
+    reports = sess.run_epoch().reports[0]
+    want = oracle.brute_force_shared({p: start[p] | extra[p] for p in (0, 1)}, "at-least-two")
+    for p in (0, 1):
+        assert reports[p].shared == want[p]
+
+
+def test_run_epoch_rejects_unknown_execution():
+    sess = S.Session(cfg2(), {0: {1}, 1: {2}}, seed=44)
+    with pytest.raises(S.SessionError):
+        sess.run_epoch(execution="bogus")
+
+
+@pytest.mark.parametrize("mode", ["direct", "outsourced"])
+@pytest.mark.parametrize("variant", [
+    S.VariantSpec(),
+    S.VariantSpec("at-least-m", m=2),
+    S.VariantSpec("fixed-plus-m", m=1, fixed_parties=(0,)),
+], ids=lambda spec: spec.kind)
+def test_session_epochs_match_plaintext_and_oracle(variant, mode):
+    config = S.SessionConfig(
+        parties=(0, 1, 2), sigma=8, variant=variant, mode=mode,
+        n_servers=2 if mode == "outsourced" else 0,
+    )
+    held = {0: {3, 9, 17}, 1: {9, 17, 40}, 2: {17, 41}}
+    sess = S.Session(config, held, seed=45)
+    for extra in (None, {0: {40}, 1: {50}, 2: {3, 50}}):
+        if extra:
+            sess.epoch_advance(extra)
+            held = {p: held[p] | extra.get(p, set()) for p in held}
+        reports = sess.run_epoch(execution="both").reports[0]
+        want = oracle.brute_force_shared(
+            held, variant.kind, variant.m, frozenset(variant.fixed_parties)
+        )
+        for p in held:
+            assert set(reports[p].statuses) == held[p]
+            assert reports[p].shared == want[p]
