@@ -299,6 +299,18 @@ class BooleanCircuit:
 # -- builders ----------------------------------------------------------------
 
 
+def pairwise(op, items):
+    """Balanced reduction of one or more items: `op` combines neighbours
+    (0, 1), (2, 3), ... level by level, and an odd last item moves up
+    unchanged. Drives the AND and OR trees, the merge tree and the
+    maximum circuit, so each emits its gates in this one order."""
+    items = list(items)
+    while len(items) > 1:
+        odd = items[-1:] if len(items) % 2 else []
+        items = [*map(op, items[0::2], items[1::2]), *odd]
+    return items[0]
+
+
 class BuilderBase:
     """Shared oblivious building blocks expressed over xor/and_ leafs.
 
@@ -321,25 +333,6 @@ class BuilderBase:
 
     def or_(self, a, b):
         return self.xor(self.xor(a, b), self.and_(a, b))
-
-    def or_fold(self, bits):
-        """Balanced OR over one or more wires."""
-        bits = list(bits)
-        while len(bits) > 1:
-            nxt = [self.or_(bits[i], bits[i + 1]) for i in range(0, len(bits) - 1, 2)]
-            if len(bits) % 2:
-                nxt.append(bits[-1])
-            bits = nxt
-        return bits[0]
-
-    def and_fold(self, bits):
-        bits = list(bits)
-        while len(bits) > 1:
-            nxt = [self.and_(bits[i], bits[i + 1]) for i in range(0, len(bits) - 1, 2)]
-            if len(bits) % 2:
-                nxt.append(bits[-1])
-            bits = nxt
-        return bits[0]
 
     def xor_vec(self, a, b):
         return [self.xor(x, y) for x, y in zip(a, b, strict=True)]
@@ -366,11 +359,11 @@ class BuilderBase:
         """a == b; len(a)-1 AND gates via an AND-tree over XNORs."""
         if len(a) != len(b) or not a:
             raise WidthMismatch("eq operands must share a positive width")
-        return self.and_fold([self.not_(self.xor(x, y)) for x, y in zip(a, b)])
+        return pairwise(self.and_, [self.not_(self.xor(x, y)) for x, y in zip(a, b)])
 
     def eq_zero(self, a):
         """a == 0...0; the boundary-sentinel comparison."""
-        return self.and_fold([self.not_(x) for x in a])
+        return pairwise(self.and_, [self.not_(x) for x in a])
 
     def eq_const(self, a, value: int):
         """a == constant; NOT only where the constant bit is zero."""
@@ -381,7 +374,7 @@ class BuilderBase:
                 bits.append(wire)
             else:
                 bits.append(self.not_(wire))
-        return self.and_fold(bits)
+        return pairwise(self.and_, bits)
 
     def mux(self, sel, x0, x1):
         """Vector select: x0 when sel=0, x1 when sel=1; width AND gates."""
@@ -470,10 +463,6 @@ class CircuitBuilder(BuilderBase):
     @property
     def xor_count(self) -> int:
         return len(self._kind) - self.and_count
-
-    @property
-    def next_wire(self) -> int:
-        return self._n_wires
 
     def finish(self, output_wires) -> BooleanCircuit:
         n_in = sum(len(w) for w in self._input_map.values())

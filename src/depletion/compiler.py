@@ -6,18 +6,22 @@ sorted records, duplicate-key selection (base, at-least-m, and
 fixed-plus-m variants), and a composed per-party Waksman shuffle of the
 output keys.
 
-Every stage is built through the builder interface from `circuit`, so
-`compile_circuit` materializes gates while `stage_counts` runs the same
-construction with the counting builder for benchmark-scale sizes.
+Records are flat wire lists `v | k0 | k1 | tag`. `_construct` emits
+every stage through the builder interface from `circuit` and takes each
+stage's counts and gate and wire ranges from the builder's running AND
+and XOR counts, without asking which builder it drives: `compile_circuit`
+materializes gates, and `stage_counts` runs the same construction with
+the counting builder for benchmark-scale sizes and returns the same
+stages.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .circuit import CircuitBuilder, CountingBuilder, BooleanCircuit
+from .circuit import BooleanCircuit, CircuitBuilder, CountingBuilder, pairwise
 from .merge import odd_even_merge
 from .waksman import build_network, switch_count
 
@@ -109,13 +113,6 @@ class CircuitConfig:
         return len(self.control_parties)
 
     @property
-    def record_bits(self) -> int:
-        width = 3 * self.sigma
-        if isinstance(self.variant, FixedPlusM):
-            width += self.tag_bits
-        return width
-
-    @property
     def control_bits_per_layer(self) -> int:
         return switch_count(2 * self.total_records)
 
@@ -148,8 +145,8 @@ class CompiledStage:
     name: str
     and_count: int
     xor_count: int
-    gate_range: tuple[int, int] | None = None
-    wire_range: tuple[int, int] | None = None
+    gate_range: tuple[int, int]
+    wire_range: tuple[int, int]
 
 
 @dataclass
@@ -158,8 +155,6 @@ class Compiled:
     circuit: BooleanCircuit
     stages: list[CompiledStage]
     flag_wires: list[int]
-    barrier_gate: int
-    output_keys: list[list[int]]
     merged_v_wires: list[list[int]]
 
     def v_wires(self, party: int) -> list[list[int]]:
@@ -173,154 +168,88 @@ class Compiled:
         ]
 
 
-@dataclass
-class _Rec:
-    v: list
-    k0: list
-    k1: list
-    tag: list
-
-    def flat(self):
-        return self.v + self.k0 + self.k1 + self.tag
-
-
-def _rec_swap(b, widths):
-    sv, sk, st = widths
-
-    def swap(ra: _Rec, rb: _Rec):
-        c = b.lt(rb.v, ra.v)
-        fa, fb = b.cond_swap(c, ra.flat(), rb.flat())
-
-        def unflat(f):
-            return _Rec(f[:sv], f[sv : sv + sk], f[sv + sk : sv + 2 * sk], f[sv + 2 * sk :])
-
-        return unflat(fa), unflat(fb)
-
-    return swap
-
-
-class _StageLog:
-    """Record per-stage gate deltas for either builder flavor."""
-
-    def __init__(self, b):
-        self.b = b
-        self.counting = isinstance(b, CountingBuilder)
-        self.stages: list[CompiledStage] = []
-
-    def _state(self):
-        if self.counting:
-            return self.b.and_count, self.b.xor_count, None, None
-        return (
-            self.b.and_count,
-            self.b.xor_count,
-            self.b.n_gates,
-            self.b.next_wire,
-        )
-
-    def open(self):
-        self._mark = self._state()
-
-    def close(self, name):
-        a0, x0, g0, w0 = self._mark
-        a1, x1, g1, w1 = self._state()
-        self.stages.append(
-            CompiledStage(
-                name,
-                a1 - a0,
-                x1 - x0,
-                None if g0 is None else (g0, g1),
-                None if w0 is None else (w0, w1),
-            )
-        )
-
-
 def _construct(b, cfg: CircuitConfig):
+    """Emit the four stages through builder `b`.
+
+    A record is one flat wire list `v | k0 | k1 | tag`: three sigma-bit
+    input fields, then the party's public tag as constant wires
+    (fixed-plus-m only). Each stage's counts and gate and wire ranges
+    come from the builder's running AND and XOR counts, since gate g
+    drives wire 1 + (input wires) + g in either builder.
+    """
     N, u, sigma = cfg.n_parties, cfg.inputs_per_party, cfg.sigma
     tagged = isinstance(cfg.variant, FixedPlusM)
-    per_party = []
-    for p in range(N):
-        per_party.append(
-            [
-                (
-                    b.input_vector(p, sigma),
-                    b.input_vector(p, sigma),
-                    b.input_vector(p, sigma),
-                )
-                for _ in range(u)
-            ]
-        )
+    records = [[b.input_vector(p, 3 * sigma) for _ in range(u)] for p in range(N)]
     controls = [
         b.input_vector(owner, cfg.control_bits_per_layer)
         for owner in cfg.control_parties
     ]
+    first = 1 + N * u * 3 * sigma + len(controls) * cfg.control_bits_per_layer
+    stages: list[CompiledStage] = []
+    mark = (0, 0)
 
-    log = _StageLog(b)
+    def close(name):
+        nonlocal mark
+        (a0, x0), (a1, x1) = mark, (b.and_count, b.xor_count)
+        g0, g1 = a0 + x0, a1 + x1
+        stages.append(CompiledStage(name, a1 - a0, x1 - x0, (g0, g1), (first + g0, first + g1)))
+        mark = (a1, x1)
 
-    log.open()
     flags = []
-    for p in range(N):
+    for recs in records:
         if u >= 2:
-            ordered = [
-                b.lt(per_party[p][r][0], per_party[p][r + 1][0])
-                for r in range(u - 1)
-            ]
-            flags.append(b.not_(b.and_fold(ordered)))
+            ordered = [b.lt(recs[r][:sigma], recs[r + 1][:sigma]) for r in range(u - 1)]
+            flags.append(b.not_(pairwise(b.and_, ordered)))
         else:
             flags.append(b.zero())
-    log.close("SortCheck")
+    close("SortCheck")
     # the sortedness flags are opened before any later gate is evaluated
     b.barrier()
 
-    log.open()
     runs = []
-    for p in range(N):
+    for p, recs in enumerate(records):
         tag = b.const_bits(cfg.party_tags[p], cfg.tag_bits) if tagged else []
-        runs.append([_Rec(v, k0, k1, tag) for v, k0, k1 in per_party[p]])
-    swap = _rec_swap(b, (sigma, sigma, cfg.tag_bits if tagged else 0))
-    while len(runs) > 1:
-        nxt = [
-            odd_even_merge(swap, runs[i], runs[i + 1])
-            for i in range(0, len(runs) - 1, 2)
-        ]
-        if len(runs) % 2:
-            nxt.append(runs[-1])
-        runs = nxt
-    merged = runs[0]
-    log.close("MergeTree")
+        runs.append([rec + tag for rec in recs])
 
-    log.open()
+    def swap(ra, rb):
+        return b.cond_swap(b.lt(rb[:sigma], ra[:sigma]), ra, rb)
+
+    merged = pairwise(partial(odd_even_merge, swap), runs)
+    close("MergeTree")
+
     out_keys = _dup_select(b, cfg, merged)
-    log.close("DupSelect")
+    close("DupSelect")
 
-    log.open()
     for layer_bits in controls:
         out_keys = build_network(b, layer_bits, out_keys)
-    log.close("Shuffle")
+    close("Shuffle")
 
-    merged_v = [rec.v for rec in merged]
-    return flags, out_keys, log.stages, merged_v
+    return flags, out_keys, stages, [rec[:sigma] for rec in merged]
 
 
-def _dup_select(b, cfg: CircuitConfig, merged: list[_Rec]) -> list[list]:
-    """Per-record key selection over the merged sorted records.
+def _dup_select(b, cfg: CircuitConfig, merged: list[list]) -> list[list]:
+    """Per-record key selection over the merged sorted flat records.
 
     Every record contributes exactly two sigma-bit output keys. The
     base variant emits the neighbor-pair selections directly (with the
     all-zero sentinel closing both boundaries); the windowed variants
     emit one selection bit per record, listed twice.
     """
-    total = len(merged)
+    total, sigma = len(merged), cfg.sigma
+    v = [rec[:sigma] for rec in merged]
+    k0 = [rec[sigma : 2 * sigma] for rec in merged]
+    k1 = [rec[2 * sigma : 3 * sigma] for rec in merged]
     variant = cfg.variant
     if isinstance(variant, AtLeastTwo):
-        left_sentinel = b.eq_zero(merged[0].v)
-        right_sentinel = b.eq_zero(merged[-1].v)
-        eqs = [b.eq(merged[i].v, merged[i + 1].v) for i in range(total - 1)]
+        left_sentinel = b.eq_zero(v[0])
+        right_sentinel = b.eq_zero(v[-1])
+        eqs = [b.eq(v[i], v[i + 1]) for i in range(total - 1)]
         keys = []
-        for i, rec in enumerate(merged):
+        for i in range(total):
             left = left_sentinel if i == 0 else eqs[i - 1]
             right = right_sentinel if i == total - 1 else eqs[i]
-            keys.append(b.mux(left, rec.k0, rec.k1))
-            keys.append(b.mux(right, rec.k0, rec.k1))
+            keys.append(b.mux(left, k0[i], k1[i]))
+            keys.append(b.mux(right, k0[i], k1[i]))
         return keys
 
     if isinstance(variant, AtLeastM):
@@ -330,18 +259,18 @@ def _dup_select(b, cfg: CircuitConfig, merged: list[_Rec]) -> list[list]:
         window = len(variant.fixed_tags) + variant.m
         required_tags = variant.fixed_tags
 
-    eqs = [b.eq(merged[i].v, merged[i + 1].v) for i in range(total - 1)]
+    eqs = [b.eq(v[i], v[i + 1]) for i in range(total - 1)]
 
     # run-length test: some all-equal window of `window` records covers i
     if window == 1:
         length_ok = [b.one] * total
     else:
         win = [
-            b.and_fold(eqs[j : j + window - 1])
+            pairwise(b.and_, eqs[j : j + window - 1])
             for j in range(total - window + 1)
         ]
         length_ok = [
-            b.or_fold(win[max(0, i - window + 1) : min(i, total - window) + 1])
+            pairwise(b.or_, win[max(0, i - window + 1) : min(i, total - window) + 1])
             for i in range(total)
         ]
 
@@ -349,7 +278,7 @@ def _dup_select(b, cfg: CircuitConfig, merged: list[_Rec]) -> list[list]:
     # via forward/backward sweeps that stop at run boundaries
     presence = []
     for tag in required_tags:
-        has = [b.eq_const(rec.tag, tag) for rec in merged]
+        has = [b.eq_const(rec[3 * sigma :], tag) for rec in merged]
         fwd = [has[0]]
         for i in range(1, total):
             fwd.append(b.or_(has[i], b.and_(eqs[i - 1], fwd[i - 1])))
@@ -360,9 +289,9 @@ def _dup_select(b, cfg: CircuitConfig, merged: list[_Rec]) -> list[list]:
         presence.append([b.or_(f, w) for f, w in zip(fwd, bwd)])
 
     keys = []
-    for i, rec in enumerate(merged):
-        sel = b.and_fold([length_ok[i]] + [pres[i] for pres in presence])
-        chosen = b.mux(sel, rec.k0, rec.k1)
+    for i in range(total):
+        sel = pairwise(b.and_, [length_ok[i]] + [pres[i] for pres in presence])
+        chosen = b.mux(sel, k0[i], k1[i])
         keys.append(chosen)
         keys.append(chosen)
     return keys
@@ -374,10 +303,7 @@ def compile_circuit(cfg: CircuitConfig) -> Compiled:
     b = CircuitBuilder()
     flags, out_keys, stages, merged_v = _construct(b, cfg)
     outputs = [w for vec in out_keys for w in vec]
-    circuit = b.finish(outputs)
-    n_out = 2 * cfg.total_records
-    key_wires = [outputs[i * cfg.sigma : (i + 1) * cfg.sigma] for i in range(n_out)]
-    return Compiled(cfg, circuit, stages, flags, circuit.barriers[0], key_wires, merged_v)
+    return Compiled(cfg, b.finish(outputs), stages, flags, merged_v)
 
 
 def stage_counts(cfg: CircuitConfig) -> list[CompiledStage]:
@@ -413,15 +339,7 @@ def build_max_circuit(n_parties: int, count_bits: int = 20) -> BooleanCircuit:
         raise ConfigInvalid("need at least one party and one count bit")
     b = CircuitBuilder()
     vals = [b.input_vector(p, count_bits) for p in range(n_parties)]
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            lo, hi = vals[i], vals[i + 1]
-            nxt.append(b.mux(b.lt(lo, hi), lo, hi))
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return b.finish(vals[0])
+    return b.finish(pairwise(lambda lo, hi: b.mux(b.lt(lo, hi), lo, hi), vals))
 
 
 def manifest(cfg: CircuitConfig, stages: list[CompiledStage], depth_and: int | None = None) -> dict:

@@ -39,19 +39,6 @@ def odd_even_merge(swap, run_a: list, run_b: list) -> list:
     return out
 
 
-def odd_even_merge_ce_count(p: int, q: int) -> int:
-    """Compare-exchange count of odd_even_merge on runs of length p, q."""
-    if p == 0 or q == 0:
-        return 0
-    if p == 1 and q == 1:
-        return 1
-    evens = odd_even_merge_ce_count((p + 1) // 2, (q + 1) // 2)
-    odds = odd_even_merge_ce_count(p // 2, q // 2)
-    len_e = (p + 1) // 2 + (q + 1) // 2
-    len_o = p // 2 + q // 2
-    return evens + odds + min(len_o, len_e - 1)
-
-
 def merge_plain(run_a: list[int], run_b: list[int]) -> list[int]:
     """Run the network on plain integers (test oracle substrate)."""
 

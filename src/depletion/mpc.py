@@ -476,10 +476,3 @@ class Engine:
     def persist_shares(self, pid: int, wires, range_id: int = 1) -> bytes:
         bits = self.parties[pid].shares[list(wires)]
         return encode_share_blob(pid, self.epoch, range_id, bits)
-
-    def load_shares(self, pid: int, wires, blob: bytes):
-        wires = list(wires)
-        bits = decode_share_blob(blob, pid, self.epoch)
-        self.parties[pid].set_shares(
-            wires, bits.reshape(len(wires), self.batch)
-        )

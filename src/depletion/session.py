@@ -51,6 +51,10 @@ class RemovalAttempted(SessionError):
     """Submitted entries are immutable; removals are rejected."""
 
 
+class UnknownParty(SessionError):
+    """Stockpiles name a party outside the configuration, or lack one."""
+
+
 @dataclass(frozen=True)
 class VariantSpec:
     kind: str = "at-least-two"
@@ -382,6 +386,12 @@ def negotiate_u(config: SessionConfig, counts: dict[int, list[int]], seed) -> li
     return maxima
 
 
+def _known_parties(config: SessionConfig, stockpiles: dict) -> None:
+    unknown = sorted(set(stockpiles) - set(config.parties))
+    if unknown:
+        raise UnknownParty(f"parties {unknown} are not in the session config")
+
+
 def _computing_ids(config: SessionConfig) -> list[int]:
     n = len(config.parties)
     if config.mode == "outsourced":
@@ -485,6 +495,9 @@ def run_sessions(
         for p, other in config_overrides.items():
             if other.digest() != digest:
                 raise ConfigMismatch(f"party {p} disagrees on the session config")
+    for sp in stockpiles_batch:
+        if set(sp) != set(slots):
+            raise UnknownParty(f"stockpile parties {sorted(sp)} differ from the configured {slots}")
     values = [{p: _distinct_values(sp[p], config.sigma) for p in slots} for sp in stockpiles_batch]
 
     def prepare(u, party_rngs):
@@ -529,6 +542,7 @@ class Session:
 
     def __init__(self, config: SessionConfig, stockpiles: dict[int, object], seed):
         config.validate()
+        _known_parties(config, stockpiles)
         self.config = config
         self.slots = sorted(config.parties)
         self.state = {
@@ -540,6 +554,7 @@ class Session:
         self.store: dict[tuple[int, int], tuple[int, bytes]] = {}
 
     def epoch_advance(self, additions: dict[int, object], removals: dict[int, object] | None = None):
+        _known_parties(self.config, additions)
         if removals and any(removals.values()):
             raise RemovalAttempted("submitted entries cannot be removed or modified")
         dummy_pool = {
@@ -580,7 +595,9 @@ class Session:
         counts = {p: [len(vs)] for p, vs in values.items()}
         result = _execute(config, seed, counts, prepare, execution,
                           restore=self._restore_persisted)
-        if result.engine is not None:
+        if result.engine is None:
+            self.store.clear()  # no shares of this epoch's records exist
+        else:
             self._persist(result.engine, result.compiled)
         for p, st in self.state.items():
             st.submitted = [
@@ -590,9 +607,14 @@ class Session:
         return result
 
     def _restore_persisted(self, engine, compiled, prepared):
-        """Scatter stored v-shares into this epoch's input positions."""
+        """Scatter stored v-shares into this epoch's input positions.
+
+        After an epoch that ran only the plaintext circuit nothing is
+        stored, and every record is shared fresh."""
         sigma = compiled.config.sigma
         preset: dict[int, set[int]] = {}
+        if not self.store:
+            return preset
         for i, p in enumerate(self.slots):
             old = {r.v: j for j, r in enumerate(self.state[p].submitted)}
             stored = [
@@ -602,12 +624,9 @@ class Session:
             ]
             if not stored:
                 continue
-            offsets = set()
-            for new_slot, _ in stored:
-                base = new_slot * 3 * sigma
-                offsets |= set(range(base, base + sigma))
-            preset[i] = offsets
             v_wires = compiled.v_wires(i)
+            offset = {w: j for j, w in enumerate(compiled.circuit.input_map[i])}
+            preset[i] = {offset[w] for new_slot, _ in stored for w in v_wires[new_slot]}
             for cp in engine.computing_ids:
                 entry = self.store.get((cp, i))
                 if entry is None:

@@ -2,12 +2,12 @@
 
 The network on n inputs uses S(n) = S(floor(n/2)) + S(ceil(n/2)) + n - 1
 binary switches (n*log2(n) - n + 1 at powers of two) and can realize
-every permutation of its inputs. One recursion shape drives three
-consumers that must stay in lockstep: plain application of a control
-setting, gate-level construction, and the router that turns a target
-permutation into a control setting. The router walks the recursion a
-level at a time over arrays, so one call routes a whole stack of
-permutations.
+every permutation of its inputs. One recursion, `_network`, lays the
+switches out over a `swap(c, x, y)` callback: on plain values it
+applies a control setting (`apply_network`), on a builder it emits the
+gates (`build_network`). The router that turns target permutations into
+control settings walks the same layout a level at a time over arrays,
+so one call routes a whole stack of permutations.
 
 Layout at each level: floor(n/2) input switches pair inputs (2i, 2i+1)
 and feed a top subnetwork of size floor(n/2) and a bottom one of size
@@ -41,84 +41,48 @@ def switch_count(n: int) -> int:
     return (n - 1) + switch_count(half) + switch_count(n - half)
 
 
-def _split_bits(bits, n):
-    half = n // 2
-    s_top = switch_count(half)
-    s_bot = switch_count(n - half)
-    n_out = half - 1 + (n % 2)
-    if len(bits) != half + s_top + s_bot + n_out:
+def _network(swap, bits, items: list) -> list:
+    """The network on `items` under control `bits` (one per switch, in
+    canonical order); `swap(c, x, y)` is one switch and returns its two
+    outputs, crossed when c is set."""
+    n = len(items)
+    if len(bits) != switch_count(n):
         raise ValueError(f"expected {switch_count(n)} control bits for n={n}")
-    i0 = half
-    i1 = i0 + s_top
-    i2 = i1 + s_bot
-    return bits[:i0], bits[i0:i1], bits[i1:i2], bits[i2:]
+    if n <= 1:
+        return list(items)
+    if n == 2:
+        return list(swap(bits[0], items[0], items[1]))
+    half = n // 2
+    top_end = half + switch_count(half)
+    bot_end = top_end + switch_count(n - half)
+    top_in, bot_in = [], []
+    for i in range(half):
+        a, c = swap(bits[i], items[2 * i], items[2 * i + 1])
+        top_in.append(a)
+        bot_in.append(c)
+    if n % 2:
+        bot_in.append(items[n - 1])
+    top_out = _network(swap, bits[half:top_end], top_in)
+    bot_out = _network(swap, bits[top_end:bot_end], bot_in)
+    out = []
+    for j in range(half - 1 + (n % 2)):
+        out.extend(swap(bits[bot_end + j], top_out[j], bot_out[j]))
+    if n % 2:
+        out.append(bot_out[half])
+    else:
+        out += [top_out[half - 1], bot_out[half - 1]]
+    return out
 
 
 def apply_network(bits, items: list) -> list:
     """Route `items` through the network under a plain control setting."""
-    n = len(items)
-    if n <= 1:
-        return list(items)
-    if n == 2:
-        return [items[1], items[0]] if bits[0] else list(items)
-    half = n // 2
-    in_bits, top_bits, bot_bits, out_bits = _split_bits(bits, n)
-    top_in, bot_in = [], []
-    for i in range(half):
-        a, c = items[2 * i], items[2 * i + 1]
-        if in_bits[i]:
-            a, c = c, a
-        top_in.append(a)
-        bot_in.append(c)
-    if n % 2:
-        bot_in.append(items[n - 1])
-    top_out = apply_network(top_bits, top_in)
-    bot_out = apply_network(bot_bits, bot_in)
-    out = [None] * n
-    for j in range(half - 1 + (n % 2)):
-        a, c = top_out[j], bot_out[j]
-        if out_bits[j]:
-            a, c = c, a
-        out[2 * j], out[2 * j + 1] = a, c
-    if n % 2:
-        out[n - 1] = bot_out[half]
-    else:
-        out[n - 2], out[n - 1] = top_out[half - 1], bot_out[half - 1]
-    return out
+    return _network(lambda c, x, y: (y, x) if c else (x, y), bits, items)
 
 
 def build_network(b, control_wires, items: list) -> list:
-    """Gate-level twin of apply_network.
-
-    `items` are equal-width wire vectors; `control_wires` one wire per
-    switch in canonical order. Returns the output wire vectors.
-    """
-    n = len(items)
-    if n <= 1:
-        return list(items)
-    if n == 2:
-        lo, hi = b.cond_swap(control_wires[0], items[0], items[1])
-        return [lo, hi]
-    half = n // 2
-    in_bits, top_bits, bot_bits, out_bits = _split_bits(control_wires, n)
-    top_in, bot_in = [], []
-    for i in range(half):
-        a, c = b.cond_swap(in_bits[i], items[2 * i], items[2 * i + 1])
-        top_in.append(a)
-        bot_in.append(c)
-    if n % 2:
-        bot_in.append(items[n - 1])
-    top_out = build_network(b, top_bits, top_in)
-    bot_out = build_network(b, bot_bits, bot_in)
-    out = [None] * n
-    for j in range(half - 1 + (n % 2)):
-        a, c = b.cond_swap(out_bits[j], top_out[j], bot_out[j])
-        out[2 * j], out[2 * j + 1] = a, c
-    if n % 2:
-        out[n - 1] = bot_out[half]
-    else:
-        out[n - 2], out[n - 1] = top_out[half - 1], bot_out[half - 1]
-    return out
+    """The network as gates: `items` are equal-width wire vectors,
+    `control_wires` one wire per switch. Returns the output vectors."""
+    return _network(b.cond_swap, control_wires, items)
 
 
 def _perm_stack(perm) -> tuple[np.ndarray, bool]:

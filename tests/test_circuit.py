@@ -251,9 +251,9 @@ def test_counting_builder_matches_materialized(width):
             elif name == "or":
                 b.or_(x[0][0], x[1][0])
             elif name == "or_fold":
-                b.or_fold(x[0])
+                C.pairwise(b.or_, x[0])
             elif name == "and_fold":
-                b.and_fold(x[0])
+                C.pairwise(b.and_, x[0])
             ops.append((name, b.and_count, b.xor_count))
 
         for name in ["lt", "eq", "eq_zero", "eq_const", "mux", "cond_swap", "or", "or_fold", "and_fold"]:

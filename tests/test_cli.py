@@ -60,6 +60,14 @@ def test_compile_writes_circuit_and_manifest(tmp_path):
     assert man["total_and"] + man["total_xor"] == circ.n_gates
     for row in man["stages"]:
         assert row["and_count"] <= row["and_bound"]
+    counted = tmp_path / "counted.json"
+    assert run([
+        "compile", "--parties", "2", "--u", "4", "--sigma", "16",
+        "--variant", "at-least-two", "--counts-only", "--report", str(counted),
+    ]) == 0
+    counted_man = json.loads(counted.read_text())
+    assert counted_man.pop("and_depth") is None
+    assert counted_man == {k: v for k, v in man.items() if k != "and_depth"}
 
 
 def test_compile_counts_only_skips_circuit(tmp_path):

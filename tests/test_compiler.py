@@ -114,7 +114,7 @@ def test_stage_partition_and_names():
         assert prev.gate_range[1] == nxt.gate_range[0]
     assert comp.stages[-1].gate_range[1] == comp.circuit.n_gates
     assert len(comp.flag_wires) == 3
-    assert comp.barrier_gate == comp.stages[0].gate_range[1]
+    assert comp.circuit.barriers == (comp.stages[0].gate_range[1],)
     total = comp.circuit.gate_counts()
     assert total.and_count == sum(s.and_count for s in comp.stages)
     assert total.xor_count == sum(s.xor_count for s in comp.stages)
@@ -358,6 +358,9 @@ def test_counting_builder_matches_materialized_stages():
         assert [(s.name, s.and_count, s.xor_count) for s in comp.stages] == [
             (s.name, s.and_count, s.xor_count) for s in counted
         ], cfg
+        assert [(s.gate_range, s.wire_range) for s in comp.stages] == [
+            (s.gate_range, s.wire_range) for s in counted
+        ], cfg
 
 
 def test_stage_bounds_hold_small():
@@ -365,15 +368,6 @@ def test_stage_bounds_hold_small():
         bounds = CP.stage_bounds(cfg)
         for st in CP.stage_counts(cfg):
             assert st.and_count <= bounds[st.name], (cfg, st)
-
-
-def test_stage_bounds_hold_benchmark_grid():
-    for n in (2, 5, 10):
-        for u in (100, 500):
-            cfg = make_cfg(n, u, 256)
-            bounds = CP.stage_bounds(cfg)
-            for st in CP.stage_counts(cfg):
-                assert st.and_count <= bounds[st.name], (n, u, st)
 
 
 def test_large_instance_count_report():

@@ -26,18 +26,3 @@ def test_odd_even_merge_random_integers():
         a = sorted(rng.randint(0, 30) for _ in range(p))
         b = sorted(rng.randint(0, 30) for _ in range(q))
         assert M.merge_plain(a, b) == sorted(a + b)
-
-
-def test_odd_even_ce_count_matches_network():
-    for p in range(0, 10):
-        for q in range(0, 10):
-            seen = 0
-
-            def swap(x, y):
-                nonlocal seen
-                seen += 1
-                return (x, y) if x <= y else (y, x)
-
-            M.odd_even_merge(swap, list(range(p)), list(range(q)))
-            assert seen == M.odd_even_merge_ce_count(p, q)
-

@@ -293,12 +293,13 @@ def test_persist_and_load_round_trip():
     wires = circ.input_map[0] + circ.input_map[1]
     blob = engine.persist_shares(0, wires)
     fresh = mpc.Engine(circ, ids, dealer_seed=1, epoch=5)
-    fresh.load_shares(0, wires, blob)
+    bits = mpc.decode_share_blob(blob, 0, 5)
+    fresh.restore_shares(0, wires, bits.reshape(len(wires), 1))
     assert np.array_equal(
         fresh.parties[0].shares[wires], engine.parties[0].shares[wires]
     )
     with pytest.raises(mpc.EpochMismatch):
-        fresh.load_shares(1, wires, blob)
+        mpc.decode_share_blob(blob, 1, 5)
 
 
 def test_transport_failure_on_missing_message():

@@ -114,7 +114,7 @@ def test_compiled_circuits_match_reference(variant, tags):
         n_parties=3, inputs_per_party=3, sigma=8, variant=variant, party_tags=tags
     )
     comp = CP.compile_circuit(cfg)
-    assert comp.circuit.barriers == (comp.barrier_gate,)
+    assert comp.circuit.barriers == (comp.stages[0].gate_range[1],)
     assert_matches_reference(comp.circuit)
 
 

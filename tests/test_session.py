@@ -343,6 +343,43 @@ def test_failed_epoch_can_be_retried(monkeypatch):
         assert reports[p].shared == want[p]
 
 
+def test_mpc_epochs_after_plaintext_epochs_share_fresh():
+    held = {0: {5, 7}, 1: {5}}
+    sess = S.Session(cfg2(), held, seed=46)
+    steps = [("plaintext", None), ("mpc", {0: {9}}), ("plaintext", {1: {9, 11}}),
+             ("both", {0: {11, 13}})]
+    for execution, extra in steps:
+        if extra:
+            sess.epoch_advance(extra)
+            held = {p: held[p] | extra.get(p, set()) for p in held}
+        reports = sess.run_epoch(execution=execution).reports[0]
+        want = oracle.brute_force_shared(held, "at-least-two")
+        for p in held:
+            assert reports[p].shared == want[p], (execution, p)
+        assert bool(sess.store) == (execution != "plaintext")
+
+
+def test_session_rejects_unknown_party():
+    with pytest.raises(S.UnknownParty):
+        S.Session(cfg2(), {0: {5}, 1: {5, 7}, 2: {5}}, seed=47)
+
+
+def test_epoch_advance_rejects_unknown_party():
+    sess = S.Session(cfg2(), {0: {5}, 1: {5, 7}}, seed=48)
+    with pytest.raises(S.UnknownParty):
+        sess.epoch_advance({0: {9}, 2: {3}})
+    assert sess.epoch == 1 and sess.state[0].pending == [5]
+    reports = sess.run_epoch().reports[0]
+    assert reports[0].shared == {5} and reports[1].shared == {5}
+
+
+def test_run_sessions_rejects_missing_or_unknown_party():
+    with pytest.raises(S.UnknownParty):
+        S.run_sessions(cfg2(), [{0: {5}}], seed=1)
+    with pytest.raises(S.UnknownParty):
+        S.run_sessions(cfg2(), [{0: {5}, 1: {5}}, {0: {5}, 1: {5}, 2: {5}}], seed=1)
+
+
 def test_run_epoch_rejects_unknown_execution():
     sess = S.Session(cfg2(), {0: {1}, 1: {2}}, seed=44)
     with pytest.raises(S.SessionError):
