@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-list", default="100,500")
     p.add_argument("--sigma", type=int, default=256)
     p.add_argument("--layers", type=int, default=0)
-    p.add_argument("--exec-cap", type=int, default=150_000,
+    p.add_argument("--exec-cap", type=int, default=10_000_000,
                    help="run the protocol live when the gate count fits")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)

@@ -6,13 +6,15 @@ sorted records, duplicate-key selection (base, at-least-m, and
 fixed-plus-m variants), and a composed per-party Waksman shuffle of the
 output keys.
 
-Records are flat wire lists `v | k0 | k1 | tag`. `_construct` emits
-every stage through the builder interface from `circuit` and takes each
-stage's counts and gate and wire ranges from the builder's running AND
-and XOR counts, without asking which builder it drives: `compile_circuit`
-materializes gates, and `stage_counts` runs the same construction with
-the counting builder for benchmark-scale sizes and returns the same
-stages.
+Records are the rows `v | k0 | k1 | tag` of one wire array, and every
+stage is emitted a layer at a time: SortCheck's comparators and
+DupSelect's equality tests and muxes are one block call each, and the
+merge tree and each shuffle layer emit one call set per layer of
+independent exchanges. `_construct` takes each stage's counts and gate
+and wire ranges from the builder's running AND and XOR counts, without
+asking which builder it drives: `compile_circuit` materializes gates,
+and `stage_counts` runs the same construction with the counting builder
+for benchmark-scale sizes and returns the same stages.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .circuit import BooleanCircuit, CircuitBuilder, CountingBuilder, pairwise
+import numpy as np
+
+from .circuit import BooleanCircuit, CircuitBuilder, CountingBuilder, exchange_layers, pairwise
 from .merge import odd_even_merge
 from .waksman import build_network, switch_count
 
@@ -171,15 +175,17 @@ class Compiled:
 def _construct(b, cfg: CircuitConfig):
     """Emit the four stages through builder `b`.
 
-    A record is one flat wire list `v | k0 | k1 | tag`: three sigma-bit
+    A record is one flat row of wires `v | k0 | k1 | tag`: three sigma-bit
     input fields, then the party's public tag as constant wires
-    (fixed-plus-m only). Each stage's counts and gate and wire ranges
-    come from the builder's running AND and XOR counts, since gate g
-    drives wire 1 + (input wires) + g in either builder.
+    (fixed-plus-m only). Records are rows of one array, so each block
+    call serves every record, comparator or switch of a layer at once.
+    Each stage's counts and gate and wire ranges come from the builder's
+    running AND and XOR counts, since gate g drives wire 1 + (input
+    wires) + g in either builder.
     """
     N, u, sigma = cfg.n_parties, cfg.inputs_per_party, cfg.sigma
-    tagged = isinstance(cfg.variant, FixedPlusM)
-    records = [[b.input_vector(p, 3 * sigma) for _ in range(u)] for p in range(N)]
+    records = np.array([b.input_vector(p, u * 3 * sigma) for p in range(N)])
+    records = records.reshape(N, u, 3 * sigma)
     controls = [
         b.input_vector(owner, cfg.control_bits_per_layer)
         for owner in cfg.control_parties
@@ -195,26 +201,31 @@ def _construct(b, cfg: CircuitConfig):
         stages.append(CompiledStage(name, a1 - a0, x1 - x0, (g0, g1), (first + g0, first + g1)))
         mark = (a1, x1)
 
-    flags = []
-    for recs in records:
-        if u >= 2:
-            ordered = [b.lt(recs[r][:sigma], recs[r + 1][:sigma]) for r in range(u - 1)]
-            flags.append(b.not_(pairwise(b.and_, ordered)))
-        else:
-            flags.append(b.zero())
+    if u >= 2:
+        v = records[:, :, :sigma]
+        # axis 0 of the transposed (u-1, N) verdicts is each party's fold axis
+        flags = b.not_(pairwise(b.and_v, b.lt(v[:, :-1], v[:, 1:]).T))
+    else:
+        flags = np.full(N, b.zero())
     close("SortCheck")
     # the sortedness flags are opened before any later gate is evaluated
     b.barrier()
 
-    runs = []
-    for p, recs in enumerate(records):
-        tag = b.const_bits(cfg.party_tags[p], cfg.tag_bits) if tagged else []
-        runs.append([rec + tag for rec in recs])
+    merged = records.reshape(N * u, 3 * sigma)
+    if isinstance(cfg.variant, FixedPlusM):
+        tags = b.const_bits(np.array(cfg.party_tags), cfg.tag_bits)
+        merged = np.concatenate([merged, np.repeat(tags, u, axis=0)], axis=1)
 
-    def swap(ra, rb):
-        return b.cond_swap(b.lt(rb[:sigma], ra[:sigma]), ra, rb)
+    def tree(swap, slots):
+        merge = partial(odd_even_merge, swap)
+        runs = [slots[p * u : (p + 1) * u] for p in range(N)]
+        return pairwise(lambda xs, ys: list(map(merge, xs, ys)), runs)
 
-    merged = pairwise(partial(odd_even_merge, swap), runs)
+    layers, order = exchange_layers(tree, N * u)
+    for lo, hi in (layer.T for layer in layers):
+        c = b.lt(merged[hi, :sigma], merged[lo, :sigma])
+        merged[lo], merged[hi] = b.cond_swap(c, merged[lo], merged[hi])
+    merged = merged[order]
     close("MergeTree")
 
     out_keys = _dup_select(b, cfg, merged)
@@ -224,33 +235,30 @@ def _construct(b, cfg: CircuitConfig):
         out_keys = build_network(b, layer_bits, out_keys)
     close("Shuffle")
 
-    return flags, out_keys, stages, [rec[:sigma] for rec in merged]
+    return flags, out_keys, stages, merged[:, :sigma]
 
 
-def _dup_select(b, cfg: CircuitConfig, merged: list[list]) -> list[list]:
-    """Per-record key selection over the merged sorted flat records.
+def _dup_select(b, cfg: CircuitConfig, merged: np.ndarray) -> np.ndarray:
+    """Per-record key selection over the merged sorted records, one row
+    each; returns one sigma-bit output key per row.
 
-    Every record contributes exactly two sigma-bit output keys. The
-    base variant emits the neighbor-pair selections directly (with the
-    all-zero sentinel closing both boundaries); the windowed variants
-    emit one selection bit per record, listed twice.
+    Every record contributes exactly two output keys. The base variant
+    emits the neighbor-pair selections directly (with the all-zero
+    sentinel closing both boundaries); the windowed variants emit one
+    selection bit per record, listed twice.
     """
     total, sigma = len(merged), cfg.sigma
-    v = [rec[:sigma] for rec in merged]
-    k0 = [rec[sigma : 2 * sigma] for rec in merged]
-    k1 = [rec[2 * sigma : 3 * sigma] for rec in merged]
+    v = merged[:, :sigma]
+    k0 = merged[:, sigma : 2 * sigma]
+    k1 = merged[:, 2 * sigma : 3 * sigma]
     variant = cfg.variant
     if isinstance(variant, AtLeastTwo):
-        left_sentinel = b.eq_zero(v[0])
-        right_sentinel = b.eq_zero(v[-1])
-        eqs = [b.eq(v[i], v[i + 1]) for i in range(total - 1)]
-        keys = []
-        for i in range(total):
-            left = left_sentinel if i == 0 else eqs[i - 1]
-            right = right_sentinel if i == total - 1 else eqs[i]
-            keys.append(b.mux(left, k0[i], k1[i]))
-            keys.append(b.mux(right, k0[i], k1[i]))
-        return keys
+        left_sentinel, right_sentinel = b.eq_zero(v[[0, -1]])
+        eqs = b.eq(v[:-1], v[1:])
+        left = np.concatenate([[left_sentinel], eqs])
+        right = np.concatenate([eqs, [right_sentinel]])
+        keys = np.stack([b.mux(left, k0, k1), b.mux(right, k0, k1)], axis=1)
+        return keys.reshape(2 * total, sigma)
 
     if isinstance(variant, AtLeastM):
         window = variant.m
@@ -259,42 +267,38 @@ def _dup_select(b, cfg: CircuitConfig, merged: list[list]) -> list[list]:
         window = len(variant.fixed_tags) + variant.m
         required_tags = variant.fixed_tags
 
-    eqs = [b.eq(v[i], v[i + 1]) for i in range(total - 1)]
+    eqs = b.eq(v[:-1], v[1:])
 
     # run-length test: some all-equal window of `window` records covers i
     if window == 1:
-        length_ok = [b.one] * total
+        length_ok = np.full(total, b.one)
     else:
-        win = [
-            pairwise(b.and_, eqs[j : j + window - 1])
-            for j in range(total - window + 1)
-        ]
-        length_ok = [
-            pairwise(b.or_, win[max(0, i - window + 1) : min(i, total - window) + 1])
-            for i in range(total)
-        ]
+        starts = np.arange(total - window + 1)
+        win = pairwise(b.and_v, eqs[np.arange(window - 1)[:, None] + starts])
+        # record i lies in windows lo[i]..hi[i]; one OR tree per row length
+        i = np.arange(total)
+        lo = np.maximum(0, i - window + 1)
+        width = np.minimum(i, total - window) - lo + 1
+        length_ok = np.empty(total, dtype=win.dtype)
+        for w in np.unique(width):
+            rows = np.flatnonzero(width == w)
+            length_ok[rows] = pairwise(b.or_, win[np.arange(w)[:, None] + lo[rows]])
 
     # per fixed tag: presence anywhere inside the record's equal-key run,
     # via forward/backward sweeps that stop at run boundaries
     presence = []
     for tag in required_tags:
-        has = [b.eq_const(rec[3 * sigma :], tag) for rec in merged]
+        has = b.eq_const(merged[:, 3 * sigma :], tag)
         fwd = [has[0]]
         for i in range(1, total):
-            fwd.append(b.or_(has[i], b.and_(eqs[i - 1], fwd[i - 1])))
-        bwd = [None] * total
-        bwd[-1] = has[-1]
+            fwd.append(b.or_(has[i], b.and_v(eqs[i - 1], fwd[i - 1])))
+        bwd = [has[-1]]
         for i in range(total - 2, -1, -1):
-            bwd[i] = b.or_(has[i], b.and_(eqs[i], bwd[i + 1]))
-        presence.append([b.or_(f, w) for f, w in zip(fwd, bwd)])
+            bwd.append(b.or_(has[i], b.and_v(eqs[i], bwd[-1])))
+        presence.append(b.or_(np.array(fwd), np.array(bwd[::-1])))
 
-    keys = []
-    for i in range(total):
-        sel = pairwise(b.and_, [length_ok[i]] + [pres[i] for pres in presence])
-        chosen = b.mux(sel, k0[i], k1[i])
-        keys.append(chosen)
-        keys.append(chosen)
-    return keys
+    sel = pairwise(b.and_v, np.stack([length_ok, *presence]))
+    return np.repeat(b.mux(sel, k0, k1), 2, axis=0)
 
 
 @lru_cache(maxsize=2)  # one configuration plus one alternate
@@ -302,8 +306,8 @@ def compile_circuit(cfg: CircuitConfig) -> Compiled:
     """Materialize the full circuit plus stage metadata (cached)."""
     b = CircuitBuilder()
     flags, out_keys, stages, merged_v = _construct(b, cfg)
-    outputs = [w for vec in out_keys for w in vec]
-    return Compiled(cfg, b.finish(outputs), stages, flags, merged_v)
+    circuit = b.finish(out_keys.ravel())
+    return Compiled(cfg, circuit, stages, flags.tolist(), merged_v.tolist())
 
 
 def stage_counts(cfg: CircuitConfig) -> list[CompiledStage]:
@@ -333,12 +337,16 @@ def stage_bounds(cfg: CircuitConfig) -> dict[str, float]:
     }
 
 
+@lru_cache(maxsize=8)
 def build_max_circuit(n_parties: int, count_bits: int = 20) -> BooleanCircuit:
-    """Maximum of one unsigned count per party; (N-1)*2*count_bits ANDs."""
+    """Maximum of one unsigned count per party; (N-1)*2*count_bits ANDs.
+
+    Cached: every round's negotiation runs the same immutable circuit,
+    which also keeps its schedule."""
     if n_parties < 1 or count_bits < 1:
         raise ConfigInvalid("need at least one party and one count bit")
     b = CircuitBuilder()
-    vals = [b.input_vector(p, count_bits) for p in range(n_parties)]
+    vals = np.array([b.input_vector(p, count_bits) for p in range(n_parties)])
     return b.finish(pairwise(lambda lo, hi: b.mux(b.lt(lo, hi), lo, hi), vals))
 
 

@@ -2,8 +2,10 @@
 
 `odd_even_merge` is Batcher's merge generalized to arbitrary run
 lengths. It is data-independent: the exchange positions depend only on
-the input sizes, so the same recursion drives plain lists, gate
-materialization, and gate counting.
+the input sizes, so the same recursion merges plain lists and, run once
+on slot tokens through `circuit.exchange_layers`, gives the compiler
+the comparator layers it emits as gates (one set of block calls per
+layer, for either builder).
 """
 
 from __future__ import annotations

@@ -4,8 +4,10 @@ The network on n inputs uses S(n) = S(floor(n/2)) + S(ceil(n/2)) + n - 1
 binary switches (n*log2(n) - n + 1 at powers of two) and can realize
 every permutation of its inputs. One recursion, `_network`, lays the
 switches out over a `swap(c, x, y)` callback: on plain values it
-applies a control setting (`apply_network`), on a builder it emits the
-gates (`build_network`). The router that turns target permutations into
+applies a control setting (`apply_network`); run once on slot tokens
+through `circuit.exchange_layers`, it groups the switches into columns
+of independent switches, and `build_network` emits each column as one
+`cond_swap` call. The router that turns target permutations into
 control settings walks the same layout a level at a time over arrays,
 so one call routes a whole stack of permutations.
 
@@ -24,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import CircuitBuilder
+from .circuit import CircuitBuilder, exchange_layers
 
 
 class RoutingError(ValueError):
@@ -79,10 +81,25 @@ def apply_network(bits, items: list) -> list:
     return _network(lambda c, x, y: (y, x) if c else (x, y), bits, items)
 
 
-def build_network(b, control_wires, items: list) -> list:
-    """The network as gates: `items` are equal-width wire vectors,
-    `control_wires` one wire per switch. Returns the output vectors."""
-    return _network(b.cond_swap, control_wires, items)
+@lru_cache(maxsize=4)
+def _columns(n: int, n_bits: int):
+    """The switches of the n-input network grouped into columns of
+    independent switches, as (control bit, x, y) rows, and the output
+    slot order; `_network` rejects a wrong control-bit count."""
+    return exchange_layers(lambda swap, slots: _network(swap, range(n_bits), slots), n)
+
+
+def build_network(b, control_wires, items) -> np.ndarray:
+    """The network as gates: `items` are n equal-width wire vectors,
+    `control_wires` one wire per switch. Each column of independent
+    switches is one `cond_swap` call over all its switches. Returns the
+    (n, width) output vectors."""
+    items = np.array(items)
+    control = np.asarray(control_wires)
+    columns, order = _columns(len(items), len(control))
+    for c, x, y in (column.T for column in columns):
+        items[x], items[y] = b.cond_swap(control[c], items[x], items[y])
+    return items[order]
 
 
 def _perm_stack(perm) -> tuple[np.ndarray, bool]:
@@ -194,4 +211,4 @@ def build_waksman(n: int, width: int):
     controls = b.input_vector(0, switch_count(n))
     items = [b.input_vector(i + 1, width) for i in range(n)]
     out = build_network(b, controls, items)
-    return b.finish([w for vec in out for w in vec])
+    return b.finish(out.ravel())

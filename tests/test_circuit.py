@@ -48,13 +48,13 @@ def naive_eval(circ, inputs):
 def test_single_gates():
     b = C.CircuitBuilder()
     x = b.input_vector(0, 2)
-    circ = b.finish([b.xor(x[0], x[1])])
+    circ = b.finish([b.xor_v(x[0], x[1])])
     assert circ.evaluate({0: [1, 1]}).tolist() == [0]
     assert circ.evaluate({0: [1, 0]}).tolist() == [1]
 
     b = C.CircuitBuilder()
     x = b.input_vector(0, 2)
-    circ = b.finish([b.and_(x[0], x[1])])
+    circ = b.finish([b.and_v(x[0], x[1])])
     assert circ.evaluate({0: [1, 1]}).tolist() == [1]
     assert circ.evaluate({0: [0, 1]}).tolist() == [0]
 
@@ -77,7 +77,7 @@ def test_random_circuits_match_naive_evaluator():
         for party in range(2):
             wires += b.input_vector(party, rng.randint(1, 4))
         for _ in range(50):
-            op = rng.choice([b.xor, b.and_])
+            op = rng.choice([b.xor_v, b.and_v])
             wires.append(op(rng.choice(wires), rng.choice(wires)))
         outputs = rng.sample(wires, k=min(5, len(wires)))
         circ = b.finish(outputs)
@@ -178,9 +178,9 @@ def test_gate_counts_empty_circuit():
 def test_and_depth():
     b = C.CircuitBuilder()
     x = b.input_vector(0, 3)
-    chain = b.and_(b.and_(x[0], x[1]), x[2])
-    parallel = b.and_(x[0], x[2])
-    circ = b.finish([chain, b.xor(parallel, chain)])
+    chain = b.and_v(b.and_v(x[0], x[1]), x[2])
+    parallel = b.and_v(x[0], x[2])
+    circ = b.finish([chain, b.xor_v(parallel, chain)])
     assert circ.gate_counts().depth_and == 2
 
 
@@ -188,7 +188,7 @@ def test_missing_and_mismatched_inputs():
     b = C.CircuitBuilder()
     x = b.input_vector(0, 2)
     y = b.input_vector(1, 2)
-    circ = b.finish([b.xor(x[0], y[1])])
+    circ = b.finish([b.xor_v(x[0], y[1])])
     with pytest.raises(C.MissingInput):
         circ.evaluate({0: [0, 1]})
     with pytest.raises(C.WidthMismatch):
@@ -198,7 +198,7 @@ def test_missing_and_mismatched_inputs():
 def test_inputs_must_precede_gates():
     b = C.CircuitBuilder()
     x = b.input_vector(0, 2)
-    b.xor(x[0], x[1])
+    b.xor_v(x[0], x[1])
     with pytest.raises(C.CircuitError):
         b.input_vector(1, 1)
 
@@ -207,7 +207,7 @@ def test_text_format_round_trip_bit_exact():
     b = C.CircuitBuilder()
     x = b.input_vector(0, 3)
     y = b.input_vector(2, 2)
-    out = [b.lt(x, [y[0], y[1], b.not_(y[0])]), b.and_(x[0], y[1])]
+    out = [b.lt(x, [y[0], y[1], b.not_(y[0])]), b.and_v(x[0], y[1])]
     circ = b.finish(out)
     text = C.save_circuit_text(circ)
     circ2 = C.load_circuit_text(text)
@@ -253,7 +253,7 @@ def test_counting_builder_matches_materialized(width):
             elif name == "or_fold":
                 C.pairwise(b.or_, x[0])
             elif name == "and_fold":
-                C.pairwise(b.and_, x[0])
+                C.pairwise(b.and_v, x[0])
             ops.append((name, b.and_count, b.xor_count))
 
         for name in ["lt", "eq", "eq_zero", "eq_const", "mux", "cond_swap", "or", "or_fold", "and_fold"]:

@@ -15,7 +15,7 @@ def tiny_and_circuit():
     b = CircuitBuilder()
     x = b.input_vector(0, 1)
     y = b.input_vector(1, 1)
-    return b.finish([b.and_(x[0], y[0])])
+    return b.finish([b.and_v(x[0], y[0])])
 
 
 def random_circuit(rng, n_parties=3, gates=60):
@@ -24,7 +24,7 @@ def random_circuit(rng, n_parties=3, gates=60):
     for p in range(n_parties):
         wires += b.input_vector(p, rng.randint(1, 5))
     for _ in range(gates):
-        op = rng.choice([b.xor, b.and_])
+        op = rng.choice([b.xor_v, b.and_v])
         wires.append(op(rng.choice(wires), rng.choice(wires)))
     outs = rng.sample(wires[1:], k=min(6, len(wires) - 1))
     return b.finish(outs)
@@ -206,7 +206,7 @@ def test_open_wires_consistent():
     b = CircuitBuilder()
     x = b.input_vector(0, 4)
     y = b.input_vector(1, 4)
-    circ = b.finish([b.xor(x[i], y[i]) for i in range(4)])
+    circ = b.finish([b.xor_v(x[i], y[i]) for i in range(4)])
     ids = [0, 1]
     engine = mpc.Engine(circ, ids, dealer_seed=0)
     rngs = {p: np.random.default_rng(p) for p in ids}
@@ -221,9 +221,9 @@ def test_reactive_open_aborts_and_preserves_shares():
     b = CircuitBuilder()
     x = b.input_vector(0, 2)
     y = b.input_vector(1, 2)
-    flag = b.and_(x[0], y[0])
+    flag = b.and_v(x[0], y[0])
     b.barrier()
-    out = b.xor(b.and_(x[1], y[1]), flag)
+    out = b.xor_v(b.and_v(x[1], y[1]), flag)
     circ = b.finish([out])
 
     seen = {}

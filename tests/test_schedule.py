@@ -87,7 +87,7 @@ def random_circuit(rng, barriers):
             cuts.pop(0)
             b.barrier()
         if g < gates:
-            op = rng.choice([b.xor, b.and_, b.and_])
+            op = rng.choice([b.xor_v, b.and_v, b.and_v])
             wires.append(op(rng.choice(wires), rng.choice(wires)))
     return b.finish(rng.sample(wires, k=min(6, len(wires))))
 
@@ -121,9 +121,9 @@ def test_compiled_circuits_match_reference(variant, tags):
 def test_barrier_floors_and_depth():
     b = CircuitBuilder()
     x = b.input_vector(0, 2)
-    flag = b.and_(b.and_(x[0], x[1]), x[0])
+    flag = b.and_v(b.and_v(x[0], x[1]), x[0])
     b.barrier()
-    late = b.and_(x[0], x[1])  # depth 1 on its own, 3 after the barrier
+    late = b.and_v(x[0], x[1])  # depth 1 on its own, 3 after the barrier
     circ = b.finish([flag, late])
     assert circ.wire_depth[late] == 3
     assert circ.gate_counts().depth_and == mpc.build_schedule(circ).and_layers == 3
@@ -132,7 +132,7 @@ def test_barrier_floors_and_depth():
 def _valid_parts():
     b = CircuitBuilder()
     x = b.input_vector(0, 2)
-    circ = b.finish([b.and_(b.xor(x[0], x[1]), x[1])])
+    circ = b.finish([b.and_v(b.xor_v(x[0], x[1]), x[1])])
     return dict(
         n_wires=circ.n_wires,
         kind=circ.kind.tolist(),
