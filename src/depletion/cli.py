@@ -87,25 +87,14 @@ def cmd_idgen(args) -> int:
     return 0
 
 
-def _variant_from_args(args) -> tuple[CP.AtLeastTwo | CP.AtLeastM | CP.FixedPlusM, tuple]:
-    if args.variant == "at-least-two":
-        return CP.AtLeastTwo(), ()
-    if args.variant == "at-least-m":
-        return CP.AtLeastM(args.m), ()
-    fixed = tuple(int(x) for x in args.fixed_tags.split(",") if x != "")
-    tags = tuple(int(x) for x in args.party_tags.split(",") if x != "")
-    return CP.FixedPlusM(fixed, args.m), tags
-
-
 def cmd_compile(args) -> int:
-    variant, tags = _variant_from_args(args)
+    fixed = tuple(int(x) for x in args.fixed_parties.split(",") if x != "")
     layers = args.layers if args.layers else args.parties
     cfg = CP.CircuitConfig(
         n_parties=args.parties,
         inputs_per_party=args.u,
         sigma=args.sigma,
-        variant=variant,
-        party_tags=tags,
+        variant=CP.VariantSpec(args.variant, args.m, fixed),
         control_parties=tuple(range(layers)),
     )
     stages = CP.stage_counts(cfg)
@@ -362,11 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parties", type=int, required=True)
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--sigma", type=int, default=256)
-    p.add_argument("--variant", default="at-least-two",
-                   choices=["at-least-two", "at-least-m", "fixed-plus-m"])
+    p.add_argument("--variant", default="at-least-two", choices=CP.VARIANT_KINDS)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--fixed-tags", default="0")
-    p.add_argument("--party-tags", default="")
+    p.add_argument("--fixed-parties", default="0",
+                   help="comma-separated fixed party slots (fixed-plus-m only)")
     p.add_argument("--layers", type=int, default=0)
     p.add_argument("--out", default="circuit.txt")
     p.add_argument("--report", default="manifest.json")

@@ -2,19 +2,22 @@
 
 Stage pipeline: per-party sortedness flags (opened reactively before
 anything else is revealed), an oblivious merge tree over all parties'
-sorted records, duplicate-key selection (base, at-least-m, and
-fixed-plus-m variants), and a composed per-party Waksman shuffle of the
-output keys.
+sorted records, duplicate-key selection under a `VariantSpec` (at
+least two holders, at least m, or every fixed party plus m others), and
+a composed per-party Waksman shuffle of the output keys.
 
 Records are the rows `v | k0 | k1 | tag` of one wire array, and every
 stage is emitted a layer at a time: SortCheck's comparators and
 DupSelect's equality tests and muxes are one block call each, and the
 merge tree and each shuffle layer emit one call set per layer of
-independent exchanges. `_construct` takes each stage's counts and gate
-and wire ranges from the builder's running AND and XOR counts, without
-asking which builder it drives: `compile_circuit` materializes gates,
-and `stage_counts` runs the same construction with the counting builder
-for benchmark-scale sizes and returns the same stages.
+independent exchanges. The tag column exists only for fixed-plus-m and
+is derived from the variant: the i-th fixed slot carries the public
+constant i and every other slot carries z, the number of fixed slots.
+`_construct` takes each stage's counts and gate and wire ranges from
+the builder's running AND and XOR counts, without asking which builder
+it drives: `compile_circuit` materializes gates, and `stage_counts`
+runs the same construction with the counting builder for
+benchmark-scale sizes and returns the same stages.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .merge import odd_even_merge
 from .waksman import build_network, switch_count
 
 STAGE_NAMES = ("SortCheck", "MergeTree", "DupSelect", "Shuffle")
+VARIANT_KINDS = ("at-least-two", "at-least-m", "fixed-plus-m")
 
 
 class ConfigInvalid(Exception):
@@ -37,41 +41,58 @@ class ConfigInvalid(Exception):
 
 
 @dataclass(frozen=True)
-class AtLeastTwo:
-    """Base variant: a key is selected when any two records share it."""
+class VariantSpec:
+    """The matching rule: a value is shared when at least two parties
+    hold it ("at-least-two"), at least m do ("at-least-m"), or every
+    fixed party and at least m others do ("fixed-plus-m").
 
-
-@dataclass(frozen=True)
-class AtLeastM:
-    """A record's 1-key is selected when it sits in a run of >= m equal keys."""
-
-    m: int
-
-
-@dataclass(frozen=True)
-class FixedPlusM:
-    """Selected when the run holds every fixed tag and >= z+m records.
-
-    Runs carry at most one record per party, so run length z+m with all
-    z fixed tags present means exactly the z fixed parties plus at
-    least m others.
+    Fixed parties count only for fixed-plus-m and m not for
+    at-least-two; the unused fields are reset and the fixed parties
+    sorted, so that equal rules compare (and cache) equal.
     """
 
-    fixed_tags: tuple[int, ...]
-    m: int
+    kind: str = "at-least-two"
+    m: int = 1
+    fixed_parties: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        fixed = tuple(sorted(self.fixed_parties)) if self.kind == "fixed-plus-m" else ()
+        object.__setattr__(self, "fixed_parties", fixed)
+        if self.kind == "at-least-two":
+            object.__setattr__(self, "m", 1)
 
-Variant = AtLeastTwo | AtLeastM | FixedPlusM
+    def validate(self, parties) -> None:
+        """Raise ConfigInvalid unless the rule is well formed over `parties`."""
+        if self.kind not in VARIANT_KINDS:
+            raise ConfigInvalid(f"unknown variant kind {self.kind!r}")
+        if self.kind != "at-least-two" and self.m < 1:
+            raise ConfigInvalid("m must be positive")
+        if self.kind == "fixed-plus-m":
+            fixed = self.fixed_parties
+            if not fixed:
+                raise ConfigInvalid("fixed-plus-m needs fixed parties")
+            if len(set(fixed)) != len(fixed):
+                raise ConfigInvalid(f"fixed parties {list(fixed)} repeat a party")
+            if not set(fixed) <= set(parties):
+                raise ConfigInvalid(f"fixed parties {list(fixed)} must be among {sorted(parties)}")
+
+    def describe(self) -> dict:
+        d = {"kind": self.kind}
+        if self.kind in ("at-least-m", "fixed-plus-m"):
+            d["m"] = self.m
+        if self.kind == "fixed-plus-m":
+            d["fixed_parties"] = list(self.fixed_parties)
+        return d
 
 
 @dataclass(frozen=True)
 class CircuitConfig:
+    """One circuit's shape; the variant's fixed parties are slot indices."""
+
     n_parties: int
     inputs_per_party: int
     sigma: int
-    variant: Variant = AtLeastTwo()
-    party_tags: tuple[int, ...] = ()
-    tag_bits: int = 0
+    variant: VariantSpec = VariantSpec()
     control_parties: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -79,9 +100,6 @@ class CircuitConfig:
             object.__setattr__(
                 self, "control_parties", tuple(range(self.n_parties))
             )
-        if isinstance(self.variant, FixedPlusM) and self.tag_bits == 0:
-            peak = max(self.variant.fixed_tags + self.party_tags)
-            object.__setattr__(self, "tag_bits", max(1, peak.bit_length()))
         self.validate()
 
     def validate(self) -> None:
@@ -92,21 +110,7 @@ class CircuitConfig:
             raise ConfigInvalid("inputs per party and sigma must be positive")
         if not self.control_parties:
             raise ConfigInvalid("at least one shuffle layer is required")
-        v = self.variant
-        if isinstance(v, AtLeastM):
-            if v.m < 1 or v.m > N * u:
-                raise ConfigInvalid(f"m={v.m} outside [1, N*u={N * u}]")
-        elif isinstance(v, FixedPlusM):
-            z = len(v.fixed_tags)
-            if z < 1 or v.m < 1 or z + v.m > N * u:
-                raise ConfigInvalid(f"z+m={z + v.m} outside [2, N*u={N * u}]")
-            if len(set(v.fixed_tags)) != z:
-                raise ConfigInvalid("fixed tags must be pairwise distinct")
-            if len(self.party_tags) != N:
-                raise ConfigInvalid("fixed-plus-m needs one public tag per party")
-            for t in v.fixed_tags + self.party_tags:
-                if t < 0 or t.bit_length() > self.tag_bits:
-                    raise ConfigInvalid(f"tag {t} does not fit in {self.tag_bits} bits")
+        self.variant.validate(range(N))
 
     @property
     def total_records(self) -> int:
@@ -121,27 +125,23 @@ class CircuitConfig:
         return switch_count(2 * self.total_records)
 
     def describe(self) -> dict:
-        v = self.variant
-        if isinstance(v, AtLeastTwo):
-            variant = {"kind": "at-least-two"}
-        elif isinstance(v, AtLeastM):
-            variant = {"kind": "at-least-m", "m": v.m}
-        else:
-            variant = {
-                "kind": "fixed-plus-m",
-                "fixed_tags": list(v.fixed_tags),
-                "m": v.m,
-                "party_tags": list(self.party_tags),
-                "tag_bits": self.tag_bits,
-            }
         return {
             "parties": self.n_parties,
             "inputs_per_party": self.inputs_per_party,
             "sigma": self.sigma,
-            "variant": variant,
+            "variant": self.variant.describe(),
             "shuffle_layers": self.shuffle_layers,
             "control_parties": list(self.control_parties),
         }
+
+
+def _slot_tags(cfg: CircuitConfig) -> tuple[np.ndarray, int]:
+    """Each slot's public tag and the tag width: the i-th fixed slot
+    carries i and every other slot z = len(fixed parties)."""
+    fixed = cfg.variant.fixed_parties
+    tags = np.full(cfg.n_parties, len(fixed))
+    tags[list(fixed)] = np.arange(len(fixed))
+    return tags, max(1, int(tags.max()).bit_length())
 
 
 @dataclass
@@ -212,8 +212,8 @@ def _construct(b, cfg: CircuitConfig):
     b.barrier()
 
     merged = records.reshape(N * u, 3 * sigma)
-    if isinstance(cfg.variant, FixedPlusM):
-        tags = b.const_bits(np.array(cfg.party_tags), cfg.tag_bits)
+    if cfg.variant.kind == "fixed-plus-m":
+        tags = b.const_bits(*_slot_tags(cfg))
         merged = np.concatenate([merged, np.repeat(tags, u, axis=0)], axis=1)
 
     def tree(swap, slots):
@@ -245,14 +245,15 @@ def _dup_select(b, cfg: CircuitConfig, merged: np.ndarray) -> np.ndarray:
     Every record contributes exactly two output keys. The base variant
     emits the neighbor-pair selections directly (with the all-zero
     sentinel closing both boundaries); the windowed variants emit one
-    selection bit per record, listed twice.
+    selection bit per record, listed twice. A window longer than all
+    N*u records can never be filled, so every record keeps its 0-key.
     """
     total, sigma = len(merged), cfg.sigma
     v = merged[:, :sigma]
     k0 = merged[:, sigma : 2 * sigma]
     k1 = merged[:, 2 * sigma : 3 * sigma]
     variant = cfg.variant
-    if isinstance(variant, AtLeastTwo):
+    if variant.kind == "at-least-two":
         left_sentinel, right_sentinel = b.eq_zero(v[[0, -1]])
         eqs = b.eq(v[:-1], v[1:])
         left = np.concatenate([[left_sentinel], eqs])
@@ -260,12 +261,11 @@ def _dup_select(b, cfg: CircuitConfig, merged: np.ndarray) -> np.ndarray:
         keys = np.stack([b.mux(left, k0, k1), b.mux(right, k0, k1)], axis=1)
         return keys.reshape(2 * total, sigma)
 
-    if isinstance(variant, AtLeastM):
-        window = variant.m
-        required_tags = ()
-    else:
-        window = len(variant.fixed_tags) + variant.m
-        required_tags = variant.fixed_tags
+    # fixed tags are 0..z-1; z is 0 outside fixed-plus-m
+    z = len(variant.fixed_parties)
+    window = z + variant.m
+    if window > total:
+        return np.repeat(k0, 2, axis=0)
 
     eqs = b.eq(v[:-1], v[1:])
 
@@ -287,7 +287,7 @@ def _dup_select(b, cfg: CircuitConfig, merged: np.ndarray) -> np.ndarray:
     # per fixed tag: presence anywhere inside the record's equal-key run,
     # via forward/backward sweeps that stop at run boundaries
     presence = []
-    for tag in required_tags:
+    for tag in range(z):
         has = b.eq_const(merged[:, 3 * sigma :], tag)
         fwd = [has[0]]
         for i in range(1, total):
@@ -322,12 +322,12 @@ def stage_bounds(cfg: CircuitConfig) -> dict[str, float]:
     N, u, sigma = cfg.n_parties, cfg.inputs_per_party, cfg.sigma
     total = N * u
     v = cfg.variant
-    if isinstance(v, AtLeastTwo):
+    if v.kind == "at-least-two":
         dup = 4 * total * sigma
-    elif isinstance(v, AtLeastM):
+    elif v.kind == "at-least-m":
         dup = 2 * total * (sigma + v.m)
     else:
-        z, omega = len(v.fixed_tags), cfg.tag_bits
+        z, omega = len(v.fixed_parties), _slot_tags(cfg)[1]
         dup = 2 * total * (sigma + (z + v.m) + z * (omega + 5))
     return {
         "SortCheck": N * (u - 1) * (sigma + 1),

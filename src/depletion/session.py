@@ -23,8 +23,7 @@ import numpy as np
 from . import compiler as CP
 from . import mpc, waksman
 from .bits import ints_to_bit_array
-
-VARIANT_KINDS = ("at-least-two", "at-least-m", "fixed-plus-m")
+from .compiler import VariantSpec
 
 
 class SessionError(Exception):
@@ -56,34 +55,6 @@ class UnknownParty(SessionError):
 
 
 @dataclass(frozen=True)
-class VariantSpec:
-    kind: str = "at-least-two"
-    m: int = 1
-    fixed_parties: tuple[int, ...] = ()
-
-    def validate(self, parties: tuple[int, ...]) -> None:
-        if self.kind not in VARIANT_KINDS:
-            raise ConfigMismatch(f"unknown variant kind {self.kind!r}")
-        if self.kind != "at-least-two":
-            if self.m < 1:
-                raise ConfigMismatch("m must be positive")
-        if self.kind == "fixed-plus-m":
-            if not self.fixed_parties:
-                raise ConfigMismatch("fixed-plus-m needs fixed parties")
-            if not set(self.fixed_parties) <= set(parties):
-                raise ConfigMismatch("fixed parties must be active parties")
-
-    def describe(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "at-least-m":
-            d["m"] = self.m
-        elif self.kind == "fixed-plus-m":
-            d["m"] = self.m
-            d["fixed_parties"] = sorted(self.fixed_parties)
-        return d
-
-
-@dataclass(frozen=True)
 class SessionConfig:
     parties: tuple[int, ...]
     sigma: int = 256
@@ -102,7 +73,10 @@ class SessionConfig:
             raise ConfigMismatch(f"unknown mode {self.mode!r}")
         if self.mode == "outsourced" and not 1 <= self.n_servers < len(self.parties):
             raise ConfigMismatch("outsourced mode needs 1 <= n_servers < parties")
-        self.variant.validate(self.parties)
+        try:
+            self.variant.validate(self.parties)
+        except CP.ConfigInvalid as exc:
+            raise ConfigMismatch(str(exc)) from None
 
     def describe(self) -> dict:
         return {
@@ -268,24 +242,12 @@ def interpret_output(key_table: dict[int, tuple[int, int]], opened) -> Intersect
 
 def _compiler_config(config: SessionConfig, u: int) -> CP.CircuitConfig:
     slots = sorted(config.parties)
-    n = len(slots)
-    spec = config.variant
-    if spec.kind == "at-least-two":
-        variant, tags = CP.AtLeastTwo(), ()
-    elif spec.kind == "at-least-m":
-        variant, tags = CP.AtLeastM(spec.m), ()
-    else:
-        fixed_slots = sorted(slots.index(p) for p in spec.fixed_parties)
-        z = len(fixed_slots)
-        tag_of = {s: i for i, s in enumerate(fixed_slots)}
-        tags = tuple(tag_of.get(s, z) for s in range(n))
-        variant = CP.FixedPlusM(tuple(range(z)), spec.m)
+    fixed = tuple(slots.index(p) for p in config.variant.fixed_parties)
     return CP.CircuitConfig(
-        n_parties=n,
+        n_parties=len(slots),
         inputs_per_party=u,
         sigma=config.sigma,
-        variant=variant,
-        party_tags=tags,
+        variant=replace(config.variant, fixed_parties=fixed),
         control_parties=tuple(_computing_ids(config)),
     )
 

@@ -83,11 +83,47 @@ def test_compile_counts_only_skips_circuit(tmp_path):
     assert man["total_and"] > 1_000_000
 
 
+def test_compile_fixed_plus_m_manifests_agree(tmp_path):
+    args = [
+        "compile", "--parties", "3", "--u", "2", "--sigma", "16",
+        "--variant", "fixed-plus-m", "--m", "1", "--fixed-parties", "2,0",
+    ]
+    report, counted = tmp_path / "manifest.json", tmp_path / "counted.json"
+    assert run(args + ["--out", str(tmp_path / "c.txt"), "--report", str(report)]) == 0
+    assert run(args + ["--counts-only", "--report", str(counted)]) == 0
+    man = json.loads(report.read_text())
+    counted_man = json.loads(counted.read_text())
+    assert man["config"]["variant"] == {"kind": "fixed-plus-m", "m": 1, "fixed_parties": [0, 2]}
+    assert man["and_depth"] > 0 and counted_man.pop("and_depth") is None
+    assert counted_man == {k: v for k, v in man.items() if k != "and_depth"}
+
+
+def test_compile_variant_defaults(tmp_path):
+    """The default --fixed-parties 0 serves fixed-plus-m and is ignored
+    by the other variants."""
+    for variant in ("at-least-m", "fixed-plus-m"):
+        assert run([
+            "compile", "--parties", "3", "--u", "2", "--sigma", "8",
+            "--variant", variant, "--m", "1", "--counts-only",
+            "--report", str(tmp_path / f"{variant}.json"),
+        ]) == 0
+
+
 def test_compile_invalid_m_errors(tmp_path, capsys):
     code = run([
         "compile", "--parties", "2", "--u", "1", "--sigma", "8",
-        "--variant", "at-least-m", "--m", "5",
+        "--variant", "at-least-m", "--m", "0",
         "--out", str(tmp_path / "c.txt"), "--report", str(tmp_path / "m.json"),
+    ])
+    assert code == 2
+    assert "error: ConfigInvalid" in capsys.readouterr().err
+
+
+def test_compile_fixed_party_outside_slots_errors(tmp_path, capsys):
+    code = run([
+        "compile", "--parties", "2", "--u", "1", "--sigma", "8",
+        "--variant", "fixed-plus-m", "--m", "1", "--fixed-parties", "2",
+        "--counts-only", "--report", str(tmp_path / "m.json"),
     ])
     assert code == 2
     assert "error: ConfigInvalid" in capsys.readouterr().err

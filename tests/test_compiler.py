@@ -11,15 +11,22 @@ from depletion import oracle, waksman
 from depletion.bits import bits_to_int, int_to_bits
 
 
-def make_cfg(n, u, sigma, variant=None, party_tags=(), controls=None):
+def make_cfg(n, u, sigma, variant=None, controls=None):
     return CP.CircuitConfig(
         n_parties=n,
         inputs_per_party=u,
         sigma=sigma,
-        variant=variant or CP.AtLeastTwo(),
-        party_tags=tuple(party_tags),
+        variant=variant or CP.VariantSpec(),
         control_parties=controls,
     )
+
+
+def at_least_m(m):
+    return CP.VariantSpec("at-least-m", m)
+
+
+def fixed_plus_m(fixed, m):
+    return CP.VariantSpec("fixed-plus-m", m, fixed)
 
 
 def run_plain(cfg, records, perms=None, extra_wires=None):
@@ -86,20 +93,38 @@ def test_config_validation():
     with pytest.raises(CP.ConfigInvalid):
         make_cfg(1, 4, 8)
     with pytest.raises(CP.ConfigInvalid):
-        make_cfg(2, 2, 8, CP.AtLeastM(5))
+        make_cfg(2, 2, 8, at_least_m(0))
     with pytest.raises(CP.ConfigInvalid):
-        make_cfg(2, 1, 8, CP.FixedPlusM((0, 0), 1), party_tags=(0, 1))
+        make_cfg(2, 1, 8, fixed_plus_m((0, 0), 1))
     with pytest.raises(CP.ConfigInvalid):
-        make_cfg(3, 2, 8, CP.FixedPlusM((0, 1), 1), party_tags=(0, 1))
+        make_cfg(3, 2, 8, fixed_plus_m((0, 3), 1))
+    with pytest.raises(CP.ConfigInvalid):
+        make_cfg(3, 2, 8, fixed_plus_m((), 1))
+    with pytest.raises(CP.ConfigInvalid):
+        make_cfg(3, 2, 8, CP.VariantSpec("at-least-three"))
     with pytest.raises(CP.ConfigInvalid):
         make_cfg(2, 2, 8, controls=())
+    # a window longer than all N*u records compiles and opens only 0-keys
+    recs = {0: [(5, 1, 2), (6, 3, 4)], 1: [(5, 5, 6), (6, 7, 8)]}
+    for variant in (at_least_m(5), fixed_plus_m((0,), 4)):
+        keys, _, _ = run_plain(make_cfg(2, 2, 8, variant), recs)
+        assert Counter(keys) == Counter({1: 2, 3: 2, 5: 2, 7: 2}), variant
+
+
+def test_variant_spec_normalizes_unused_fields():
+    assert CP.VariantSpec("at-least-m", 2, (1, 0)) == CP.VariantSpec("at-least-m", 2)
+    assert CP.VariantSpec("at-least-two", 3) == CP.VariantSpec()
+    assert fixed_plus_m((2, 0), 1) == fixed_plus_m((0, 2), 1)
+    assert make_cfg(3, 2, 8, fixed_plus_m((2, 0), 1)) == make_cfg(3, 2, 8, fixed_plus_m((0, 2), 1))
 
 
 def test_tag_bits_default():
-    cfg = make_cfg(3, 2, 8, CP.FixedPlusM((0,), 1), party_tags=(0, 1, 1))
-    assert cfg.tag_bits == 1
-    cfg = make_cfg(3, 2, 8, CP.FixedPlusM((0, 1), 1), party_tags=(0, 1, 2))
-    assert cfg.tag_bits == 2
+    tags, bits = CP._slot_tags(make_cfg(3, 2, 8, fixed_plus_m((0,), 1)))
+    assert (tags.tolist(), bits) == ([0, 1, 1], 1)
+    tags, bits = CP._slot_tags(make_cfg(3, 2, 8, fixed_plus_m((2, 0), 1)))
+    assert (tags.tolist(), bits) == ([0, 2, 1], 2)
+    tags, bits = CP._slot_tags(make_cfg(2, 2, 8, fixed_plus_m((1, 0), 1)))
+    assert (tags.tolist(), bits) == ([0, 1], 1)
 
 
 # -- stage structure ---------------------------------------------------------
@@ -221,7 +246,7 @@ def test_dupselect_base_example():
 
 
 def test_dupselect_at_least_m_run_of_two():
-    cfg = make_cfg(3, 1, 4, CP.AtLeastM(3))
+    cfg = make_cfg(3, 1, 4, at_least_m(3))
     recs = {0: [(5, 1, 2)], 1: [(5, 3, 4)], 2: [(9, 5, 6)]}
     keys, _, _ = run_plain(cfg, recs)
     bag = Counter(keys)
@@ -230,7 +255,7 @@ def test_dupselect_at_least_m_run_of_two():
 
 
 def test_dupselect_at_least_m_satisfied():
-    cfg = make_cfg(3, 1, 4, CP.AtLeastM(3))
+    cfg = make_cfg(3, 1, 4, at_least_m(3))
     recs = {0: [(5, 1, 2)], 1: [(5, 3, 4)], 2: [(5, 5, 6)]}
     keys, _, _ = run_plain(cfg, recs)
     bag = Counter(keys)
@@ -238,18 +263,16 @@ def test_dupselect_at_least_m_satisfied():
 
 
 def test_dupselect_fixed_plus_m_tag_bruteforce():
-    """z=2, m=2, four equal values: selection iff both fixed tags occur."""
-    for tags in [(0, 1, 2, 2), (2, 2, 2, 2), (0, 2, 2, 2), (1, 0, 2, 2), (2, 0, 2, 1)]:
-        cfg = make_cfg(4, 1, 4, CP.FixedPlusM((0, 1), 2), party_tags=tags)
-        recs = {p: [(5, 2 * p + 1, 2 * p + 2)] for p in range(4)}
-        keys, _, _ = run_plain(cfg, recs)
-        bag = Counter(keys)
-        expect_shared = {0, 1} <= set(tags)
-        for p in range(4):
-            if expect_shared:
-                assert bag[2 * p + 2] == 2, tags
-            else:
-                assert bag[2 * p + 2] == 0, tags
+    """z=2, m=2 over five parties: every holder set of one value, with the
+    fixed pair adjacent, apart, and at either end of the slot order."""
+    for fixed in [(0, 1), (3, 4), (1, 3), (0, 4)]:
+        cfg = make_cfg(5, 1, 4, fixed_plus_m(fixed, 2))
+        for mask in range(32):
+            values = {p: {5 if mask >> p & 1 else 6 + p} for p in range(5)}
+            recs = {p: [(v, 2 * p + 1, 2 * p + 2)] for p, (v,) in values.items()}
+            keys, _, _ = run_plain(cfg, recs)
+            want = oracle.brute_force_shared(values, "fixed-plus-m", 2, frozenset(fixed))
+            assert shared_from_keys(recs, keys) == want, (fixed, mask)
 
 
 def test_fixed_plus_m_scattered_fixed_members():
@@ -257,7 +280,7 @@ def test_fixed_plus_m_scattered_fixed_members():
     # 5 parties all hold value 9; fixed parties are 0 and 4. With merge
     # order unspecified the fixed records may sit anywhere in the run,
     # so presence must be computed run-wide, not per window.
-    cfg = make_cfg(5, 1, 5, CP.FixedPlusM((0, 1), 1), party_tags=(0, 2, 2, 2, 1))
+    cfg = make_cfg(5, 1, 5, fixed_plus_m((0, 4), 1))
     recs = {p: [(9, 2 * p + 1, 2 * p + 2)] for p in range(5)}
     keys, _, _ = run_plain(cfg, recs)
     bag = Counter(keys)
@@ -291,35 +314,25 @@ def test_shuffle_applies_routed_permutations():
 
 
 def variant_cases():
-    yield CP.AtLeastTwo(), "at-least-two", 1, frozenset()
+    """(kind, m, number of fixed parties)"""
+    yield "at-least-two", 1, 0
     for m in (2, 3):
-        yield CP.AtLeastM(m), "at-least-m", m, frozenset()
+        yield "at-least-m", m, 0
     for z in (1, 2):
         for m in (1, 2):
-            yield CP.FixedPlusM(tuple(range(z)), m), "fixed-plus-m", m, frozenset(range(z))
+            yield "fixed-plus-m", m, z
 
 
 def test_circuit_matches_oracle_random_instances():
     rng = random.Random(42)
-    for variant, kind, m, fixed in variant_cases():
+    for kind, m, z in variant_cases():
         for _ in range(25):
             n = rng.choice([2, 3, 4, 5])
             u = rng.choice([1, 2, 3])
-            if isinstance(variant, CP.AtLeastM) and variant.m > n * u:
+            if z > n:
                 continue
-            if isinstance(variant, CP.FixedPlusM):
-                z = len(variant.fixed_tags)
-                if z + variant.m > n * u or z > n:
-                    continue
-                tags = [z] * n
-                for t in range(z):
-                    tags[t] = t
-                rng.shuffle(tags)
-                fixed_parties = frozenset(p for p, t in enumerate(tags) if t < z)
-                cfg = make_cfg(n, u, 8, variant, party_tags=tuple(tags))
-            else:
-                fixed_parties = fixed
-                cfg = make_cfg(n, u, 8, variant)
+            fixed = tuple(rng.sample(range(n), z))
+            cfg = make_cfg(n, u, 8, CP.VariantSpec(kind, m, fixed))
             pool = rng.sample(range(1, 256), min(255, 3 * u))
             values = {
                 p: set(rng.sample(pool, u)) for p in range(n)
@@ -333,8 +346,8 @@ def test_circuit_matches_oracle_random_instances():
             keys, flags, _ = run_plain(cfg, recs, perms=perms)
             assert flags == [0] * n
             got = shared_from_keys(recs, keys)
-            want = oracle.brute_force_shared(values, kind, m, fixed_parties)
-            assert got == want, (kind, m, fixed_parties, values)
+            want = oracle.brute_force_shared(values, kind, m, frozenset(fixed))
+            assert got == want, (kind, m, fixed, values)
 
 
 # -- gate counting -----------------------------------------------------------
@@ -344,11 +357,8 @@ def count_grid():
     for n in (2, 3, 5):
         for u in (1, 2, 4):
             yield make_cfg(n, u, 8)
-            if 2 <= n * u:
-                yield make_cfg(n, u, 8, CP.AtLeastM(2))
-            if n >= 2 and 2 + 1 <= n * u:
-                tags = tuple([0] + [1] * (n - 1))
-                yield make_cfg(n, u, 8, CP.FixedPlusM((0,), 2), party_tags=tags)
+            yield make_cfg(n, u, 8, at_least_m(2))
+            yield make_cfg(n, u, 8, fixed_plus_m((0,), 2))
 
 
 def test_counting_builder_matches_materialized_stages():

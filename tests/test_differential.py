@@ -15,16 +15,18 @@ def rounds(draw):
     # every record needs two distinct keys: 2^sigma >= 2*n*u, or the key
     # draw raises RandomnessFailure
     sigma = draw(st.integers(max(4, (2 * n * u).bit_length()), 16))
-    parties = tuple(range(n))
+    # sparse ids exercise the map from party ids to circuit slots
+    parties = tuple(sorted(draw(st.lists(st.integers(0, 11), min_size=n, max_size=n, unique=True))))
     kind = draw(st.sampled_from(["at-least-two", "at-least-m", "fixed-plus-m"]))
+    # thresholds run one past the holder count, so some can never be met
     if kind == "at-least-two":
         variant = S.VariantSpec()
     elif kind == "at-least-m":
-        variant = S.VariantSpec(kind, m=draw(st.integers(1, n)))
+        variant = S.VariantSpec(kind, m=draw(st.integers(1, n + 1)))
     else:
         fixed = draw(st.lists(st.sampled_from(parties), min_size=1, max_size=n - 1, unique=True))
-        m = draw(st.integers(1, n - len(fixed)))
-        variant = S.VariantSpec(kind, m=m, fixed_parties=tuple(sorted(fixed)))
+        m = draw(st.integers(1, n - len(fixed) + 1))
+        variant = S.VariantSpec(kind, m=m, fixed_parties=tuple(fixed))
     mode = draw(st.sampled_from(["direct", "outsourced"]))
     servers = draw(st.integers(1, n - 1)) if mode == "outsourced" else 0
     # overlap: every party draws from one pool; a small pool shares more

@@ -102,17 +102,15 @@ def test_random_circuits_match_reference(barriers):
 
 
 @pytest.mark.parametrize(
-    "variant, tags",
+    "variant",
     [
-        (CP.AtLeastTwo(), ()),
-        (CP.AtLeastM(2), ()),
-        (CP.FixedPlusM((0,), 1), (0, 1, 2)),
+        CP.VariantSpec(),
+        CP.VariantSpec("at-least-m", 2),
+        CP.VariantSpec("fixed-plus-m", 1, (0,)),
     ],
 )
-def test_compiled_circuits_match_reference(variant, tags):
-    cfg = CP.CircuitConfig(
-        n_parties=3, inputs_per_party=3, sigma=8, variant=variant, party_tags=tags
-    )
+def test_compiled_circuits_match_reference(variant):
+    cfg = CP.CircuitConfig(n_parties=3, inputs_per_party=3, sigma=8, variant=variant)
     comp = CP.compile_circuit(cfg)
     assert comp.circuit.barriers == (comp.stages[0].gate_range[1],)
     assert_matches_reference(comp.circuit)

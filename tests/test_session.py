@@ -155,6 +155,31 @@ def test_fixed_plus_m_round():
     assert rep[3].shared == set()
 
 
+def test_duplicate_fixed_parties_rejected():
+    config = S.SessionConfig(
+        parties=(0, 1, 2), sigma=8,
+        variant=S.VariantSpec("fixed-plus-m", m=1, fixed_parties=(0, 0)),
+    )
+    with pytest.raises(S.ConfigMismatch):
+        S.run_sessions(config, [{0: {5, 7}, 1: {5}, 2: {7, 9}}], seed=0)
+
+
+@pytest.mark.parametrize("variant", [
+    S.VariantSpec("at-least-m", m=4),
+    S.VariantSpec("fixed-plus-m", m=3, fixed_parties=(1,)),
+])
+@pytest.mark.parametrize("held", [
+    {0: {5}, 1: {5}, 2: {5}},      # u = 1: the threshold exceeds all N*u records
+    {0: {5, 9}, 1: {5}, 2: {5}},   # u = 2: reachable by length, not by holders
+])
+def test_unreachable_threshold_reports_exclusive(variant, held):
+    config = S.SessionConfig(parties=(0, 1, 2), sigma=8, variant=variant)
+    res = S.run_sessions(config, [held], seed=4, execution="both")
+    want = oracle.brute_force_shared(held, variant.kind, variant.m, frozenset(variant.fixed_parties))
+    assert {p: r.shared for p, r in res.reports[0].items()} == want
+    assert all(not r.shared for r in res.reports[0].values())
+
+
 def test_reports_match_oracle_batch():
     rng = random.Random(9)
     config = S.SessionConfig(parties=(0, 1, 2), sigma=8)

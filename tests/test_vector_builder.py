@@ -22,20 +22,20 @@ PINNED = [
     ),
     (
         # the `batch` benchmark round: three parties, u = 8, two servers
-        CP.CircuitConfig(3, 8, 32, CP.AtLeastM(2), control_parties=(3, 4)),
+        CP.CircuitConfig(3, 8, 32, CP.VariantSpec("at-least-m", 2), control_parties=(3, 4)),
         [(690, 1977, (0, 2667)), (8960, 26740, (2667, 38367)),
          (1503, 3052, (38367, 42922)), (14400, 43200, (42922, 100522))],
         361, "58d08b4dc7395f33", 708,
     ),
     (
         # the `recurring` benchmark round: four parties, u = 12
-        CP.CircuitConfig(4, 12, 64, CP.FixedPlusM((0,), 1), party_tags=(0, 1, 1, 1)),
+        CP.CircuitConfig(4, 12, 64, CP.VariantSpec("fixed-plus-m", 1, (0,))),
         [(2856, 8364, (0, 11220)), (52171, 156108, (11220, 219499)),
          (6363, 12584, (219499, 238446)), (139520, 418560, (238446, 796526))],
         938, "6468f226e3795da3", 1859,
     ),
     (
-        CP.CircuitConfig(5, 3, 8, CP.FixedPlusM((0, 1), 2), party_tags=(0, 1, 2, 2, 2)),
+        CP.CircuitConfig(5, 3, 8, CP.VariantSpec("fixed-plus-m", 2, (0, 1))),
         [(85, 225, (0, 310)), (1734, 5101, (310, 7145)),
          (477, 747, (7145, 8369)), (4760, 14280, (8369, 27409))],
         195, "b11abdaf1ac4468c", 378,
