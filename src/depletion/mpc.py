@@ -10,10 +10,20 @@ input shares.
 All messages and share blobs use one framed wire format: a version
 byte, little-endian (epoch, round, sender, wire-range id, bit count),
 the packed payload, and a trailing CRC32 over everything before it.
+Every receiver reads through `read_frame`, which checks all four header
+fields and the bit count against what it expects. Input shares travel
+in round 0 and each takes a fresh range id; a protocol round's frames
+share one. A share blob is a round-0 frame whose sender is the
+computing party holding it and whose range id names the input owner
+(slot + 1), so a blob handed back for the wrong owner, party or epoch
+is refused. Frames still unread after the final opening abort the run:
+a corrupted, dropped, duplicated or reordered frame ends in
+`TransportFailure`, never in an output.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -85,21 +95,32 @@ def decode_frame(data: bytes):
     return epoch, round_no, sender, range_id, bits
 
 
+def read_frame(data: bytes, epoch: int, round_no: int, sender: int, range_id: int,
+               shape: tuple, mismatch=TransportFailure) -> np.ndarray:
+    """Decode a frame that must carry exactly this header and `shape` bits.
+
+    Raises `mismatch` when a header field or the bit count differs."""
+    *head, bits = decode_frame(data)
+    want = [epoch, round_no, sender, range_id]
+    if head != want or bits.size != math.prod(shape):
+        raise mismatch(
+            f"frame (epoch, round, sender, range) {tuple(head)} with {bits.size} bits, "
+            f"expected {tuple(want)} with {math.prod(shape)}"
+        )
+    return bits.reshape(shape)
+
+
 def encode_share_blob(party: int, epoch: int, range_id: int, bits: np.ndarray) -> bytes:
     return encode_frame(epoch, 0, party, range_id, bits)
 
 
-def decode_share_blob(data: bytes, party: int, epoch: int) -> np.ndarray:
+def decode_share_blob(data: bytes, party: int, epoch: int, range_id: int, shape: tuple) -> np.ndarray:
+    """A blob's bits as `shape`: `CorruptBlob` if it fails its checksum or
+    length, `EpochMismatch` if it belongs to another party, epoch or owner."""
     try:
-        blob_epoch, _, blob_party, _, bits = decode_frame(data)
+        return read_frame(data, epoch, 0, party, range_id, shape, mismatch=EpochMismatch)
     except TransportFailure as exc:
         raise CorruptBlob(str(exc)) from exc
-    if blob_epoch != epoch or blob_party != party:
-        raise EpochMismatch(
-            f"blob is for party {blob_party} epoch {blob_epoch}, "
-            f"expected party {party} epoch {epoch}"
-        )
-    return bits
 
 
 # -- correlated randomness -----------------------------------------------------
@@ -183,11 +204,7 @@ class Party:
         if index == 0:
             self.shares[0] = 1  # constant-one wire reconstructs to 1
         self.pool = pool
-        self.triples_used = 0
         self._pending = None
-
-    def set_shares(self, wires, bits):
-        self.shares[wires] = bits
 
     def apply_xors(self, groups):
         for a, b, o in groups:
@@ -196,7 +213,6 @@ class Party:
     def and_send(self, gates) -> np.ndarray:
         a_idx, b_idx, _ = gates
         ta, tb, tc = self.pool.take(len(a_idx))
-        self.triples_used += len(a_idx)
         d = self.shares[a_idx] ^ ta
         e = self.shares[b_idx] ^ tb
         payload = np.concatenate([d, e], axis=0)
@@ -216,9 +232,6 @@ class Party:
         if self.index == 0:
             z ^= d & e
         self.shares[o_idx] = z
-
-    def open_payload(self, wires) -> np.ndarray:
-        return self.shares[wires]
 
 
 # -- transport -----------------------------------------------------------------
@@ -241,6 +254,10 @@ class InProcessTransport:
         if not q:
             raise TransportFailure(f"no message from {sender} to {recipient}")
         return q.popleft()
+
+    def pending(self) -> int:
+        """Frames sent and not yet received."""
+        return sum(map(len, self._queues.values()))
 
 
 # -- transcript ------------------------------------------------------------------
@@ -356,35 +373,18 @@ class Engine:
                     f"got {bits.shape}"
                 )
             sub_wires = [wires[i] for i in todo]
-            sub_bits = bits[todo]
-            shares = share_input(sub_bits, len(self.computing_ids), rng_of(owner))
-            ordered = self._assign_shares(owner, shares)
-            for pid, share in ordered.items():
-                if pid == owner:
-                    self.parties[pid].set_shares(sub_wires, share)
-                else:
-                    frame = encode_frame(
-                        self.epoch, 0, owner, self._next_range(), share
-                    )
-                    self.transport.send(owner, pid, frame)
-                    self.transcript._bump(owner, 1, share.size, len(frame))
-                    got = decode_frame(self.transport.recv(pid, owner))[4]
-                    self.parties[pid].set_shares(
-                        sub_wires, got.reshape(share.shape)
-                    )
-
-    def _assign_shares(self, owner, shares):
-        ids = self.computing_ids
-        if owner in ids:
-            others = [p for p in ids if p != owner]
-            out = dict(zip(others, shares[:-1]))
-            out[owner] = shares[-1]
-        else:
-            out = dict(zip(ids, shares))
-        return out
+            shares = share_input(bits[todo], len(self.computing_ids), rng_of(owner))
+            # The owner keeps the correction share, which comes last.
+            others = [pid for pid in self.computing_ids if pid != owner]
+            for pid, share in zip(others, shares):
+                rid = self._next_range()
+                self._post(owner, [pid], rid, share)
+                self.parties[pid].shares[sub_wires] = self._take(pid, owner, rid, share.shape)
+            if owner in self.parties:
+                self.parties[owner].shares[sub_wires] = shares[-1]
 
     def restore_shares(self, pid: int, wires, bits):
-        self.parties[pid].set_shares(wires, bits)
+        self.parties[pid].shares[wires] = bits
 
     # protocol rounds ---------------------------------------------------------
 
@@ -392,47 +392,46 @@ class Engine:
         self._range_id += 1
         return self._range_id
 
+    def _post(self, sender: int, recipients: list[int], range_id: int, bits: np.ndarray):
+        """Frame `bits` once in the current round and send it to each recipient."""
+        frame = encode_frame(self.epoch, self._round, sender, range_id, bits)
+        for other in recipients:
+            self.transport.send(sender, other, frame)
+        n = len(recipients)
+        self.transcript._bump(sender, n, bits.size * n, len(frame) * n)
+
+    def _take(self, recipient: int, sender: int, range_id: int, shape: tuple) -> np.ndarray:
+        """The next frame from `sender`, checked to be this round's `range_id`."""
+        data = self.transport.recv(recipient, sender)
+        return read_frame(data, self.epoch, self._round, sender, range_id, shape)
+
     def _broadcast_round(self, payload_of) -> dict[int, list[np.ndarray]]:
         """One communication round: every party sends the same payload to
         every other party; returns what each party received.
         """
         self._round += 1
         rid = self._next_range()
+        ids = self.computing_ids
         shapes = {}
-        for pid in self.computing_ids:
+        for pid in ids:
             payload = payload_of(pid)
             shapes[pid] = payload.shape
-            frame = encode_frame(self.epoch, self._round, pid, rid, payload)
-            sent = 0
-            for other in self.computing_ids:
-                if other != pid:
-                    self.transport.send(pid, other, frame)
-                    sent += 1
-            assert sent == len(self.computing_ids) - 1
-            self.transcript._bump(pid, sent, payload.size * sent, len(frame) * sent)
-        received = {pid: [] for pid in self.computing_ids}
-        for pid in self.computing_ids:
-            for other in self.computing_ids:
-                if other == pid:
-                    continue
-                epoch, rnd, sender, range_id, bits = decode_frame(
-                    self.transport.recv(pid, other)
-                )
-                if (epoch, rnd, sender, range_id) != (self.epoch, self._round, other, rid):
-                    raise TransportFailure("out-of-order protocol message")
-                received[pid].append(bits.reshape(shapes[sender]))
+            self._post(pid, [other for other in ids if other != pid], rid, payload)
+        received = {
+            pid: [self._take(pid, other, rid, shapes[other]) for other in ids if other != pid]
+            for pid in ids
+        }
         self.transcript.rounds = self._round
         return received
 
     def open_wires(self, wires) -> np.ndarray:
         """Broadcast-open a wire range; all parties reconstruct equally."""
         wires = list(wires)
-        received = self._broadcast_round(
-            lambda pid: self.parties[pid].open_payload(wires)
-        )
+        own = {pid: self.parties[pid].shares[wires] for pid in self.computing_ids}
+        received = self._broadcast_round(own.__getitem__)
         views = []
         for pid in self.computing_ids:
-            total = self.parties[pid].open_payload(wires).copy()
+            total = own[pid]  # a copy, already framed
             for other in received[pid]:
                 total ^= other
             views.append(total)
@@ -466,8 +465,10 @@ class Engine:
                 opened = self.open_wires(point.wires)
                 point.validator(opened)
         outputs = self.open_wires(self.circuit.output_wires)
+        if self.transport.pending():
+            raise TransportFailure(f"{self.transport.pending()} frames left unread")
         for pid in self.computing_ids:
-            self.transcript.triples_consumed[pid] = self.parties[pid].triples_used
+            self.transcript.triples_consumed[pid] = self.parties[pid].pool.cursor
         self.transcript.verify()
         return outputs
 

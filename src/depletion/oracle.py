@@ -1,10 +1,9 @@
 """Brute-force ground truth for every matching variant.
 
 `brute_force_shared` is deliberately primitive: plain sets, counting,
-and no imports from the circuit or compiler modules, so it can referee
-them. `reference_pipeline` is the differential harness that drives the
-compiled circuit through a plaintext evaluation with the same input
-preparation the live session uses.
+and no imports from this package, so it can referee the circuit, the
+compiler and the protocol. Tests compare it against
+`session.run_sessions` in its plaintext, protocol and combined modes.
 """
 
 from __future__ import annotations
@@ -42,16 +41,3 @@ def brute_force_shared(
     shared = {v for v, parties in holders.items() if qualifies(parties)}
     return {party: values & shared for party, values in plain_sets.items()}
 
-
-def reference_pipeline(plain_sets, config, seed: int) -> dict[int, set[int]]:
-    """Plaintext-circuit execution of a full round; returns per-party
-    shared-value sets for comparison against brute_force_shared.
-    """
-    from . import session
-
-    result = session.run_sessions(config, [plain_sets], seed=seed, execution="plaintext")
-    report = result.reports[0]
-    return {
-        party: {v for v, status in rep.statuses.items() if status == "shared"}
-        for party, rep in report.items()
-    }

@@ -594,9 +594,8 @@ class Session:
                 if entry is None:
                     raise mpc.EpochMismatch(f"no stored shares for party {cp} owner {i}")
                 saved_epoch, blob = entry
-                bits = mpc.decode_share_blob(blob, cp, saved_epoch)
-                old_u = bits.size // sigma
-                rows = bits.reshape(old_u, sigma)
+                old_shape = (len(self.state[p].submitted), sigma)
+                rows = mpc.decode_share_blob(blob, cp, saved_epoch, i + 1, old_shape)
                 for new_slot, old_slot in stored:
                     engine.restore_shares(
                         cp, v_wires[new_slot], rows[old_slot][:, None]

@@ -1,6 +1,8 @@
 """Protocol layer: framing, triples, sharing, layered evaluation, persistence."""
 
 import random
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -58,17 +60,40 @@ def test_frame_corruption_detected():
         mpc.decode_frame(b"\x01\x02")
 
 
+def test_read_frame_checks_every_header_field_and_the_bit_count():
+    bits = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
+    frame = mpc.encode_frame(3, 17, 2, 9, bits)
+    assert mpc.read_frame(frame, 3, 17, 2, 9, (2, 3)).tolist() == bits.tolist()
+    for header, shape in [
+        ((4, 17, 2, 9), (2, 3)),
+        ((3, 18, 2, 9), (2, 3)),
+        ((3, 17, 1, 9), (2, 3)),
+        ((3, 17, 2, 8), (2, 3)),
+        ((3, 17, 2, 9), (7,)),
+        ((3, 17, 2, 9), (5,)),
+    ]:
+        with pytest.raises(mpc.TransportFailure):
+            mpc.read_frame(frame, *header, shape)
+
+
 def test_share_blob_round_trip_and_authorization():
     bits = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8)
     blob = mpc.encode_share_blob(party=4, epoch=2, range_id=1, bits=bits)
-    got = mpc.decode_share_blob(blob, party=4, epoch=2)
-    assert got.reshape(3, 2).tolist() == bits.tolist()
-    with pytest.raises(mpc.EpochMismatch):
-        mpc.decode_share_blob(blob, party=1, epoch=2)
-    with pytest.raises(mpc.EpochMismatch):
-        mpc.decode_share_blob(blob, party=4, epoch=3)
+    got = mpc.decode_share_blob(blob, party=4, epoch=2, range_id=1, shape=(3, 2))
+    assert got.tolist() == bits.tolist()
+    for party, epoch, range_id, shape in [
+        (1, 2, 1, (3, 2)),  # another computing party
+        (4, 3, 1, (3, 2)),  # another epoch
+        (4, 2, 2, (3, 2)),  # another input owner
+        (4, 2, 1, (2, 2)),  # another size
+    ]:
+        with pytest.raises(mpc.EpochMismatch):
+            mpc.decode_share_blob(blob, party, epoch, range_id, shape)
     with pytest.raises(mpc.CorruptBlob):
-        mpc.decode_share_blob(blob[:-1] + bytes([blob[-1] ^ 1]), party=4, epoch=2)
+        mpc.decode_share_blob(blob[:-1] + bytes([blob[-1] ^ 1]), 4, 2, 1, (3, 2))
+    short = blob[:-5]  # one payload byte gone, checksum recomputed
+    with pytest.raises(mpc.CorruptBlob):
+        mpc.decode_share_blob(short + struct.pack("<I", zlib.crc32(short)), 4, 2, 1, (3, 2))
 
 
 # -- correlated randomness -------------------------------------------------------
@@ -293,13 +318,13 @@ def test_persist_and_load_round_trip():
     wires = circ.input_map[0] + circ.input_map[1]
     blob = engine.persist_shares(0, wires)
     fresh = mpc.Engine(circ, ids, dealer_seed=1, epoch=5)
-    bits = mpc.decode_share_blob(blob, 0, 5)
-    fresh.restore_shares(0, wires, bits.reshape(len(wires), 1))
+    bits = mpc.decode_share_blob(blob, 0, 5, 1, (len(wires), 1))
+    fresh.restore_shares(0, wires, bits)
     assert np.array_equal(
         fresh.parties[0].shares[wires], engine.parties[0].shares[wires]
     )
     with pytest.raises(mpc.EpochMismatch):
-        mpc.decode_share_blob(blob, 1, 5)
+        mpc.decode_share_blob(blob, 1, 5, 1, (len(wires), 1))
 
 
 def test_transport_failure_on_missing_message():

@@ -1,11 +1,11 @@
-"""Brute-force reference semantics and the differential pipeline."""
+"""Brute-force reference semantics, and the plaintext round against it."""
 
 import random
 
 import pytest
 
 from depletion import oracle as O
-from depletion.session import SessionConfig
+from depletion.session import SessionConfig, run_sessions
 
 
 def test_at_least_two_basics():
@@ -43,23 +43,28 @@ def test_unknown_kind():
         O.brute_force_shared({1: {1}, 2: {2}}, "sometimes")
 
 
-def test_reference_pipeline_matches_brute_force():
+def plaintext_shared(pools, config, seed):
+    result = run_sessions(config, [pools], seed=seed, execution="plaintext")
+    return {party: rep.shared for party, rep in result.reports[0].items()}
+
+
+def test_plaintext_round_matches_brute_force():
     rng = random.Random(31)
     for trial in range(5):
         pools = {
             p: set(rng.sample(range(1, 200), rng.randint(1, 4))) for p in range(3)
         }
         config = SessionConfig(parties=(0, 1, 2), sigma=8)
-        got = O.reference_pipeline(pools, config, seed=trial)
+        got = plaintext_shared(pools, config, seed=trial)
         assert got == O.brute_force_shared(pools)
 
 
-def test_reference_pipeline_boundary_values():
+def test_plaintext_round_boundary_values():
     """Extreme values sit at the merged list ends against the sentinels."""
     config = SessionConfig(parties=(0, 1), sigma=8)
     pools = {0: {1, 255}, 1: {2, 254}}
-    got = O.reference_pipeline(pools, config, seed=0)
+    got = plaintext_shared(pools, config, seed=0)
     assert got == {0: set(), 1: set()}
     pools = {0: {1, 255}, 1: {1, 255}}
-    got = O.reference_pipeline(pools, config, seed=1)
+    got = plaintext_shared(pools, config, seed=1)
     assert got == {0: {1, 255}, 1: {1, 255}}

@@ -312,6 +312,24 @@ def test_epoch_two_actually_restores_persisted_shares():
         assert epoch == 1
 
 
+def test_swapped_share_blobs_abort_the_next_epoch():
+    """A blob handed back for another input owner is refused; before the
+    owner was checked, the epoch reported 11 as shared and 7 as exclusive."""
+    held = {0: {5, 7}, 1: {5, 11}, 2: {9, 13}}
+    sess = S.Session(S.SessionConfig(parties=(0, 1, 2), sigma=16), held, seed=0)
+    sess.run_epoch()
+    sess.epoch_advance({2: {7}})
+    good = dict(sess.store)
+    for cp in {cp for cp, _ in good}:
+        sess.store[(cp, 0)], sess.store[(cp, 1)] = good[(cp, 1)], good[(cp, 0)]
+    with pytest.raises(mpc.EpochMismatch):
+        sess.run_epoch()
+    sess.store = good  # the failed epoch committed nothing and can be retried
+    reports = sess.run_epoch().reports[0]
+    held[2].add(7)
+    assert {p: rep.shared for p, rep in reports.items()} == oracle.brute_force_shared(held)
+
+
 def test_session_survives_more_than_64_epochs():
     sess = S.Session(cfg2(sigma=16), {0: {5, 9}, 1: {9, 12}}, seed=40)
     for epoch in range(70):
