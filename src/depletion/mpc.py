@@ -7,18 +7,33 @@ opened mid-run (reactive opening) and the remaining shares stay valid,
 which carries both the sortedness-abort path and cross-epoch reuse of
 input shares.
 
+The computing parties are simulated together, in the SIMD layout that
+ABY and MOTION use for GMW: all their shares live in one party-first
+`uint8` tensor of shape (parties, wires, batch), and row i of it and of
+the dealer's triple arrays belongs to the i-th computing party. So an
+XOR group is one numpy operation for every party, and an AND layer is
+one mask, one reconstruction and one product for all of them; only
+party 0 adds d & e. No party's row is computed from another party's
+row except through the frames the round carries.
+
 All messages and share blobs use one framed wire format: a version
 byte, little-endian (epoch, round, sender, wire-range id, bit count),
 the packed payload, and a trailing CRC32 over everything before it.
-Every receiver reads through `read_frame`, which checks all four header
-fields and the bit count against what it expects. Input shares travel
-in round 0 and each takes a fresh range id; a protocol round's frames
-share one. A share blob is a round-0 frame whose sender is the
-computing party holding it and whose range id names the input owner
-(slot + 1), so a blob handed back for the wrong owner, party or epoch
-is refused. Frames still unread after the final opening abort the run:
-a corrupted, dropped, duplicated or reordered frame ends in
-`TransportFailure`, never in an output.
+Input shares travel in round 0 and each takes a fresh range id; a
+protocol round's frames share one. In a protocol round each sender's
+payload is framed once and sent to every peer. Each recipient checks
+every frame it received (checksum, version, length, all four header
+fields and the bit count) and XORs their packed payloads with its own;
+one `np.unpackbits` over the recipients' stacked results then gives
+every recipient's reconstruction, each made only from the frames that
+recipient received. An opening insists that all recipients agree. A
+share blob is a round-0 frame whose sender is the computing party
+holding it and whose range id names the input owner (slot + 1), so a
+blob handed back for the wrong owner, party or epoch is refused. A
+frame still unread when its round ends aborts the run: a corrupted,
+dropped, duplicated or reordered frame ends in `TransportFailure`,
+naming the recipient that caught it and the kind of round, never in
+an output.
 """
 
 from __future__ import annotations
@@ -26,6 +41,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +50,10 @@ from .circuit import BooleanCircuit, MissingInput, Schedule
 
 FRAME_VERSION = 1
 _HEAD = struct.Struct("<BIIHII")
+_CRC = struct.Struct("<I")
+# The CRC32 of a whole frame, trailer included, is this constant exactly
+# when the trailer is the CRC32 of everything before it.
+_CRC_RESIDUE = 0x2144DF1C
 
 
 class MpcError(Exception):
@@ -76,23 +96,40 @@ def encode_frame(epoch: int, round_no: int, sender: int, range_id: int, bits: np
     head = _HEAD.pack(FRAME_VERSION, epoch, round_no, sender, range_id, flat.size)
     payload = np.packbits(flat).tobytes()
     body = head + payload
-    return body + struct.pack("<I", zlib.crc32(body))
+    return body + _CRC.pack(zlib.crc32(body))
 
 
-def decode_frame(data: bytes):
-    if len(data) < _HEAD.size + 4:
+def decode_frame(data: bytes, packed: bool = False):
+    """(epoch, round, sender, range id, bits) of a frame that passes its
+    checksum, version and length checks. With `packed`, the bits come as
+    two items instead, the bit count and the packed payload bytes, for a
+    reader that unpacks many frames in one call."""
+    if len(data) < _HEAD.size + _CRC.size:
         raise TransportFailure("frame shorter than header")
-    body, (crc,) = data[:-4], struct.unpack("<I", data[-4:])
-    if zlib.crc32(body) != crc:
+    if zlib.crc32(data) != _CRC_RESIDUE:
         raise TransportFailure("frame checksum mismatch")
-    version, epoch, round_no, sender, range_id, nbits = _HEAD.unpack(body[: _HEAD.size])
+    version, epoch, round_no, sender, range_id, nbits = _HEAD.unpack_from(data)
     if version != FRAME_VERSION:
         raise TransportFailure(f"unsupported frame version {version}")
-    payload = body[_HEAD.size :]
+    payload = data[_HEAD.size : -_CRC.size]
     if len(payload) != (nbits + 7) // 8:
         raise TransportFailure("payload length disagrees with bit count")
+    if packed:
+        return epoch, round_no, sender, range_id, nbits, payload
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits)
     return epoch, round_no, sender, range_id, bits
+
+
+def _expect(data: bytes, want: list, nbits: int, mismatch=TransportFailure) -> bytes:
+    """The packed payload of a frame that must carry the header fields
+    `want` and `nbits` bits; raises `mismatch` when one differs."""
+    *head, got, payload = decode_frame(data, packed=True)
+    if head != want or got != nbits:
+        raise mismatch(
+            f"frame (epoch, round, sender, range) {tuple(head)} with {got} bits, "
+            f"expected {tuple(want)} with {nbits}"
+        )
+    return payload
 
 
 def read_frame(data: bytes, epoch: int, round_no: int, sender: int, range_id: int,
@@ -100,14 +137,9 @@ def read_frame(data: bytes, epoch: int, round_no: int, sender: int, range_id: in
     """Decode a frame that must carry exactly this header and `shape` bits.
 
     Raises `mismatch` when a header field or the bit count differs."""
-    *head, bits = decode_frame(data)
-    want = [epoch, round_no, sender, range_id]
-    if head != want or bits.size != math.prod(shape):
-        raise mismatch(
-            f"frame (epoch, round, sender, range) {tuple(head)} with {bits.size} bits, "
-            f"expected {tuple(want)} with {math.prod(shape)}"
-        )
-    return bits.reshape(shape)
+    nbits = math.prod(shape)
+    payload = _expect(data, [epoch, round_no, sender, range_id], nbits, mismatch)
+    return np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits).reshape(shape)
 
 
 def encode_share_blob(party: int, epoch: int, range_id: int, bits: np.ndarray) -> bytes:
@@ -128,23 +160,27 @@ def decode_share_blob(data: bytes, party: int, epoch: int, range_id: int, shape:
 
 @dataclass
 class TriplePool:
+    """Every computing party's triple shares, one (parties, count, batch)
+    array per kind, with one cursor: row i is the i-th party's pool."""
+
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     cursor: int = 0
 
     def take(self, k: int):
-        if self.cursor + k > self.a.shape[0]:
+        if self.cursor + k > self.a.shape[1]:
             raise TriplePoolExhausted(
-                f"need {k} triples, {self.a.shape[0] - self.cursor} left"
+                f"need {k} triples, {self.a.shape[1] - self.cursor} left"
             )
         s = slice(self.cursor, self.cursor + k)
         self.cursor += k
-        return self.a[s], self.b[s], self.c[s]
+        return self.a[:, s], self.b[:, s], self.c[:, s]
 
 
-def deal_triples(n_parties: int, count: int, seed, batch: int = 1) -> list[TriplePool]:
-    """Dealer-made XOR shares of (a, b, c=a&b); deterministic under seed.
+def deal_triples(n_parties: int, count: int, seed, batch: int = 1) -> TriplePool:
+    """Dealer-made XOR shares of (a, b, c=a&b) for every computing party,
+    as one stacked pool; deterministic under seed.
 
     The share bits are unpacked from packed random words.
     """
@@ -164,7 +200,7 @@ def deal_triples(n_parties: int, count: int, seed, batch: int = 1) -> list[Tripl
     a = np.bitwise_xor.reduce(a_sh, axis=0)
     b = np.bitwise_xor.reduce(b_sh, axis=0)
     c_sh[-1] ^= np.bitwise_xor.reduce(c_sh, axis=0) ^ (a & b)
-    return [TriplePool(a_sh[p], b_sh[p], c_sh[p]) for p in range(n_parties)]
+    return TriplePool(a_sh, b_sh, c_sh)
 
 
 def share_input(bits: np.ndarray, n_shares: int, rng) -> list[np.ndarray]:
@@ -195,43 +231,53 @@ def build_schedule(circuit: BooleanCircuit) -> Schedule:
 
 
 class Party:
-    """One computing party: share vector, triple pool, local gate logic."""
+    """Local gate logic of every computing party at once.
 
-    def __init__(self, pid: int, index: int, n_wires: int, batch: int, pool: TriplePool):
-        self.pid = pid
-        self.index = index
-        self.shares = np.zeros((n_wires, batch), dtype=np.uint8)
-        if index == 0:
-            self.shares[0] = 1  # constant-one wire reconstructs to 1
+    Row i of `shares`, a (parties, wires, batch) tensor, and of the
+    triple pool belongs to the i-th computing party. Each kernel is one
+    numpy operation over all rows, and each row is computed only from
+    that party's own rows and, in `and_recv`, its own reconstruction.
+    """
+
+    def __init__(self, n_parties: int, n_wires: int, batch: int, pool: TriplePool):
+        self.shares = np.zeros((n_parties, n_wires, batch), dtype=np.uint8)
+        self.shares[0, 0] = 1  # constant-one wire reconstructs to 1
         self.pool = pool
         self._pending = None
 
     def apply_xors(self, groups):
+        sh = self.shares
         for a, b, o in groups:
-            self.shares[o] = self.shares[a] ^ self.shares[b]
+            x = np.take(sh, a, axis=1)
+            x ^= np.take(sh, b, axis=1)
+            sh[:, o] = x
 
     def and_send(self, gates) -> np.ndarray:
+        """Every party's masked (d, e) as (parties, 2 * gates, batch)."""
         a_idx, b_idx, _ = gates
-        ta, tb, tc = self.pool.take(len(a_idx))
-        d = self.shares[a_idx] ^ ta
-        e = self.shares[b_idx] ^ tb
-        payload = np.concatenate([d, e], axis=0)
-        self._pending = (ta, tb, tc, payload)
+        k = len(a_idx)
+        ta, tb, tc = self.pool.take(k)
+        sh = self.shares
+        payload = np.concatenate((np.take(sh, a_idx, axis=1), np.take(sh, b_idx, axis=1)), axis=1)
+        payload[:, :k] ^= ta
+        payload[:, k:] ^= tb
+        self._pending = (ta, tb, tc)
         return payload
 
-    def and_recv(self, gates, received: list[np.ndarray]):
+    def and_recv(self, gates, opened: np.ndarray):
+        """`opened` holds each party's reconstruction of (d, e), one row
+        of 2 * gates * batch bits per party."""
         _, _, o_idx = gates
-        ta, tb, tc, own = self._pending
+        ta, tb, tc = self._pending
         self._pending = None
-        total = own.copy()
-        for other in received:
-            total ^= other
         k = len(o_idx)
-        d, e = total[:k], total[k:]
-        z = tc ^ (d & tb) ^ (e & ta)
-        if self.index == 0:
-            z ^= d & e
-        self.shares[o_idx] = z
+        de = opened.reshape(tc.shape[0], 2 * k, tc.shape[2])
+        d, e = de[:, :k], de[:, k:]
+        z = d & tb
+        z ^= tc
+        z ^= e & ta
+        z[0] ^= d[0] & e[0]
+        self.shares[:, o_idx] = z
 
 
 # -- transport -----------------------------------------------------------------
@@ -241,13 +287,10 @@ class InProcessTransport:
     """Ordered reliable queues per directed party pair."""
 
     def __init__(self):
-        from collections import deque
-
-        self._queues: dict[tuple[int, int], object] = {}
-        self._deque = deque
+        self._queues: dict[tuple[int, int], deque] = defaultdict(deque)
 
     def send(self, sender: int, recipient: int, data: bytes):
-        self._queues.setdefault((sender, recipient), self._deque()).append(data)
+        self._queues[sender, recipient].append(data)
 
     def recv(self, recipient: int, sender: int) -> bytes:
         q = self._queues.get((sender, recipient))
@@ -255,9 +298,10 @@ class InProcessTransport:
             raise TransportFailure(f"no message from {sender} to {recipient}")
         return q.popleft()
 
-    def pending(self) -> int:
-        """Frames sent and not yet received."""
-        return sum(map(len, self._queues.values()))
+    def pending(self) -> dict[tuple[int, int], int]:
+        """Frames sent and not yet received, per (sender, recipient) queue
+        that holds any."""
+        return {pair: len(q) for pair, q in self._queues.items() if q}
 
 
 # -- transcript ------------------------------------------------------------------
@@ -310,8 +354,27 @@ class ReactiveOpen:
     validator: object
 
 
+# Most bytes an engine may allocate up front for its share tensor and
+# triples; `Engine` refuses a larger circuit or batch before allocating.
+MAX_ENGINE_BYTES = 2 << 30
+
+
+class EngineTooLarge(MpcError):
+    """An engine's shares and triples would exceed `MAX_ENGINE_BYTES`."""
+
+
+def engine_bytes(n_parties: int, n_wires: int, and_count: int, batch: int) -> int:
+    """Bytes of the share tensor and the three triple-share arrays that
+    an engine allocates, one byte per bit."""
+    return n_parties * batch * (n_wires + 3 * and_count)
+
+
 class Engine:
-    """Drive the computing parties through one protocol execution."""
+    """Drive the computing parties through one protocol execution.
+
+    `parties` holds every computing party's shares and triples; row i
+    belongs to `computing_ids[i]` (see `shares_of`).
+    """
 
     def __init__(
         self,
@@ -331,15 +394,18 @@ class Engine:
         self.batch = batch
         self.epoch = epoch
         self.transport = transport or InProcessTransport()
-        pools = deal_triples(
-            len(computing_ids), self.schedule.and_count, dealer_seed, batch
-        )
-        self.parties = {
-            pid: Party(pid, i, circuit.n_wires, batch, pools[i])
-            for i, pid in enumerate(self.computing_ids)
-        }
+        n = len(self.computing_ids)
+        need = engine_bytes(n, circuit.n_wires, self.schedule.and_count, batch)
+        if need > MAX_ENGINE_BYTES:
+            raise EngineTooLarge(
+                f"shares and triples need {need} bytes, over the limit of {MAX_ENGINE_BYTES}"
+            )
+        pool = deal_triples(n, self.schedule.and_count, dealer_seed, batch)
+        self.parties = Party(n, circuit.n_wires, batch, pool)
+        self._row = {pid: i for i, pid in enumerate(self.computing_ids)}
+        self._peers = {pid: [o for o in self.computing_ids if o != pid] for pid in self.computing_ids}
         self.transcript = Transcript(
-            n_parties=len(computing_ids),
+            n_parties=n,
             batch=batch,
             and_count=self.schedule.and_count,
             and_layers=self.schedule.and_layers,
@@ -347,6 +413,10 @@ class Engine:
         )
         self._round = 0
         self._range_id = 0
+
+    def shares_of(self, pid: int) -> np.ndarray:
+        """Computing party `pid`'s (wires, batch) row of the share tensor."""
+        return self.parties.shares[self._row[pid]]
 
     # input distribution ----------------------------------------------------
 
@@ -379,12 +449,13 @@ class Engine:
             for pid, share in zip(others, shares):
                 rid = self._next_range()
                 self._post(owner, [pid], rid, share)
-                self.parties[pid].shares[sub_wires] = self._take(pid, owner, rid, share.shape)
-            if owner in self.parties:
-                self.parties[owner].shares[sub_wires] = shares[-1]
+                self.shares_of(pid)[sub_wires] = self._take(pid, owner, rid, share.shape, "input share")
+            if owner in self._row:
+                self.shares_of(owner)[sub_wires] = shares[-1]
+        self._end_round("input share")
 
     def restore_shares(self, pid: int, wires, bits):
-        self.parties[pid].shares[wires] = bits
+        self.shares_of(pid)[wires] = bits
 
     # protocol rounds ---------------------------------------------------------
 
@@ -392,53 +463,76 @@ class Engine:
         self._range_id += 1
         return self._range_id
 
-    def _post(self, sender: int, recipients: list[int], range_id: int, bits: np.ndarray):
+    def _post(self, sender: int, recipients: list[int], range_id: int, bits: np.ndarray) -> bytes:
         """Frame `bits` once in the current round and send it to each recipient."""
         frame = encode_frame(self.epoch, self._round, sender, range_id, bits)
         for other in recipients:
             self.transport.send(sender, other, frame)
         n = len(recipients)
         self.transcript._bump(sender, n, bits.size * n, len(frame) * n)
+        return frame
 
-    def _take(self, recipient: int, sender: int, range_id: int, shape: tuple) -> np.ndarray:
+    def _abort(self, recipient: int, kind: str, reason) -> TransportFailure:
+        return TransportFailure(f"recipient {recipient}, {kind} round {self._round}: {reason}")
+
+    def _take(self, recipient: int, sender: int, range_id: int, shape: tuple, kind: str) -> np.ndarray:
         """The next frame from `sender`, checked to be this round's `range_id`."""
-        data = self.transport.recv(recipient, sender)
-        return read_frame(data, self.epoch, self._round, sender, range_id, shape)
+        try:
+            data = self.transport.recv(recipient, sender)
+            return read_frame(data, self.epoch, self._round, sender, range_id, shape)
+        except TransportFailure as exc:
+            raise self._abort(recipient, kind, exc) from exc
 
-    def _broadcast_round(self, payload_of) -> dict[int, list[np.ndarray]]:
-        """One communication round: every party sends the same payload to
-        every other party; returns what each party received.
+    def _end_round(self, kind: str):
+        """Close the current round; a frame still unread aborts the run."""
+        left = self.transport.pending()
+        if left:
+            sender, recipient = min(left)
+            raise self._abort(
+                recipient, kind,
+                f"{sum(left.values())} unread frames at the end of the round, the first from party {sender}",
+            )
+        self.transcript.rounds = self._round
+
+    def _broadcast_round(self, payload: np.ndarray, kind: str) -> np.ndarray:
+        """One communication round. Row i of `payload` is the i-th
+        computing party's, framed once and sent to every peer. Returns
+        each recipient's XOR of its own row and the rows it received, as
+        (parties, bits).
         """
         self._round += 1
         rid = self._next_range()
-        ids = self.computing_ids
-        shapes = {}
-        for pid in ids:
-            payload = payload_of(pid)
-            shapes[pid] = payload.shape
-            self._post(pid, [other for other in ids if other != pid], rid, payload)
-        received = {
-            pid: [self._take(pid, other, rid, shapes[other]) for other in ids if other != pid]
-            for pid in ids
-        }
-        self.transcript.rounds = self._round
-        return received
+        nbits = payload[0].size
+        own = [
+            self._post(pid, self._peers[pid], rid, row)[_HEAD.size : -_CRC.size]
+            for pid, row in zip(self.computing_ids, payload)
+        ]
+        # Per recipient: its own packed row, then those of its peers.
+        parts = []
+        for recipient, mine in zip(self.computing_ids, own):
+            parts.append(mine)
+            try:
+                for sender in self._peers[recipient]:
+                    data = self.transport.recv(recipient, sender)
+                    parts.append(_expect(data, [self.epoch, self._round, sender, rid], nbits))
+            except TransportFailure as exc:
+                raise self._abort(recipient, kind, exc) from exc
+        self._end_round(kind)
+        n = len(own)
+        stack = np.frombuffer(b"".join(parts), dtype=np.uint8).reshape(n, n, len(own[0]))
+        return np.unpackbits(np.bitwise_xor.reduce(stack, axis=1), axis=1, count=nbits)
 
-    def open_wires(self, wires) -> np.ndarray:
+    def open_wires(self, wires, kind: str = "opening") -> np.ndarray:
         """Broadcast-open a wire range; all parties reconstruct equally."""
         wires = list(wires)
-        own = {pid: self.parties[pid].shares[wires] for pid in self.computing_ids}
-        received = self._broadcast_round(own.__getitem__)
-        views = []
-        for pid in self.computing_ids:
-            total = own[pid]  # a copy, already framed
-            for other in received[pid]:
-                total ^= other
-            views.append(total)
-        for v in views[1:]:
-            if not np.array_equal(v, views[0]):
-                raise TransportFailure("parties reconstructed different openings")
-        return views[0]
+        views = self._broadcast_round(self.parties.shares[:, wires], kind)
+        differ = np.flatnonzero((views != views[0]).any(axis=1))
+        if differ.size:
+            raise self._abort(
+                self.computing_ids[differ[0]], kind,
+                f"reconstructed another opening than party {self.computing_ids[0]}",
+            )
+        return views[0].reshape(len(wires), self.batch)
 
     def run(self, inputs: dict[int, np.ndarray], rng_of, preset=None) -> np.ndarray:
         """Share inputs, evaluate all segments, open and return outputs."""
@@ -449,31 +543,23 @@ class Engine:
         reactive_by_segment: dict[int, list[ReactiveOpen]] = {}
         for r in self.reactive:
             reactive_by_segment.setdefault(r.segment, []).append(r)
+        parties = self.parties
         for seg_idx, segment in enumerate(self.schedule.segments):
             for layer in segment.layers:
-                for pid in self.computing_ids:
-                    self.parties[pid].apply_xors(layer.pre_xors)
+                parties.apply_xors(layer.pre_xors)
                 if len(layer.and_gates[2]):
-                    received = self._broadcast_round(
-                        lambda pid: self.parties[pid].and_send(layer.and_gates)
-                    )
-                    for pid in self.computing_ids:
-                        self.parties[pid].and_recv(layer.and_gates, received[pid])
-            for pid in self.computing_ids:
-                self.parties[pid].apply_xors(segment.trailing_xors)
+                    payload = parties.and_send(layer.and_gates)
+                    parties.and_recv(layer.and_gates, self._broadcast_round(payload, "AND layer"))
+            parties.apply_xors(segment.trailing_xors)
             for point in reactive_by_segment.get(seg_idx, ()):
-                opened = self.open_wires(point.wires)
-                point.validator(opened)
-        outputs = self.open_wires(self.circuit.output_wires)
-        if self.transport.pending():
-            raise TransportFailure(f"{self.transport.pending()} frames left unread")
-        for pid in self.computing_ids:
-            self.transcript.triples_consumed[pid] = self.parties[pid].pool.cursor
+                point.validator(self.open_wires(point.wires, "reactive opening"))
+        outputs = self.open_wires(self.circuit.output_wires, "final opening")
+        self.transcript.triples_consumed = dict.fromkeys(self.computing_ids, parties.pool.cursor)
         self.transcript.verify()
         return outputs
 
     # persistence ----------------------------------------------------------------
 
     def persist_shares(self, pid: int, wires, range_id: int = 1) -> bytes:
-        bits = self.parties[pid].shares[list(wires)]
+        bits = self.shares_of(pid)[list(wires)]
         return encode_share_blob(pid, self.epoch, range_id, bits)

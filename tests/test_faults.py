@@ -2,7 +2,9 @@
 
 One fault is injected into the first frame sent in one round of the
 round's own engine (the engine that negotiates u is left alone). Every
-cell must raise `TransportFailure`, so no reports come back.
+cell must raise `TransportFailure`, so no reports come back, and its
+message must name the recipient of the faulted frame and the kind of
+round.
 """
 
 import pytest
@@ -54,10 +56,12 @@ class FaultyTransport(mpc.InProcessTransport):
         self.target, self.fault = target, fault
         self.hit = False
         self.held = None
+        self.recipient = None
 
     def send(self, sender, recipient, data):
         if not self.hit and mpc.decode_frame(data)[1] == self.target:
             self.hit = True
+            self.recipient = recipient
             if self.fault == "held-back":
                 self.held = (sender, recipient, data)
                 return
@@ -88,6 +92,13 @@ def _patch_round_engine(monkeypatch, kind, fault):
 
 
 KINDS = ["input-share", "and-layer", "reactive-open", "final-open"]
+# how an abort message names each kind of round
+KIND_NAMES = {
+    "input-share": "input share",
+    "and-layer": "AND layer",
+    "reactive-open": "reactive opening",
+    "final-open": "final opening",
+}
 
 
 @pytest.mark.parametrize("mode", sorted(CONFIGS))
@@ -109,7 +120,10 @@ def test_clean_transport_returns_correct_reports(monkeypatch, mode):
 @pytest.mark.parametrize("kind", KINDS)
 def test_fault_aborts_the_run(monkeypatch, kind, fault, mode):
     patched = _patch_round_engine(monkeypatch, kind, fault)
-    with pytest.raises(mpc.TransportFailure):
+    with pytest.raises(mpc.TransportFailure) as exc:
         S.run_sessions(CONFIGS[mode], [STOCKPILES], seed=3)
     (engine,) = patched
     assert engine.transport.hit
+    message = str(exc.value)
+    assert f"recipient {engine.transport.recipient}, " in message
+    assert f", {KIND_NAMES[kind]} round {_target_round(engine, kind)}: " in message

@@ -1,7 +1,9 @@
 """Protocol layer: framing, triples, sharing, layered evaluation, persistence."""
 
+import hashlib
 import random
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from depletion import mpc
 from depletion import compiler as CP
+from depletion import session as S
 from depletion.bits import int_to_bits
 from depletion.circuit import CircuitBuilder
 
@@ -49,6 +52,9 @@ def test_frame_round_trip():
     epoch, rnd, sender, range_id, got = mpc.decode_frame(frame)
     assert (epoch, rnd, sender, range_id) == (3, 17, 2, 9)
     assert got.tolist() == bits.tolist()
+    *head, nbits, payload = mpc.decode_frame(frame, packed=True)
+    assert head == [3, 17, 2, 9] and nbits == bits.size
+    assert payload == np.packbits(bits).tobytes()
 
 
 def test_frame_corruption_detected():
@@ -100,10 +106,10 @@ def test_share_blob_round_trip_and_authorization():
 
 
 def test_triples_reconstruct():
-    pools = mpc.deal_triples(4, 10000, seed=5)
-    a = np.bitwise_xor.reduce([p.a for p in pools], axis=0)
-    b = np.bitwise_xor.reduce([p.b for p in pools], axis=0)
-    c = np.bitwise_xor.reduce([p.c for p in pools], axis=0)
+    pool = mpc.deal_triples(4, 10000, seed=5)
+    a = np.bitwise_xor.reduce(pool.a, axis=0)
+    b = np.bitwise_xor.reduce(pool.b, axis=0)
+    c = np.bitwise_xor.reduce(pool.c, axis=0)
     assert np.array_equal(c, a & b)
 
 
@@ -111,37 +117,33 @@ def test_triples_seed_determinism():
     one = mpc.deal_triples(3, 64, seed=1)
     two = mpc.deal_triples(3, 64, seed=1)
     other = mpc.deal_triples(3, 64, seed=2)
-    assert np.array_equal(one[0].a, two[0].a)
-    assert not np.array_equal(one[0].a, other[0].a)
+    assert np.array_equal(one.a[0], two.a[0])
+    assert not np.array_equal(one.a[0], other.a[0])
 
 
 def test_triples_batched_with_ragged_bit_count():
     n_parties, count, batch = 3, 7, 3  # 189 share bits per kind, not a multiple of 8
-    pools = mpc.deal_triples(n_parties, count, seed=11, batch=batch)
-    assert len(pools) == n_parties
-    for pool in pools:
-        assert pool.a.shape == pool.b.shape == pool.c.shape == (count, batch)
-    a, b, c = (
-        np.bitwise_xor.reduce([getattr(p, name) for p in pools], axis=0)
-        for name in "abc"
-    )
+    pool = mpc.deal_triples(n_parties, count, seed=11, batch=batch)
+    assert pool.a.shape == pool.b.shape == pool.c.shape == (n_parties, count, batch)
+    a, b, c = (np.bitwise_xor.reduce(getattr(pool, name), axis=0) for name in "abc")
     assert np.array_equal(c, a & b)
     again = mpc.deal_triples(n_parties, count, seed=11, batch=batch)
     other = mpc.deal_triples(n_parties, count, seed=12, batch=batch)
     for name in "abc":
         assert all(
-            np.array_equal(getattr(p, name), getattr(q, name)) for p, q in zip(pools, again)
+            np.array_equal(p, q) for p, q in zip(getattr(pool, name), getattr(again, name))
         )
     assert any(
-        not np.array_equal(getattr(p, name), getattr(q, name))
-        for p, q in zip(pools, other)
+        not np.array_equal(p, q)
         for name in "abc"
+        for p, q in zip(getattr(pool, name), getattr(other, name))
     )
 
 
 def test_triple_pool_exhaustion():
-    pool = mpc.deal_triples(2, 4, seed=0)[0]
-    pool.take(3)
+    pool = mpc.deal_triples(2, 4, seed=0)
+    ta, tb, tc = pool.take(3)
+    assert ta.shape == tb.shape == tc.shape == (2, 3, 1)
     with pytest.raises(mpc.TriplePoolExhausted):
         pool.take(2)
 
@@ -242,6 +244,28 @@ def test_open_wires_consistent():
     assert np.array_equal(opened, again)
 
 
+def test_opening_aborts_when_recipients_reconstruct_differently():
+    """A sender that frames another valid payload for one peer makes
+    that peer's view differ; the opening names it and aborts."""
+
+    class Equivocating(mpc.InProcessTransport):
+        def send(self, sender, recipient, data):
+            if (sender, recipient) == (0, 2):
+                *head, bits = mpc.decode_frame(data)
+                data = mpc.encode_frame(*head, bits ^ 1)
+            super().send(sender, recipient, data)
+
+    b = CircuitBuilder()
+    x = b.input_vector(0, 2)
+    circ = b.finish(x)
+    engine = mpc.Engine(circ, [0, 1, 2], dealer_seed=0)
+    rng = np.random.default_rng(0)
+    engine.share_inputs({0: [1, 0]}, lambda p: rng)
+    engine.transport = Equivocating()
+    with pytest.raises(mpc.TransportFailure, match="recipient 2, final opening round 1: "):
+        engine.open_wires(x, "final opening")
+
+
 def test_reactive_open_aborts_and_preserves_shares():
     b = CircuitBuilder()
     x = b.input_vector(0, 2)
@@ -320,11 +344,41 @@ def test_persist_and_load_round_trip():
     fresh = mpc.Engine(circ, ids, dealer_seed=1, epoch=5)
     bits = mpc.decode_share_blob(blob, 0, 5, 1, (len(wires), 1))
     fresh.restore_shares(0, wires, bits)
-    assert np.array_equal(
-        fresh.parties[0].shares[wires], engine.parties[0].shares[wires]
-    )
+    assert np.array_equal(fresh.shares_of(0)[wires], engine.shares_of(0)[wires])
     with pytest.raises(mpc.EpochMismatch):
         mpc.decode_share_blob(blob, 1, 5, 1, (len(wires), 1))
+
+
+def test_engine_bytes_is_what_the_engine_allocates():
+    circ = CP.compile_circuit(CP.CircuitConfig(n_parties=3, inputs_per_party=2, sigma=8)).circuit
+    engine = mpc.Engine(circ, [0, 1, 2], batch=3)
+    pool = engine.parties.pool
+    allocated = engine.parties.shares.nbytes + pool.a.nbytes + pool.b.nbytes + pool.c.nbytes
+    assert allocated == mpc.engine_bytes(3, circ.n_wires, engine.schedule.and_count, 3)
+
+
+def test_engine_refuses_an_allocation_over_the_limit_before_making_it(monkeypatch):
+    circ = CP.compile_circuit(CP.CircuitConfig(n_parties=3, inputs_per_party=2, sigma=8)).circuit
+    and_count = circ.schedule().and_count  # memoized, so not measured below
+    per_batch = mpc.engine_bytes(3, circ.n_wires, and_count, 1)
+    batch = (64 << 20) // per_batch + 1
+    need = mpc.engine_bytes(3, circ.n_wires, and_count, batch)
+    monkeypatch.setattr(mpc, "MAX_ENGINE_BYTES", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(mpc.EngineTooLarge) as exc:
+            mpc.Engine(circ, [0, 1, 2], batch=batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f"{need} bytes" in str(exc.value)
+    assert f"limit of {need - 1}" in str(exc.value)
+    assert peak < 1 << 20  # far below the 64 MB the engine would have made
+    # the limit is inclusive
+    monkeypatch.setattr(mpc, "MAX_ENGINE_BYTES", per_batch)
+    mpc.Engine(circ, [0, 1, 2])
+    with pytest.raises(mpc.EngineTooLarge):
+        mpc.Engine(circ, [0, 1, 2], batch=2)
 
 
 def test_transport_failure_on_missing_message():
@@ -366,3 +420,78 @@ def test_masked_messages_look_uniform():
     assert abs(f0 - 0.5) < 0.05
     assert abs(f1 - 0.5) < 0.05
     assert abs(f0 - f1) < 0.07
+
+
+# -- transcript identity -----------------------------------------------------------
+
+# SHA-256 over every (sender, recipient, frame) sent in one fixed-seed
+# round, negotiation included, pinned when each party's shares were held
+# in an array of its own. A change to the engine's layout or framing
+# must leave every frame, and the order they are sent in, as it was.
+TRANSCRIPT_DIGESTS = {
+    "direct-fixed-plus-m": "162f33be24f671c60d62af72110bde7d63b1a5c48a5098a350ed4e9f135aaa20",
+    "outsourced-at-least-m-batch-3": "cfdedb450a0d569811801c6ab5412add22bfb3300ae99d530bb5684437c34618",
+    "session-two-epochs": "51c84d848d36d3c4bb4527bc5faea9a2f31ed831c90035a977f28539a9788ecd",
+}
+
+
+def _direct_fixed_plus_m(execution):
+    cfg = S.SessionConfig(
+        parties=(0, 1, 2, 3), sigma=16,
+        variant=S.VariantSpec("fixed-plus-m", m=1, fixed_parties=(0,)),
+    )
+    stockpiles = {0: {5, 7, 9}, 1: {5, 11}, 2: {7, 13}, 3: {5, 9, 21}}
+    result = S.run_sessions(cfg, [stockpiles], seed=11, execution=execution)
+    return [{p: rep.shared for p, rep in result.reports[0].items()}]
+
+
+def _outsourced_at_least_m(execution):
+    cfg = S.SessionConfig(
+        parties=(0, 1, 2), sigma=16, mode="outsourced", n_servers=2,
+        variant=S.VariantSpec("at-least-m", m=2),
+    )
+    batch = [
+        {0: {5, 7}, 1: {5, 11}, 2: {7, 13}},
+        {0: {3}, 1: {3, 4}, 2: {4, 8, 9}},
+        {0: {1}, 1: {2}, 2: {6}},
+    ]
+    result = S.run_sessions(cfg, batch, seed=12, execution=execution)
+    return [{p: rep.shared for p, rep in reports.items()} for reports in result.reports]
+
+
+def _session_two_epochs(execution):
+    session = S.Session(S.SessionConfig(parties=(0, 1, 2), sigma=16),
+                        {0: {5, 7}, 1: {5, 11}, 2: {9}}, seed=13)
+    first = session.run_epoch(execution)
+    session.epoch_advance({1: {7}, 2: {11, 12}})
+    second = session.run_epoch(execution)
+    return [{p: rep.shared for p, rep in r.reports[0].items()} for r in (first, second)]
+
+
+ROUNDS = {
+    "direct-fixed-plus-m": _direct_fixed_plus_m,
+    "outsourced-at-least-m-batch-3": _outsourced_at_least_m,
+    "session-two-epochs": _session_two_epochs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUNDS))
+def test_transcript_is_identical_frame_for_frame(monkeypatch, name):
+    def digest(execution):
+        h = hashlib.sha256()
+        send = mpc.InProcessTransport.send
+
+        def recording(self, sender, recipient, data):
+            h.update(struct.pack("<III", sender, recipient, len(data)))
+            h.update(data)
+            send(self, sender, recipient, data)
+
+        with monkeypatch.context() as m:
+            m.setattr(mpc.InProcessTransport, "send", recording)
+            reports = ROUNDS[name](execution)
+        return h.hexdigest(), reports
+
+    got, reports = digest("mpc")
+    assert got == TRANSCRIPT_DIGESTS[name]
+    # "both" runs the plaintext circuit too and insists the outputs agree
+    assert digest("both") == (got, reports)
