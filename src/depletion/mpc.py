@@ -39,6 +39,7 @@ an output.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from collections import defaultdict, deque
@@ -354,19 +355,32 @@ class ReactiveOpen:
     validator: object
 
 
-# Most bytes an engine may allocate up front for its share tensor and
-# triples; `Engine` refuses a larger circuit or batch before allocating.
-MAX_ENGINE_BYTES = 2 << 30
+def _physical_memory() -> int:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return 1 << 62  # unknown: refuse nothing
+
+
+# Most bytes an engine may hold while it is built: the machine's physical
+# memory. An engine over it cannot finish, so `Engine` refuses it before
+# allocating instead of failing or swapping part-way through dealing; any
+# engine under it is allowed.
+MAX_ENGINE_BYTES = _physical_memory()
 
 
 class EngineTooLarge(MpcError):
-    """An engine's shares and triples would exceed `MAX_ENGINE_BYTES`."""
+    """An engine would need more than `MAX_ENGINE_BYTES` while it is built."""
 
 
 def engine_bytes(n_parties: int, n_wires: int, and_count: int, batch: int) -> int:
-    """Bytes of the share tensor and the three triple-share arrays that
-    an engine allocates, one byte per bit."""
-    return n_parties * batch * (n_wires + 3 * and_count)
+    """An upper bound on the bytes an engine holds at once while it is
+    built: the share tensor and the three triple-share arrays, one byte
+    per bit, plus the dealer's scratch (five (count, batch) arrays and one
+    kind's raw random words)."""
+    triple_bits = n_parties * and_count * batch
+    scratch = 5 * and_count * batch + 8 * -(-triple_bits // 64)
+    return n_parties * n_wires * batch + 3 * triple_bits + scratch
 
 
 class Engine:
@@ -449,7 +463,10 @@ class Engine:
             for pid, share in zip(others, shares):
                 rid = self._next_range()
                 self._post(owner, [pid], rid, share)
-                self.shares_of(pid)[sub_wires] = self._take(pid, owner, rid, share.shape, "input share")
+                payload = self._take(pid, owner, rid, share.size, "input share")
+                self.shares_of(pid)[sub_wires] = np.unpackbits(
+                    np.frombuffer(payload, dtype=np.uint8), count=share.size
+                ).reshape(share.shape)
             if owner in self._row:
                 self.shares_of(owner)[sub_wires] = shares[-1]
         self._end_round("input share")
@@ -475,11 +492,12 @@ class Engine:
     def _abort(self, recipient: int, kind: str, reason) -> TransportFailure:
         return TransportFailure(f"recipient {recipient}, {kind} round {self._round}: {reason}")
 
-    def _take(self, recipient: int, sender: int, range_id: int, shape: tuple, kind: str) -> np.ndarray:
-        """The next frame from `sender`, checked to be this round's `range_id`."""
+    def _take(self, recipient: int, sender: int, range_id: int, nbits: int, kind: str) -> bytes:
+        """The packed payload of the next frame from `sender`, checked to
+        be this round's `range_id` and to carry `nbits` bits."""
         try:
             data = self.transport.recv(recipient, sender)
-            return read_frame(data, self.epoch, self._round, sender, range_id, shape)
+            return _expect(data, [self.epoch, self._round, sender, range_id], nbits)
         except TransportFailure as exc:
             raise self._abort(recipient, kind, exc) from exc
 
@@ -511,18 +529,13 @@ class Engine:
         parts = []
         for recipient, mine in zip(self.computing_ids, own):
             parts.append(mine)
-            try:
-                for sender in self._peers[recipient]:
-                    data = self.transport.recv(recipient, sender)
-                    parts.append(_expect(data, [self.epoch, self._round, sender, rid], nbits))
-            except TransportFailure as exc:
-                raise self._abort(recipient, kind, exc) from exc
+            parts.extend(self._take(recipient, sender, rid, nbits, kind) for sender in self._peers[recipient])
         self._end_round(kind)
         n = len(own)
         stack = np.frombuffer(b"".join(parts), dtype=np.uint8).reshape(n, n, len(own[0]))
         return np.unpackbits(np.bitwise_xor.reduce(stack, axis=1), axis=1, count=nbits)
 
-    def open_wires(self, wires, kind: str = "opening") -> np.ndarray:
+    def open_wires(self, wires, kind: str) -> np.ndarray:
         """Broadcast-open a wire range; all parties reconstruct equally."""
         wires = list(wires)
         views = self._broadcast_round(self.parties.shares[:, wires], kind)
