@@ -16,12 +16,10 @@ benchmark-scale circuits (10^8 gates) are counted by the same code
 without being built.
 
 `CircuitBuilder` records each wire's full topological level and AND
-depth as it emits the gates, and `barrier()` marks where a reactive
-opening splits evaluation (later gates get AND depths above every
-earlier one). From those facts `BooleanCircuit.schedule()` derives, with
-one sort per segment, the layered plan that both the plaintext evaluator
-and the MPC engine run; `gate_counts().depth_and` is its number of AND
-layers.
+depth as it emits the gates. From those facts `BooleanCircuit.schedule()`
+derives, with one sort, the layered plan that both the plaintext
+evaluator and the MPC engine run; `gate_counts().depth_and` is its number
+of AND layers.
 """
 
 from __future__ import annotations
@@ -72,18 +70,16 @@ class Layer:
 
 
 @dataclass
-class Segment:
-    """AND layers between two reactive openings, then the XORs after them."""
+class Schedule:
+    """One `Layer` per AND depth, then the XOR groups after the last one."""
 
     layers: list
     trailing_xors: list
-
-
-@dataclass
-class Schedule:
-    segments: list
-    and_layers: int
     and_count: int
+
+    @property
+    def and_layers(self) -> int:
+        return len(self.layers)
 
 
 def _wire_indices(values) -> np.ndarray:
@@ -103,14 +99,13 @@ class BooleanCircuit:
 
     `wire_level` (full topological level) and `wire_depth` (AND depth)
     hold one entry per wire, as `CircuitBuilder` recorded them while it
-    emitted the gates; `barriers` are the gate indices where evaluation
-    must stop for a reactive opening. A circuit made without levels (a
+    emitted the gates. A circuit made without levels (a
     loaded text file, a hand-built gate list) gets them by replaying its
     gates through a `CircuitBuilder`.
     """
 
     def __init__(self, n_wires, kind, in_a, in_b, out, input_map, output_wires,
-                 *, wire_level=None, wire_depth=None, barriers=()):
+                 *, wire_level=None, wire_depth=None):
         self.n_wires = int(n_wires)
         self.kind = np.asarray(kind, dtype=np.uint8)
         self.in_a = _wire_indices(in_a)
@@ -118,7 +113,6 @@ class BooleanCircuit:
         self.out = _wire_indices(out)
         self.input_map = {int(p): list(map(int, ws)) for p, ws in input_map.items()}
         self.output_wires = list(map(int, output_wires))
-        self.barriers = tuple(map(int, barriers))
         self.const_one = 0
         self._validate()
         if wire_level is None or wire_depth is None:
@@ -165,14 +159,10 @@ class BooleanCircuit:
         bad = np.flatnonzero((outs < 0) | (outs >= self.n_wires))
         if bad.size:
             raise CircuitError(f"output wire {outs[bad[0]]} is not driven")
-        if list(self.barriers) != sorted(self.barriers) or any(
-            not 0 <= g <= n_gates for g in self.barriers
-        ):
-            raise CircuitError("barriers must be ascending gate indices")
 
     def gate_counts(self) -> GateCounts:
         """Exact counts; `depth_and` is the number of AND layers the
-        schedule executes (with barriers, the segments' depths summed)."""
+        schedule executes."""
         and_count = int(np.count_nonzero(self.kind == AND))
         return GateCounts(
             and_count=and_count,
@@ -185,53 +175,42 @@ class BooleanCircuit:
     def schedule(self) -> Schedule:
         """Layered evaluation plan shared by the plaintext and MPC paths,
         built once from the recorded levels and kept on the circuit.
-        """
-        if self._schedule is None:
-            first = 1 + self.n_input_wires
-            bounds = [0, *self.barriers, self.n_gates]
-            segments, base = [], 0
-            for g0, g1 in zip(bounds, bounds[1:]):
-                segment, depth = self._segment(g0, g1, first, base)
-                segments.append(segment)
-                base += depth
-            self._schedule = Schedule(
-                segments, base, int(np.count_nonzero(self.kind == AND))
-            )
-        return self._schedule
 
-    def _segment(self, g0, g1, first, base):
-        """Schedule gates g0..g1, whose AND depths start above `base`.
-
-        One stable sort over a packed key (depth, AND before XOR, full
+        One stable sort over a packed key (AND depth, AND before XOR, full
         level) lines the gates up as XORs at depth 0, ANDs at depth 1,
         XORs at depth 1, ...; XORs of one depth are split further by
         full level, ANDs keep gate order. Layer d is then the XORs of
-        depth d-1 plus the ANDs of depth d; the XORs of the top depth
-        trail the segment.
+        depth d-1 plus the ANDs of depth d, and the XORs of the top depth
+        trail the last layer. A wire's AND depth rises only at an AND
+        gate, so every layer holds at least one AND.
         """
-        if g0 == g1:
-            return Segment([], []), 0
-        is_xor = self.kind[g0:g1] != AND
-        key = self.wire_depth[first + g0 : first + g1].astype(np.int64)
-        key -= base
+        if self._schedule is None:
+            self._schedule = self._layered()
+        return self._schedule
+
+    def _layered(self) -> Schedule:
+        and_count = int(np.count_nonzero(self.kind == AND))
+        if not self.n_gates:
+            return Schedule([], [], and_count)
+        first = 1 + self.n_input_wires
+        is_xor = self.kind != AND
+        key = self.wire_depth[first:].astype(np.int64)
         top = int(key.max())
         key <<= 1
         key += is_xor
         key <<= 32
-        key |= np.where(is_xor, self.wire_level[first + g0 : first + g1], 0)
+        key |= np.where(is_xor, self.wire_level[first:], 0)
         del is_xor
         order = np.argsort(key, kind="stable")
         key = key[order]
         cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
         group_key = (key[np.concatenate(([0], cuts))] >> 32).tolist()
         del key
-        order += g0
         gate_a = self.in_a[order].astype(np.intp)
         gate_b = self.in_b[order].astype(np.intp)
         gate_out = order
         gate_out += first  # gate g drives wire first + g
-        empty = np.zeros(0, dtype=np.intp)
-        layers = [Layer([], (empty, empty, empty)) for _ in range(top)]
+        layers = [Layer([], None) for _ in range(top)]
         trailing = []
         bounds = [0, *cuts.tolist(), len(gate_out)]
         for k, s, e in zip(group_key, bounds, bounds[1:]):
@@ -243,7 +222,7 @@ class BooleanCircuit:
                 layers[depth].pre_xors.append(group)
             else:
                 trailing.append(group)
-        return Segment(layers, trailing), top
+        return Schedule(layers, trailing, and_count)
 
     # -- evaluation --------------------------------------------------------
 
@@ -260,12 +239,12 @@ class BooleanCircuit:
             for a, b, o in groups:
                 values[o] = values[a] ^ values[b]
 
-        for segment in self.schedule().segments:
-            for layer in segment.layers:
-                xors(layer.pre_xors)
-                a, b, o = layer.and_gates
-                values[o] = values[a] & values[b]
-            xors(segment.trailing_xors)
+        schedule = self.schedule()
+        for layer in schedule.layers:
+            xors(layer.pre_xors)
+            a, b, o = layer.and_gates
+            values[o] = values[a] & values[b]
+        xors(schedule.trailing_xors)
         out = values[self.output_wires]
         if extra_wires is None:
             return out if batched else out[:, 0]
@@ -388,7 +367,7 @@ class BuilderBase:
     axis holds the bits of a big-endian vector and whose leading axes
     are independent instances, so one call emits a whole layer of
     comparators, muxes or swaps; a 1-D vector is the single-instance
-    case. Subclasses provide the leaves, `input_vector` and `barrier`.
+    case. Subclasses provide the leaves and `input_vector`.
     """
 
     one = 0
@@ -469,8 +448,7 @@ class CircuitBuilder(BuilderBase):
     their size when full; `finish()` hands views of their used lengths
     to the circuit. Each leaf call records
     its gates' full topological levels and AND depths with one pass over
-    its operand arrays; after `barrier()`, AND depths start above every
-    gate emitted so far.
+    its operand arrays.
     """
 
     def __init__(self):
@@ -481,8 +459,6 @@ class CircuitBuilder(BuilderBase):
         self._b = np.zeros(0, dtype=np.int32)
         self._level = np.zeros(1, dtype=np.int32)  # per wire; wire 0 is the constant
         self._depth = np.zeros(1, dtype=np.int32)
-        self._floor = 0  # AND depth of the last barrier
-        self._barriers: list[int] = []
         self._input_map: dict[int, list[int]] = {}
         self.and_count = 0
 
@@ -525,8 +501,6 @@ class CircuitBuilder(BuilderBase):
         np.maximum(level[a], level[b], out=level[first:w1])
         level[first:w1] += 1
         d = np.maximum(depth[a], depth[b])
-        if self._floor:
-            np.maximum(d, self._floor, out=d)
         if kind == AND:
             d += 1
             self.and_count += n
@@ -539,12 +513,6 @@ class CircuitBuilder(BuilderBase):
 
     def and_v(self, a, b):
         return self._emit(AND, a, b)
-
-    def barrier(self):
-        """End an evaluation segment here, so that a reactive opening can
-        run between the gates so far and the gates after."""
-        self._barriers.append(self._n_gates)
-        self._floor = int(self._depth[: self._n_wires].max())
 
     @property
     def n_gates(self) -> int:
@@ -569,7 +537,7 @@ class CircuitBuilder(BuilderBase):
         return BooleanCircuit(
             self._n_wires, kind, a, b, out,
             self._input_map, np.ravel(output_wires),
-            wire_level=level, wire_depth=depth, barriers=self._barriers,
+            wire_level=level, wire_depth=depth,
         )
 
 
@@ -581,24 +549,20 @@ def _replay_levels(circuit: BooleanCircuit):
     first = 1 + circuit.n_input_wires
     # the gate that drives each gate's later operand (negative: an input)
     src = np.maximum(circuit.in_a, circuit.in_b).astype(np.int64) - first
-    bounds = [0, *circuit.barriers, circuit.n_gates]
-    for i, (g0, g1) in enumerate(zip(bounds, bounds[1:])):
-        if i:
-            b.barrier()
-        s = g0
-        while s < g1:
-            # the run ends at the first gate of another kind or that reads
-            # a gate of the run
-            kind, e, step = circuit.kind[s], s + 1, 64
-            while e < g1:
-                end = min(e + step, g1)
-                hit = np.flatnonzero((src[e:end] >= s) | (circuit.kind[e:end] != kind))
-                if hit.size:
-                    e += int(hit[0])
-                    break
-                e, step = end, 2 * step
-            b._emit(int(kind), circuit.in_a[s:e], circuit.in_b[s:e])
-            s = e
+    s, n = 0, circuit.n_gates
+    while s < n:
+        # the run ends at the first gate of another kind or that reads a
+        # gate of the run
+        kind, e, step = circuit.kind[s], s + 1, 64
+        while e < n:
+            end = min(e + step, n)
+            hit = np.flatnonzero((src[e:end] >= s) | (circuit.kind[e:end] != kind))
+            if hit.size:
+                e += int(hit[0])
+                break
+            e, step = end, 2 * step
+        b._emit(int(kind), circuit.in_a[s:e], circuit.in_b[s:e])
+        s = e
     _, _, _, level, depth = b._trim()
     return level, depth
 
@@ -630,9 +594,6 @@ class CountingBuilder(BuilderBase):
         self.and_count += out.size
         return out
 
-    def barrier(self):
-        """Segment boundaries change no gate count."""
-
 
 # -- text format -------------------------------------------------------------
 
@@ -642,8 +603,7 @@ _KIND_VALUES = {v: k for k, v in _KIND_NAMES.items()}
 
 def save_circuit_text(circuit: BooleanCircuit) -> str:
     """Serialize to the line format: header `W G I O`, one gate per
-    line, then CONST1/INPUTS/OUTPUTS trailer (and BARRIERS, if any).
-    Round-trips bit-exactly.
+    line, then CONST1/INPUTS/OUTPUTS trailer. Round-trips bit-exactly.
     """
     lines = [
         f"{circuit.n_wires} {circuit.n_gates} "
@@ -659,14 +619,20 @@ def save_circuit_text(circuit: BooleanCircuit) -> str:
         wires = " ".join(str(w) for w in circuit.input_map[party])
         lines.append(f"INPUTS {party} {wires}".rstrip())
     lines.append("OUTPUTS " + " ".join(str(w) for w in circuit.output_wires))
-    if circuit.barriers:
-        lines.append("BARRIERS " + " ".join(map(str, circuit.barriers)))
     return "\n".join(lines) + "\n"
+
+
+def _ints(words, line: str) -> list[int]:
+    try:
+        return [int(w) for w in words]
+    except ValueError as exc:
+        raise CircuitError(f"bad line: {line!r}") from exc
 
 
 def load_circuit_text(text: str) -> BooleanCircuit:
     """Parse the line format; levels are recomputed by replaying the
-    gates through a CircuitBuilder."""
+    gates through a CircuitBuilder. Any malformed line raises
+    `CircuitError`."""
     lines = text.splitlines()
     if not lines:
         raise CircuitError("empty circuit file")
@@ -680,30 +646,27 @@ def load_circuit_text(text: str) -> BooleanCircuit:
         if len(parts) != 4 or parts[0] not in _KIND_VALUES:
             raise CircuitError(f"bad gate line: {ln!r}")
         kind.append(_KIND_VALUES[parts[0]])
-        a.append(int(parts[1]))
-        b.append(int(parts[2]))
-        out.append(int(parts[3]))
+        wa, wb, wo = _ints(parts[1:], ln)
+        a.append(wa)
+        b.append(wb)
+        out.append(wo)
     input_map: dict[int, list[int]] = {}
     output_wires: list[int] = []
-    barriers: list[int] = []
     for ln in lines[1 + n_gates :]:
         parts = ln.split()
         if not parts:
             continue
-        if parts[0] == "CONST1":
-            if int(parts[1]) != 0:
+        head, values = parts[0], _ints(parts[1:], ln)
+        if head == "CONST1" and len(values) == 1:
+            if values[0] != 0:
                 raise CircuitError("constant-one wire must be wire 0")
-        elif parts[0] == "INPUTS":
-            input_map[int(parts[1])] = [int(w) for w in parts[2:]]
-        elif parts[0] == "OUTPUTS":
-            output_wires = [int(w) for w in parts[1:]]
-        elif parts[0] == "BARRIERS":
-            barriers = [int(g) for g in parts[1:]]
-        else:
-            raise CircuitError(f"unknown trailer line: {ln!r}")
-    circ = BooleanCircuit(
-        n_wires, kind, a, b, out, input_map, output_wires, barriers=barriers
-    )
+        elif head == "INPUTS" and values:
+            input_map[values[0]] = values[1:]
+        elif head == "OUTPUTS":
+            output_wires = values
+        elif head != "BARRIERS":  # older files list evaluation barriers, which change no output
+            raise CircuitError(f"bad trailer line: {ln!r}")
+    circ = BooleanCircuit(n_wires, kind, a, b, out, input_map, output_wires)
     if circ.n_input_wires != n_in or len(output_wires) != n_out:
         raise CircuitError("header input/output counts disagree with trailer")
     return circ

@@ -208,8 +208,6 @@ def _construct(b, cfg: CircuitConfig):
     else:
         flags = np.full(N, b.zero())
     close("SortCheck")
-    # the sortedness flags are opened before any later gate is evaluated
-    b.barrier()
 
     merged = records.reshape(N * u, 3 * sigma)
     if cfg.variant.kind == "fixed-plus-m":

@@ -2,10 +2,13 @@
 
 Parties hold XOR shares of every wire; XOR gates are local, each AND
 layer costs one communication round of masked openings backed by one
-Beaver triple per gate per batch element. Designated wires can be
-opened mid-run (reactive opening) and the remaining shares stay valid,
-which carries both the sortedness-abort path and cross-epoch reuse of
-input shares.
+Beaver triple per gate per batch element. An AND layer opens only
+values masked by fresh triples, so it reveals nothing about any wire.
+After the last AND layer, designated wires are opened (reactive
+opening) before the outputs, and a validator may abort the run there:
+the sortedness flags are the first opening, so an unsorted input stops
+the round before any output key is revealed. Shares stay valid after
+an opening, which carries cross-epoch reuse of input shares.
 
 The computing parties are simulated together, in the SIMD layout that
 ABY and MOTION use for GMW: all their shares live in one party-first
@@ -221,9 +224,9 @@ def share_input(bits: np.ndarray, n_shares: int, rng) -> list[np.ndarray]:
 
 
 def build_schedule(circuit: BooleanCircuit) -> Schedule:
-    """Layered plan: XOR groups, then one AND round per depth, with the
-    circuit's barriers closing a segment before each reactive opening.
-    Built from the levels the builder recorded; memoized on the circuit.
+    """Layered plan: per AND depth, XOR groups then one AND round, and
+    the XOR groups after the last AND round. Built from the levels the
+    builder recorded; memoized on the circuit.
     """
     return circuit.schedule()
 
@@ -348,9 +351,9 @@ class Transcript:
 
 @dataclass
 class ReactiveOpen:
-    """Open `wires` after `segment` finishes; validator(bits) may raise."""
+    """Open `wires` after the last AND layer, before the outputs;
+    validator(bits) may raise to abort the run."""
 
-    segment: int
     wires: list
     validator: object
 
@@ -548,24 +551,19 @@ class Engine:
         return views[0].reshape(len(wires), self.batch)
 
     def run(self, inputs: dict[int, np.ndarray], rng_of, preset=None) -> np.ndarray:
-        """Share inputs, evaluate all segments, open and return outputs."""
+        """Share inputs, evaluate, open and return outputs."""
         self.share_inputs(inputs, rng_of, preset=preset)
         return self.run_shared()
 
     def run_shared(self) -> np.ndarray:
-        reactive_by_segment: dict[int, list[ReactiveOpen]] = {}
-        for r in self.reactive:
-            reactive_by_segment.setdefault(r.segment, []).append(r)
         parties = self.parties
-        for seg_idx, segment in enumerate(self.schedule.segments):
-            for layer in segment.layers:
-                parties.apply_xors(layer.pre_xors)
-                if len(layer.and_gates[2]):
-                    payload = parties.and_send(layer.and_gates)
-                    parties.and_recv(layer.and_gates, self._broadcast_round(payload, "AND layer"))
-            parties.apply_xors(segment.trailing_xors)
-            for point in reactive_by_segment.get(seg_idx, ()):
-                point.validator(self.open_wires(point.wires, "reactive opening"))
+        for layer in self.schedule.layers:
+            parties.apply_xors(layer.pre_xors)
+            payload = parties.and_send(layer.and_gates)
+            parties.and_recv(layer.and_gates, self._broadcast_round(payload, "AND layer"))
+        parties.apply_xors(self.schedule.trailing_xors)
+        for point in self.reactive:
+            point.validator(self.open_wires(point.wires, "reactive opening"))
         outputs = self.open_wires(self.circuit.output_wires, "final opening")
         self.transcript.triples_consumed = dict.fromkeys(self.computing_ids, parties.pool.cursor)
         self.transcript.verify()

@@ -405,7 +405,7 @@ def _execute(config: SessionConfig, seed, counts: dict[int, list[int]], prepare,
         engine = mpc.Engine(
             compiled.circuit,
             _computing_ids(config),
-            reactive=[mpc.ReactiveOpen(0, list(compiled.flag_wires), check_flags)],
+            reactive=[mpc.ReactiveOpen(list(compiled.flag_wires), check_flags)],
             dealer_seed=dealer_seed,
             batch=len(prepared),
             epoch=config.epoch,
@@ -451,6 +451,8 @@ def run_sessions(
     paths and insists on bit-identical opened keys).
     """
     config.validate()
+    if not stockpiles_batch:
+        raise SessionError("a round needs at least one session")
     slots = sorted(config.parties)
     digest = config.digest()
     if config_overrides:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from depletion import circuit as C
+from depletion import compiler as CP
 from depletion.bits import int_to_bits, bits_to_int, ints_to_bit_array
 
 
@@ -225,6 +226,35 @@ def test_text_format_rejects_garbage():
         C.load_circuit_text("2 1 1 1\nNAND 0 1 2\nCONST1 0\nINPUTS 0 1\nOUTPUTS 2\n")
     with pytest.raises(C.CircuitError):
         C.load_circuit_text("3 1 1 1\nXOR 0 1 3000000000\nCONST1 0\nINPUTS 0 1\nOUTPUTS 2\n")
+
+
+VALID_TEXT = "3 1 1 1\nXOR 0 1 2\nCONST1 0\nINPUTS 0 1\nOUTPUTS 2\n"
+
+
+@pytest.mark.parametrize("old, new", [
+    ("CONST1 0", "CONST1"),
+    ("XOR 0 1 2", "XOR 1 x 3"),
+    ("INPUTS 0 1", "INPUTS 0 1 z"),
+    ("INPUTS 0 1", "INPUTS"),
+    ("OUTPUTS 2", "OUTPUTS 2\nBARRIERS a"),
+])
+def test_text_format_malformed_lines_raise_circuit_error(old, new):
+    assert C.load_circuit_text(VALID_TEXT).evaluate({0: [0]}).tolist() == [1]
+    with pytest.raises(C.CircuitError):
+        C.load_circuit_text(VALID_TEXT.replace(old, new))
+
+
+def test_text_with_legacy_barriers_line_loads_unchanged():
+    """Files written by earlier versions end in a BARRIERS line (the gate
+    index after SortCheck); it is skipped and changes no output."""
+    comp = CP.compile_circuit(CP.CircuitConfig(3, 3, 8))
+    text = C.save_circuit_text(comp.circuit)
+    legacy = C.load_circuit_text(text + f"BARRIERS {comp.stages[0].gate_range[1]}\n")
+    assert C.save_circuit_text(legacy) == text
+    assert legacy.gate_counts() == comp.circuit.gate_counts()
+    rng = np.random.default_rng(5)
+    inputs = {p: rng.integers(0, 2, (len(ws), 16)) for p, ws in comp.circuit.input_map.items()}
+    assert np.array_equal(legacy.evaluate(inputs), comp.circuit.evaluate(inputs))
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 8])

@@ -139,7 +139,6 @@ def test_stage_partition_and_names():
         assert prev.gate_range[1] == nxt.gate_range[0]
     assert comp.stages[-1].gate_range[1] == comp.circuit.n_gates
     assert len(comp.flag_wires) == 3
-    assert comp.circuit.barriers == (comp.stages[0].gate_range[1],)
     total = comp.circuit.gate_counts()
     assert total.and_count == sum(s.and_count for s in comp.stages)
     assert total.xor_count == sum(s.xor_count for s in comp.stages)

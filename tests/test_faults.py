@@ -37,12 +37,11 @@ FAULTS = {
 
 def _target_round(engine: mpc.Engine, kind: str) -> int:
     """Round number of the first round of `kind`; inputs go in round 0
-    and the sortedness flags open after the first segment."""
-    first_segment = sum(1 for layer in engine.schedule.segments[0].layers if len(layer.and_gates[2]))
+    and the sortedness flags open after the last AND layer."""
     return {
         "input-share": 0,
         "and-layer": 1,
-        "reactive-open": first_segment + 1,
+        "reactive-open": engine.schedule.and_layers + 1,
         "final-open": engine.schedule.and_layers + len(engine.reactive) + 1,
     }[kind]
 

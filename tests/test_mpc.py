@@ -271,7 +271,6 @@ def test_reactive_open_aborts_and_preserves_shares():
     x = b.input_vector(0, 2)
     y = b.input_vector(1, 2)
     flag = b.and_v(x[0], y[0])
-    b.barrier()
     out = b.xor_v(b.and_v(x[1], y[1]), flag)
     circ = b.finish([out])
 
@@ -286,7 +285,7 @@ def test_reactive_open_aborts_and_preserves_shares():
         engine = mpc.Engine(
             circ,
             [0, 1],
-            reactive=[mpc.ReactiveOpen(0, [flag], validator)],
+            reactive=[mpc.ReactiveOpen([flag], validator)],
             dealer_seed=3,
         )
         rngs = {p: np.random.default_rng(p) for p in (0, 1)}
@@ -324,7 +323,7 @@ def test_full_compiled_circuit_mpc_equals_plaintext():
     ids = [0, 1, 2]
     engine = mpc.Engine(
         comp.circuit, ids,
-        reactive=[mpc.ReactiveOpen(0, list(comp.flag_wires), lambda bits: None)],
+        reactive=[mpc.ReactiveOpen(list(comp.flag_wires), lambda bits: None)],
         dealer_seed=11,
     )
     rngs = {p: np.random.default_rng(40 + p) for p in ids}
@@ -431,13 +430,14 @@ def test_masked_messages_look_uniform():
 # -- transcript identity -----------------------------------------------------------
 
 # SHA-256 over every (sender, recipient, frame) sent in one fixed-seed
-# round, negotiation included, pinned when each party's shares were held
-# in an array of its own. A change to the engine's layout or framing
-# must leave every frame, and the order they are sent in, as it was.
+# round, negotiation included, pinned when the whole circuit became one
+# schedule with the sortedness flags opened after its last AND layer. A
+# change to the engine's layout or framing must leave every frame, and
+# the order they are sent in, as it was.
 TRANSCRIPT_DIGESTS = {
-    "direct-fixed-plus-m": "162f33be24f671c60d62af72110bde7d63b1a5c48a5098a350ed4e9f135aaa20",
-    "outsourced-at-least-m-batch-3": "cfdedb450a0d569811801c6ab5412add22bfb3300ae99d530bb5684437c34618",
-    "session-two-epochs": "51c84d848d36d3c4bb4527bc5faea9a2f31ed831c90035a977f28539a9788ecd",
+    "direct-fixed-plus-m": "db4f88406447e9cc4a51ce914891c83002ab9a35184ee246540f16d108b1eda4",
+    "outsourced-at-least-m-batch-3": "c5ca709292c1026f057d8b38e388a58fd0c7c2f4215975657057f4857a886b98",
+    "session-two-epochs": "4e19fc3349d95c00109f4346bbbbb654c867684514646a420e6e8654dc1264c2",
 }
 
 

@@ -204,6 +204,49 @@ def test_unsorted_injection_aborts_with_exact_party():
     assert res.transcript.reactive_opens == 1
 
 
+@pytest.mark.parametrize("mode", ["direct", "outsourced"])
+def test_unsorted_abort_comes_before_any_key_is_opened(monkeypatch, mode):
+    """The sortedness flags are the first opening, in the round after the
+    last AND layer; the abort there leaves the final opening unsent."""
+    config = S.SessionConfig(parties=(0, 1, 2), sigma=8, mode=mode, n_servers=2)
+    pools = {0: {3, 9}, 1: {5, 6}, 2: {4, 7}}
+    engines, sent = [], []
+
+    class RoundEngine(mpc.Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.reactive:
+                engines.append(self)
+
+    send = mpc.InProcessTransport.send
+
+    def recording(transport, sender, recipient, data):
+        sent.append((transport, mpc.decode_frame(data)[1]))
+        send(transport, sender, recipient, data)
+
+    monkeypatch.setattr(mpc, "Engine", RoundEngine)
+    monkeypatch.setattr(mpc.InProcessTransport, "send", recording)
+    with pytest.raises(mpc.AbortUnsorted) as exc:
+        S.run_sessions(config, [pools], seed=11, inject_unsorted=1)
+    assert exc.value.parties == [1]
+    (engine,) = engines
+    flags_round = engine.schedule.and_layers + 1
+    assert engine.transcript.rounds == flags_round
+    # input shares, every AND layer, the flags, and no final opening
+    rounds = {r for transport, r in sent if transport is engine.transport}
+    assert rounds == set(range(flags_round + 1))
+
+
+@pytest.mark.parametrize("execution", ["mpc", "plaintext", "both"])
+def test_run_sessions_rejects_an_empty_batch(monkeypatch, execution):
+    def negotiate(*args):
+        raise AssertionError("negotiation started")
+
+    monkeypatch.setattr(S, "negotiate_u", negotiate)
+    with pytest.raises(S.SessionError, match="at least one session"):
+        S.run_sessions(cfg2(), [], seed=1, execution=execution)
+
+
 def test_config_mismatch():
     config = cfg2()
     other = cfg2(sigma=16)

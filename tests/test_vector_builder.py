@@ -11,50 +11,68 @@ from depletion import circuit as C
 from depletion import compiler as CP
 
 # Recorded with the per-gate builder: per stage (ANDs, XORs, gate range),
-# the AND depth, a SHA-256 prefix of the schedule's per-layer AND counts
-# joined by commas, and the number of XOR groups in the schedule.
+# and the AND depth of the schedule that opened SortCheck's flags before
+# any later gate ran, so that every later AND depth started above
+# SortCheck's. Recorded with the one-pass schedule: a SHA-256 prefix of
+# its per-layer AND counts joined by commas, and its number of XOR groups.
+# The last item is a SHA-256 prefix of the gate list and the full levels
+# (kind, in_a, in_b, out and wire_level, each as little-endian int32),
+# which both schedules share.
 PINNED = [
     (
         CP.CircuitConfig(3, 16, 64),
         [(2922, 8553, (0, 11475)), (45568, 136348, (11475, 193391)),
          (9231, 18432, (193391, 221054)), (104640, 313920, (221054, 639614))],
-        829, "1c8ec004b746e737", 1636,
+        829, "4c4cf09fb7c202ea", 1509, "4a85d8ebf895ef55",
     ),
     (
         # the `batch` benchmark round: three parties, u = 8, two servers
         CP.CircuitConfig(3, 8, 32, CP.VariantSpec("at-least-m", 2), control_parties=(3, 4)),
         [(690, 1977, (0, 2667)), (8960, 26740, (2667, 38367)),
          (1503, 3052, (38367, 42922)), (14400, 43200, (42922, 100522))],
-        361, "58d08b4dc7395f33", 708,
+        361, "833a75b07c46d777", 645, "75d46dd2e9602bc2",
     ),
     (
         # the `recurring` benchmark round: four parties, u = 12
         CP.CircuitConfig(4, 12, 64, CP.VariantSpec("fixed-plus-m", 1, (0,))),
         [(2856, 8364, (0, 11220)), (52171, 156108, (11220, 219499)),
          (6363, 12584, (219499, 238446)), (139520, 418560, (238446, 796526))],
-        938, "6468f226e3795da3", 1859,
+        938, "652341bc714635a0", 1732, "ba8b97b458a720eb",
     ),
     (
         CP.CircuitConfig(5, 3, 8, CP.VariantSpec("fixed-plus-m", 2, (0, 1))),
         [(85, 225, (0, 310)), (1734, 5101, (310, 7145)),
          (477, 747, (7145, 8369)), (4760, 14280, (8369, 27409))],
-        195, "b11abdaf1ac4468c", 378,
+        195, "1bdd985b3ffaba24", 362, "df66edb3c4608169",
     ),
 ]
 
 
-@pytest.mark.parametrize("cfg, stages, depth_and, layer_digest, xor_groups", PINNED)
-def test_compiled_circuit_matches_pinned_shape(cfg, stages, depth_and, layer_digest, xor_groups):
+@pytest.mark.parametrize(
+    "cfg, stages, split_depth, layer_digest, xor_groups, gate_digest", PINNED
+)
+def test_compiled_circuit_matches_pinned_shape(
+    cfg, stages, split_depth, layer_digest, xor_groups, gate_digest
+):
     comp = CP.compile_circuit(cfg)
+    circ = comp.circuit
     assert [(s.and_count, s.xor_count, s.gate_range) for s in comp.stages] == stages
-    assert comp.circuit.gate_counts().depth_and == depth_and
-    segments = comp.circuit.schedule().segments
-    per_layer = [len(layer.and_gates[2]) for seg in segments for layer in seg.layers]
-    assert len(per_layer) == depth_and
+    gates = hashlib.sha256()
+    for arr in (circ.kind, circ.in_a, circ.in_b, circ.out, circ.wire_level):
+        gates.update(np.ascontiguousarray(arr, dtype="<i4").tobytes())
+    assert gates.hexdigest()[:16] == gate_digest
+    # one pass saves exactly SortCheck's layers: the rest of the circuit
+    # is deeper than SortCheck and does not read its flags
+    sort_check_depth = int(circ.wire_depth[slice(*comp.stages[0].wire_range)].max())
+    depth_and = circ.gate_counts().depth_and
+    assert depth_and == split_depth - sort_check_depth
+    schedule = circ.schedule()
+    per_layer = [len(layer.and_gates[2]) for layer in schedule.layers]
+    assert len(per_layer) == schedule.and_layers == depth_and
+    assert min(per_layer) >= 1
     digest = hashlib.sha256(",".join(map(str, per_layer)).encode()).hexdigest()
     assert digest[:16] == layer_digest
-    groups = sum(len(layer.pre_xors) for seg in segments for layer in seg.layers)
-    groups += sum(len(seg.trailing_xors) for seg in segments)
+    groups = sum(len(layer.pre_xors) for layer in schedule.layers) + len(schedule.trailing_xors)
     assert groups == xor_groups
     assert [(s.and_count, s.xor_count, s.gate_range) for s in CP.stage_counts(cfg)] == stages
 
