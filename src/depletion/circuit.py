@@ -202,7 +202,7 @@ class BooleanCircuit:
         key |= np.where(is_xor, self.wire_level[first:], 0)
         del is_xor
         order = np.argsort(key, kind="stable")
-        key = key[order]
+        key.sort()  # equals key[order]: equal keys are equal values
         cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
         group_key = (key[np.concatenate(([0], cuts))] >> 32).tolist()
         del key

@@ -12,23 +12,32 @@ an opening, which carries cross-epoch reuse of input shares.
 
 The computing parties are simulated together, in the SIMD layout that
 ABY and MOTION use for GMW: all their shares live in one party-first
-`uint8` tensor of shape (parties, wires, batch), and row i of it and of
-the dealer's triple arrays belongs to the i-th computing party. So an
-XOR group is one numpy operation for every party, and an AND layer is
-one mask, one reconstruction and one product for all of them; only
-party 0 adds d & e. No party's row is computed from another party's
-row except through the frames the round carries.
+`uint8` tensor of shape (parties, wires, ceil(batch / 8)), with the
+batch axis packed eight sessions to a byte, most significant bit first
+(`np.packbits` order; `pack_batch` and `unpack_batch` hold the rule, and
+the padding bits of a ragged last byte are zero). Row i of it and of the
+dealer's triple arrays, packed the same way, belongs to the i-th
+computing party. The gate kernels are bitwise, so an XOR group is one
+numpy operation for every party over one eighth of the bytes, and an
+AND layer is one mask, one reconstruction and one product for all of
+them; only party 0 adds d & e. No party's row is computed from another
+party's row except through the frames the round carries. Everything
+outside the engine (inputs, openings, `shares_of`, share blobs) speaks
+one `uint8` per bit and converts at that boundary.
 
 All messages and share blobs use one framed wire format: a version
 byte, little-endian (epoch, round, sender, wire-range id, bit count),
-the packed payload, and a trailing CRC32 over everything before it.
-Input shares travel in round 0 and each takes a fresh range id; a
-protocol round's frames share one. In a protocol round each sender's
-payload is framed once and sent to every peer. Each recipient checks
-every frame it received (checksum, version, length, all four header
-fields and the bit count) and XORs their packed payloads with its own;
-one `np.unpackbits` over the recipients' stacked results then gives
-every recipient's reconstruction, each made only from the frames that
+the payload, the bits of its (rows, batch) block packed row-major and
+MSB-first, and a trailing CRC32 over everything before it. When the
+batch is a multiple of 8, that payload is the block's packed rows byte
+for byte, so a round frames the rows as they are and reshapes what it
+receives; at any other width each round converts between the two once,
+for all parties. Input shares travel in round 0 and each takes a fresh
+range id; a protocol round's frames share one. In a protocol round each
+sender's payload is framed once and sent to every peer. Each recipient
+checks every frame it received (checksum, version, length, all four
+header fields and the bit count) and XORs their payloads with its own,
+so each recipient's reconstruction is made only from the frames that
 recipient received. An opening insists that all recipients agree. A
 share blob is a round-0 frame whose sender is the computing party
 holding it and whose range id names the input owner (slot + 1), so a
@@ -95,12 +104,19 @@ class CorruptBlob(MpcError):
 # -- framing -----------------------------------------------------------------
 
 
-def encode_frame(epoch: int, round_no: int, sender: int, range_id: int, bits: np.ndarray) -> bytes:
-    flat = np.ascontiguousarray(bits, dtype=np.uint8).reshape(-1)
-    head = _HEAD.pack(FRAME_VERSION, epoch, round_no, sender, range_id, flat.size)
-    payload = np.packbits(flat).tobytes()
-    body = head + payload
+def encode_frame(epoch: int, round_no: int, sender: int, range_id: int, nbits: int, payload) -> bytes:
+    """A frame of `nbits` bits whose packed payload is the C-contiguous
+    bytes-like `payload`; the inverse of `decode_frame(packed=True)`."""
+    head = _HEAD.pack(FRAME_VERSION, epoch, round_no, sender, range_id, nbits)
+    body = head + bytes(payload)
     return body + _CRC.pack(zlib.crc32(body))
+
+
+def pack_bits(bits) -> tuple[int, np.ndarray]:
+    """(bit count, packed payload) of a 0/1 array, flattened row-major:
+    what `encode_frame` takes."""
+    flat = np.asarray(bits, dtype=np.uint8).reshape(-1)
+    return flat.size, np.packbits(flat)
 
 
 def decode_frame(data: bytes, packed: bool = False):
@@ -147,7 +163,7 @@ def read_frame(data: bytes, epoch: int, round_no: int, sender: int, range_id: in
 
 
 def encode_share_blob(party: int, epoch: int, range_id: int, bits: np.ndarray) -> bytes:
-    return encode_frame(epoch, 0, party, range_id, bits)
+    return encode_frame(epoch, 0, party, range_id, *pack_bits(bits))
 
 
 def decode_share_blob(data: bytes, party: int, epoch: int, range_id: int, shape: tuple) -> np.ndarray:
@@ -159,13 +175,71 @@ def decode_share_blob(data: bytes, party: int, epoch: int, range_id: int, shape:
         raise CorruptBlob(str(exc)) from exc
 
 
+# -- batch layout ----------------------------------------------------------------
+
+
+# A batch-1 byte is its bit moved to the top. numpy vectorizes the uint8
+# multiply and not the uint8 left shift, so the shift is written as a
+# product.
+_MSB = np.uint8(0x80)
+
+
+def pack_batch(bits) -> np.ndarray:
+    """Pack the last (batch) axis of a 0/1 array eight to a byte, MSB
+    first, as `np.packbits` does; a ragged last byte is zero-padded."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    *lead, batch = bits.shape
+    if batch == 1:
+        return bits * _MSB
+    width = -(-batch // 8)
+    if batch % 8:
+        # pad each row to whole bytes, then pack flat: one pass, where
+        # packing along a short last axis loops per row
+        padded = np.zeros((*lead, 8 * width), dtype=np.uint8)
+        padded[..., :batch] = bits
+        bits = padded
+    return np.packbits(bits.reshape(-1)).reshape(*lead, width)
+
+
+def unpack_batch(packed: np.ndarray, batch: int) -> np.ndarray:
+    """The 0/1 array of `batch` bits per row that `pack_batch` packed."""
+    if batch == 1:
+        return packed >> 7
+    *lead, width = packed.shape
+    bits = np.unpackbits(packed.reshape(-1)).reshape(*lead, 8 * width)
+    return bits[..., :batch] if batch % 8 else bits
+
+
+def _frame_payloads(packed: np.ndarray, batch: int) -> np.ndarray:
+    """Frame payloads of (parties, rows, width) packed rows, one row of
+    packed (rows, batch) bits per party."""
+    n = packed.shape[0]
+    if batch % 8 == 0:
+        return packed.reshape(n, -1)
+    # packbits counts any nonzero byte as 1, so a batch-1 row needs no unpacking
+    bits = packed if batch == 1 else unpack_batch(packed, batch)
+    return np.packbits(bits.reshape(n, -1), axis=1)
+
+
+def _packed_rows(payloads: np.ndarray, rows: int, batch: int) -> np.ndarray:
+    """The inverse of `_frame_payloads`: (parties, rows, width)."""
+    n = payloads.shape[0]
+    if batch % 8 == 0:
+        return payloads.reshape(n, rows, batch // 8)
+    bits = np.unpackbits(payloads, axis=1, count=rows * batch).reshape(n, rows, batch)
+    if batch == 1:
+        return np.multiply(bits, _MSB, out=bits)
+    return pack_batch(bits)
+
+
 # -- correlated randomness -----------------------------------------------------
 
 
 @dataclass
 class TriplePool:
-    """Every computing party's triple shares, one (parties, count, batch)
-    array per kind, with one cursor: row i is the i-th party's pool."""
+    """Every computing party's triple shares, one (parties, count,
+    ceil(batch / 8)) array per kind packed like the share tensor, with
+    one cursor: row i is the i-th party's pool."""
 
     a: np.ndarray
     b: np.ndarray
@@ -184,23 +258,30 @@ class TriplePool:
 
 def deal_triples(n_parties: int, count: int, seed, batch: int = 1) -> TriplePool:
     """Dealer-made XOR shares of (a, b, c=a&b) for every computing party,
-    as one stacked pool; deterministic under seed.
+    as one stacked pool in the packed batch layout; deterministic under
+    seed.
 
-    The share bits are unpacked from packed random words.
+    Each kind's share bits are one run of raw 64-bit draws, read as a
+    bit stream in `np.packbits` order, (parties, count, batch) row-major.
     """
     rng = np.random.default_rng(seed)
-    shape = (n_parties, count, batch)
     size = n_parties * count * batch
 
-    def share_bits():
-        # One array per kind, unpacked from raw 64-bit draws with no other
+    def share_rows():
+        # One array per kind, made from raw 64-bit draws with no other
         # copy: a single array for all three kinds, or `rng.bytes` (which
         # copies its buffer), raised the process's peak RSS.
         words = rng.bit_generator.random_raw((size + 63) // 64)
-        packed = words.astype("<u8", copy=False).view(np.uint8)
-        return np.unpackbits(packed, count=size).reshape(shape)
+        raw = words.astype("<u8", copy=False).view(np.uint8)
+        if batch % 8 == 0:
+            # the stream's bytes are already the packed rows
+            return raw[: size // 8].reshape(n_parties, count, batch // 8)
+        bits = np.unpackbits(raw, count=size).reshape(n_parties, count, batch)
+        if batch == 1:
+            return np.multiply(bits, _MSB, out=bits)
+        return pack_batch(bits)
 
-    a_sh, b_sh, c_sh = share_bits(), share_bits(), share_bits()
+    a_sh, b_sh, c_sh = share_rows(), share_rows(), share_rows()
     a = np.bitwise_xor.reduce(a_sh, axis=0)
     b = np.bitwise_xor.reduce(b_sh, axis=0)
     c_sh[-1] ^= np.bitwise_xor.reduce(c_sh, axis=0) ^ (a & b)
@@ -237,15 +318,17 @@ def build_schedule(circuit: BooleanCircuit) -> Schedule:
 class Party:
     """Local gate logic of every computing party at once.
 
-    Row i of `shares`, a (parties, wires, batch) tensor, and of the
-    triple pool belongs to the i-th computing party. Each kernel is one
-    numpy operation over all rows, and each row is computed only from
-    that party's own rows and, in `and_recv`, its own reconstruction.
+    Row i of `shares`, a (parties, wires, ceil(batch / 8)) tensor with
+    the batch axis packed (`pack_batch`), and of the triple pool belongs
+    to the i-th computing party. Each kernel is one bitwise numpy
+    operation over all rows, and each row is computed only from that
+    party's own rows and, in `and_recv`, its own reconstruction.
     """
 
     def __init__(self, n_parties: int, n_wires: int, batch: int, pool: TriplePool):
-        self.shares = np.zeros((n_parties, n_wires, batch), dtype=np.uint8)
-        self.shares[0, 0] = 1  # constant-one wire reconstructs to 1
+        self.shares = np.zeros((n_parties, n_wires, -(-batch // 8)), dtype=np.uint8)
+        # constant-one wire reconstructs to 1 in every session
+        self.shares[0, 0] = pack_batch(np.ones(batch, dtype=np.uint8))
         self.pool = pool
         self._pending = None
 
@@ -257,7 +340,7 @@ class Party:
             sh[:, o] = x
 
     def and_send(self, gates) -> np.ndarray:
-        """Every party's masked (d, e) as (parties, 2 * gates, batch)."""
+        """Every party's masked (d, e) as packed (parties, 2 * gates, width) rows."""
         a_idx, b_idx, _ = gates
         k = len(a_idx)
         ta, tb, tc = self.pool.take(k)
@@ -269,14 +352,13 @@ class Party:
         return payload
 
     def and_recv(self, gates, opened: np.ndarray):
-        """`opened` holds each party's reconstruction of (d, e), one row
-        of 2 * gates * batch bits per party."""
+        """`opened` holds each party's reconstruction of (d, e), as
+        packed (parties, 2 * gates, width) rows."""
         _, _, o_idx = gates
         ta, tb, tc = self._pending
         self._pending = None
         k = len(o_idx)
-        de = opened.reshape(tc.shape[0], 2 * k, tc.shape[2])
-        d, e = de[:, :k], de[:, k:]
+        d, e = opened[:, :k], opened[:, k:]
         z = d & tb
         z ^= tc
         z ^= e & ta
@@ -378,12 +460,17 @@ class EngineTooLarge(MpcError):
 
 def engine_bytes(n_parties: int, n_wires: int, and_count: int, batch: int) -> int:
     """An upper bound on the bytes an engine holds at once while it is
-    built: the share tensor and the three triple-share arrays, one byte
-    per bit, plus the dealer's scratch (five (count, batch) arrays and one
-    kind's raw random words)."""
+    built: the share tensor and the three triple-share arrays, ceil(batch
+    / 8) bytes per wire or AND and party, plus the dealer's scratch (five
+    (count, width) arrays and one kind's raw random words, and when the
+    batch is not a multiple of 8 that kind's unpacked bits and their
+    zero-padded copy)."""
+    width = -(-batch // 8)
     triple_bits = n_parties * and_count * batch
-    scratch = 5 * and_count * batch + 8 * -(-triple_bits // 64)
-    return n_parties * n_wires * batch + 3 * triple_bits + scratch
+    scratch = 5 * and_count * width + 8 * -(-triple_bits // 64)
+    if batch % 8:
+        scratch += triple_bits + n_parties * and_count * 8 * width
+    return n_parties * n_wires * width + 3 * n_parties * and_count * width + scratch
 
 
 class Engine:
@@ -432,8 +519,9 @@ class Engine:
         self._range_id = 0
 
     def shares_of(self, pid: int) -> np.ndarray:
-        """Computing party `pid`'s (wires, batch) row of the share tensor."""
-        return self.parties.shares[self._row[pid]]
+        """Computing party `pid`'s shares as (wires, batch) bits: an
+        unpacked copy of its row of the share tensor, not a view."""
+        return unpack_batch(self.parties.shares[self._row[pid]], self.batch)
 
     # input distribution ----------------------------------------------------
 
@@ -465,17 +553,16 @@ class Engine:
             others = [pid for pid in self.computing_ids if pid != owner]
             for pid, share in zip(others, shares):
                 rid = self._next_range()
-                self._post(owner, [pid], rid, share)
-                payload = self._take(pid, owner, rid, share.size, "input share")
-                self.shares_of(pid)[sub_wires] = np.unpackbits(
-                    np.frombuffer(payload, dtype=np.uint8), count=share.size
-                ).reshape(share.shape)
+                nbits, payload = pack_bits(share)
+                self._post(owner, [pid], rid, nbits, payload)
+                got = np.frombuffer(self._take(pid, owner, rid, nbits, "input share"), dtype=np.uint8)
+                self.parties.shares[self._row[pid], sub_wires] = _packed_rows(got[None], len(todo), self.batch)[0]
             if owner in self._row:
-                self.shares_of(owner)[sub_wires] = shares[-1]
+                self.parties.shares[self._row[owner], sub_wires] = pack_batch(shares[-1])
         self._end_round("input share")
 
     def restore_shares(self, pid: int, wires, bits):
-        self.shares_of(pid)[wires] = bits
+        self.parties.shares[self._row[pid], wires] = pack_batch(bits)
 
     # protocol rounds ---------------------------------------------------------
 
@@ -483,13 +570,14 @@ class Engine:
         self._range_id += 1
         return self._range_id
 
-    def _post(self, sender: int, recipients: list[int], range_id: int, bits: np.ndarray) -> bytes:
-        """Frame `bits` once in the current round and send it to each recipient."""
-        frame = encode_frame(self.epoch, self._round, sender, range_id, bits)
+    def _post(self, sender: int, recipients: list[int], range_id: int, nbits: int, payload) -> bytes:
+        """Frame `nbits` bits packed in `payload` once in the current round
+        and send the frame to each recipient."""
+        frame = encode_frame(self.epoch, self._round, sender, range_id, nbits, payload)
         for other in recipients:
             self.transport.send(sender, other, frame)
         n = len(recipients)
-        self.transcript._bump(sender, n, bits.size * n, len(frame) * n)
+        self.transcript._bump(sender, n, nbits * n, len(frame) * n)
         return frame
 
     def _abort(self, recipient: int, kind: str, reason) -> TransportFailure:
@@ -515,18 +603,19 @@ class Engine:
             )
         self.transcript.rounds = self._round
 
-    def _broadcast_round(self, payload: np.ndarray, kind: str) -> np.ndarray:
-        """One communication round. Row i of `payload` is the i-th
-        computing party's, framed once and sent to every peer. Returns
-        each recipient's XOR of its own row and the rows it received, as
-        (parties, bits).
+    def _broadcast_round(self, packed: np.ndarray, kind: str) -> np.ndarray:
+        """One communication round. Row i of `packed`, (parties, rows,
+        width), is the i-th computing party's, framed once and sent to
+        every peer. Returns each recipient's XOR of its own row and the
+        rows it received, packed the same way.
         """
         self._round += 1
         rid = self._next_range()
-        nbits = payload[0].size
+        rows = packed.shape[1]
+        nbits = rows * self.batch
         own = [
-            self._post(pid, self._peers[pid], rid, row)[_HEAD.size : -_CRC.size]
-            for pid, row in zip(self.computing_ids, payload)
+            self._post(pid, self._peers[pid], rid, nbits, payload)[_HEAD.size : -_CRC.size]
+            for pid, payload in zip(self.computing_ids, _frame_payloads(packed, self.batch))
         ]
         # Per recipient: its own packed row, then those of its peers.
         parts = []
@@ -536,19 +625,19 @@ class Engine:
         self._end_round(kind)
         n = len(own)
         stack = np.frombuffer(b"".join(parts), dtype=np.uint8).reshape(n, n, len(own[0]))
-        return np.unpackbits(np.bitwise_xor.reduce(stack, axis=1), axis=1, count=nbits)
+        return _packed_rows(np.bitwise_xor.reduce(stack, axis=1), rows, self.batch)
 
     def open_wires(self, wires, kind: str) -> np.ndarray:
         """Broadcast-open a wire range; all parties reconstruct equally."""
         wires = list(wires)
         views = self._broadcast_round(self.parties.shares[:, wires], kind)
-        differ = np.flatnonzero((views != views[0]).any(axis=1))
+        differ = np.flatnonzero((views != views[0]).any(axis=(1, 2)))
         if differ.size:
             raise self._abort(
                 self.computing_ids[differ[0]], kind,
                 f"reconstructed another opening than party {self.computing_ids[0]}",
             )
-        return views[0].reshape(len(wires), self.batch)
+        return unpack_batch(views[0], self.batch)
 
     def run(self, inputs: dict[int, np.ndarray], rng_of, preset=None) -> np.ndarray:
         """Share inputs, evaluate, open and return outputs."""
@@ -572,5 +661,5 @@ class Engine:
     # persistence ----------------------------------------------------------------
 
     def persist_shares(self, pid: int, wires, range_id: int = 1) -> bytes:
-        bits = self.shares_of(pid)[list(wires)]
+        bits = unpack_batch(self.parties.shares[self._row[pid], list(wires)], self.batch)
         return encode_share_blob(pid, self.epoch, range_id, bits)

@@ -1,5 +1,7 @@
 """Random rounds through the protocol and the plaintext circuit at once,
-refereed by the brute-force oracle; a failure shrinks to a small case."""
+refereed by the brute-force oracle; a failure shrinks to a small case.
+A round holds 1, 3, 8 or 9 sessions, so the engine's packed batch axis
+runs at one bit per byte, ragged widths and whole bytes."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -33,14 +35,18 @@ def rounds(draw):
     pool = draw(st.lists(
         st.integers(1, (1 << sigma) - 1), min_size=u, max_size=n * u, unique=True
     ))
-    held = {
-        p: set(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=u, unique=True)))
-        for p in parties
-    }
+    sessions = draw(st.sampled_from([1, 3, 8, 9]))
+    batch = [
+        {
+            p: set(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=u, unique=True)))
+            for p in parties
+        }
+        for _ in range(sessions)
+    ]
     config = S.SessionConfig(
         parties=parties, sigma=sigma, variant=variant, mode=mode, n_servers=servers
     )
-    return config, held, draw(st.integers(0, 2**32 - 1))
+    return config, batch, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(
@@ -49,11 +55,12 @@ def rounds(draw):
 )
 @given(rounds())
 def test_random_rounds_match_oracle(case):
-    config, held, seed = case
-    result = S.run_sessions(config, [held], seed=seed, execution="both")
+    config, batch, seed = case
+    result = S.run_sessions(config, batch, seed=seed, execution="both")
     spec = config.variant
-    want = oracle.brute_force_shared(held, spec.kind, spec.m, frozenset(spec.fixed_parties))
-    reports = result.reports[0]
-    for p, values in held.items():
-        assert set(reports[p].statuses) == values
-        assert reports[p].shared == want[p]
+    assert len(result.reports) == len(batch)
+    for held, reports in zip(batch, result.reports):
+        want = oracle.brute_force_shared(held, spec.kind, spec.m, frozenset(spec.fixed_parties))
+        for p, values in held.items():
+            assert set(reports[p].statuses) == values
+            assert reports[p].shared == want[p]

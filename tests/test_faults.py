@@ -21,7 +21,8 @@ CONFIGS = {
 
 def _reframe(data, epoch_step=0, trim=0):
     epoch, round_no, sender, range_id, bits = mpc.decode_frame(data)
-    return mpc.encode_frame(epoch + epoch_step, round_no, sender, range_id, bits[: bits.size - trim])
+    return mpc.encode_frame(epoch + epoch_step, round_no, sender, range_id,
+                            *mpc.pack_bits(bits[: bits.size - trim]))
 
 
 # fault -> the frames that reach the queue in place of the original

@@ -48,17 +48,18 @@ def run_engine(circ, inputs, seed=0, batch=1, **kw):
 
 def test_frame_round_trip():
     bits = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.uint8)
-    frame = mpc.encode_frame(3, 17, 2, 9, bits)
+    frame = mpc.encode_frame(3, 17, 2, 9, *mpc.pack_bits(bits))
     epoch, rnd, sender, range_id, got = mpc.decode_frame(frame)
     assert (epoch, rnd, sender, range_id) == (3, 17, 2, 9)
     assert got.tolist() == bits.tolist()
     *head, nbits, payload = mpc.decode_frame(frame, packed=True)
     assert head == [3, 17, 2, 9] and nbits == bits.size
     assert payload == np.packbits(bits).tobytes()
+    assert mpc.encode_frame(*head, nbits, payload) == frame
 
 
 def test_frame_corruption_detected():
-    frame = bytearray(mpc.encode_frame(1, 1, 0, 0, np.ones(16, dtype=np.uint8)))
+    frame = bytearray(mpc.encode_frame(1, 1, 0, 0, *mpc.pack_bits(np.ones(16, dtype=np.uint8))))
     frame[7] ^= 0x40
     with pytest.raises(mpc.TransportFailure):
         mpc.decode_frame(bytes(frame))
@@ -68,7 +69,7 @@ def test_frame_corruption_detected():
 
 def test_read_frame_checks_every_header_field_and_the_bit_count():
     bits = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-    frame = mpc.encode_frame(3, 17, 2, 9, bits)
+    frame = mpc.encode_frame(3, 17, 2, 9, *mpc.pack_bits(bits))
     assert mpc.read_frame(frame, 3, 17, 2, 9, (2, 3)).tolist() == bits.tolist()
     for header, shape in [
         ((4, 17, 2, 9), (2, 3)),
@@ -102,6 +103,22 @@ def test_share_blob_round_trip_and_authorization():
         mpc.decode_share_blob(short + struct.pack("<I", zlib.crc32(short)), 4, 2, 1, (3, 2))
 
 
+# -- batch layout --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("batch", [1, 3, 8, 9, 64, 256])
+def test_pack_batch_round_trip_with_zero_padding(batch):
+    bits = np.random.default_rng(batch).integers(0, 2, size=(3, 5, batch), dtype=np.uint8)
+    packed = mpc.pack_batch(bits)
+    assert packed.dtype == np.uint8 and packed.shape == (3, 5, -(-batch // 8))
+    assert np.array_equal(mpc.unpack_batch(packed, batch), bits)
+    # np.packbits order: session j is bit 7 - j % 8 of byte j // 8, and
+    # the bits past the batch in a ragged last byte are zero
+    assert np.array_equal(packed, np.packbits(bits, axis=-1))
+    assert not np.unpackbits(packed, axis=-1)[..., batch:].any()
+    assert np.array_equal(mpc.unpack_batch(mpc.pack_batch(bits[0, 0]), batch), bits[0, 0])
+
+
 # -- correlated randomness -------------------------------------------------------
 
 
@@ -124,9 +141,14 @@ def test_triples_seed_determinism():
 def test_triples_batched_with_ragged_bit_count():
     n_parties, count, batch = 3, 7, 3  # 189 share bits per kind, not a multiple of 8
     pool = mpc.deal_triples(n_parties, count, seed=11, batch=batch)
-    assert pool.a.shape == pool.b.shape == pool.c.shape == (n_parties, count, batch)
-    a, b, c = (np.bitwise_xor.reduce(getattr(pool, name), axis=0) for name in "abc")
+    assert pool.a.shape == pool.b.shape == pool.c.shape == (n_parties, count, 1)
+    a, b, c = (
+        mpc.unpack_batch(np.bitwise_xor.reduce(getattr(pool, name), axis=0), batch)
+        for name in "abc"
+    )
     assert np.array_equal(c, a & b)
+    for name in "abc":  # padding bits stay zero
+        assert not (getattr(pool, name) & 0b00011111).any()
     again = mpc.deal_triples(n_parties, count, seed=11, batch=batch)
     other = mpc.deal_triples(n_parties, count, seed=12, batch=batch)
     for name in "abc":
@@ -141,11 +163,26 @@ def test_triples_batched_with_ragged_bit_count():
 
 
 def test_triple_pool_exhaustion():
-    pool = mpc.deal_triples(2, 4, seed=0)
-    ta, tb, tc = pool.take(3)
-    assert ta.shape == tb.shape == tc.shape == (2, 3, 1)
-    with pytest.raises(mpc.TriplePoolExhausted):
-        pool.take(2)
+    for batch, width in [(1, 1), (9, 2), (16, 2)]:
+        pool = mpc.deal_triples(2, 4, seed=0, batch=batch)
+        ta, tb, tc = pool.take(3)
+        assert ta.shape == tb.shape == tc.shape == (2, 3, width)
+        with pytest.raises(mpc.TriplePoolExhausted):
+            pool.take(2)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 16])
+def test_packed_triples_are_the_bit_stream_of_the_dealer(batch):
+    """Each kind is the dealer's raw 64-bit draws read as one bit stream,
+    (parties, count, batch) row-major, whatever the packing."""
+    n_parties, count = 3, 5
+    pool = mpc.deal_triples(n_parties, count, seed=4, batch=batch)
+    rng = np.random.default_rng(4)
+    size = n_parties * count * batch
+    for name in "ab":
+        words = rng.bit_generator.random_raw((size + 63) // 64).astype("<u8").view(np.uint8)
+        want = np.unpackbits(words, count=size).reshape(n_parties, count, batch)
+        assert np.array_equal(mpc.unpack_batch(getattr(pool, name), batch), want)
 
 
 def test_share_input_reconstruction():
@@ -252,7 +289,7 @@ def test_opening_aborts_when_recipients_reconstruct_differently():
         def send(self, sender, recipient, data):
             if (sender, recipient) == (0, 2):
                 *head, bits = mpc.decode_frame(data)
-                data = mpc.encode_frame(*head, bits ^ 1)
+                data = mpc.encode_frame(*head, *mpc.pack_bits(bits ^ 1))
             super().send(sender, recipient, data)
 
     b = CircuitBuilder()
@@ -351,22 +388,26 @@ def test_persist_and_load_round_trip():
 def test_engine_bytes_bounds_the_peak_of_building_an_engine():
     circ = CP.compile_circuit(CP.CircuitConfig(n_parties=3, inputs_per_party=2, sigma=8)).circuit
     and_count = circ.schedule().and_count  # memoized, so not measured below
-    tracemalloc.start()
-    try:
-        engine = mpc.Engine(circ, [0, 1, 2], batch=64)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    pool = engine.parties.pool
-    kept = engine.parties.shares.nbytes + pool.a.nbytes + pool.b.nbytes + pool.c.nbytes
-    assert kept < peak <= mpc.engine_bytes(3, circ.n_wires, and_count, 64)
+    for batch in (64, 9):  # byte-aligned, and ragged with dealer scratch
+        tracemalloc.start()
+        try:
+            engine = mpc.Engine(circ, [0, 1, 2], batch=batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pool = engine.parties.pool
+        kept = engine.parties.shares.nbytes + pool.a.nbytes + pool.b.nbytes + pool.c.nbytes
+        assert kept == (circ.n_wires + 3 * and_count) * 3 * -(-batch // 8)
+        assert kept < peak <= mpc.engine_bytes(3, circ.n_wires, and_count, batch)
 
 
 def test_engine_refuses_an_allocation_over_the_limit_before_making_it(monkeypatch):
     circ = CP.compile_circuit(CP.CircuitConfig(n_parties=3, inputs_per_party=2, sigma=8)).circuit
     and_count = circ.schedule().and_count  # memoized, so not measured below
     per_batch = mpc.engine_bytes(3, circ.n_wires, and_count, 1)
-    batch = (64 << 20) // per_batch + 1
+    batch = 8
+    while mpc.engine_bytes(3, circ.n_wires, and_count, batch) <= 64 << 20:
+        batch *= 2
     need = mpc.engine_bytes(3, circ.n_wires, and_count, batch)
     monkeypatch.setattr(mpc, "MAX_ENGINE_BYTES", need - 1)
     tracemalloc.start()
@@ -501,3 +542,49 @@ def test_transcript_is_identical_frame_for_frame(monkeypatch, name):
     assert got == TRANSCRIPT_DIGESTS[name]
     # "both" runs the plaintext circuit too and insists the outputs agree
     assert digest("both") == (got, reports)
+
+
+# SHA-256 over every (sender, recipient, frame) of one seeded engine run
+# on a random circuit, then the reactive and final openings and every
+# computing party's share blob, per batch width: one uint8 per bit, a
+# ragged width and whole bytes. Pinned with one uint8 per share bit, so
+# the packed batch layout must leave frames, openings and blobs as they
+# were.
+ENGINE_DIGESTS = {
+    1: "98f700bf26e853334b1458ee76e99658eebcf4597985272ea6dee0fdab96e9ca",
+    3: "b247eacd4f3f0d263022eb08c4feb1f800af8f82198de6e7de55581e005ee1b5",
+    9: "28cadd7fb04aa806e62fd0d1966ec956cf3682b32e4e1722baebd82100ebd0a2",
+    16: "cd57b98d37e5006f55d9ae51b2e2634e84a353ae00663d3aee925f5e14a01b2f",
+    256: "6754b594dc5a0bea9564f2141e03609e051921f0df33525be62ec5f81b7545ab",
+}
+
+
+@pytest.mark.parametrize("batch", sorted(ENGINE_DIGESTS))
+def test_engine_frames_openings_and_blobs_are_pinned(batch):
+    h = hashlib.sha256()
+
+    class Hashing(mpc.InProcessTransport):
+        def send(self, sender, recipient, data):
+            h.update(struct.pack("<III", sender, recipient, len(data)))
+            h.update(data)
+            super().send(sender, recipient, data)
+
+    circ = random_circuit(random.Random(batch), n_parties=3, gates=120)
+    ids = sorted(circ.input_map)
+    rng = np.random.default_rng(batch)
+    inputs = {
+        p: rng.integers(0, 2, size=(len(ws), batch), dtype=np.uint8)
+        for p, ws in circ.input_map.items()
+    }
+    engine = mpc.Engine(
+        circ, ids, dealer_seed=batch, batch=batch, epoch=2, transport=Hashing(),
+        reactive=[mpc.ReactiveOpen(circ.output_wires[:2], lambda bits: h.update(bits.tobytes()))],
+    )
+    rngs = {p: np.random.default_rng(50 + p) for p in ids}
+    out = engine.run(inputs, lambda p: rngs[p])
+    assert out.dtype == np.uint8 and np.array_equal(out, circ.evaluate(inputs))
+    h.update(out.tobytes())
+    wires = [w for p in ids for w in circ.input_map[p]]
+    for pid in ids:
+        h.update(engine.persist_shares(pid, wires, range_id=pid + 1))
+    assert h.hexdigest() == ENGINE_DIGESTS[batch]
