@@ -27,9 +27,21 @@ DEFAULT_GATE_CAP = 20_000_000
 # -- config file handling ---------------------------------------------------------
 
 
+def _require(entry: dict, names, where: str):
+    """Raise `ConfigMismatch` naming the first of `names` that `entry` lacks."""
+    if not isinstance(entry, dict):
+        raise S.ConfigMismatch(f"{where} is not an object")
+    for name in names:
+        if name not in entry:
+            raise S.ConfigMismatch(f"{where} has no {name!r}")
+
+
 def load_session_config(path: Path):
     """Session config file plus the parties' stockpile hash files."""
     raw = json.loads(path.read_text())
+    _require(raw, ["parties"], f"config file {path}")
+    for n, entry in enumerate(raw["parties"]):
+        _require(entry, ["id", "stockpile"], f"party entry {n} of {path}")
     variant = raw.get("variant", {"kind": "at-least-two"})
     spec = S.VariantSpec(
         kind=variant.get("kind", "at-least-two"),

@@ -14,31 +14,39 @@ The computing parties are simulated together, in the SIMD layout that
 ABY and MOTION use for GMW: all their shares live in one party-first
 `uint8` tensor of shape (parties, wires, ceil(batch / 8)), with the
 batch axis packed eight sessions to a byte, most significant bit first
-(`np.packbits` order; `pack_batch` and `unpack_batch` hold the rule, and
-the padding bits of a ragged last byte are zero). Row i of it and of the
-dealer's triple arrays, packed the same way, belongs to the i-th
-computing party. The gate kernels are bitwise, so an XOR group is one
-numpy operation for every party over one eighth of the bytes, and an
-AND layer is one mask, one reconstruction and one product for all of
-them; only party 0 adds d & e. No party's row is computed from another
-party's row except through the frames the round carries. Everything
-outside the engine (inputs, openings, `shares_of`, share blobs) speaks
-one `uint8` per bit and converts at that boundary.
+(`np.packbits` order; the padding bits of a ragged last byte are zero).
+Row i of it and of the dealer's triple arrays, packed the same way,
+belongs to the i-th computing party. The gate kernels are bitwise, so
+an XOR group is one numpy operation for every party over one eighth of
+the bytes, and an AND layer is one mask, one reconstruction and one
+product for all of them; only party 0 adds d & e. No party's row is
+computed from another party's row except through the frames the round
+carries.
+
+Two pairs of functions, and no other code, know the batch widths:
+`pack_batch`/`unpack_batch` convert between 0/1 bits and packed rows,
+and `_frame_payloads`/`_packed_rows` between packed rows and frame
+payloads. Everything outside the engine (inputs, openings, `shares_of`,
+share blobs) speaks one `uint8` per bit and converts through the first
+pair. Every frame payload goes through the second, and so does the
+dealer's raw random stream, which is read as the frame payload of
+(parties * count, batch) bits.
 
 All messages and share blobs use one framed wire format: a version
 byte, little-endian (epoch, round, sender, wire-range id, bit count),
 the payload, the bits of its (rows, batch) block packed row-major and
 MSB-first, and a trailing CRC32 over everything before it. When the
 batch is a multiple of 8, that payload is the block's packed rows byte
-for byte, so a round frames the rows as they are and reshapes what it
-receives; at any other width each round converts between the two once,
-for all parties. Input shares travel in round 0 and each takes a fresh
-range id; a protocol round's frames share one. In a protocol round each
-sender's payload is framed once and sent to every peer. Each recipient
-checks every frame it received (checksum, version, length, all four
-header fields and the bit count) and XORs their payloads with its own,
-so each recipient's reconstruction is made only from the frames that
-recipient received. An opening insists that all recipients agree. A
+for byte. `decode_frame` returns the header, the bit count and the
+packed payload, and `read_frame` is the one reader that checks them
+against what the reader expects. Input shares travel in round 0 and
+each takes a fresh range id; a protocol round's frames share one. In a
+protocol round each sender's payload is framed once and sent to every
+peer. Each recipient checks every frame it received (checksum, version,
+length, all four header fields and the bit count) and XORs their
+payloads onto its own, so each recipient's reconstruction is made only
+from the frames that recipient received. An opening insists that all
+recipients agree. A
 share blob is a round-0 frame whose sender is the computing party
 holding it and whose range id names the input owner (slot + 1), so a
 blob handed back for the wrong owner, party or epoch is refused. A
@@ -106,7 +114,7 @@ class CorruptBlob(MpcError):
 
 def encode_frame(epoch: int, round_no: int, sender: int, range_id: int, nbits: int, payload) -> bytes:
     """A frame of `nbits` bits whose packed payload is the C-contiguous
-    bytes-like `payload`; the inverse of `decode_frame(packed=True)`."""
+    bytes-like `payload`; the inverse of `decode_frame`."""
     head = _HEAD.pack(FRAME_VERSION, epoch, round_no, sender, range_id, nbits)
     body = head + bytes(payload)
     return body + _CRC.pack(zlib.crc32(body))
@@ -119,11 +127,10 @@ def pack_bits(bits) -> tuple[int, np.ndarray]:
     return flat.size, np.packbits(flat)
 
 
-def decode_frame(data: bytes, packed: bool = False):
-    """(epoch, round, sender, range id, bits) of a frame that passes its
-    checksum, version and length checks. With `packed`, the bits come as
-    two items instead, the bit count and the packed payload bytes, for a
-    reader that unpacks many frames in one call."""
+def decode_frame(data: bytes):
+    """(epoch, round, sender, range id, bit count, packed payload) of a
+    frame that passes its checksum, version and length checks; the
+    inverse of `encode_frame`."""
     if len(data) < _HEAD.size + _CRC.size:
         raise TransportFailure("frame shorter than header")
     if zlib.crc32(data) != _CRC_RESIDUE:
@@ -134,32 +141,22 @@ def decode_frame(data: bytes, packed: bool = False):
     payload = data[_HEAD.size : -_CRC.size]
     if len(payload) != (nbits + 7) // 8:
         raise TransportFailure("payload length disagrees with bit count")
-    if packed:
-        return epoch, round_no, sender, range_id, nbits, payload
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits)
-    return epoch, round_no, sender, range_id, bits
+    return epoch, round_no, sender, range_id, nbits, payload
 
 
-def _expect(data: bytes, want: list, nbits: int, mismatch=TransportFailure) -> bytes:
-    """The packed payload of a frame that must carry the header fields
-    `want` and `nbits` bits; raises `mismatch` when one differs."""
-    *head, got, payload = decode_frame(data, packed=True)
+def read_frame(data: bytes, epoch: int, round_no: int, sender: int, range_id: int,
+               nbits: int, mismatch=TransportFailure) -> bytes:
+    """The packed payload of a frame that must carry exactly this header
+    and `nbits` bits; raises `mismatch` when a header field or the bit
+    count differs."""
+    *head, got, payload = decode_frame(data)
+    want = [epoch, round_no, sender, range_id]
     if head != want or got != nbits:
         raise mismatch(
             f"frame (epoch, round, sender, range) {tuple(head)} with {got} bits, "
             f"expected {tuple(want)} with {nbits}"
         )
     return payload
-
-
-def read_frame(data: bytes, epoch: int, round_no: int, sender: int, range_id: int,
-               shape: tuple, mismatch=TransportFailure) -> np.ndarray:
-    """Decode a frame that must carry exactly this header and `shape` bits.
-
-    Raises `mismatch` when a header field or the bit count differs."""
-    nbits = math.prod(shape)
-    payload = _expect(data, [epoch, round_no, sender, range_id], nbits, mismatch)
-    return np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits).reshape(shape)
 
 
 def encode_share_blob(party: int, epoch: int, range_id: int, bits: np.ndarray) -> bytes:
@@ -169,10 +166,12 @@ def encode_share_blob(party: int, epoch: int, range_id: int, bits: np.ndarray) -
 def decode_share_blob(data: bytes, party: int, epoch: int, range_id: int, shape: tuple) -> np.ndarray:
     """A blob's bits as `shape`: `CorruptBlob` if it fails its checksum or
     length, `EpochMismatch` if it belongs to another party, epoch or owner."""
+    nbits = math.prod(shape)
     try:
-        return read_frame(data, epoch, 0, party, range_id, shape, mismatch=EpochMismatch)
+        payload = read_frame(data, epoch, 0, party, range_id, nbits, mismatch=EpochMismatch)
     except TransportFailure as exc:
         raise CorruptBlob(str(exc)) from exc
+    return np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits).reshape(shape)
 
 
 # -- batch layout ----------------------------------------------------------------
@@ -212,13 +211,12 @@ def unpack_batch(packed: np.ndarray, batch: int) -> np.ndarray:
 
 def _frame_payloads(packed: np.ndarray, batch: int) -> np.ndarray:
     """Frame payloads of (parties, rows, width) packed rows, one row of
-    packed (rows, batch) bits per party."""
+    packed (rows, batch) bits per party; at a batch that is a multiple
+    of 8, a view of `packed`."""
     n = packed.shape[0]
     if batch % 8 == 0:
         return packed.reshape(n, -1)
-    # packbits counts any nonzero byte as 1, so a batch-1 row needs no unpacking
-    bits = packed if batch == 1 else unpack_batch(packed, batch)
-    return np.packbits(bits.reshape(n, -1), axis=1)
+    return np.packbits(unpack_batch(packed, batch).reshape(n, -1), axis=1)
 
 
 def _packed_rows(payloads: np.ndarray, rows: int, batch: int) -> np.ndarray:
@@ -228,6 +226,7 @@ def _packed_rows(payloads: np.ndarray, rows: int, batch: int) -> np.ndarray:
         return payloads.reshape(n, rows, batch // 8)
     bits = np.unpackbits(payloads, axis=1, count=rows * batch).reshape(n, rows, batch)
     if batch == 1:
+        # the unpacked bits are ours, so move each to the top in place
         return np.multiply(bits, _MSB, out=bits)
     return pack_batch(bits)
 
@@ -261,25 +260,19 @@ def deal_triples(n_parties: int, count: int, seed, batch: int = 1) -> TriplePool
     as one stacked pool in the packed batch layout; deterministic under
     seed.
 
-    Each kind's share bits are one run of raw 64-bit draws, read as a
-    bit stream in `np.packbits` order, (parties, count, batch) row-major.
+    Each kind's share bits are one run of raw 64-bit draws, read as the
+    frame payload of (parties * count, batch) bits.
     """
     rng = np.random.default_rng(seed)
-    size = n_parties * count * batch
+    rows = n_parties * count
 
     def share_rows():
         # One array per kind, made from raw 64-bit draws with no other
         # copy: a single array for all three kinds, or `rng.bytes` (which
         # copies its buffer), raised the process's peak RSS.
-        words = rng.bit_generator.random_raw((size + 63) // 64)
-        raw = words.astype("<u8", copy=False).view(np.uint8)
-        if batch % 8 == 0:
-            # the stream's bytes are already the packed rows
-            return raw[: size // 8].reshape(n_parties, count, batch // 8)
-        bits = np.unpackbits(raw, count=size).reshape(n_parties, count, batch)
-        if batch == 1:
-            return np.multiply(bits, _MSB, out=bits)
-        return pack_batch(bits)
+        words = rng.bit_generator.random_raw((rows * batch + 63) // 64)
+        payload = words.astype("<u8", copy=False).view(np.uint8)[: -(-rows * batch // 8)]
+        return _packed_rows(payload[None], rows, batch).reshape(n_parties, count, -(-batch // 8))
 
     a_sh, b_sh, c_sh = share_rows(), share_rows(), share_rows()
     a = np.bitwise_xor.reduce(a_sh, axis=0)
@@ -570,7 +563,7 @@ class Engine:
         self._range_id += 1
         return self._range_id
 
-    def _post(self, sender: int, recipients: list[int], range_id: int, nbits: int, payload) -> bytes:
+    def _post(self, sender: int, recipients: list[int], range_id: int, nbits: int, payload):
         """Frame `nbits` bits packed in `payload` once in the current round
         and send the frame to each recipient."""
         frame = encode_frame(self.epoch, self._round, sender, range_id, nbits, payload)
@@ -578,7 +571,6 @@ class Engine:
             self.transport.send(sender, other, frame)
         n = len(recipients)
         self.transcript._bump(sender, n, nbits * n, len(frame) * n)
-        return frame
 
     def _abort(self, recipient: int, kind: str, reason) -> TransportFailure:
         return TransportFailure(f"recipient {recipient}, {kind} round {self._round}: {reason}")
@@ -588,7 +580,7 @@ class Engine:
         be this round's `range_id` and to carry `nbits` bits."""
         try:
             data = self.transport.recv(recipient, sender)
-            return _expect(data, [self.epoch, self._round, sender, range_id], nbits)
+            return read_frame(data, self.epoch, self._round, sender, range_id, nbits)
         except TransportFailure as exc:
             raise self._abort(recipient, kind, exc) from exc
 
@@ -613,19 +605,21 @@ class Engine:
         rid = self._next_range()
         rows = packed.shape[1]
         nbits = rows * self.batch
-        own = [
-            self._post(pid, self._peers[pid], rid, nbits, payload)[_HEAD.size : -_CRC.size]
-            for pid, payload in zip(self.computing_ids, _frame_payloads(packed, self.batch))
-        ]
-        # Per recipient: its own packed row, then those of its peers.
-        parts = []
-        for recipient, mine in zip(self.computing_ids, own):
-            parts.append(mine)
-            parts.extend(self._take(recipient, sender, rid, nbits, kind) for sender in self._peers[recipient])
+        own = _frame_payloads(packed, self.batch)
+        for pid, payload in zip(self.computing_ids, own):
+            self._post(pid, self._peers[pid], rid, nbits, payload)
+        # Per recipient, the payloads of its peers.
+        received = b"".join(
+            self._take(recipient, sender, rid, nbits, kind)
+            for recipient in self.computing_ids
+            for sender in self._peers[recipient]
+        )
         self._end_round(kind)
-        n = len(own)
-        stack = np.frombuffer(b"".join(parts), dtype=np.uint8).reshape(n, n, len(own[0]))
-        return _packed_rows(np.bitwise_xor.reduce(stack, axis=1), rows, self.batch)
+        n, size = own.shape
+        peers = np.frombuffer(received, dtype=np.uint8).reshape(n, n - 1, size)
+        opened = np.bitwise_xor.reduce(peers, axis=1)
+        opened ^= own
+        return _packed_rows(opened, rows, self.batch)
 
     def open_wires(self, wires, kind: str) -> np.ndarray:
         """Broadcast-open a wire range; all parties reconstruct equally."""

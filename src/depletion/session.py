@@ -462,6 +462,8 @@ def run_sessions(
     for sp in stockpiles_batch:
         if set(sp) != set(slots):
             raise UnknownParty(f"stockpile parties {sorted(sp)} differ from the configured {slots}")
+    if inject_unsorted is not None and inject_unsorted not in slots:
+        raise UnknownParty(f"party {inject_unsorted} to leave unsorted is not in the configured {slots}")
     values = [{p: _distinct_values(sp[p], config.sigma) for p in slots} for sp in stockpiles_batch]
 
     def prepare(u, party_rngs):
@@ -579,6 +581,9 @@ class Session:
         preset: dict[int, set[int]] = {}
         if not self.store:
             return preset
+        # per computing party, the wires of every kept record and their bits
+        wires = {cp: [] for cp in engine.computing_ids}
+        bits = {cp: [] for cp in engine.computing_ids}
         for i, p in enumerate(self.slots):
             old = {r.v: j for j, r in enumerate(self.state[p].submitted)}
             stored = [
@@ -589,8 +594,10 @@ class Session:
             if not stored:
                 continue
             v_wires = compiled.v_wires(i)
+            kept = [w for new_slot, _ in stored for w in v_wires[new_slot]]
             offset = {w: j for j, w in enumerate(compiled.circuit.input_map[i])}
-            preset[i] = {offset[w] for new_slot, _ in stored for w in v_wires[new_slot]}
+            preset[i] = {offset[w] for w in kept}
+            old_slots = [old_slot for _, old_slot in stored]
             for cp in engine.computing_ids:
                 entry = self.store.get((cp, i))
                 if entry is None:
@@ -598,10 +605,11 @@ class Session:
                 saved_epoch, blob = entry
                 old_shape = (len(self.state[p].submitted), sigma)
                 rows = mpc.decode_share_blob(blob, cp, saved_epoch, i + 1, old_shape)
-                for new_slot, old_slot in stored:
-                    engine.restore_shares(
-                        cp, v_wires[new_slot], rows[old_slot][:, None]
-                    )
+                wires[cp] += kept
+                bits[cp].append(rows[old_slots].reshape(-1, 1))
+        if preset:
+            for cp in engine.computing_ids:
+                engine.restore_shares(cp, wires[cp], np.concatenate(bits[cp]))
         return preset
 
     def _persist(self, engine, compiled):

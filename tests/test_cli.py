@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from depletion import cli
 from depletion.circuit import load_circuit_text
 
@@ -170,6 +172,16 @@ def test_simulate_unsorted_injection_exit_code(tmp_path, capsys):
     assert "AbortUnsorted: parties=[1]" in capsys.readouterr().err
 
 
+def test_simulate_unknown_unsorted_party_exit_code(tmp_path, capsys):
+    config = write_session_files(tmp_path, {0: [10, 22], 1: [22, 40]})
+    code = run([
+        "--seed", "7", "simulate", "--config", str(config),
+        "--out-dir", str(tmp_path / "out"), "--inject-unsorted", "7",
+    ])
+    assert code == 2
+    assert "UnknownParty" in capsys.readouterr().err
+
+
 def test_simulate_outsourced_matches_direct(tmp_path):
     pools = {p: [2 * p + 1, 99] for p in range(8)}
     direct_cfg = write_session_files(tmp_path, pools)
@@ -198,6 +210,22 @@ def test_oracle_command(tmp_path, capsys):
     assert run(["oracle", "--config", str(config)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["0"] == [f"{22:04x}"]
+
+
+@pytest.mark.parametrize("drop, missing", [
+    (lambda cfg: cfg.pop("parties"), "'parties'"),
+    (lambda cfg: cfg["parties"][1].pop("id"), "'id'"),
+    (lambda cfg: cfg["parties"][0].pop("stockpile"), "'stockpile'"),
+    (lambda cfg: cfg["parties"].append(2), "not an object"),
+], ids=["parties", "id", "stockpile", "entry"])
+def test_config_missing_field_exit_code(tmp_path, capsys, drop, missing):
+    path = write_session_files(tmp_path, {0: [10, 22], 1: [22, 40]})
+    config = json.loads(path.read_text())
+    drop(config)
+    path.write_text(json.dumps(config))
+    assert run(["oracle", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigMismatch" in err and missing in err
 
 
 def test_ledger_cycle(tmp_path, capsys):

@@ -7,6 +7,7 @@ message must name the recipient of the faulted frame and the kind of
 round.
 """
 
+import numpy as np
 import pytest
 
 from depletion import mpc, oracle
@@ -20,9 +21,9 @@ CONFIGS = {
 
 
 def _reframe(data, epoch_step=0, trim=0):
-    epoch, round_no, sender, range_id, bits = mpc.decode_frame(data)
-    return mpc.encode_frame(epoch + epoch_step, round_no, sender, range_id,
-                            *mpc.pack_bits(bits[: bits.size - trim]))
+    epoch, round_no, sender, range_id, nbits, payload = mpc.decode_frame(data)
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits - trim)
+    return mpc.encode_frame(epoch + epoch_step, round_no, sender, range_id, *mpc.pack_bits(bits))
 
 
 # fault -> the frames that reach the queue in place of the original

@@ -466,6 +466,16 @@ def test_run_sessions_rejects_missing_or_unknown_party():
         S.run_sessions(cfg2(), [{0: {5}, 1: {5}}, {0: {5}, 1: {5}, 2: {5}}], seed=1)
 
 
+def test_unknown_unsorted_party_is_refused_before_negotiation(monkeypatch):
+    def negotiate(*args):
+        raise AssertionError("negotiation started")
+
+    monkeypatch.setattr(S, "negotiate_u", negotiate)
+    config = S.SessionConfig((0, 1, 2), sigma=16)
+    with pytest.raises(S.UnknownParty, match="party 7"):
+        S.run_sessions(config, [{0: {5}, 1: {5}, 2: {6}}], 1, inject_unsorted=7)
+
+
 def test_run_epoch_rejects_unknown_execution():
     sess = S.Session(cfg2(), {0: {1}, 1: {2}}, seed=44)
     with pytest.raises(S.SessionError):
