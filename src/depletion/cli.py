@@ -1,4 +1,10 @@
-"""Operator entry points: idgen, compile, simulate, oracle, ledger, bench."""
+"""Operator entry points: idgen, compile, simulate, oracle, ledger.
+
+`compile --counts-only` gives the exact AND and XOR counts of any
+(N, u, sigma) without building the circuit. The measured cost of a run
+(rounds, bytes, triples) is in the `transcript.json` that `simulate`
+writes; repeated timings are `perfbench`'s.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +13,7 @@ import json
 import logging
 import os
 import sys
-import time
 from pathlib import Path
-
-import numpy as np
 
 from . import compiler as CP
 from . import ledger as LG
@@ -40,9 +43,12 @@ def load_session_config(path: Path):
     """Session config file plus the parties' stockpile hash files."""
     raw = json.loads(path.read_text())
     _require(raw, ["parties"], f"config file {path}")
+    if not isinstance(raw["parties"], list):
+        raise S.ConfigMismatch(f"'parties' of {path} is not a list")
     for n, entry in enumerate(raw["parties"]):
         _require(entry, ["id", "stockpile"], f"party entry {n} of {path}")
     variant = raw.get("variant", {"kind": "at-least-two"})
+    _require(variant, [], f"'variant' of {path}")
     spec = S.VariantSpec(
         kind=variant.get("kind", "at-least-two"),
         m=int(variant.get("m", 1)),
@@ -267,80 +273,6 @@ def cmd_ledger(args) -> int:
     raise ValueError(f"unknown ledger action {args.action!r}")
 
 
-def cmd_bench(args) -> int:
-    parties = [int(x) for x in args.parties_list.split(",")]
-    inputs = [int(x) for x in args.u_list.split(",")]
-    rows = []
-    for n in parties:
-        for u in inputs:
-            layers = args.layers if args.layers else n
-            cfg = CP.CircuitConfig(
-                n_parties=n,
-                inputs_per_party=u,
-                sigma=args.sigma,
-                control_parties=tuple(range(layers)),
-            )
-            stages = CP.stage_counts(cfg)
-            and_total = sum(s.and_count for s in stages)
-            gate_total = and_total + sum(s.xor_count for s in stages)
-            row = {
-                "parties": n,
-                "u": u,
-                "sigma": args.sigma,
-                "stages": {s.name: s.and_count for s in stages},
-                "and_total": and_total,
-                "bounds": CP.stage_bounds(cfg),
-            }
-            if gate_total <= args.exec_cap:
-                rng = np.random.default_rng(args.seed or 0)
-                pools = {
-                    p: rng.choice(
-                        np.arange(1, 1 << min(args.sigma, 20)), size=u, replace=False
-                    ).tolist()
-                    for p in range(n)
-                }
-                config = S.SessionConfig(parties=tuple(range(n)), sigma=args.sigma)
-                start = time.perf_counter()
-                result = S.run_sessions(config, [pools], seed=args.seed, execution="mpc")
-                elapsed = time.perf_counter() - start
-                t = result.transcript
-                row.update(
-                    rounds=t.rounds,
-                    bytes_moved=t.total_bytes(),
-                    seconds=round(elapsed, 3),
-                    measured=True,
-                )
-            else:
-                est_bits = 2 * and_total * n * (n - 1)
-                row.update(
-                    rounds=None,
-                    bytes_moved=est_bits // 8,
-                    seconds=None,
-                    measured=False,
-                )
-            rows.append(row)
-    print(
-        "# protocol: in-process semi-honest XOR sharing with dealer triples;"
-    )
-    print(
-        "# wall times and bytes are NOT comparable to figures published for"
-        " other protocol stacks or hardware."
-    )
-    header = f"{'N':>3} {'u':>6} {'AND total':>12} {'rounds':>8} {'bytes':>14} {'seconds':>9} measured"
-    print(header)
-    for row in rows:
-        rounds = row["rounds"] if row["rounds"] is not None else "-"
-        secs = row["seconds"] if row["seconds"] is not None else "-"
-        print(
-            f"{row['parties']:>3} {row['u']:>6} {row['and_total']:>12} "
-            f"{rounds:>8} {row['bytes_moved']:>14} {secs:>9} {row['measured']}"
-        )
-    if args.out:
-        Path(args.out).write_text(json.dumps(rows, indent=2) + "\n")
-        print(f"rows -> {args.out}")
-    return 0
-
-
 # -- parser ------------------------------------------------------------------------
 
 
@@ -401,15 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_ledger)
 
-    p = sub.add_parser("bench", help="gate counts and protocol cost per (N, u)")
-    p.add_argument("--parties-list", default="2,5")
-    p.add_argument("--u-list", default="100,500")
-    p.add_argument("--sigma", type=int, default=256)
-    p.add_argument("--layers", type=int, default=0)
-    p.add_argument("--exec-cap", type=int, default=10_000_000,
-                   help="run the protocol live when the gate count fits")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

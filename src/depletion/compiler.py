@@ -349,7 +349,7 @@ def build_max_circuit(n_parties: int, count_bits: int = 20) -> BooleanCircuit:
 
 
 def manifest(cfg: CircuitConfig, stages: list[CompiledStage], depth_and: int | None = None) -> dict:
-    """Stage manifest for files and the benchmark reporter."""
+    """Stage manifest that `depletion compile` writes."""
     bounds = stage_bounds(cfg)
     rows = []
     for st in stages:

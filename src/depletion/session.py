@@ -69,6 +69,8 @@ class SessionConfig:
             raise ConfigMismatch("need at least two distinct active parties")
         if self.sigma < 2:
             raise ConfigMismatch("sigma too small")
+        if not 0 <= self.epoch < 1 << 32:
+            raise ConfigMismatch(f"epoch {self.epoch} does not fit the frame header's 32 bits")
         if self.mode not in ("direct", "outsourced"):
             raise ConfigMismatch(f"unknown mode {self.mode!r}")
         if self.mode == "outsourced" and not 1 <= self.n_servers < len(self.parties):
@@ -544,6 +546,7 @@ class Session:
         """Run this epoch's round; the parties' records are committed
         only once it has succeeded, so a failed epoch can be retried."""
         config = replace(self.config, epoch=self.epoch)
+        config.validate()
         values = {
             p: st.submitted_values + sorted(set(st.pending) - st.real_values)
             for p, st in self.state.items()

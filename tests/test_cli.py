@@ -217,7 +217,12 @@ def test_oracle_command(tmp_path, capsys):
     (lambda cfg: cfg["parties"][1].pop("id"), "'id'"),
     (lambda cfg: cfg["parties"][0].pop("stockpile"), "'stockpile'"),
     (lambda cfg: cfg["parties"].append(2), "not an object"),
-], ids=["parties", "id", "stockpile", "entry"])
+    (lambda cfg: cfg.update(variant="at-least-two"), "'variant'"),
+    (lambda cfg: cfg.update(parties=5), "'parties'"),
+    (lambda cfg: cfg.update(epoch=-1), "epoch -1"),
+    (lambda cfg: cfg.update(epoch=1 << 32), f"epoch {1 << 32}"),
+], ids=["parties", "id", "stockpile", "entry", "variant-shape", "parties-shape",
+        "epoch-negative", "epoch-too-large"])
 def test_config_missing_field_exit_code(tmp_path, capsys, drop, missing):
     path = write_session_files(tmp_path, {0: [10, 22], 1: [22, 40]})
     config = json.loads(path.read_text())
@@ -273,40 +278,3 @@ def test_ledger_attack_command(tmp_path, capsys):
         "--report", str(report),
     ]) == 0
     assert "recovered: 1 (100.0%)" in report.read_text()
-
-
-def test_bench_small_grid(tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    code = run([
-        "--seed", "5", "bench", "--parties-list", "2,3", "--u-list", "2,4",
-        "--sigma", "8", "--exec-cap", "200000", "--out", str(out),
-    ])
-    assert code == 0
-    rows = json.loads(out.read_text())
-    assert len(rows) == 4
-    assert all(r["measured"] for r in rows)
-    by_key = {(r["parties"], r["u"]): r for r in rows}
-    assert by_key[(2, 2)]["bytes_moved"] < by_key[(2, 4)]["bytes_moved"]
-    assert by_key[(2, 4)]["bytes_moved"] < by_key[(3, 4)]["bytes_moved"]
-    assert by_key[(2, 2)]["and_total"] < by_key[(3, 2)]["and_total"]
-    assert "NOT comparable" in capsys.readouterr().out
-
-
-def test_bench_and_column_equals_compile_manifest(tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    assert run([
-        "bench", "--parties-list", "2", "--u-list", "4", "--sigma", "8",
-        "--exec-cap", "0", "--out", str(out),
-    ]) == 0
-    row = json.loads(out.read_text())[0]
-    report = tmp_path / "manifest.json"
-    assert run([
-        "compile", "--parties", "2", "--u", "4", "--sigma", "8",
-        "--counts-only", "--out", str(tmp_path / "c.txt"),
-        "--report", str(report),
-    ]) == 0
-    man = json.loads(report.read_text())
-    assert row["and_total"] == man["total_and"]
-    assert row["stages"] == {
-        r["name"]: r["and_count"] for r in man["stages"]
-    }

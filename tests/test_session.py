@@ -382,6 +382,22 @@ def test_session_survives_more_than_64_epochs():
         assert reports[0].shared == {9} and reports[1].shared == {9}
 
 
+@pytest.mark.parametrize("epoch", [-1, 1 << 32])
+def test_epoch_outside_the_frame_header_is_a_config_mismatch(epoch):
+    with pytest.raises(S.ConfigMismatch, match="epoch"):
+        S.run_sessions(cfg2(epoch=epoch), [{0: {5}, 1: {5}}], seed=0)
+    with pytest.raises(S.ConfigMismatch, match="epoch"):
+        S.Session(cfg2(epoch=epoch), {0: {5}, 1: {5}}, seed=0)
+
+
+def test_session_cannot_advance_past_the_last_frame_epoch():
+    sess = S.Session(cfg2(epoch=(1 << 32) - 1), {0: {5, 9}, 1: {9}}, seed=43)
+    assert sess.run_epoch().reports[0][0].shared == {9}
+    sess.epoch_advance({})
+    with pytest.raises(S.ConfigMismatch, match="epoch"):
+        sess.run_epoch()
+
+
 def test_compile_cache_drops_circuits_of_past_epochs():
     sess = S.Session(cfg2(sigma=12), {0: {5}, 1: {6}}, seed=41)
     first = weakref.ref(sess.run_epoch(execution="plaintext").compiled)
