@@ -52,10 +52,6 @@ class GateCounts:
     xor_count: int
     depth_and: int
 
-    @property
-    def total(self) -> int:
-        return self.and_count + self.xor_count
-
 
 @dataclass
 class Layer:
@@ -97,20 +93,20 @@ def _wire_indices(values) -> np.ndarray:
 class BooleanCircuit:
     """Immutable gate list with per-party input map and output wires.
 
-    `wire_level` (full topological level) and `wire_depth` (AND depth)
-    hold one entry per wire, as `CircuitBuilder` recorded them while it
-    emitted the gates. A circuit made without levels (a
-    loaded text file, a hand-built gate list) gets them by replaying its
-    gates through a `CircuitBuilder`.
+    Gate g drives wire 1 + (input wires) + g, so the circuit stores only
+    each gate's kind and input wires. `wire_level` (full topological
+    level) and `wire_depth` (AND depth) hold one entry per wire, as
+    `CircuitBuilder` recorded them while it emitted the gates. A circuit
+    made without levels (a loaded text file, a hand-built gate list)
+    gets them by replaying its gates through a `CircuitBuilder`.
     """
 
-    def __init__(self, n_wires, kind, in_a, in_b, out, input_map, output_wires,
+    def __init__(self, n_wires, kind, in_a, in_b, input_map, output_wires,
                  *, wire_level=None, wire_depth=None):
         self.n_wires = int(n_wires)
         self.kind = np.asarray(kind, dtype=np.uint8)
         self.in_a = _wire_indices(in_a)
         self.in_b = _wire_indices(in_b)
-        self.out = _wire_indices(out)
         self.input_map = {int(p): list(map(int, ws)) for p, ws in input_map.items()}
         self.output_wires = list(map(int, output_wires))
         self.const_one = 0
@@ -133,7 +129,7 @@ class BooleanCircuit:
 
     def _validate(self) -> None:
         n_in, n_gates = self.n_input_wires, self.n_gates
-        if not len(self.in_a) == len(self.in_b) == len(self.out) == n_gates:
+        if not len(self.in_a) == len(self.in_b) == n_gates:
             raise CircuitError("gate arrays differ in length")
         if self.n_wires != 1 + n_in + n_gates:
             raise CircuitError("wire count does not match inputs + gates")
@@ -142,13 +138,10 @@ class BooleanCircuit:
         ))
         if not np.array_equal(inputs, np.arange(1, 1 + n_in)):
             raise CircuitError("input wires must be 1..n_inputs, each listed once")
-        bad = np.flatnonzero(self.out != np.arange(1 + n_in, self.n_wires, dtype=np.int32))
-        if bad.size:
-            g = int(bad[0])
-            raise CircuitError(f"gate {g} output {self.out[g]} breaks SSA ordering")
-        # with outputs in SSA order, a gate may read only wires below its own
+        # a gate may read only wires below the one it drives
+        drives = np.arange(1 + n_in, self.n_wires, dtype=np.int32)
         bad = np.flatnonzero(
-            (self.in_a < 0) | (self.in_a >= self.out) | (self.in_b < 0) | (self.in_b >= self.out)
+            (self.in_a < 0) | (self.in_a >= drives) | (self.in_b < 0) | (self.in_b >= drives)
         )
         if bad.size:
             raise CircuitError(f"gate {int(bad[0])} reads a wire not yet driven")
@@ -531,11 +524,9 @@ class CircuitBuilder(BuilderBase):
         return bufs
 
     def finish(self, output_wires) -> BooleanCircuit:
-        n_in = sum(len(w) for w in self._input_map.values())
-        out = np.arange(1 + n_in, self._n_wires, dtype=np.int32)
         kind, a, b, level, depth = self._trim()
         return BooleanCircuit(
-            self._n_wires, kind, a, b, out,
+            self._n_wires, kind, a, b,
             self._input_map, np.ravel(output_wires),
             wire_level=level, wire_depth=depth,
         )
@@ -603,8 +594,10 @@ _KIND_VALUES = {v: k for k, v in _KIND_NAMES.items()}
 
 def save_circuit_text(circuit: BooleanCircuit) -> str:
     """Serialize to the line format: header `W G I O`, one gate per
-    line, then CONST1/INPUTS/OUTPUTS trailer. Round-trips bit-exactly.
+    line (kind, input wires, the wire it drives), then CONST1/INPUTS/OUTPUTS
+    trailer. Round-trips bit-exactly.
     """
+    first = 1 + circuit.n_input_wires
     lines = [
         f"{circuit.n_wires} {circuit.n_gates} "
         f"{circuit.n_input_wires} {len(circuit.output_wires)}"
@@ -612,7 +605,7 @@ def save_circuit_text(circuit: BooleanCircuit) -> str:
     for g in range(circuit.n_gates):
         lines.append(
             f"{_KIND_NAMES[int(circuit.kind[g])]} "
-            f"{circuit.in_a[g]} {circuit.in_b[g]} {circuit.out[g]}"
+            f"{circuit.in_a[g]} {circuit.in_b[g]} {first + g}"
         )
     lines.append(f"CONST1 {circuit.const_one}")
     for party in sorted(circuit.input_map):
@@ -631,8 +624,8 @@ def _ints(words, line: str) -> list[int]:
 
 def load_circuit_text(text: str) -> BooleanCircuit:
     """Parse the line format; levels are recomputed by replaying the
-    gates through a CircuitBuilder. Any malformed line raises
-    `CircuitError`."""
+    gates through a CircuitBuilder. Any malformed line, and a gate that
+    does not drive wire 1 + (input wires) + g, raises `CircuitError`."""
     lines = text.splitlines()
     if not lines:
         raise CircuitError("empty circuit file")
@@ -640,16 +633,17 @@ def load_circuit_text(text: str) -> BooleanCircuit:
         n_wires, n_gates, n_in, n_out = map(int, lines[0].split())
     except ValueError as exc:
         raise CircuitError(f"bad header line: {lines[0]!r}") from exc
-    kind, a, b, out = [], [], [], []
-    for ln in lines[1 : 1 + n_gates]:
+    kind, a, b = [], [], []
+    for g, ln in enumerate(lines[1 : 1 + n_gates]):
         parts = ln.split()
         if len(parts) != 4 or parts[0] not in _KIND_VALUES:
             raise CircuitError(f"bad gate line: {ln!r}")
         kind.append(_KIND_VALUES[parts[0]])
         wa, wb, wo = _ints(parts[1:], ln)
+        if wo != 1 + n_in + g:
+            raise CircuitError(f"gate {g} output {wo} breaks SSA ordering")
         a.append(wa)
         b.append(wb)
-        out.append(wo)
     input_map: dict[int, list[int]] = {}
     output_wires: list[int] = []
     for ln in lines[1 + n_gates :]:
@@ -666,7 +660,7 @@ def load_circuit_text(text: str) -> BooleanCircuit:
             output_wires = values
         elif head != "BARRIERS":  # older files list evaluation barriers, which change no output
             raise CircuitError(f"bad trailer line: {ln!r}")
-    circ = BooleanCircuit(n_wires, kind, a, b, out, input_map, output_wires)
+    circ = BooleanCircuit(n_wires, kind, a, b, input_map, output_wires)
     if circ.n_input_wires != n_in or len(output_wires) != n_out:
         raise CircuitError("header input/output counts disagree with trailer")
     return circ

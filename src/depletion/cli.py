@@ -30,47 +30,18 @@ DEFAULT_GATE_CAP = 20_000_000
 # -- config file handling ---------------------------------------------------------
 
 
-def _require(entry: dict, names, where: str):
-    """Raise `ConfigMismatch` naming the first of `names` that `entry` lacks."""
-    if not isinstance(entry, dict):
-        raise S.ConfigMismatch(f"{where} is not an object")
-    for name in names:
-        if name not in entry:
-            raise S.ConfigMismatch(f"{where} has no {name!r}")
-
-
 def load_session_config(path: Path):
     """Session config file plus the parties' stockpile hash files."""
     raw = json.loads(path.read_text())
-    _require(raw, ["parties"], f"config file {path}")
-    if not isinstance(raw["parties"], list):
-        raise S.ConfigMismatch(f"'parties' of {path} is not a list")
-    for n, entry in enumerate(raw["parties"]):
-        _require(entry, ["id", "stockpile"], f"party entry {n} of {path}")
-    variant = raw.get("variant", {"kind": "at-least-two"})
-    _require(variant, [], f"'variant' of {path}")
-    spec = S.VariantSpec(
-        kind=variant.get("kind", "at-least-two"),
-        m=int(variant.get("m", 1)),
-        fixed_parties=tuple(variant.get("fixed_parties", ())),
-    )
-    parties = tuple(int(p["id"]) for p in raw["parties"])
-    config = S.SessionConfig(
-        parties=parties,
-        sigma=int(raw.get("sigma", 256)),
-        variant=spec,
-        mode=raw.get("mode", "direct"),
-        n_servers=int(raw.get("n_servers", 0)),
-        epoch=int(raw.get("epoch", 1)),
-        count_bits=int(raw.get("count_bits", 20)),
-    )
-    config.validate()
+    config = S.SessionConfig.from_dict(raw, where=f"config file {path}")
     stockpiles = {}
-    for entry in raw["parties"]:
+    for n, entry in enumerate(raw["parties"]):
+        if not isinstance(entry.get("stockpile"), str):
+            raise S.ConfigMismatch(f"party entry {n} of {path} has no 'stockpile' path")
         stock_path = Path(entry["stockpile"])
         if not stock_path.is_absolute():
             stock_path = path.parent / stock_path
-        stockpiles[int(entry["id"])] = V.read_hash_lines(
+        stockpiles[entry["id"]] = V.read_hash_lines(
             stock_path.read_text().splitlines(), config.sigma
         )
     return config, stockpiles

@@ -161,15 +161,12 @@ class Compiled:
     flag_wires: list[int]
     merged_v_wires: list[list[int]]
 
-    def v_wires(self, party: int) -> list[list[int]]:
-        """Input wires carrying party's record hash values, per record slot."""
-        cfg = self.config
-        wires = self.circuit.input_map[party]
-        step = 3 * cfg.sigma
-        return [
-            wires[r * step : r * step + cfg.sigma]
-            for r in range(cfg.inputs_per_party)
-        ]
+    def v_wires(self, party: int) -> np.ndarray:
+        """Input wires carrying party's record hash values: a (u, sigma)
+        array whose row r holds record slot r's."""
+        u, sigma = self.config.inputs_per_party, self.config.sigma
+        records = np.asarray(self.circuit.input_map[party][: u * 3 * sigma])
+        return records.reshape(u, 3, sigma)[:, 0]
 
 
 def _construct(b, cfg: CircuitConfig):

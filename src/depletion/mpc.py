@@ -510,6 +510,7 @@ class Engine:
         )
         self._round = 0
         self._range_id = 0
+        self._restored: dict[int, np.ndarray] = {}  # per computing party, the wires it restored
 
     def shares_of(self, pid: int) -> np.ndarray:
         """Computing party `pid`'s shares as (wires, batch) bits: an
@@ -518,18 +519,21 @@ class Engine:
 
     # input distribution ----------------------------------------------------
 
-    def share_inputs(self, inputs: dict[int, np.ndarray], rng_of, preset=None):
-        """Split each owner's bits toward the computing parties.
+    def share_inputs(self, inputs: dict[int, np.ndarray], rng_of):
+        """Split each owner's bits toward the computing parties, leaving
+        out the wires that `restore_shares` filled.
 
-        `inputs` maps owner id to its full input bit vector (or batch);
-        `preset` maps owner id to {wire offset ranges already restored}.
+        `inputs` maps owner id to its full input bit vector (or batch).
         """
-        covered = dict(preset or {})
+        restored, *rest = (self._restored.get(pid, np.zeros(0)) for pid in self.computing_ids)
+        if not all(np.array_equal(wires, restored) for wires in rest):
+            raise MissingInput("the computing parties restored different wires")
         for owner, wires in self.circuit.input_map.items():
-            skip = covered.get(owner, ())
-            todo = [i for i in range(len(wires)) if i not in skip]
+            wires = np.asarray(wires, dtype=np.intp)
+            keep = ~np.isin(wires, restored) if restored.size else slice(None)
+            todo = wires[keep]
             if owner not in inputs:
-                if todo:
+                if todo.size:
                     raise MissingInput(f"no input bits for party {owner}")
                 continue
             bits = np.asarray(inputs[owner], dtype=np.uint8)
@@ -540,8 +544,7 @@ class Engine:
                     f"party {owner}: expected {(len(wires), self.batch)} bits, "
                     f"got {bits.shape}"
                 )
-            sub_wires = [wires[i] for i in todo]
-            shares = share_input(bits[todo], len(self.computing_ids), rng_of(owner))
+            shares = share_input(bits[keep], len(self.computing_ids), rng_of(owner))
             # The owner keeps the correction share, which comes last.
             others = [pid for pid in self.computing_ids if pid != owner]
             for pid, share in zip(others, shares):
@@ -549,13 +552,19 @@ class Engine:
                 nbits, payload = pack_bits(share)
                 self._post(owner, [pid], rid, nbits, payload)
                 got = np.frombuffer(self._take(pid, owner, rid, nbits, "input share"), dtype=np.uint8)
-                self.parties.shares[self._row[pid], sub_wires] = _packed_rows(got[None], len(todo), self.batch)[0]
+                self.parties.shares[self._row[pid], todo] = _packed_rows(got[None], len(todo), self.batch)[0]
             if owner in self._row:
-                self.parties.shares[self._row[owner], sub_wires] = pack_batch(shares[-1])
+                self.parties.shares[self._row[owner], todo] = pack_batch(shares[-1])
         self._end_round("input share")
 
     def restore_shares(self, pid: int, wires, bits):
+        """Load `pid`'s stored shares of `wires`, as (wires, batch) bits;
+        every computing party must restore the same wires."""
+        wires = np.asarray(wires, dtype=np.intp)
         self.parties.shares[self._row[pid], wires] = pack_batch(bits)
+        # not np.union1d: it goes through np.unique, whose first call imports
+        # numpy.ma, 0.7 MB of resident memory a round never needed before
+        self._restored[pid] = np.sort(np.concatenate((self._restored.get(pid, wires[:0]), wires)))
 
     # protocol rounds ---------------------------------------------------------
 
@@ -633,9 +642,9 @@ class Engine:
             )
         return unpack_batch(views[0], self.batch)
 
-    def run(self, inputs: dict[int, np.ndarray], rng_of, preset=None) -> np.ndarray:
+    def run(self, inputs: dict[int, np.ndarray], rng_of) -> np.ndarray:
         """Share inputs, evaluate, open and return outputs."""
-        self.share_inputs(inputs, rng_of, preset=preset)
+        self.share_inputs(inputs, rng_of)
         return self.run_shared()
 
     def run_shared(self) -> np.ndarray:

@@ -69,6 +69,8 @@ class SessionConfig:
             raise ConfigMismatch("need at least two distinct active parties")
         if self.sigma < 2:
             raise ConfigMismatch("sigma too small")
+        if self.count_bits < 1:
+            raise ConfigMismatch(f"count_bits {self.count_bits} leaves no bit for a count")
         if not 0 <= self.epoch < 1 << 32:
             raise ConfigMismatch(f"epoch {self.epoch} does not fit the frame header's 32 bits")
         if self.mode not in ("direct", "outsourced"):
@@ -79,6 +81,28 @@ class SessionConfig:
             self.variant.validate(self.parties)
         except CP.ConfigInvalid as exc:
             raise ConfigMismatch(str(exc)) from None
+
+    @classmethod
+    def from_dict(cls, raw, where: str) -> SessionConfig:
+        """The validated config that the JSON object `raw` describes:
+        `parties` lists objects with an integer `id`, and every other
+        field may be left out for its default. A missing or wrongly typed
+        field raises `ConfigMismatch` naming it and `where`."""
+        parties = tuple(
+            _json_field(entry, "id", int, f"party entry {n} of {where}")
+            for n, entry in enumerate(_json_field(raw, "parties", list, where))
+        )
+        fields = _json_fields(raw, _CONFIG_FIELDS, where)
+        if "variant" in fields:
+            here = f"'variant' of {where}"
+            spec = _json_fields(fields["variant"], _VARIANT_FIELDS, here)
+            fixed = tuple(spec.get("fixed_parties", ()))
+            if not all(_is_json(p, int) for p in fixed):
+                raise ConfigMismatch(f"'fixed_parties' of {here} is not a list of integers: {list(fixed)}")
+            fields["variant"] = VariantSpec(**{**spec, "fixed_parties": fixed})
+        config = cls(parties=parties, **fields)
+        config.validate()
+        return config
 
     def describe(self) -> dict:
         return {
@@ -96,6 +120,34 @@ class SessionConfig:
         return hashlib.sha3_256(blob.encode()).hexdigest()
 
 
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+# the optional fields of a config object and of its variant, by JSON type
+_CONFIG_FIELDS = {"sigma": int, "variant": dict, "mode": str, "n_servers": int,
+                  "epoch": int, "count_bits": int}
+_VARIANT_FIELDS = {"kind": str, "m": int, "fixed_parties": list}
+
+
+def _is_json(value, kind: type) -> bool:
+    """Whether `value` is a JSON value of `kind`; true and false are not integers."""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def _json_field(obj, name: str, kind: type, where: str):
+    """obj[name], where `obj` must be a JSON object holding a value of `kind` there."""
+    if not _is_json(obj, dict):
+        raise ConfigMismatch(f"{where} is not an object")
+    if name not in obj:
+        raise ConfigMismatch(f"{where} has no {name!r}")
+    if not _is_json(obj[name], kind):
+        raise ConfigMismatch(f"{name!r} of {where} is not {_JSON_TYPES[kind]}: {obj[name]!r}")
+    return obj[name]
+
+
+def _json_fields(obj: dict, kinds: dict, where: str) -> dict:
+    """The fields of `obj` that `kinds` names, each checked for its JSON type."""
+    return {name: _json_field(obj, name, kind, where) for name, kind in kinds.items() if name in obj}
+
+
 @dataclass
 class InputRecord:
     v: int
@@ -111,10 +163,6 @@ class PreparedParty:
     @property
     def key_table(self) -> dict[int, tuple[int, int]]:
         return {r.v: (r.k0, r.k1) for r in self.records if not r.is_dummy}
-
-    @property
-    def real_values(self) -> set[int]:
-        return {r.v for r in self.records if not r.is_dummy}
 
 
 @dataclass
@@ -374,7 +422,7 @@ def _execute(config: SessionConfig, seed, counts: dict[int, list[int]], prepare,
     "plaintext", or "both" (evaluates both paths and insists on
     bit-identical opened keys). `restore(engine, compiled, prepared)`,
     if given, loads stored shares into the round's engine before it
-    runs and returns the `preset` input offsets it covered per owner.
+    runs; the engine then shares only the input wires left unfilled.
     """
     if execution not in ("mpc", "plaintext", "both"):
         raise SessionError(f"unknown execution {execution!r}")
@@ -412,8 +460,9 @@ def _execute(config: SessionConfig, seed, counts: dict[int, list[int]], prepare,
             batch=len(prepared),
             epoch=config.epoch,
         )
-        preset = restore(engine, compiled, prepared) if restore else None
-        out = engine.run(inputs, lambda owner: party_rngs[owner], preset=preset)
+        if restore:
+            restore(engine, compiled, prepared)
+        out = engine.run(inputs, lambda owner: party_rngs[owner])
         if opened is not None and not np.array_equal(out, opened):
             raise ProtocolCorruption("protocol output differs from plaintext circuit")
         opened = out
@@ -487,25 +536,19 @@ def run_sessions(
 
 @dataclass
 class _PartyEpochState:
-    submitted: list[InputRecord] = field(default_factory=list)
+    # submitted value -> is it a dummy, in record slot order
+    submitted: dict[int, bool] = field(default_factory=dict)
+    # values added since the last epoch: distinct, none of them submitted
     pending: list[int] = field(default_factory=list)
-
-    @property
-    def submitted_values(self) -> list[int]:
-        return [r.v for r in self.submitted]
-
-    @property
-    def real_values(self) -> set[int]:
-        return {r.v for r in self.submitted if not r.is_dummy}
 
 
 class Session:
     """Stateful multi-epoch orchestration with share persistence.
 
-    Hash-value shares are persisted by every computing party after each
-    run and restored (position-remapped) in the next epoch, so only new
-    records and the per-epoch fresh keys are secret-shared again.
-    Submitted records are immutable: additions only.
+    Submitted records are immutable: additions only. Every computing
+    party persists its shares of each record's hash value after a run;
+    the next epoch restores them into the engine at the records' new
+    slots, so only new records and the epoch's fresh keys are shared again.
     """
 
     def __init__(self, config: SessionConfig, stockpiles: dict[int, object], seed):
@@ -526,11 +569,11 @@ class Session:
         if removals and any(removals.values()):
             raise RemovalAttempted("submitted entries cannot be removed or modified")
         dummy_pool = {
-            r.v for st in self.state.values() for r in st.submitted if r.is_dummy
+            v for st in self.state.values() for v, dummy in st.submitted.items() if dummy
         }
         fresh = {}
         for p, vals in additions.items():
-            real = self.state[p].real_values
+            real = {v for v, dummy in self.state[p].submitted.items() if not dummy}
             fresh[p] = [v for v in _distinct_values(vals, self.config.sigma) if v not in real]
             for v in fresh[p]:
                 if v in dummy_pool:
@@ -547,17 +590,13 @@ class Session:
         only once it has succeeded, so a failed epoch can be retried."""
         config = replace(self.config, epoch=self.epoch)
         config.validate()
-        values = {
-            p: st.submitted_values + sorted(set(st.pending) - st.real_values)
-            for p, st in self.state.items()
-        }
+        values = {p: [*st.submitted, *st.pending] for p, st in self.state.items()}
 
         def prepare(u, party_rngs):
             prepared = _prepare_parties(values, u, config.sigma, party_rngs)
             for p, st in self.state.items():
-                kept = {r.v for r in st.submitted if r.is_dummy}
                 for r in prepared[p].records:
-                    r.is_dummy = r.is_dummy or r.v in kept
+                    r.is_dummy = r.is_dummy or st.submitted.get(r.v, False)
             return [prepared]
 
         seed = self._seed.spawn(1)[0]  # children are numbered in spawn order
@@ -569,55 +608,43 @@ class Session:
         else:
             self._persist(result.engine, result.compiled)
         for p, st in self.state.items():
-            st.submitted = [
-                InputRecord(r.v, 0, 0, r.is_dummy) for r in result.prepared[0][p].records
-            ]
+            st.submitted = {r.v: r.is_dummy for r in result.prepared[0][p].records}
             st.pending = []
         return result
 
     def _restore_persisted(self, engine, compiled, prepared):
-        """Scatter stored v-shares into this epoch's input positions.
+        """Restore the stored v-shares of every kept record into its slot
+        of this epoch, with one `restore_shares` call per computing party.
 
         After an epoch that ran only the plaintext circuit nothing is
         stored, and every record is shared fresh."""
-        sigma = compiled.config.sigma
-        preset: dict[int, set[int]] = {}
         if not self.store:
-            return preset
-        # per computing party, the wires of every kept record and their bits
-        wires = {cp: [] for cp in engine.computing_ids}
+            return
+        sigma = compiled.config.sigma
+        kept = []  # per owner with kept records, their v-wires in this epoch
         bits = {cp: [] for cp in engine.computing_ids}
         for i, p in enumerate(self.slots):
-            old = {r.v: j for j, r in enumerate(self.state[p].submitted)}
-            stored = [
-                (new_slot, old[r.v])
-                for new_slot, r in enumerate(prepared[0][p].records)
-                if r.v in old
-            ]
-            if not stored:
+            old = {v: j for j, v in enumerate(self.state[p].submitted)}
+            slots = [(new, old[r.v]) for new, r in enumerate(prepared[0][p].records) if r.v in old]
+            if not slots:
                 continue
-            v_wires = compiled.v_wires(i)
-            kept = [w for new_slot, _ in stored for w in v_wires[new_slot]]
-            offset = {w: j for j, w in enumerate(compiled.circuit.input_map[i])}
-            preset[i] = {offset[w] for w in kept}
-            old_slots = [old_slot for _, old_slot in stored]
+            new_slots, old_slots = zip(*slots)
+            kept.append(compiled.v_wires(i)[list(new_slots)].ravel())
             for cp in engine.computing_ids:
                 entry = self.store.get((cp, i))
                 if entry is None:
                     raise mpc.EpochMismatch(f"no stored shares for party {cp} owner {i}")
                 saved_epoch, blob = entry
-                old_shape = (len(self.state[p].submitted), sigma)
-                rows = mpc.decode_share_blob(blob, cp, saved_epoch, i + 1, old_shape)
-                wires[cp] += kept
-                bits[cp].append(rows[old_slots].reshape(-1, 1))
-        if preset:
+                rows = mpc.decode_share_blob(blob, cp, saved_epoch, i + 1, (len(old), sigma))
+                bits[cp].append(rows[list(old_slots)].reshape(-1, 1))
+        if kept:
+            wires = np.concatenate(kept)
             for cp in engine.computing_ids:
-                engine.restore_shares(cp, wires[cp], np.concatenate(bits[cp]))
-        return preset
+                engine.restore_shares(cp, wires, np.concatenate(bits[cp]))
 
     def _persist(self, engine, compiled):
-        for i, p in enumerate(self.slots):
-            wires = [w for vec in compiled.v_wires(i) for w in vec]
+        for i in range(len(self.slots)):
+            wires = compiled.v_wires(i).ravel()
             for cp in engine.computing_ids:
                 blob = engine.persist_shares(cp, wires, range_id=i + 1)
                 self.store[(cp, i)] = (self.epoch, blob)

@@ -31,14 +31,14 @@ def naive_eval(circ, inputs):
     for party, wires in circ.input_map.items():
         for w, bit in zip(wires, inputs[party]):
             wire_of[w] = int(bit)
-    gate_of = {int(circ.out[g]): g for g in range(circ.n_gates)}
+    first = 1 + circ.n_input_wires  # gate g drives wire first + g
 
     def value(w):
         if w == circ.const_one:
             return 1
         if w in wire_of:
             return wire_of[w]
-        g = gate_of[w]
+        g = w - first
         a, b = value(int(circ.in_a[g])), value(int(circ.in_b[g]))
         wire_of[w] = (a & b) if circ.kind[g] == C.AND else (a ^ b)
         return wire_of[w]
@@ -234,6 +234,7 @@ VALID_TEXT = "3 1 1 1\nXOR 0 1 2\nCONST1 0\nINPUTS 0 1\nOUTPUTS 2\n"
 @pytest.mark.parametrize("old, new", [
     ("CONST1 0", "CONST1"),
     ("XOR 0 1 2", "XOR 1 x 3"),
+    ("XOR 0 1 2", "XOR 0 1 3"),  # gate 0 must drive wire 2: breaks SSA order
     ("INPUTS 0 1", "INPUTS 0 1 z"),
     ("INPUTS 0 1", "INPUTS"),
     ("OUTPUTS 2", "OUTPUTS 2\nBARRIERS a"),

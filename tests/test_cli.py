@@ -221,8 +221,20 @@ def test_oracle_command(tmp_path, capsys):
     (lambda cfg: cfg.update(parties=5), "'parties'"),
     (lambda cfg: cfg.update(epoch=-1), "epoch -1"),
     (lambda cfg: cfg.update(epoch=1 << 32), f"epoch {1 << 32}"),
+    (lambda cfg: cfg.update(variant={"kind": "fixed-plus-m", "fixed_parties": 5}), "'fixed_parties'"),
+    (lambda cfg: cfg.update(variant={"kind": "fixed-plus-m", "fixed_parties": ["0"]}), "'fixed_parties'"),
+    (lambda cfg: cfg.update(sigma=None), "'sigma'"),
+    (lambda cfg: cfg["parties"][0].update(id=[0]), "'id'"),
+    (lambda cfg: cfg.update(sigma="16"), "'sigma'"),
+    (lambda cfg: cfg.update(epoch="3"), "'epoch'"),
+    (lambda cfg: cfg.update(mode="outsourced", n_servers=1.5), "'n_servers'"),
+    (lambda cfg: cfg.update(count_bits=0), "count_bits 0"),
+    (lambda cfg: cfg.update(count_bits=True), "'count_bits'"),
+    (lambda cfg: cfg["parties"][0].update(stockpile=3), "'stockpile'"),
 ], ids=["parties", "id", "stockpile", "entry", "variant-shape", "parties-shape",
-        "epoch-negative", "epoch-too-large"])
+        "epoch-negative", "epoch-too-large", "fixed-parties-shape", "fixed-party-type",
+        "sigma-null", "id-list", "sigma-string", "epoch-string", "n-servers-float",
+        "count-bits-zero", "count-bits-bool", "stockpile-type"])
 def test_config_missing_field_exit_code(tmp_path, capsys, drop, missing):
     path = write_session_files(tmp_path, {0: [10, 22], 1: [22, 40]})
     config = json.loads(path.read_text())

@@ -13,7 +13,7 @@ from depletion import mpc
 from depletion import compiler as CP
 from depletion import session as S
 from depletion.bits import int_to_bits
-from depletion.circuit import CircuitBuilder
+from depletion.circuit import CircuitBuilder, MissingInput
 
 
 def tiny_and_circuit():
@@ -389,6 +389,55 @@ def test_persist_and_load_round_trip():
     assert np.array_equal(fresh.shares_of(0)[wires], engine.shares_of(0)[wires])
     with pytest.raises(mpc.EpochMismatch):
         mpc.decode_share_blob(blob, 1, 5, 1, (len(wires), 1))
+
+
+def _restore_circuit():
+    """Owner 0 holds six input wires, owners 1 and 2 three each."""
+    b = CircuitBuilder()
+    x, y, z = (np.array(b.input_vector(p, n)) for p, n in enumerate((6, 3, 3)))
+    t = b.and_v(x[:3], b.xor_v(x[3:], y))
+    return b.finish(np.concatenate([t, b.xor_v(b.and_v(t, z), y)]))
+
+
+def test_restored_wires_are_left_out_of_input_sharing():
+    circ, batch = _restore_circuit(), 3
+    ids = [0, 1, 2]
+    rng = np.random.default_rng(4)
+    inputs = {p: rng.integers(0, 2, size=(len(ws), batch), dtype=np.uint8)
+              for p, ws in circ.input_map.items()}
+    earlier = mpc.Engine(circ, ids, dealer_seed=1, batch=batch)
+    rngs = {p: np.random.default_rng(10 + p) for p in ids}
+    earlier.share_inputs(inputs, lambda p: rngs[p])
+
+    restored, todo = circ.input_map[0][1::2], circ.input_map[0][0::2]
+    transport = RecordingTransport()
+    engine = mpc.Engine(circ, ids, dealer_seed=2, batch=batch, transport=transport)
+    for pid in ids:
+        engine.restore_shares(pid, restored, earlier.shares_of(pid)[restored])
+    rngs = {p: np.random.default_rng(20 + p) for p in ids}
+    assert np.array_equal(engine.run(inputs, lambda p: rngs[p]), circ.evaluate(inputs))
+
+    round0 = [(s, r, mpc.decode_frame(f)) for s, r, f in transport.log if mpc.decode_frame(f)[1] == 0]
+    from_owner = {r: frame for s, r, frame in round0 if s == 0}
+    assert sorted(from_owner) == [1, 2]
+    for recipient, (*_, nbits, payload) in from_owner.items():
+        # exactly the recipient's shares of the unrestored bits
+        assert nbits == len(todo) * batch
+        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits)
+        assert np.array_equal(bits.reshape(len(todo), batch), engine.shares_of(recipient)[todo])
+    for owner in (1, 2):
+        assert all(frame[4] == 3 * batch for s, _, frame in round0 if s == owner)
+    for pid in ids:
+        assert np.array_equal(engine.shares_of(pid)[restored], earlier.shares_of(pid)[restored])
+
+
+def test_input_sharing_refuses_wires_restored_for_only_some_parties():
+    circ = _restore_circuit()
+    engine = mpc.Engine(circ, [0, 1, 2], dealer_seed=0)
+    engine.restore_shares(0, circ.input_map[0][:2], np.zeros((2, 1), dtype=np.uint8))
+    inputs = {p: [0] * len(ws) for p, ws in circ.input_map.items()}
+    with pytest.raises(MissingInput, match="restored different wires"):
+        engine.run(inputs, lambda p: np.random.default_rng(p))
 
 
 def test_engine_bytes_bounds_the_peak_of_building_an_engine():

@@ -15,7 +15,8 @@ from depletion.circuit import AND, BooleanCircuit, CircuitBuilder
 def reference_schedule(circuit):
     """Per-gate level passes over the whole circuit: full levels and AND
     depths, then the XORs of each depth grouped by full level."""
-    kind, in_a, in_b, out = circuit.kind, circuit.in_a, circuit.in_b, circuit.out
+    kind, in_a, in_b = circuit.kind, circuit.in_a, circuit.in_b
+    out = np.arange(1 + circuit.n_input_wires, circuit.n_wires)  # gate g drives wire first + g
     full_level = np.zeros(circuit.n_wires, dtype=np.int32)
     depth = np.zeros(circuit.n_wires, dtype=np.int32)
     gate_depth = np.empty(circuit.n_gates, dtype=np.int32)
@@ -109,7 +110,6 @@ def _valid_parts():
         kind=circ.kind.tolist(),
         in_a=circ.in_a.tolist(),
         in_b=circ.in_b.tolist(),
-        out=circ.out.tolist(),
         input_map=circ.input_map,
         output_wires=circ.output_wires,
     )
@@ -126,7 +126,7 @@ def test_direct_construction_replays_levels():
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("out", [3, 5]),  # breaks SSA order
+        ("n_wires", 6),  # gate g must drive wire 1 + (input wires) + g
         ("in_a", [0, 4]),  # forward reference to the gate's own output
         ("in_b", [-1, 1]),  # negative index
         ("kind", [0, 2]),  # unknown kind
@@ -139,3 +139,4 @@ def test_validate_rejects_broken_gate_lists(field, value):
     parts[field] = value
     with pytest.raises(C.CircuitError):
         BooleanCircuit(**parts)
+

@@ -28,7 +28,7 @@ def test_prepare_pads_and_sorts():
     assert len(vs) == 4
     assert vs == sorted(vs) and len(set(vs)) == 4
     assert sum(r.is_dummy for r in pp.records) == 2
-    assert pp.real_values == {3, 9}
+    assert set(pp.key_table) == {3, 9}
 
 
 def test_prepare_no_dummies_when_full():
@@ -324,6 +324,17 @@ def test_epoch_advance_rejects_removals():
     sess = S.Session(cfg2(), {0: {1}, 1: {2}}, seed=18)
     with pytest.raises(S.RemovalAttempted):
         sess.epoch_advance({}, removals={0: {1}})
+
+
+def test_new_value_equal_to_an_own_submitted_dummy_is_refused():
+    sess = S.Session(cfg2(), {0: {5}, 1: {5, 9, 12}}, seed=21)
+    first = sess.run_epoch()
+    dummies = [r.v for r in first.prepared[0][0].records if r.is_dummy]
+    assert len(dummies) == 2
+    with pytest.raises(S.RandomnessFailure, match="collides with a submitted dummy"):
+        sess.epoch_advance({0: {dummies[0]}})
+    sess.epoch_advance({0: {5}})  # a value already submitted as real is dropped
+    assert sess.run_epoch().u == 3
 
 
 def test_two_epoch_run_equals_one_shot():
