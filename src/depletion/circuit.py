@@ -403,7 +403,7 @@ class BuilderBase:
         c = self.xor_v(b[..., -1], self.and_v(b[..., -1], a[..., -1]))
         for i in range(a.shape[-1] - 2, -1, -1):
             # b_i ^ c and a_i ^ c in one call
-            t = self.xor_v(np.stack([b[..., i], a[..., i]]), np.stack([c, c]))
+            t = self.xor_v(np.stack([b[..., i], a[..., i]]), c)
             c = self.xor_v(b[..., i], self.and_v(t[0], t[1]))
         return c
 
@@ -411,10 +411,6 @@ class BuilderBase:
         """a == b; width-1 AND gates via an AND-tree over XNORs."""
         a, b = self._operands("eq", a, b)
         return self._and_tree(self.not_(self.xor_v(a, b)))
-
-    def eq_zero(self, a):
-        """a == 0...0; the boundary-sentinel comparison."""
-        return self._and_tree(self.not_(a))
 
     def eq_const(self, a, value):
         """a == constant; NOT only where the constant bit is zero."""

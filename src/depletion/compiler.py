@@ -46,9 +46,9 @@ class VariantSpec:
     hold it ("at-least-two"), at least m do ("at-least-m"), or every
     fixed party and at least m others do ("fixed-plus-m").
 
-    Fixed parties count only for fixed-plus-m and m not for
-    at-least-two; the unused fields are reset and the fixed parties
-    sorted, so that equal rules compare (and cache) equal.
+    At-least-two is at-least-m with m = 2, and fixed parties count only
+    for fixed-plus-m; m and the fixed parties are reset to match and the
+    latter sorted, so that equal rules compare (and cache) equal.
     """
 
     kind: str = "at-least-two"
@@ -59,13 +59,13 @@ class VariantSpec:
         fixed = tuple(sorted(self.fixed_parties)) if self.kind == "fixed-plus-m" else ()
         object.__setattr__(self, "fixed_parties", fixed)
         if self.kind == "at-least-two":
-            object.__setattr__(self, "m", 1)
+            object.__setattr__(self, "m", 2)
 
     def validate(self, parties) -> None:
         """Raise ConfigInvalid unless the rule is well formed over `parties`."""
         if self.kind not in VARIANT_KINDS:
             raise ConfigInvalid(f"unknown variant kind {self.kind!r}")
-        if self.kind != "at-least-two" and self.m < 1:
+        if self.m < 1:
             raise ConfigInvalid("m must be positive")
         if self.kind == "fixed-plus-m":
             fixed = self.fixed_parties
@@ -235,27 +235,19 @@ def _construct(b, cfg: CircuitConfig):
 
 def _dup_select(b, cfg: CircuitConfig, merged: np.ndarray) -> np.ndarray:
     """Per-record key selection over the merged sorted records, one row
-    each; returns one sigma-bit output key per row.
+    each; returns two sigma-bit output keys per record.
 
-    Every record contributes exactly two output keys. The base variant
-    emits the neighbor-pair selections directly (with the all-zero
-    sentinel closing both boundaries); the windowed variants emit one
-    selection bit per record, listed twice. A window longer than all
-    N*u records can never be filled, so every record keeps its 0-key.
+    Every variant is one window test: a record qualifies when it lies in
+    a window of z + m equal values and its run of them holds each of the
+    z fixed tags. It emits k1 if so and k0 if not, twice, so every opened
+    key appears exactly twice. A window longer than all N*u records can
+    never be filled, so every record keeps its 0-key.
     """
     total, sigma = len(merged), cfg.sigma
     v = merged[:, :sigma]
     k0 = merged[:, sigma : 2 * sigma]
     k1 = merged[:, 2 * sigma : 3 * sigma]
     variant = cfg.variant
-    if variant.kind == "at-least-two":
-        left_sentinel, right_sentinel = b.eq_zero(v[[0, -1]])
-        eqs = b.eq(v[:-1], v[1:])
-        left = np.concatenate([[left_sentinel], eqs])
-        right = np.concatenate([eqs, [right_sentinel]])
-        keys = np.stack([b.mux(left, k0, k1), b.mux(right, k0, k1)], axis=1)
-        return keys.reshape(2 * total, sigma)
-
     # fixed tags are 0..z-1; z is 0 outside fixed-plus-m
     z = len(variant.fixed_parties)
     window = z + variant.m
@@ -275,7 +267,8 @@ def _dup_select(b, cfg: CircuitConfig, merged: np.ndarray) -> np.ndarray:
         lo = np.maximum(0, i - window + 1)
         width = np.minimum(i, total - window) - lo + 1
         length_ok = np.empty(total, dtype=win.dtype)
-        for w in np.unique(width):
+        # a set, not np.unique, whose first call imports numpy.ma
+        for w in sorted(set(width.tolist())):
             rows = np.flatnonzero(width == w)
             length_ok[rows] = pairwise(b.or_, win[np.arange(w)[:, None] + lo[rows]])
 
@@ -316,14 +309,9 @@ def stage_bounds(cfg: CircuitConfig) -> dict[str, float]:
     """Analytic AND-count ceilings checked against measured counts."""
     N, u, sigma = cfg.n_parties, cfg.inputs_per_party, cfg.sigma
     total = N * u
-    v = cfg.variant
-    if v.kind == "at-least-two":
-        dup = 4 * total * sigma
-    elif v.kind == "at-least-m":
-        dup = 2 * total * (sigma + v.m)
-    else:
-        z, omega = len(v.fixed_parties), _slot_tags(cfg)[1]
-        dup = 2 * total * (sigma + (z + v.m) + z * (omega + 5))
+    # z = 0 outside fixed-plus-m
+    z, omega = len(cfg.variant.fixed_parties), _slot_tags(cfg)[1]
+    dup = 2 * total * (sigma + (z + cfg.variant.m) + z * (omega + 5))
     return {
         "SortCheck": N * (u - 1) * (sigma + 1),
         "MergeTree": 2 * N * N * u * sigma * math.log2(total) if total > 1 else 0,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -65,6 +64,8 @@ class SessionConfig:
     count_bits: int = 20
 
     def validate(self) -> None:
+        _check_types(self, _CONFIG_FIELDS, "the session config")
+        _check_types(self.variant, _VARIANT_FIELDS, "the variant")
         if len(self.parties) < 2 or len(set(self.parties)) != len(self.parties):
             raise ConfigMismatch("need at least two distinct active parties")
         if self.sigma < 2:
@@ -86,8 +87,8 @@ class SessionConfig:
     def from_dict(cls, raw, where: str) -> SessionConfig:
         """The validated config that the JSON object `raw` describes:
         `parties` lists objects with an integer `id`, and every other
-        field may be left out for its default. A missing or wrongly typed
-        field raises `ConfigMismatch` naming it and `where`."""
+        field may be left out for its default. A missing, unknown or
+        wrongly typed field raises `ConfigMismatch` naming it and `where`."""
         parties = tuple(
             _json_field(entry, "id", int, f"party entry {n} of {where}")
             for n, entry in enumerate(_json_field(raw, "parties", list, where))
@@ -97,10 +98,10 @@ class SessionConfig:
             here = f"'variant' of {where}"
             spec = _json_fields(fields["variant"], _VARIANT_FIELDS, here)
             fixed = tuple(spec.get("fixed_parties", ()))
-            if not all(_is_json(p, int) for p in fixed):
+            if not all(_is_type(p, int) for p in fixed):
                 raise ConfigMismatch(f"'fixed_parties' of {here} is not a list of integers: {list(fixed)}")
             fields["variant"] = VariantSpec(**{**spec, "fixed_parties": fixed})
-        config = cls(parties=parties, **fields)
+        config = cls(**{**fields, "parties": parties})
         config.validate()
         return config
 
@@ -120,31 +121,46 @@ class SessionConfig:
         return hashlib.sha3_256(blob.encode()).hexdigest()
 
 
-_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
-# the optional fields of a config object and of its variant, by JSON type
-_CONFIG_FIELDS = {"sigma": int, "variant": dict, "mode": str, "n_servers": int,
-                  "epoch": int, "count_bits": int}
+# every field of a config and of its variant, by JSON type; in Python a
+# list is a tuple of integers and an object a VariantSpec
+_CONFIG_FIELDS = {"parties": list, "sigma": int, "variant": dict, "mode": str,
+                  "n_servers": int, "epoch": int, "count_bits": int}
 _VARIANT_FIELDS = {"kind": str, "m": int, "fixed_parties": list}
+_PYTHON_TYPES = {list: tuple, dict: VariantSpec}
+_TYPE_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object",
+               tuple: "a tuple of integers", VariantSpec: "a VariantSpec"}
 
 
-def _is_json(value, kind: type) -> bool:
-    """Whether `value` is a JSON value of `kind`; true and false are not integers."""
+def _is_type(value, kind: type) -> bool:
+    """Whether `value` is of `kind`; true and false are not integers."""
     return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def _check_types(obj, kinds: dict, where: str) -> None:
+    """Raise ConfigMismatch naming the first field of the dataclass `obj`
+    that is not of the Python type of its kind in `kinds`."""
+    for name, kind in kinds.items():
+        value, kind = getattr(obj, name), _PYTHON_TYPES.get(kind, kind)
+        if not _is_type(value, kind) or kind is tuple and not all(_is_type(x, int) for x in value):
+            raise ConfigMismatch(f"{name!r} of {where} is not {_TYPE_NAMES[kind]}: {value!r}")
 
 
 def _json_field(obj, name: str, kind: type, where: str):
     """obj[name], where `obj` must be a JSON object holding a value of `kind` there."""
-    if not _is_json(obj, dict):
+    if not _is_type(obj, dict):
         raise ConfigMismatch(f"{where} is not an object")
     if name not in obj:
         raise ConfigMismatch(f"{where} has no {name!r}")
-    if not _is_json(obj[name], kind):
-        raise ConfigMismatch(f"{name!r} of {where} is not {_JSON_TYPES[kind]}: {obj[name]!r}")
+    if not _is_type(obj[name], kind):
+        raise ConfigMismatch(f"{name!r} of {where} is not {_TYPE_NAMES[kind]}: {obj[name]!r}")
     return obj[name]
 
 
 def _json_fields(obj: dict, kinds: dict, where: str) -> dict:
-    """The fields of `obj` that `kinds` names, each checked for its JSON type."""
+    """The fields of `obj`, each checked for its JSON type in `kinds`, which must name them all."""
+    for name in obj:
+        if name not in kinds:
+            raise ConfigMismatch(f"{where} has an unknown field {name!r}")
     return {name: _json_field(obj, name, kind, where) for name, kind in kinds.items() if name in obj}
 
 
@@ -274,13 +290,12 @@ def _prepare_parties(values: dict[int, list[int]], u: int, sigma: int, rngs) -> 
 
 
 def interpret_output(key_table: dict[int, tuple[int, int]], opened) -> IntersectionReport:
-    """Scan the opened key multiset against one party's key table."""
-    bag = opened if isinstance(opened, Counter) else Counter(opened)
+    """Look up one party's keys among the opened keys, any container of them."""
     statuses = {}
     for v, (k0, k1) in key_table.items():
-        if bag[k1] > 0:
+        if k1 in opened:
             statuses[v] = "shared"
-        elif bag[k0] > 0:
+        elif k0 in opened:
             statuses[v] = "exclusive"
         else:
             raise ProtocolCorruption(f"no key for value {v} in the opened output")
@@ -468,12 +483,10 @@ def _execute(config: SessionConfig, seed, counts: dict[int, list[int]], prepare,
         opened = out
 
     keys_per_element = _keys_from_output(opened, 2 * cfg.total_records, config.sigma)
-    reports: list[dict[int, IntersectionReport]] = []
-    for b, keys in enumerate(keys_per_element):
-        bag = Counter(keys)
-        if sum(bag.values()) != 2 * u * len(slots):
-            raise ProtocolCorruption("opened key count does not match 2*u*N")
-        reports.append({p: interpret_output(prepared[b][p].key_table, bag) for p in slots})
+    reports = [
+        {p: interpret_output(pp[p].key_table, keys) for p in slots}
+        for pp, keys in zip(prepared, map(set, keys_per_element))
+    ]
     return RoundResult(
         u=u,
         reports=reports,

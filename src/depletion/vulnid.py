@@ -6,8 +6,8 @@ single byte representation -- sorted-key compact JSON, lowercase CPE,
 NFC-lowercased function name -- so independent parties derive identical
 bytes, and therefore identical hashes, for the same vulnerability.
 
-Hashes are SHA3-512 truncated to sigma bits; the all-zero value is
-reserved as the circuit's boundary sentinel and rejected outright.
+Hashes are SHA3-512 truncated to sigma bits; the all-zero value, which
+rounds also refuse, is reserved and rejected outright.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class EmptyFunction(VulnIdError):
 
 
 class SentinelCollision(VulnIdError):
-    """Truncated digest hit the reserved all-zero sentinel; the
+    """Truncated digest hit the reserved all-zero value; the
     identifier is rejected (never silently perturbed) and logged."""
 
 
@@ -138,7 +138,7 @@ def hash_identifier(ident: VulnIdentifier, sigma: int = 256) -> HashedId:
     v = int.from_bytes(digest[: sigma // 8], "big")
     if v == 0:
         raise SentinelCollision(
-            f"identifier hashes to the {sigma}-bit sentinel; rejected"
+            f"identifier hashes to the reserved all-zero {sigma}-bit value; rejected"
         )
     return HashedId(v, sigma)
 

@@ -271,8 +271,6 @@ def test_counting_builder_matches_materialized(width):
                 b.lt(x[0], x[1])
             elif name == "eq":
                 b.eq(x[0], x[1])
-            elif name == "eq_zero":
-                b.eq_zero(x[0])
             elif name == "eq_const":
                 b.eq_const(x[0], (1 << width) - 2 if width > 1 else 1)
             elif name == "mux":
@@ -287,7 +285,7 @@ def test_counting_builder_matches_materialized(width):
                 C.pairwise(b.and_v, x[0])
             ops.append((name, b.and_count, b.xor_count))
 
-        for name in ["lt", "eq", "eq_zero", "eq_const", "mux", "cond_swap", "or", "or_fold", "and_fold"]:
+        for name in ["lt", "eq", "eq_const", "mux", "cond_swap", "or", "or_fold", "and_fold"]:
             record(name)
         return ops
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from depletion import cli
+from depletion import session as S
 from depletion.circuit import load_circuit_text
 
 GOOD_CPE = "cpe:2.3:a:vendorx:productx:1.%d:*:*:*:*:*:*:*"
@@ -137,7 +138,7 @@ def write_session_files(tmp_path, pools, sigma=16, extra=None):
     for p, values in pools.items():
         stock = tmp_path / f"p{p}.hashes"
         stock.write_text("".join(format(v, f"0{width}x") + "\n" for v in values))
-        parties.append({"id": p, "stockpile": stock.name, "endpoint": f"inproc://p{p}"})
+        parties.append({"id": p, "stockpile": stock.name})
     config = {"parties": parties, "sigma": sigma, "variant": {"kind": "at-least-two"}}
     config.update(extra or {})
     path = tmp_path / "session.json"
@@ -231,10 +232,14 @@ def test_oracle_command(tmp_path, capsys):
     (lambda cfg: cfg.update(count_bits=0), "count_bits 0"),
     (lambda cfg: cfg.update(count_bits=True), "'count_bits'"),
     (lambda cfg: cfg["parties"][0].update(stockpile=3), "'stockpile'"),
+    (lambda cfg: cfg.update(sigmaa=8), "'sigmaa'"),
+    (lambda cfg: cfg.update(count_bit=8), "'count_bit'"),
+    (lambda cfg: cfg.update(variant={"kind": "at-least-m", "mm": 2}), "'mm'"),
 ], ids=["parties", "id", "stockpile", "entry", "variant-shape", "parties-shape",
         "epoch-negative", "epoch-too-large", "fixed-parties-shape", "fixed-party-type",
         "sigma-null", "id-list", "sigma-string", "epoch-string", "n-servers-float",
-        "count-bits-zero", "count-bits-bool", "stockpile-type"])
+        "count-bits-zero", "count-bits-bool", "stockpile-type",
+        "unknown-field", "unknown-field-with-default", "unknown-variant-field"])
 def test_config_missing_field_exit_code(tmp_path, capsys, drop, missing):
     path = write_session_files(tmp_path, {0: [10, 22], 1: [22, 40]})
     config = json.loads(path.read_text())
@@ -243,6 +248,23 @@ def test_config_missing_field_exit_code(tmp_path, capsys, drop, missing):
     assert run(["oracle", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "ConfigMismatch" in err and missing in err
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"sigma": "16"}, "'sigma'"),
+    ({"epoch": None}, "'epoch'"),
+    ({"count_bits": True}, "'count_bits'"),
+    ({"mode": 1}, "'mode'"),
+    ({"parties": (0, "1")}, "'parties'"),
+    ({"variant": {"kind": "at-least-m"}}, "'variant'"),
+    ({"variant": S.VariantSpec("at-least-m", m=2.0)}, "'m'"),
+    ({"variant": S.VariantSpec("fixed-plus-m", 1, ("0",))}, "'fixed_parties'"),
+], ids=["sigma-string", "epoch-none", "count-bits-bool", "mode-int", "party-string",
+        "variant-dict", "m-float", "fixed-party-string"])
+def test_config_built_in_python_checks_field_types(fields, name):
+    config = S.SessionConfig(**{"parties": (0, 1), **fields})
+    with pytest.raises(S.ConfigMismatch, match=name):
+        config.validate()
 
 
 def test_ledger_cycle(tmp_path, capsys):

@@ -237,11 +237,8 @@ def test_dupselect_base_example():
     }
     keys, flags, _ = run_plain(cfg, recs)
     assert flags == [0, 0, 0]
-    bag = Counter(keys)
-    assert bag[2] == 1 and bag[4] == 1      # both 1-keys of the matched pair
-    assert bag[5] == 2 and bag[6] == 0      # C0 twice, C1 never
-    assert bag[1] == 1 and bag[3] == 1      # single 0-keys from the outer sides
-    assert sum(bag.values()) == 6
+    # the matched pair opens its 1-keys and C its 0-key, each twice
+    assert Counter(keys) == Counter({2: 2, 4: 2, 5: 2})
 
 
 def test_dupselect_at_least_m_run_of_two():

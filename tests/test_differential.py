@@ -1,7 +1,10 @@
 """Random rounds through the protocol and the plaintext circuit at once,
-refereed by the brute-force oracle; a failure shrinks to a small case.
-A round holds 1, 3, 8 or 9 sessions, so the engine's packed batch axis
-runs at one bit per byte, ragged widths and whole bytes."""
+refereed by the brute-force oracle and opening every key exactly twice;
+a failure shrinks to a small case. A round holds 1, 3, 8 or 9 sessions,
+so the engine's packed batch axis runs at one bit per byte, ragged
+widths and whole bytes."""
+
+from collections import Counter
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -59,6 +62,10 @@ def test_random_rounds_match_oracle(case):
     result = S.run_sessions(config, batch, seed=seed, execution="both")
     spec = config.variant
     assert len(result.reports) == len(batch)
+    # each record opens its chosen key twice, so the multiset's shape
+    # says nothing about which values are shared
+    for keys in result.opened_keys:
+        assert set(Counter(keys).values()) == {2}
     for held, reports in zip(batch, result.reports):
         want = oracle.brute_force_shared(held, spec.kind, spec.m, frozenset(spec.fixed_parties))
         for p, values in held.items():

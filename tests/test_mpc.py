@@ -529,11 +529,12 @@ def test_masked_messages_look_uniform():
 # round, negotiation included, pinned when the whole circuit became one
 # schedule with the sortedness flags opened after its last AND layer. A
 # change to the engine's layout or framing must leave every frame, and
-# the order they are sent in, as it was.
+# the order they are sent in, as it was. The at-least-two session was
+# re-recorded when at-least-two became the windowed selection with m = 2.
 TRANSCRIPT_DIGESTS = {
     "direct-fixed-plus-m": "db4f88406447e9cc4a51ce914891c83002ab9a35184ee246540f16d108b1eda4",
     "outsourced-at-least-m-batch-3": "c5ca709292c1026f057d8b38e388a58fd0c7c2f4215975657057f4857a886b98",
-    "session-two-epochs": "4e19fc3349d95c00109f4346bbbbb654c867684514646a420e6e8654dc1264c2",
+    "session-two-epochs": "b6b20010dd2bba256c0ae871fdf61ab7b74a2edb98fc0af9f739988316a732c2",
 }
 
 

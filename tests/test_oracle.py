@@ -60,7 +60,7 @@ def test_plaintext_round_matches_brute_force():
 
 
 def test_plaintext_round_boundary_values():
-    """Extreme values sit at the merged list ends against the sentinels."""
+    """Extreme values sit at the two ends of the merged list."""
     config = SessionConfig(parties=(0, 1), sigma=8)
     pools = {0: {1, 255}, 1: {2, 254}}
     got = plaintext_shared(pools, config, seed=0)

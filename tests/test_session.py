@@ -60,7 +60,7 @@ def test_prepare_errors():
     with pytest.raises(S.RandomnessFailure):
         S.prepare_inputs([1], 4, 2, rng)  # only 3 nonzero 2-bit values
     with pytest.raises(S.SessionError):
-        S.prepare_inputs([0], 2, 8, rng)  # zero value is the reserved sentinel
+        S.prepare_inputs([0], 2, 8, rng)  # the zero value is reserved
 
 
 # -- interpretation -----------------------------------------------------------------
