@@ -1,10 +1,14 @@
 """Bit-vector helpers shared across the circuit and protocol layers.
 
 Convention: integers map to bit lists/arrays in big-endian order
-(index 0 is the most significant bit).
+(index 0 is the most significant bit). A width-bit integer can also be a
+row of ⌈width/8⌉ big-endian bytes whose pad bits are zero; rows compare,
+as opaque items, in the order of the integers they hold.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,3 +45,104 @@ def ints_to_bit_array(values, width: int) -> np.ndarray:
     if bits[:, :pad].any():
         raise ValueError(f"a value does not fit in {width} bits")
     return bits[:, pad:]
+
+
+# -- byte rows -------------------------------------------------------------------
+
+
+def row_bytes(width: int) -> int:
+    """Bytes in a row of a width-bit integer."""
+    return (width + 7) // 8
+
+
+def ints_to_rows(values, width: int) -> np.ndarray:
+    """Rows (len(values), nbytes) of nonnegative ints below 2^width."""
+    nbytes = row_bytes(width)
+    if nbytes <= 8:
+        words = np.asarray(values, dtype=np.uint64).astype(">u8")
+        return words.view(np.uint8).reshape(-1, 8)[:, 8 - nbytes :]
+    blob = b"".join([int(v).to_bytes(nbytes, "big") for v in values])
+    return np.frombuffer(blob, np.uint8).reshape(-1, nbytes)
+
+
+def rows_to_ints(rows: np.ndarray) -> list:
+    """The ints that rows (..., nbytes) hold, as lists nested like rows.shape[:-1]."""
+    nbytes = rows.shape[-1]
+    if nbytes <= 8:
+        words = np.zeros(rows.shape[:-1] + (8,), np.uint8)
+        words[..., 8 - nbytes :] = rows
+        return words.view(">u8")[..., 0].tolist()
+    ints = np.empty(rows.shape[:-1], dtype=object)
+    ints.reshape(-1)[:] = [int.from_bytes(r.tobytes(), "big") for r in rows.reshape(-1, nbytes)]
+    return ints.tolist()
+
+
+def rows_to_bits(rows: np.ndarray, width: int) -> np.ndarray:
+    """The width big-endian bits of each row, (..., width) uint8."""
+    return np.unpackbits(rows, axis=-1)[..., 8 * rows.shape[-1] - width :]
+
+
+def random_rows(rng, shape: tuple[int, ...], width: int) -> np.ndarray:
+    """Uniform width-bit rows of `shape`, from one `rng.bytes` call."""
+    nbytes = row_bytes(width)
+    raw = bytearray(rng.bytes(math.prod(shape) * nbytes))
+    rows = np.frombuffer(raw, np.uint8).reshape(*shape, nbytes)
+    rows[..., 0] &= 0xFF >> (8 * nbytes - width)
+    return rows
+
+
+def row_items(rows: np.ndarray) -> np.ndarray:
+    """Rows (..., nbytes) as one opaque `V{nbytes}` item each, shape rows.shape[:-1]."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(f"V{rows.shape[-1]}")[..., 0]
+
+
+def tagged_items(rows: np.ndarray) -> np.ndarray:
+    """Rows (groups, ..., nbytes) as opaque items, each prefixed with its
+    group number, so that rows of different groups never compare equal."""
+    tag = np.arange(len(rows), dtype=">u4").view(np.uint8).reshape(-1, *[1] * (rows.ndim - 2), 4)
+    return row_items(np.concatenate([np.broadcast_to(tag, rows.shape[:-1] + (4,)), rows], axis=-1))
+
+
+def repeat_flags(taken: np.ndarray, drawn: np.ndarray) -> np.ndarray:
+    """Flags (groups, count) of the drawn rows (groups, count, nbytes) equal
+    to a taken row or to an earlier drawn row of their group: one stable
+    sort per group, then neighbours compared."""
+    items = row_items(np.concatenate([taken, drawn], axis=1))
+    order = np.argsort(items, axis=1, kind="stable")
+    ranked = np.take_along_axis(items, order, axis=1)
+    repeat = np.zeros(items.shape, bool)
+    repeat[:, 1:] = ranked[:, 1:] == ranked[:, :-1]
+    flags = np.empty_like(repeat)
+    np.put_along_axis(flags, order, repeat, axis=1)
+    return flags[:, taken.shape[1] :]
+
+
+def distinct_counts(rows: np.ndarray) -> np.ndarray:
+    """Distinct rows in each group of rows (groups, n, nbytes)."""
+    ranked = np.sort(row_items(rows), axis=1)
+    return (ranked[:, 1:] != ranked[:, :-1]).sum(axis=1) + (rows.shape[1] > 0)
+
+
+def pool_rows(rng, count: np.ndarray, width: int, taken: np.ndarray) -> np.ndarray:
+    """Distinct width-bit rows not among `taken` (groups, n, nbytes), drawn
+    without replacement, count[g] of them for each group g: rows (groups,
+    max count, nbytes), zero past count[g]. Each group takes the first
+    allowed values of its own shuffle of all 2^width values, so width is
+    at most 16 and every group must have enough allowed values."""
+    groups, space, need = len(count), 1 << width, int(count.max())
+    taken_ints = (taken.astype(np.intp) << 8 * np.arange(taken.shape[2] - 1, -1, -1)).sum(axis=2)
+    out = np.zeros((groups, need), np.uint64)
+    step = max(1, (1 << 20) // space)  # groups per shuffle, to bound its size
+    for lo in range(0, groups, step):
+        hi = min(lo + step, groups)
+        allowed = np.ones((hi - lo, space), bool)
+        allowed[np.arange(hi - lo)[:, None], taken_ints[lo:hi]] = False
+        order = np.tile(np.arange(space, dtype=np.uint16), (hi - lo, 1))
+        rng.permuted(order, axis=1, out=order)
+        free = np.take_along_axis(allowed, order, axis=1)
+        rank = np.cumsum(free, axis=1)
+        g, j = np.nonzero(free & (rank <= need))
+        out[lo + g, rank[g, j] - 1] = order[g, j]
+    out[np.arange(need) >= count[:, None]] = 0
+    return ints_to_rows(out.ravel(), width).reshape(groups, need, -1)

@@ -56,7 +56,11 @@ class VariantSpec:
     fixed_parties: tuple[int, ...] = ()
 
     def __post_init__(self):
-        fixed = tuple(sorted(self.fixed_parties)) if self.kind == "fixed-plus-m" else ()
+        fixed = self.fixed_parties if self.kind == "fixed-plus-m" else ()
+        try:
+            fixed = tuple(sorted(fixed))
+        except TypeError:
+            raise ConfigInvalid(f"fixed parties {fixed!r} are not comparable party ids") from None
         object.__setattr__(self, "fixed_parties", fixed)
         if self.kind == "at-least-two":
             object.__setattr__(self, "m", 2)

@@ -3,12 +3,23 @@ inputs, evaluate the compiled circuit under the sharing protocol, and
 interpret the opened keys.
 
 The orchestrator simulates every party in one process. Party-local
-steps (preparation, key tables, interpretation) only ever touch that
-party's own state plus the public opened keys; the one deliberate
-exception is desk-scale collision avoidance, where dummy values and
-keys are drawn under a shared forbidden set so that sub-cryptographic
-hash widths (sigma 8 or 16 in tests) cannot produce the accidental
-cross-party collisions that are negligible at sigma 256.
+steps (preparation, interpretation) only ever touch that party's own
+state plus the public opened keys; the one deliberate exception is
+desk-scale collision avoidance, where dummy values and keys are drawn
+under a shared forbidden set so that sub-cryptographic hash widths
+(sigma 8 or 16 in tests) cannot produce the accidental cross-party
+collisions that are negligible at sigma 256.
+
+Values and keys travel as big-endian ⌈σ/8⌉-byte rows for every session
+of a round at once. Each party draws its keys and dummies for all
+sessions with one `rng.bytes` call; one sort per session finds the draws
+that repeat a forbidden or an earlier row, and only those are drawn
+again (a space of at most 4096 values is drawn from without replacement
+instead). The rows become input bits with one `np.unpackbits` per party,
+the opened bits become rows again, and one sort plus one `searchsorted`
+match every party's keys against them. Python ints appear only at the
+API boundary: stockpiles, reports keyed by value, and
+`RoundResult.opened_keys`.
 """
 
 from __future__ import annotations
@@ -16,12 +27,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
 from . import compiler as CP
 from . import mpc, waksman
-from .bits import ints_to_bit_array
+from .bits import (
+    distinct_counts, ints_to_rows, pool_rows, random_rows, repeat_flags, row_bytes, row_items, rows_to_bits,
+    rows_to_ints, tagged_items,
+)
 from .compiler import VariantSpec
 
 
@@ -174,11 +189,22 @@ class InputRecord:
 
 @dataclass
 class PreparedParty:
-    records: list[InputRecord]
+    """One party's records in every session of a round, sorted by value
+    within each session: big-endian ⌈σ/8⌉-byte rows of the values
+    (sessions, u, nbytes) and of their key pairs (sessions, u, 2, nbytes),
+    k0 then k1, and which records are dummies (sessions, u)."""
 
-    @property
-    def key_table(self) -> dict[int, tuple[int, int]]:
-        return {r.v: (r.k0, r.k1) for r in self.records if not r.is_dummy}
+    values: np.ndarray
+    keys: np.ndarray
+    dummy: np.ndarray
+
+    def records(self, session: int = 0) -> list[InputRecord]:
+        """One session's records as Python ints."""
+        values, keys = rows_to_ints(self.values[session]), rows_to_ints(self.keys[session])
+        return [
+            InputRecord(v, k0, k1, d)
+            for v, (k0, k1), d in zip(values, keys, self.dummy[session].tolist())
+        ]
 
 
 @dataclass
@@ -200,46 +226,71 @@ class IntersectionReport:
 
 # -- input preparation ---------------------------------------------------------
 
-
-def _rand_value(rng, width: int) -> int:
-    """Uniform integer in [0, 2^width); byte-based above the int64 range."""
-    if width <= 62:
-        return int(rng.integers(0, 1 << width))
-    nbytes = (width + 7) // 8
-    raw = int.from_bytes(rng.bytes(nbytes), "big")
-    return raw >> (nbytes * 8 - width)
+# a space of at most this many values is drawn from without replacement
+_POOL_MAX = 4096
 
 
-def _draw_distinct(rng, count, width, taken: set[int], lowest: int) -> list[int]:
-    """Fresh values from [lowest, 2^width) avoiding `taken`."""
-    space = (1 << width) - lowest
-    if space - len(taken) < count:
-        raise RandomnessFailure(
-            f"need {count} fresh {width}-bit values, space exhausted"
-        )
-    out: list[int] = []
-    if space <= 4096:
-        pool = [x for x in range(lowest, 1 << width) if x not in taken]
-        idx = rng.choice(len(pool), size=count, replace=False)
-        out = [pool[i] for i in idx]
-    else:
-        seen = set()
-        while len(out) < count:
-            x = _rand_value(rng, width)
-            if x < lowest or x in taken or x in seen:
-                continue
-            seen.add(x)
-            out.append(x)
-    return out
+def _taken_rows(taken, sessions: int, width: int) -> np.ndarray:
+    """Rows (sessions, n, nbytes) to avoid: `taken` itself, or a set of
+    ints taken in every session."""
+    if isinstance(taken, np.ndarray):
+        return taken
+    rows = ints_to_rows(sorted(taken), width)
+    return np.broadcast_to(rows, (sessions, *rows.shape))
+
+
+def _draw_distinct(rng, count, width: int, taken, lowest: int, first=None) -> np.ndarray:
+    """Distinct fresh values of [lowest, 2^width) that avoid `taken`,
+    count[b] of them in each session b, as rows (sessions, max count,
+    nbytes) that are zero past count[b]. `taken` holds rows (sessions, n,
+    nbytes), or is a set of ints taken in every session.
+
+    A space of at most _POOL_MAX values is drawn from without
+    replacement. A larger one is drawn from uniformly, from the rows
+    `first` if given; every draw that repeats a taken or an earlier row
+    of its session is drawn again until none does. Either way a session's
+    rows are uniform over the tuples of distinct allowed values.
+    """
+    count = np.array(count, dtype=np.int64, ndmin=1)
+    sessions, need, nbytes = len(count), int(count.max(initial=0)), row_bytes(width)
+    below = np.broadcast_to(ints_to_rows(range(lowest), width), (sessions, lowest, nbytes))
+    taken = np.concatenate([below, _taken_rows(taken, sessions, width)], axis=1)
+    space = 1 << width
+    if taken.shape[1] + need > space and (distinct_counts(taken) + count > space).any():
+        raise RandomnessFailure(f"need {need} fresh {width}-bit values, space exhausted")
+    if not need:
+        return np.zeros((sessions, 0, nbytes), np.uint8)
+    if space - lowest <= _POOL_MAX:
+        return pool_rows(rng, count, width, taken)
+    drawn = random_rows(rng, (sessions, need), width) if first is None else first
+    live = np.arange(need) < count[:, None]
+    # a dead slot sits after every live one of its session, so it never
+    # makes a live draw a repeat
+    while True:
+        flags = repeat_flags(taken, drawn) & live
+        again = np.count_nonzero(flags)
+        if not again:
+            break
+        drawn[flags] = random_rows(rng, (again,), width)
+    drawn[~live] = 0
+    return drawn
 
 
 def _distinct_values(values, sigma: int) -> list[int]:
     """Sorted distinct values; each must lie in the nonzero sigma-bit space."""
-    real = sorted(set(int(v) for v in values))
-    for v in real:
-        if not 0 < v < (1 << sigma):
-            raise SessionError(f"value {v} outside the nonzero {sigma}-bit space")
+    real = sorted(set(map(int, values)))
+    if real and not 0 < real[0] <= real[-1] < 1 << sigma:
+        bad = real[0] if real[0] <= 0 else real[-1]
+        raise SessionError(f"value {bad} outside the nonzero {sigma}-bit space")
     return real
+
+
+def _padded_rows(real: list[list[int]], u: int, sigma: int) -> np.ndarray:
+    """Each session's values as rows (sessions, u, nbytes), zero past its count."""
+    counts = np.array([len(vs) for vs in real])
+    rows = np.zeros((len(real), u, row_bytes(sigma)), np.uint8)
+    rows[np.arange(u) < counts[:, None]] = ints_to_rows([v for vs in real for v in vs], sigma)
+    return rows
 
 
 def prepare_inputs(
@@ -250,56 +301,99 @@ def prepare_inputs(
     forbidden_values=frozenset(),
     forbidden_keys=frozenset(),
 ) -> PreparedParty:
-    """Sorted, deduplicated, dummy-padded records with fresh key pairs.
+    """One party's sorted, dummy-padded records with fresh key pairs, in
+    every session of a round.
 
-    Dummies are drawn uniformly from the nonzero value space avoiding
-    the party's own values and the forbidden set, then the combined
-    list is sorted, which interleaves them instead of revealing the
-    real count through trailing positions.
+    `values` lists the party's values in each session; a collection of
+    ints is one session's. It may also be rows (sessions, u, ⌈σ/8⌉) that
+    hold each session's distinct values in ascending order, then zero
+    rows. Dummies are nonzero and avoid the party's values and
+    `forbidden_values`; keys avoid `forbidden_keys`. Both are rows
+    (sessions, n, ⌈σ/8⌉), or sets of ints forbidden in every session. The keys and
+    dummies of all sessions come from one `rng.bytes` call, redraws
+    aside. Sorting each session's records interleaves the dummies instead
+    of revealing the real count through trailing positions.
     """
-    real = _distinct_values(values, sigma)
-    if len(real) > u:
-        raise TooManyEntries(f"{len(real)} distinct values exceed bound u={u}")
-    taken = set(real) | set(forbidden_values)
-    dummies = _draw_distinct(rng, u - len(real), sigma, taken, lowest=1)
-    keys = _draw_distinct(
-        rng, 2 * u, sigma, set(forbidden_keys), lowest=0
-    )
-    records = []
-    dummy_set = set(dummies)
-    for i, v in enumerate(sorted(real + dummies)):
-        records.append(InputRecord(v, keys[2 * i], keys[2 * i + 1], v in dummy_set))
-    return PreparedParty(records)
+    if isinstance(values, np.ndarray) and values.ndim == 3:
+        rows = values.copy()
+    else:
+        if not values or isinstance(next(iter(values)), (int, np.integer)):
+            values = [values]
+        real = [_distinct_values(vs, sigma) for vs in values]
+        most = max(map(len, real))
+        if most > u:
+            raise TooManyEntries(f"{most} distinct values exceed bound u={u}")
+        rows = _padded_rows(real, u, sigma)
+    sessions, nbytes = len(rows), row_bytes(sigma)
+    held = rows.any(axis=2)
+    needed = u - held.sum(axis=1)
+    spare = int(needed.max())  # the most dummies any session needs
+    key_draws = dummy_draws = None
+    if (1 << sigma) - 1 > _POOL_MAX:  # neither space is pooled: one call serves both draws
+        raw = random_rows(rng, (sessions, 2 * u + spare), sigma)
+        key_draws, dummy_draws = raw[:, : 2 * u], raw[:, 2 * u :]
+    keys = _draw_distinct(rng, [2 * u] * sessions, sigma, forbidden_keys, lowest=0, first=key_draws)
+    keys = keys.reshape(sessions, u, 2, nbytes)
+    if not spare:
+        return PreparedParty(rows, keys, ~held)
+    taken = np.concatenate([rows, _taken_rows(forbidden_values, sessions, sigma)], axis=1)
+    dummies = _draw_distinct(rng, needed, sigma, taken, lowest=1, first=dummy_draws)
+    rows[~held] = dummies[np.arange(spare) < needed[:, None]]
+    order = np.argsort(row_items(rows), axis=1)
+    rows = np.take_along_axis(rows, order[..., None], axis=1)
+    return PreparedParty(rows, keys, np.take_along_axis(~held, order, axis=1))
 
 
-def _prepare_parties(values: dict[int, list[int]], u: int, sigma: int, rngs) -> dict[int, PreparedParty]:
-    """Prepare one session's parties in slot order. Dummies avoid every
-    party's values and earlier dummies; keys avoid earlier parties' keys."""
-    taken_values = set().union(*values.values())
-    taken_keys: set[int] = set()
+def _prepare_parties(values: list[dict[int, list[int]]], u: int, sigma: int, rngs) -> dict[int, PreparedParty]:
+    """Prepare every session's parties in slot order, each party from its
+    own generator. `values` holds each session's sorted distinct values
+    per party. Dummies avoid every party's values and earlier parties'
+    dummies in their session; keys avoid earlier parties' keys."""
+    slots = sorted(values[0])
+    real = {p: _padded_rows([vb[p] for vb in values], u, sigma) for p in slots}
+    taken_values = np.concatenate(list(real.values()), axis=1)
+    taken_keys = np.zeros((len(values), 0, row_bytes(sigma)), np.uint8)
     prepared = {}
-    for i, p in enumerate(sorted(values)):
-        pp = prepare_inputs(
-            values[p], u, sigma, rngs[i],
-            forbidden_values=taken_values, forbidden_keys=taken_keys,
-        )
-        taken_values |= {r.v for r in pp.records}
-        taken_keys |= {k for r in pp.records for k in (r.k0, r.k1)}
+    for i, p in enumerate(slots):
+        pp = prepare_inputs(real[p], u, sigma, rngs[i],
+                            forbidden_values=taken_values, forbidden_keys=taken_keys)
+        taken_values = np.concatenate([taken_values, pp.values], axis=1)
+        taken_keys = np.concatenate([taken_keys, pp.keys.reshape(len(values), 2 * u, -1)], axis=1)
         prepared[p] = pp
     return prepared
 
 
-def interpret_output(key_table: dict[int, tuple[int, int]], opened) -> IntersectionReport:
-    """Look up one party's keys among the opened keys, any container of them."""
-    statuses = {}
-    for v, (k0, k1) in key_table.items():
-        if k1 in opened:
-            statuses[v] = "shared"
-        elif k0 in opened:
-            statuses[v] = "exclusive"
-        else:
-            raise ProtocolCorruption(f"no key for value {v} in the opened output")
-    return IntersectionReport(statuses)
+_STATUS = ("exclusive", "shared")
+
+
+def interpret_output(prepared: dict[int, PreparedParty], opened: np.ndarray) -> list[dict[int, IntersectionReport]]:
+    """Every party's report in every session, from the opened key rows
+    (sessions, n_keys, nbytes): a real record is shared if its k1 is among
+    its session's opened keys and exclusive if its k0 is.
+
+    One sort of the opened keys and one `searchsorted` of every party's
+    keys match all sessions at once."""
+    slots = list(prepared)
+    ref = np.sort(tagged_items(opened).ravel())
+    query = tagged_items(np.stack([prepared[p].keys for p in slots], axis=1))  # (sessions, N, u, 2)
+    at = np.minimum(np.searchsorted(ref, query.ravel()), len(ref) - 1)
+    found = (ref[at] == query.ravel()).reshape(query.shape)
+    shared = found[..., 1]
+    dummy = np.stack([prepared[p].dummy for p in slots], axis=1)
+    lost = ~(shared | found[..., 0] | dummy)
+    if lost.any():
+        b, i, j = np.argwhere(lost)[0]
+        (v,) = rows_to_ints(prepared[slots[i]].values[b, j : j + 1])
+        raise ProtocolCorruption(f"no key for value {v} of party {slots[i]} in session {b} in the opened output")
+    values = rows_to_ints(np.stack([prepared[p].values for p in slots], axis=1))
+    real, flags = (~dummy).tolist(), shared.tolist()
+    return [
+        {
+            p: IntersectionReport(dict(compress(zip(vs, map(_STATUS.__getitem__, fs)), keep)))
+            for p, vs, fs, keep in zip(slots, values[b], flags[b], real[b])
+        }
+        for b in range(len(values))
+    ]
 
 
 # -- circuit wiring --------------------------------------------------------------
@@ -318,45 +412,40 @@ def _compiler_config(config: SessionConfig, u: int) -> CP.CircuitConfig:
 
 
 def _round_inputs(
-    prepared: list[dict[int, PreparedParty]], slots, cfg: CP.CircuitConfig, control_seed
+    prepared: dict[int, PreparedParty], cfg: CP.CircuitConfig, control_seed
 ) -> dict[int, np.ndarray]:
     """Every owner's input bits for a batch, (bits, batch) each: the
-    record bits of each party, then each control party's shuffle bits.
+    record bits of each party, one `np.unpackbits` per party, then each
+    control party's shuffle bits.
 
     Shuffle permutations are drawn control party by control party,
     session by session, and all of them are routed by one call.
     """
-    batch = len(prepared)
     inputs = {}
-    for i, p in enumerate(slots):
-        values = [x for pp in prepared for r in pp[p].records for x in (r.v, r.k0, r.k1)]
-        inputs[i] = ints_to_bit_array(values, cfg.sigma).reshape(batch, -1).T
+    for i, pp in enumerate(prepared.values()):
+        rows = np.concatenate([pp.values[:, :, None], pp.keys], axis=2)  # (batch, u, 3, nbytes)
+        inputs[i] = rows_to_bits(rows, cfg.sigma).reshape(len(rows), -1).T
+    batch = inputs[0].shape[1]
     rng = np.random.default_rng(control_seed)
     n_keys = 2 * cfg.total_records
-    perms = [rng.permutation(n_keys) for _ in cfg.control_parties for _ in range(batch)]
-    bits = waksman.route_permutation(np.array(perms))
+    # row by row, the same draws as one rng.permutation(n_keys) per row
+    perms = np.tile(np.arange(n_keys), (len(cfg.control_parties) * batch, 1))
+    rng.permuted(perms, axis=1, out=perms)
+    bits = waksman.route_permutation(perms)
     for j, owner in enumerate(cfg.control_parties):
         ctl = bits[j * batch : (j + 1) * batch].T
         inputs[owner] = np.concatenate([inputs[owner], ctl]) if owner in inputs else ctl
     return inputs
 
 
-def _keys_from_output(out_bits: np.ndarray, n_keys: int, sigma: int) -> list[list[int]]:
-    """Opened output bits [n_keys*sigma, B] to per-element lists of
-    big-endian sigma-bit integers."""
+def _keys_from_output(out_bits: np.ndarray, n_keys: int, sigma: int) -> np.ndarray:
+    """Opened output bits [n_keys*sigma, B] to big-endian rows (B, n_keys, ⌈sigma/8⌉)."""
     batch = out_bits.shape[1]
-    arr = out_bits.reshape(n_keys, sigma, batch)
+    bits = out_bits.reshape(n_keys, sigma, batch).transpose(2, 0, 1)
     pad = (-sigma) % 8
     if pad:
-        arr = np.concatenate(
-            [np.zeros((n_keys, pad, batch), dtype=np.uint8), arr], axis=1
-        )
-    nbytes = (sigma + 7) // 8
-    blob = np.packbits(arr, axis=1).transpose(2, 0, 1).tobytes()  # (B, n_keys, nbytes)
-    keys = [
-        int.from_bytes(blob[j : j + nbytes], "big") for j in range(0, len(blob), nbytes)
-    ]
-    return [keys[b * n_keys : (b + 1) * n_keys] for b in range(batch)]
+        bits = np.concatenate([np.zeros((batch, n_keys, pad), dtype=np.uint8), bits], axis=2)
+    return np.packbits(bits, axis=2)
 
 
 # -- round execution --------------------------------------------------------------
@@ -364,10 +453,16 @@ def _keys_from_output(out_bits: np.ndarray, n_keys: int, sigma: int) -> list[lis
 
 @dataclass
 class RoundResult:
+    """One round's outcome. Per session: `reports[b]` maps each party to
+    its report, `opened_keys[b]` lists the opened keys as ints, and
+    `opened_rows[b]` holds them as rows (n_keys, nbytes). `prepared` maps
+    each party to its records in every session."""
+
     u: int
     reports: list[dict[int, IntersectionReport]]
     opened_keys: list[list[int]]
-    prepared: list[dict[int, PreparedParty]]
+    opened_rows: np.ndarray
+    prepared: dict[int, PreparedParty]
     transcript: mpc.Transcript | None
     config_digest: str
     engine: mpc.Engine | None = None
@@ -402,9 +497,9 @@ def negotiate_u(config: SessionConfig, counts: dict[int, list[int]], seed) -> li
     )
     inputs = {}
     for i, p in enumerate(slots):
-        inputs[i] = ints_to_bit_array(counts[p], config.count_bits).T
+        inputs[i] = rows_to_bits(ints_to_rows(counts[p], config.count_bits), config.count_bits).T
     out = engine.run(inputs, lambda owner: rngs[owner])
-    maxima = [m for (m,) in _keys_from_output(out, 1, config.count_bits)]
+    maxima = [m for (m,) in rows_to_ints(_keys_from_output(out, 1, config.count_bits))]
     expected = [
         max(counts[p][b] for p in slots) for b in range(batch)
     ]
@@ -433,7 +528,7 @@ def _execute(config: SessionConfig, seed, counts: dict[int, list[int]], prepare,
     `counts` maps each party to its number of distinct values in each
     session; u is their maximum, negotiated under the protocol unless
     only the plaintext circuit runs. `prepare(u, party_rngs)` returns
-    every session's prepared parties. `execution` is "mpc",
+    every party's prepared records, for all sessions. `execution` is "mpc",
     "plaintext", or "both" (evaluates both paths and insists on
     bit-identical opened keys). `restore(engine, compiled, prepared)`,
     if given, loads stored shares into the round's engine before it
@@ -455,7 +550,7 @@ def _execute(config: SessionConfig, seed, counts: dict[int, list[int]], prepare,
 
     cfg = _compiler_config(config, u)
     compiled = CP.compile_circuit(cfg)
-    inputs = _round_inputs(prepared, slots, cfg, control_seed)
+    inputs = _round_inputs(prepared, cfg, control_seed)
 
     def check_flags(flag_bits: np.ndarray) -> None:
         bad = [p for p, flags in zip(slots, flag_bits) if flags.any()]
@@ -472,7 +567,7 @@ def _execute(config: SessionConfig, seed, counts: dict[int, list[int]], prepare,
             _computing_ids(config),
             reactive=[mpc.ReactiveOpen(list(compiled.flag_wires), check_flags)],
             dealer_seed=dealer_seed,
-            batch=len(prepared),
+            batch=len(maxima),
             epoch=config.epoch,
         )
         if restore:
@@ -482,15 +577,12 @@ def _execute(config: SessionConfig, seed, counts: dict[int, list[int]], prepare,
             raise ProtocolCorruption("protocol output differs from plaintext circuit")
         opened = out
 
-    keys_per_element = _keys_from_output(opened, 2 * cfg.total_records, config.sigma)
-    reports = [
-        {p: interpret_output(pp[p].key_table, keys) for p in slots}
-        for pp, keys in zip(prepared, map(set, keys_per_element))
-    ]
+    opened_rows = _keys_from_output(opened, 2 * cfg.total_records, config.sigma)
     return RoundResult(
         u=u,
-        reports=reports,
-        opened_keys=keys_per_element,
+        reports=interpret_output(prepared, opened_rows),
+        opened_keys=rows_to_ints(opened_rows),
+        opened_rows=opened_rows,
         prepared=prepared,
         transcript=engine.transcript if engine else None,
         config_digest=config.digest(),
@@ -531,13 +623,13 @@ def run_sessions(
     values = [{p: _distinct_values(sp[p], config.sigma) for p in slots} for sp in stockpiles_batch]
 
     def prepare(u, party_rngs):
-        prepared = [_prepare_parties(v, u, config.sigma, party_rngs) for v in values]
+        prepared = _prepare_parties(values, u, config.sigma, party_rngs)
         if inject_unsorted is not None:
             if u < 2:
                 raise SessionError("unsorted injection needs at least two records")
-            for per_party in prepared:
-                recs = per_party[inject_unsorted].records
-                recs[0], recs[1] = recs[1], recs[0]
+            pp = prepared[inject_unsorted]
+            for rows in (pp.values, pp.keys, pp.dummy):
+                rows[:, [0, 1]] = rows[:, [1, 0]]
         return prepared
 
     counts = {p: [len(v[p]) for v in values] for p in slots}
@@ -603,14 +695,13 @@ class Session:
         only once it has succeeded, so a failed epoch can be retried."""
         config = replace(self.config, epoch=self.epoch)
         config.validate()
-        values = {p: [*st.submitted, *st.pending] for p, st in self.state.items()}
+        values = {p: sorted([*st.submitted, *st.pending]) for p, st in self.state.items()}
 
         def prepare(u, party_rngs):
-            prepared = _prepare_parties(values, u, config.sigma, party_rngs)
+            prepared = _prepare_parties([values], u, config.sigma, party_rngs)
             for p, st in self.state.items():
-                for r in prepared[p].records:
-                    r.is_dummy = r.is_dummy or st.submitted.get(r.v, False)
-            return [prepared]
+                prepared[p].dummy[0] |= [st.submitted.get(r.v, False) for r in prepared[p].records()]
+            return prepared
 
         seed = self._seed.spawn(1)[0]  # children are numbered in spawn order
         counts = {p: [len(vs)] for p, vs in values.items()}
@@ -621,7 +712,7 @@ class Session:
         else:
             self._persist(result.engine, result.compiled)
         for p, st in self.state.items():
-            st.submitted = {r.v: r.is_dummy for r in result.prepared[0][p].records}
+            st.submitted = {r.v: r.is_dummy for r in result.prepared[p].records()}
             st.pending = []
         return result
 
@@ -638,7 +729,7 @@ class Session:
         bits = {cp: [] for cp in engine.computing_ids}
         for i, p in enumerate(self.slots):
             old = {v: j for j, v in enumerate(self.state[p].submitted)}
-            slots = [(new, old[r.v]) for new, r in enumerate(prepared[0][p].records) if r.v in old]
+            slots = [(new, old[r.v]) for new, r in enumerate(prepared[p].records()) if r.v in old]
             if not slots:
                 continue
             new_slots, old_slots = zip(*slots)

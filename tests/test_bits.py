@@ -1,9 +1,12 @@
-"""Bit-vector helpers: the vectorized row builder against int_to_bits."""
+"""Bit-vector helpers: the vectorized row builder against int_to_bits,
+and the byte rows against both."""
 
 import numpy as np
 import pytest
 
-from depletion.bits import bits_to_int, int_to_bits, ints_to_bit_array
+from depletion.bits import (
+    bits_to_int, int_to_bits, ints_to_bit_array, ints_to_rows, random_rows, row_items, rows_to_bits, rows_to_ints,
+)
 
 
 @pytest.mark.parametrize("width", [1, 3, 8, 16, 31, 32, 63, 64, 65, 256])
@@ -32,3 +35,18 @@ def test_ints_to_bit_array_rejects_what_int_to_bits_rejects(value, width):
         int_to_bits(value, width)
     with pytest.raises(ValueError):
         ints_to_bit_array([1, value], width)
+
+
+@pytest.mark.parametrize("width", [1, 3, 8, 16, 31, 32, 63, 64, 65, 256])
+def test_byte_rows_round_trip_and_order_like_their_ints(width):
+    rng = np.random.default_rng(width)
+    top = (1 << width) - 1
+    values = [0, top, 1, top >> 1] + [int.from_bytes(rng.bytes(33), "big") & top for _ in range(20)]
+    rows = ints_to_rows(values, width)
+    assert rows.shape == (len(values), (width + 7) // 8)
+    assert rows_to_ints(rows) == values
+    assert np.array_equal(rows_to_bits(rows, width), ints_to_bit_array(values, width))
+    assert rows_to_ints(np.sort(row_items(rows)).view(np.uint8).reshape(rows.shape)) == sorted(values)
+    drawn = random_rows(rng, (5, 7), width)
+    assert drawn.shape == (5, 7, rows.shape[1])
+    assert all(0 <= v <= top for row in rows_to_ints(drawn) for v in row)

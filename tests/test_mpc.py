@@ -530,11 +530,13 @@ def test_masked_messages_look_uniform():
 # schedule with the sortedness flags opened after its last AND layer. A
 # change to the engine's layout or framing must leave every frame, and
 # the order they are sent in, as it was. The at-least-two session was
-# re-recorded when at-least-two became the windowed selection with m = 2.
+# re-recorded when at-least-two became the windowed selection with m = 2,
+# and all three when the session layer began drawing keys and dummies as
+# byte rows for a whole round (the reports they return did not change).
 TRANSCRIPT_DIGESTS = {
-    "direct-fixed-plus-m": "db4f88406447e9cc4a51ce914891c83002ab9a35184ee246540f16d108b1eda4",
-    "outsourced-at-least-m-batch-3": "c5ca709292c1026f057d8b38e388a58fd0c7c2f4215975657057f4857a886b98",
-    "session-two-epochs": "b6b20010dd2bba256c0ae871fdf61ab7b74a2edb98fc0af9f739988316a732c2",
+    "direct-fixed-plus-m": "4d73c83a1caee2094e1618d971e251df44387fa4617e895a7a0c6fe44e6cdaca",
+    "outsourced-at-least-m-batch-3": "79abf5c4534bfb1a81a3bf8fcff0d4b3e90f1e5593bee49164b28131ad69e9f1",
+    "session-two-epochs": "de282fc23701ab4d9cddf446997ec12c099e920c2393b22996270b2bd1eba3ce",
 }
 
 

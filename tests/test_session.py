@@ -10,6 +10,7 @@ import pytest
 
 from depletion import compiler as CP
 from depletion import mpc, oracle, session as S
+from depletion.bits import ints_to_rows, rows_to_ints
 
 
 def cfg2(**kw):
@@ -23,18 +24,19 @@ def cfg2(**kw):
 
 def test_prepare_pads_and_sorts():
     rng = np.random.default_rng(0)
-    pp = S.prepare_inputs([9, 3], 4, 8, rng)
-    vs = [r.v for r in pp.records]
+    recs = S.prepare_inputs([9, 3], 4, 8, rng).records()
+    vs = [r.v for r in recs]
     assert len(vs) == 4
     assert vs == sorted(vs) and len(set(vs)) == 4
-    assert sum(r.is_dummy for r in pp.records) == 2
-    assert set(pp.key_table) == {3, 9}
+    assert sum(r.is_dummy for r in recs) == 2
+    assert {r.v for r in recs if not r.is_dummy} == {3, 9}
 
 
 def test_prepare_no_dummies_when_full():
     rng = np.random.default_rng(1)
     pp = S.prepare_inputs([5, 2, 7], 3, 8, rng)
-    assert sum(r.is_dummy for r in pp.records) == 0
+    assert not pp.dummy.any()
+    assert [r.v for r in pp.records()] == [2, 5, 7]
 
 
 def test_prepare_sweep_no_collisions():
@@ -43,13 +45,13 @@ def test_prepare_sweep_no_collisions():
         real = sorted(np.random.default_rng(trial).choice(
             np.arange(1, 256), size=3, replace=False).tolist())
         forb = set(range(100, 140)) - set(real)
-        pp = S.prepare_inputs(real, 6, 8, rng, forbidden_values=forb)
-        vs = [r.v for r in pp.records]
+        recs = S.prepare_inputs(real, 6, 8, rng, forbidden_values=forb).records()
+        vs = [r.v for r in recs]
         assert vs == sorted(set(vs))
-        dummies = {r.v for r in pp.records if r.is_dummy}
+        dummies = {r.v for r in recs if r.is_dummy}
         assert not dummies & set(real)
         assert not dummies & forb
-        keys = [k for r in pp.records for k in (r.k0, r.k1)]
+        keys = [k for r in recs for k in (r.k0, r.k1)]
         assert len(keys) == len(set(keys))
 
 
@@ -63,20 +65,138 @@ def test_prepare_errors():
         S.prepare_inputs([0], 2, 8, rng)  # the zero value is reserved
 
 
+def _wide_batch(sigma, sessions=64, parties=(0, 1, 2), u=6, seed=0):
+    """Stockpiles of unequal sizes, so that most parties draw dummies."""
+    rng = random.Random(seed)
+    space = range(1, min(1 << sigma, 1 << 30))
+    batch = []
+    for _ in range(sessions):
+        pool = rng.sample(space, 2 * u)
+        batch.append({p: set(rng.sample(pool, rng.randint(1, u))) for p in parties})
+    return batch
+
+
+def _session_draws(batch, sigma, u, seed):
+    values = [{p: S._distinct_values(sp[p], sigma) for p in sorted(sp)} for sp in batch]
+    rngs = [np.random.default_rng([seed, i]) for i in range(len(batch[0]))]
+    return values, S._prepare_parties(values, u, sigma, rngs)
+
+
+@pytest.mark.parametrize("sigma", [8, 16, 32, 64, 72])
+def test_draw_rules_hold_in_every_session_of_a_wide_batch(sigma):
+    batch = _wide_batch(sigma)
+    values, prepared = _session_draws(batch, sigma, 6, seed=sigma)
+    for b, held in enumerate(values):
+        records = {p: prepared[p].records(b) for p in held}
+        everyone = set().union(*map(set, held.values()))
+        seen_dummies, keys = set(), []
+        for p in sorted(held):  # slot order: later parties avoid earlier dummies
+            dummies = [r.v for r in records[p] if r.is_dummy]
+            assert sorted(r.v for r in records[p] if not r.is_dummy) == held[p]
+            assert len(dummies) == 6 - len(held[p])
+            assert all(0 < d < 1 << sigma for d in dummies)
+            assert not set(dummies) & everyone
+            assert not set(dummies) & seen_dummies and len(set(dummies)) == len(dummies)
+            seen_dummies |= set(dummies)
+            assert [r.v for r in records[p]] == sorted(r.v for r in records[p])
+            keys += [k for r in records[p] for k in (r.k0, r.k1)]
+        assert len(keys) == len(set(keys)) == 2 * 6 * len(held)
+        assert all(0 <= k < 1 << sigma for k in keys)
+
+
+def test_pool_path_never_repeats_a_value():
+    # sigma 8 draws from the 255 nonzero values without replacement: 14
+    # parties of 9 records fill 126 of them, keys fill 252 of 256
+    parties = tuple(range(14))
+    batch = [{p: {1 + p} for p in parties} for _ in range(64)]
+    values, prepared = _session_draws(batch, 8, 9, seed=3)
+    for b in range(64):
+        vs = [r.v for p in parties for r in prepared[p].records(b)]
+        keys = [k for p in parties for r in prepared[p].records(b) for k in (r.k0, r.k1)]
+        assert len(vs) == len(set(vs)) == 14 * 9
+        assert len(keys) == len(set(keys)) == 2 * 14 * 9
+
+
+class RepeatingBytes:
+    """A generator stub whose byte draws repeat: the first `repeats`
+    calls all return the same bytes, later ones come from a real generator."""
+
+    def __init__(self, repeats):
+        self.rng, self.repeats, self.calls = np.random.default_rng(7), repeats, []
+
+    def bytes(self, n):
+        self.calls.append(n)
+        if len(self.calls) <= self.repeats:
+            return b"\x5a" * n
+        return self.rng.bytes(n)
+
+
+def test_repeated_draws_are_drawn_again():
+    stub = RepeatingBytes(repeats=2)
+    rows = S._draw_distinct(stub, [3, 1, 2], 32, np.zeros((3, 0, 4), np.uint8), lowest=1)
+    # the first call fills all 9 slots with one value; the 3 live slots
+    # after the first of their session repeat it and are drawn again, and
+    # the second call repeats it once more
+    assert stub.calls == [9 * 4, 3 * 4, 3 * 4]
+    ints = [rows_to_ints(rows[b]) for b in range(3)]
+    assert ints[0][0] == ints[1][0] == ints[2][0] == 0x5A5A5A5A
+    assert ints[1][1:] == [0, 0] and ints[2][2:] == [0]  # zero past each count
+    for b, count in enumerate([3, 1, 2]):
+        assert len(set(ints[b][:count])) == count
+    # a repeat of a taken row is drawn again too
+    stub = RepeatingBytes(repeats=1)
+    taken = np.full((1, 1, 4), 0x5A, np.uint8)
+    rows = S._draw_distinct(stub, [1], 32, taken, lowest=1)
+    assert len(stub.calls) == 2 and rows_to_ints(rows[0]) != [0x5A5A5A5A]
+
+
+def test_an_exhausted_space_is_a_randomness_failure():
+    # pool path: at u = 6 each party needs 12 distinct keys, two need 24 of the 16 4-bit values
+    with pytest.raises(S.RandomnessFailure):
+        _session_draws([{0: {1}, 1: {2}, 2: {3}}] * 4, 4, 6, seed=0)
+    # drawn path: every 13-bit value but 0 and 1 is taken, and 0 is below `lowest`
+    taken = ints_to_rows(range(2, 1 << 13), 13)[None]
+    with pytest.raises(S.RandomnessFailure):
+        S._draw_distinct(np.random.default_rng(0), [2], 13, taken, lowest=1)
+
+
 # -- interpretation -----------------------------------------------------------------
 
 
+def _prepared(values, keys, dummy, sigma=8):
+    """One session's PreparedParty from ints: keys are (k0, k1) pairs."""
+    rows = ints_to_rows(values, sigma)[None]
+    key_rows = ints_to_rows([k for pair in keys for k in pair], sigma).reshape(1, len(values), 2, -1)
+    return S.PreparedParty(rows, key_rows, np.array([dummy]))
+
+
 def test_interpret_output_basic():
-    table = {5: (10, 11), 9: (20, 21)}
-    rep = S.interpret_output(table, [11, 20, 20])
-    assert rep.statuses == {5: "shared", 9: "exclusive"}
-    assert rep.shared == {5}
-    assert rep.shared_count == 1 and rep.exclusive_count == 1
+    prepared = {0: _prepared([5, 9], [(10, 11), (20, 21)], [False, False]),
+                1: _prepared([7, 8], [(30, 31), (40, 41)], [False, True])}
+    opened = ints_to_rows([11, 11, 20, 20, 31, 31, 40, 40], 8)[None]
+    (reports,) = S.interpret_output(prepared, opened)
+    assert reports[0].statuses == {5: "shared", 9: "exclusive"}
+    assert reports[0].shared == {5}
+    assert reports[0].shared_count == 1 and reports[0].exclusive_count == 1
+    assert reports[1].statuses == {7: "shared"}  # dummies get no status
+
+
+def test_interpret_output_matches_each_session_separately():
+    prepared = {0: S.PreparedParty(
+        ints_to_rows([5, 5], 8).reshape(2, 1, 1),
+        ints_to_rows([10, 11, 10, 11], 8).reshape(2, 1, 2, 1),
+        np.zeros((2, 1), bool),
+    )}
+    # session 0 opens k1 = 11, session 1 opens k0 = 10: the same key rows
+    opened = ints_to_rows([11, 11, 10, 10], 8).reshape(2, 2, 1)
+    reports = S.interpret_output(prepared, opened)
+    assert [r[0].statuses for r in reports] == [{5: "shared"}, {5: "exclusive"}]
 
 
 def test_interpret_output_corruption():
-    with pytest.raises(S.ProtocolCorruption):
-        S.interpret_output({5: (10, 11)}, [12, 13])
+    prepared = {0: _prepared([5], [(10, 11)], [False])}
+    with pytest.raises(S.ProtocolCorruption, match="value 5"):
+        S.interpret_output(prepared, ints_to_rows([12, 13], 8)[None])
 
 
 @pytest.mark.parametrize("sigma", [1, 8, 13, 32, 64, 256])
@@ -88,7 +208,10 @@ def test_keys_from_output_reads_each_key_big_endian(sigma):
         [int("".join(map(str, out[i * sigma : (i + 1) * sigma, b])), 2) for i in range(n_keys)]
         for b in range(batch)
     ]
-    assert S._keys_from_output(out, n_keys, sigma) == expect
+    rows = S._keys_from_output(out, n_keys, sigma)
+    assert rows.shape == (batch, n_keys, (sigma + 7) // 8)
+    assert rows_to_ints(rows) == expect
+    assert np.array_equal(ints_to_rows(sum(expect, []), sigma).reshape(rows.shape), rows)
 
 
 # -- negotiation --------------------------------------------------------------------
@@ -194,6 +317,36 @@ def test_reports_match_oracle_batch():
             assert res.reports[b][p].shared == want[p]
 
 
+@pytest.mark.parametrize("variant", [
+    S.VariantSpec(),
+    S.VariantSpec("at-least-m", m=3),
+    S.VariantSpec("fixed-plus-m", m=1, fixed_parties=(2,)),
+], ids=lambda spec: spec.kind)
+@pytest.mark.parametrize("width", [1, 3, 9, 256])
+def test_rounds_with_dummies_match_oracle_at_every_batch_width(width, variant):
+    config = S.SessionConfig(parties=(0, 2, 5), sigma=16, variant=variant)
+    batch = _wide_batch(16, sessions=width, parties=config.parties, u=5, seed=width)
+    res = S.run_sessions(config, batch, seed=width, execution="both")
+    assert res.u == max(len(vs) for sp in batch for vs in sp.values())
+    assert any(res.prepared[p].dummy.any() for p in config.parties)
+    assert res.opened_rows.shape == (width, 2 * 3 * res.u, 2)
+    for b, held in enumerate(batch):
+        assert Counter(res.opened_keys[b]) == Counter(rows_to_ints(res.opened_rows[b]))
+        want = oracle.brute_force_shared(held, variant.kind, variant.m, frozenset(variant.fixed_parties))
+        for p, values in held.items():
+            assert set(res.reports[b][p].statuses) == values
+            assert res.reports[b][p].shared == want[p]
+
+
+def test_unsorted_injection_aborts_in_a_wide_batch_with_dummies():
+    config = S.SessionConfig(parties=(0, 1, 2), sigma=16)
+    batch = _wide_batch(16, sessions=9, u=4, seed=5)
+    for victim in (0, 2):
+        with pytest.raises(mpc.AbortUnsorted) as exc:
+            S.run_sessions(config, batch, seed=6, inject_unsorted=victim)
+        assert exc.value.parties == [victim]
+
+
 def test_unsorted_injection_aborts_with_exact_party():
     config = cfg2()
     pools = {0: {3, 9}, 1: {5, 6}}
@@ -264,10 +417,11 @@ def test_dummy_keys_never_open_as_shared():
         for _ in range(30)
     ]
     res = S.run_sessions(config, batch, seed=13, execution="plaintext")
+    assert any(res.prepared[p].dummy.any() for p in range(3))
     for b in range(len(batch)):
         bag = Counter(res.opened_keys[b])
         for p in range(3):
-            for rec in res.prepared[b][p].records:
+            for rec in res.prepared[p].records(b):
                 if rec.is_dummy:
                     assert bag[rec.k1] == 0
                     assert bag[rec.k0] == 2
@@ -329,7 +483,7 @@ def test_epoch_advance_rejects_removals():
 def test_new_value_equal_to_an_own_submitted_dummy_is_refused():
     sess = S.Session(cfg2(), {0: {5}, 1: {5, 9, 12}}, seed=21)
     first = sess.run_epoch()
-    dummies = [r.v for r in first.prepared[0][0].records if r.is_dummy]
+    dummies = [r.v for r in first.prepared[0].records() if r.is_dummy]
     assert len(dummies) == 2
     with pytest.raises(S.RandomnessFailure, match="collides with a submitted dummy"):
         sess.epoch_advance({0: {dummies[0]}})
@@ -352,6 +506,35 @@ def test_two_epoch_run_equals_one_shot():
         for p in (0, 1):
             assert second.reports[0][p].statuses == oneshot.reports[0][p].statuses
         assert second.u >= first.u
+
+
+def test_two_epoch_session_keeps_its_dummies_and_matches_oracle():
+    """Dummies submitted in epoch 1 are resubmitted as dummies, never
+    reported, and the epoch's reports match the oracle."""
+    held = {0: {5}, 1: {5, 9, 300}, 2: {9, 4000, 12}}
+    sess = S.Session(S.SessionConfig(parties=(0, 1, 2), sigma=16), held, seed=50)
+    first = sess.run_epoch(execution="both")
+    old_dummies = {p: {r.v for r in first.prepared[p].records() if r.is_dummy} for p in held}
+    assert [len(old_dummies[p]) for p in (0, 1, 2)] == [2, 0, 0]
+    sess.epoch_advance({0: {300, 77}, 2: {5, 78, 79}})
+    second = sess.run_epoch(execution="both")
+    held = {0: {5, 300, 77}, 1: held[1], 2: {9, 4000, 12, 5, 78, 79}}
+    assert second.u == 6
+    recs = second.prepared[0].records()
+    assert old_dummies[0] <= {r.v for r in recs if r.is_dummy}
+    want = oracle.brute_force_shared(held)
+    for p in held:
+        assert set(second.reports[0][p].statuses) == held[p]
+        assert second.reports[0][p].shared == want[p]
+
+
+def test_fixed_parties_that_cannot_be_sorted_are_a_config_error():
+    with pytest.raises(CP.ConfigInvalid, match="fixed parties"):
+        S.VariantSpec("fixed-plus-m", 1, ("0", 1))
+    raw = {"parties": [{"id": 0}, {"id": 1}],
+           "variant": {"kind": "fixed-plus-m", "m": 1, "fixed_parties": ["0", 1]}}
+    with pytest.raises(S.ConfigMismatch, match="fixed_parties"):
+        S.SessionConfig.from_dict(raw, "a config")
 
 
 def test_epoch_two_actually_restores_persisted_shares():
