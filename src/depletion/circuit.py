@@ -57,8 +57,10 @@ class GateCounts:
 class Layer:
     """XOR groups computable before one AND round, then that round's ANDs.
 
-    Each group is (in_a, in_b, out) index arrays of mutually independent
-    gates.
+    Each group is (in_a, in_b, out) for mutually independent gates:
+    in_a and in_b are int32 wire arrays, and out, the ascending wires
+    the gates drive, is a `slice` when they form one run and an int32
+    array otherwise.
     """
 
     pre_xors: list
@@ -67,7 +69,12 @@ class Layer:
 
 @dataclass
 class Schedule:
-    """One `Layer` per AND depth, then the XOR groups after the last one."""
+    """One `Layer` per AND depth, then the XOR groups after the last one.
+
+    Its groups index the wire axis directly (`values[out] = values[a] ^
+    values[b]`): int32 inputs, and outputs as a slice wherever they are
+    contiguous, so most writes need no index array.
+    """
 
     layers: list
     trailing_xors: list
@@ -196,18 +203,23 @@ class BooleanCircuit:
         del is_xor
         order = np.argsort(key, kind="stable")
         key.sort()  # equals key[order]: equal keys are equal values
-        cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
-        group_key = (key[np.concatenate(([0], cuts))] >> 32).tolist()
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        group_key = (key[starts] >> 32).tolist()
         del key
-        gate_a = self.in_a[order].astype(np.intp)
-        gate_b = self.in_b[order].astype(np.intp)
-        gate_out = order
-        gate_out += first  # gate g drives wire first + g
+        gate_a = self.in_a[order]
+        gate_b = self.in_b[order]
+        ends = np.append(starts[1:], len(order))
+        # a group's gates, and so the wires they drive, ascend: they form
+        # one run exactly when the last is as far from the first as the
+        # group is long
+        head = order[starts]
+        runs = (order[ends - 1] - head == ends - starts - 1).tolist()
+        low = (head + first).tolist()  # gate g drives wire first + g
         layers = [Layer([], None) for _ in range(top)]
         trailing = []
-        bounds = [0, *cuts.tolist(), len(gate_out)]
-        for k, s, e in zip(group_key, bounds, bounds[1:]):
-            group = (gate_a[s:e], gate_b[s:e], gate_out[s:e])
+        for k, run, lo, s, e in zip(group_key, runs, low, starts.tolist(), ends.tolist()):
+            out = slice(lo, lo + e - s) if run else (order[s:e] + first).astype(np.int32)
+            group = (gate_a[s:e], gate_b[s:e], out)
             depth, xor = divmod(k, 2)
             if not xor:
                 layers[depth - 1].and_gates = group

@@ -42,11 +42,15 @@ packed payload, and `read_frame` is the one reader that checks them
 against what the reader expects. Input shares travel in round 0 and
 each takes a fresh range id; a protocol round's frames share one. In a
 protocol round each sender's payload is framed once and sent to every
-peer. Each recipient checks every frame it received (checksum, version,
-length, all four header fields and the bit count) and XORs their
-payloads onto its own, so each recipient's reconstruction is made only
-from the frames that recipient received. An opening insists that all
-recipients agree. A
+peer. Each recipient checks every frame it received: the round knows
+each sender's header bytes (version, epoch, round, sender, range id and
+bit count), so a frame is accepted when it starts with them, has the
+length they imply and its CRC32 checks, which is exactly when
+`read_frame` would accept it; a frame that fails goes through
+`read_frame`, which names the fault, and is refused. The recipient
+XORs the accepted payloads onto its own, so each recipient's
+reconstruction is made only from the frames that recipient received.
+An opening insists that all recipients agree. A
 share blob is a round-0 frame whose sender is the computing party
 holding it and whose range id names the input owner (slot + 1), so a
 blob handed back for the wrong owner, party or epoch is refused. A
@@ -328,8 +332,8 @@ class Party:
     def apply_xors(self, groups):
         sh = self.shares
         for a, b, o in groups:
-            x = np.take(sh, a, axis=1)
-            x ^= np.take(sh, b, axis=1)
+            x = sh.take(a, axis=1)
+            x ^= sh.take(b, axis=1)
             sh[:, o] = x
 
     def and_send(self, gates) -> np.ndarray:
@@ -338,7 +342,7 @@ class Party:
         k = len(a_idx)
         ta, tb, tc = self.pool.take(k)
         sh = self.shares
-        payload = np.concatenate((np.take(sh, a_idx, axis=1), np.take(sh, b_idx, axis=1)), axis=1)
+        payload = np.concatenate((sh.take(a_idx, axis=1), sh.take(b_idx, axis=1)), axis=1)
         payload[:, :k] ^= ta
         payload[:, k:] ^= tb
         self._pending = (ta, tb, tc)
@@ -347,16 +351,15 @@ class Party:
     def and_recv(self, gates, opened: np.ndarray):
         """`opened` holds each party's reconstruction of (d, e), as
         packed (parties, 2 * gates, width) rows."""
-        _, _, o_idx = gates
         ta, tb, tc = self._pending
         self._pending = None
-        k = len(o_idx)
+        k = ta.shape[1]
         d, e = opened[:, :k], opened[:, k:]
         z = d & tb
         z ^= tc
         z ^= e & ta
         z[0] ^= d[0] & e[0]
-        self.shares[:, o_idx] = z
+        self.shares[:, gates[2]] = z
 
 
 # -- transport -----------------------------------------------------------------
@@ -615,18 +618,33 @@ class Engine:
         rows = packed.shape[1]
         nbits = rows * self.batch
         own = _frame_payloads(packed, self.batch)
+        n, size = own.shape
         for pid, payload in zip(self.computing_ids, own):
             self._post(pid, self._peers[pid], rid, nbits, payload)
-        # Per recipient, the payloads of its peers.
-        received = b"".join(
-            self._take(recipient, sender, rid, nbits, kind)
-            for recipient in self.computing_ids
-            for sender in self._peers[recipient]
-        )
+        # `read_frame` accepts exactly the frames that are the expected
+        # header, `size` payload bytes and a CRC that checks; a frame that
+        # fails this goes through it only for the message, and is refused.
+        heads = {
+            pid: _HEAD.pack(FRAME_VERSION, self.epoch, self._round, pid, rid, nbits)
+            for pid in self.computing_ids
+        }
+        length = _HEAD.size + size + _CRC.size
+        recv, crc32 = self.transport.recv, zlib.crc32
+        received = []  # per recipient, the frames of its peers
+        try:
+            for recipient in self.computing_ids:
+                for sender in self._peers[recipient]:
+                    data = recv(recipient, sender)
+                    if (len(data) != length or not data.startswith(heads[sender])
+                            or crc32(data) != _CRC_RESIDUE):
+                        read_frame(data, self.epoch, self._round, sender, rid, nbits)
+                        raise TransportFailure("frame failed its header check")
+                    received.append(data)
+        except TransportFailure as exc:
+            raise self._abort(recipient, kind, exc) from exc
         self._end_round(kind)
-        n, size = own.shape
-        peers = np.frombuffer(received, dtype=np.uint8).reshape(n, n - 1, size)
-        opened = np.bitwise_xor.reduce(peers, axis=1)
+        frames = np.frombuffer(b"".join(received), dtype=np.uint8).reshape(n, n - 1, length)
+        opened = np.bitwise_xor.reduce(frames[:, :, _HEAD.size : _HEAD.size + size], axis=1)
         opened ^= own
         return _packed_rows(opened, rows, self.batch)
 

@@ -7,6 +7,8 @@ message must name the recipient of the faulted frame and the kind of
 round.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,22 @@ CONFIGS = {
 }
 
 
-def _reframe(data, epoch_step=0, trim=0):
-    epoch, round_no, sender, range_id, nbits, payload = mpc.decode_frame(data)
+HEADER = ("version", "epoch", "round", "sender", "range")
+
+
+def _reframe(data, trim=0, **steps):
+    """The frame with its last `trim` payload bits dropped and each header
+    field named in `steps` (version, epoch, round, sender, range) moved by
+    its step, under a CRC that checks: only the header compare can refuse
+    it."""
+    *head, nbits, payload = mpc.decode_frame(data)
+    head = [mpc.FRAME_VERSION, *head]
+    for name, step in steps.items():
+        head[HEADER.index(name)] += step
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits - trim)
-    return mpc.encode_frame(epoch + epoch_step, round_no, sender, range_id, *mpc.pack_bits(bits))
+    nbits, packed = mpc.pack_bits(bits)
+    body = mpc._HEAD.pack(*head, nbits) + packed.tobytes()
+    return body + mpc._CRC.pack(zlib.crc32(body))
 
 
 # fault -> the frames that reach the queue in place of the original
@@ -32,7 +46,11 @@ FAULTS = {
     "dropped": lambda data: [],
     "duplicated": lambda data: [data, data],
     "held-back": None,  # delivered after the next frame on its queue
-    "wrong-epoch": lambda data: [_reframe(data, epoch_step=1)],
+    "wrong-epoch": lambda data: [_reframe(data, epoch=1)],
+    "wrong-round": lambda data: [_reframe(data, round=1)],
+    "wrong-sender": lambda data: [_reframe(data, sender=1)],
+    "wrong-range": lambda data: [_reframe(data, range=1)],
+    "wrong-version": lambda data: [_reframe(data, version=1)],
     "bit-count": lambda data: [_reframe(data, trim=1)],
 }
 

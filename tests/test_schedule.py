@@ -48,11 +48,17 @@ def reference_schedule(circuit):
     return layers, groups_of(ids[~is_and & (gate_depth == top)])
 
 
+def wires_of(index):
+    """The wires an output index names: a slice's run, or the array."""
+    return np.arange(index.start, index.stop) if isinstance(index, slice) else index
+
+
 def assert_same_groups(got, want):
     assert len(got) == len(want)
-    for g, w in zip(got, want):
-        for x, y in zip(g, w):
-            assert np.array_equal(x, y)
+    for (a, b, out), (ra, rb, rout) in zip(got, want):
+        assert np.array_equal(a, ra)
+        assert np.array_equal(b, rb)
+        assert np.array_equal(wires_of(out), rout)
 
 
 def assert_matches_reference(circuit):
@@ -66,6 +72,26 @@ def assert_matches_reference(circuit):
     assert sched.and_count == circuit.gate_counts().and_count
     assert circuit.gate_counts().depth_and == sched.and_layers == len(ref_layers)
     assert mpc.build_schedule(circuit) is sched
+
+
+def assert_compact_groups(circuit):
+    """int32 input arrays; an output is a slice exactly when its wires
+    form one ascending run, and an int32 array of ascending wires
+    otherwise."""
+    sched = circuit.schedule()
+    groups = [g for layer in sched.layers for g in (*layer.pre_xors, layer.and_gates)]
+    groups += sched.trailing_xors
+    for a, b, out in groups:
+        assert a.dtype == b.dtype == np.int32
+        wires = wires_of(out)
+        assert len(wires) == len(a) == len(b) >= 1
+        assert (np.diff(wires) > 0).all()
+        run = wires[-1] - wires[0] == len(wires) - 1
+        if isinstance(out, slice):
+            assert out.step is None and run
+        else:
+            assert out.dtype == np.int32 and not run
+    return groups
 
 
 def random_circuit(rng):
@@ -85,6 +111,7 @@ def test_random_circuits_match_reference(seed):
     for _ in range(40):
         circ = random_circuit(rng)
         assert_matches_reference(circ)
+        assert_compact_groups(circ)
         assert_matches_reference(C.load_circuit_text(C.save_circuit_text(circ)))
 
 
@@ -98,7 +125,11 @@ def test_random_circuits_match_reference(seed):
 )
 def test_compiled_circuits_match_reference(variant):
     cfg = CP.CircuitConfig(n_parties=3, inputs_per_party=3, sigma=8, variant=variant)
-    assert_matches_reference(CP.compile_circuit(cfg).circuit)
+    circ = CP.compile_circuit(cfg).circuit
+    assert_matches_reference(circ)
+    groups = assert_compact_groups(circ)
+    # a compiled circuit has both kinds of group
+    assert {isinstance(out, slice) for _, _, out in groups} == {True, False}
 
 
 def _valid_parts():

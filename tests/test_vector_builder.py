@@ -72,7 +72,7 @@ def test_compiled_circuit_matches_pinned_shape(
     depth_and = circ.gate_counts().depth_and
     assert depth_and == split_depth - sort_check_depth
     schedule = circ.schedule()
-    per_layer = [len(layer.and_gates[2]) for layer in schedule.layers]
+    per_layer = [len(layer.and_gates[0]) for layer in schedule.layers]
     assert len(per_layer) == schedule.and_layers == depth_and
     assert min(per_layer) >= 1
     digest = hashlib.sha256(",".join(map(str, per_layer)).encode()).hexdigest()
