@@ -1,9 +1,9 @@
-"""Bit-vector helpers shared across the circuit and protocol layers.
+"""Byte-row helpers for the values and keys of the session layer.
 
-Convention: integers map to bit lists/arrays in big-endian order
-(index 0 is the most significant bit). A width-bit integer can also be a
-row of ⌈width/8⌉ big-endian bytes whose pad bits are zero; rows compare,
-as opaque items, in the order of the integers they hold.
+A width-bit integer is a row of ⌈width/8⌉ big-endian bytes whose pad
+bits are zero; rows compare, as opaque items, in the order of the
+integers they hold. A row's bits are big-endian too (index 0 is the most
+significant bit), one `np.unpackbits` away.
 """
 
 from __future__ import annotations
@@ -13,56 +13,29 @@ import math
 import numpy as np
 
 
-def int_to_bits(value: int, width: int) -> list[int]:
-    """Big-endian bit list of `value`, exactly `width` bits."""
-    if value < 0 or value >> width:
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    return [(value >> (width - 1 - i)) & 1 for i in range(width)]
-
-
-def bits_to_int(bits) -> int:
-    """Inverse of int_to_bits; accepts any iterable of 0/1."""
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
-
-
-def ints_to_bit_array(values, width: int) -> np.ndarray:
-    """Stack big-endian bit rows: shape (len(values), width), dtype uint8.
-
-    Raises ValueError, as int_to_bits does, for a negative value or one
-    wider than `width`.
-    """
-    nbytes = (width + 7) // 8
-    try:
-        blob = b"".join([int(v).to_bytes(nbytes, "big") for v in values])
-    except OverflowError:
-        raise ValueError(f"a value does not fit in {width} bits") from None
-    raw = np.frombuffer(blob, dtype=np.uint8).reshape(len(values), nbytes)
-    bits = np.unpackbits(raw, axis=1)
-    pad = 8 * nbytes - width
-    if bits[:, :pad].any():
-        raise ValueError(f"a value does not fit in {width} bits")
-    return bits[:, pad:]
-
-
-# -- byte rows -------------------------------------------------------------------
-
-
 def row_bytes(width: int) -> int:
     """Bytes in a row of a width-bit integer."""
     return (width + 7) // 8
 
 
 def ints_to_rows(values, width: int) -> np.ndarray:
-    """Rows (len(values), nbytes) of nonnegative ints below 2^width."""
+    """Rows (len(values), nbytes) of the ints `values`; raises ValueError
+    unless every one lies in [0, 2^width)."""
     nbytes = row_bytes(width)
-    if nbytes <= 8:
-        words = np.asarray(values, dtype=np.uint64).astype(">u8")
-        return words.view(np.uint8).reshape(-1, 8)[:, 8 - nbytes :]
-    blob = b"".join([int(v).to_bytes(nbytes, "big") for v in values])
-    return np.frombuffer(blob, np.uint8).reshape(-1, nbytes)
+    try:
+        if nbytes <= 8:
+            words = np.asarray(values, dtype=np.uint64)  # a signed array wraps, so its sign is checked apart
+            fits = np.min(values, initial=0) >= 0 and not int(words.max(initial=0)) >> width
+            rows = words.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes :]
+        else:
+            blob = b"".join([int(v).to_bytes(nbytes, "big") for v in values])
+            rows = np.frombuffer(blob, np.uint8).reshape(-1, nbytes)
+            fits = not (rows[:, 0] > 0xFF >> (8 * nbytes - width)).any()
+    except OverflowError:  # a Python int below 0, or too wide for its bytes
+        fits = False
+    if not fits:
+        raise ValueError(f"a value does not fit in {width} bits")
+    return rows
 
 
 def rows_to_ints(rows: np.ndarray) -> list:

@@ -24,7 +24,6 @@ of AND layers.
 
 from __future__ import annotations
 
-import math
 import mmap
 from dataclasses import dataclass
 

@@ -183,14 +183,6 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _load_ledger(path: Path) -> LG.Ledger:
-    return LG.Ledger.load_bytes(path.read_bytes())
-
-
-def _save_ledger(path: Path, led: LG.Ledger) -> None:
-    path.write_bytes(led.save_bytes())
-
-
 def cmd_ledger(args) -> int:
     path = Path(args.file)
     if args.action == "init":
@@ -201,10 +193,10 @@ def cmd_ledger(args) -> int:
         for r in args.readers.split(","):
             if r:
                 led.register_reader(r)
-        _save_ledger(path, led)
+        path.write_bytes(led.save_bytes())
         print(f"ledger initialized -> {path}")
         return 0
-    led = _load_ledger(path)
+    led = LG.Ledger.load_bytes(path.read_bytes())
     if args.action == "submit":
         if args.hash:
             hashes = [args.hash]
@@ -215,12 +207,12 @@ def cmd_ledger(args) -> int:
             hashes = [V.ledger_digest_hex(i) for i in idents]
         for h in hashes:
             led.submit(args.writer, h)
-        _save_ledger(path, led)
+        path.write_bytes(led.save_bytes())
         print(f"submitted {len(hashes)} hashes; chain height {len(led.blocks)}")
         return 0
     if args.action == "check":
         matches, event = led.check_intersections(args.reader)
-        _save_ledger(path, led)
+        path.write_bytes(led.save_bytes())
         for h, idxs in sorted(matches.items()):
             print(f"match {h[:32]}... blocks {idxs}")
         print(f"{len(matches)} matches; event logged at block {event.index}")

@@ -163,7 +163,6 @@ class Compiled:
     circuit: BooleanCircuit
     stages: list[CompiledStage]
     flag_wires: list[int]
-    merged_v_wires: list[list[int]]
 
     def v_wires(self, party: int) -> np.ndarray:
         """Input wires carrying party's record hash values: a (u, sigma)
@@ -182,7 +181,8 @@ def _construct(b, cfg: CircuitConfig):
     call serves every record, comparator or switch of a layer at once.
     Each stage's counts and gate and wire ranges come from the builder's
     running AND and XOR counts, since gate g drives wire 1 + (input
-    wires) + g in either builder.
+    wires) + g in either builder. Returns the sortedness flags, the
+    output keys, the stages, and the merged records' value wires.
     """
     N, u, sigma = cfg.n_parties, cfg.inputs_per_party, cfg.sigma
     records = np.array([b.input_vector(p, u * 3 * sigma) for p in range(N)])
@@ -297,9 +297,9 @@ def _dup_select(b, cfg: CircuitConfig, merged: np.ndarray) -> np.ndarray:
 def compile_circuit(cfg: CircuitConfig) -> Compiled:
     """Materialize the full circuit plus stage metadata (cached)."""
     b = CircuitBuilder()
-    flags, out_keys, stages, merged_v = _construct(b, cfg)
+    flags, out_keys, stages, _ = _construct(b, cfg)
     circuit = b.finish(out_keys.ravel())
-    return Compiled(cfg, circuit, stages, flags.tolist(), merged_v.tolist())
+    return Compiled(cfg, circuit, stages, flags.tolist())
 
 
 def stage_counts(cfg: CircuitConfig) -> list[CompiledStage]:

@@ -17,8 +17,10 @@ that repeat a forbidden or an earlier row, and only those are drawn
 again (a space of at most 4096 values is drawn from without replacement
 instead). The rows become input bits with one `np.unpackbits` per party,
 the opened bits become rows again, and one sort plus one `searchsorted`
-match every party's keys against them. Python ints appear only at the
-API boundary: stockpiles, reports keyed by value, and
+match every party's keys against them. A `Session` keeps each party's
+submitted value rows and dummy flags between epochs, and one
+`searchsorted` finds each record of a new epoch among them. Python ints
+appear only at the API boundary: stockpiles, reports keyed by value, and
 `RoundResult.opened_keys`.
 """
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import compress
 
 import numpy as np
@@ -180,14 +182,6 @@ def _json_fields(obj: dict, kinds: dict, where: str) -> dict:
 
 
 @dataclass
-class InputRecord:
-    v: int
-    k0: int
-    k1: int
-    is_dummy: bool
-
-
-@dataclass
 class PreparedParty:
     """One party's records in every session of a round, sorted by value
     within each session: big-endian ⌈σ/8⌉-byte rows of the values
@@ -197,14 +191,6 @@ class PreparedParty:
     values: np.ndarray
     keys: np.ndarray
     dummy: np.ndarray
-
-    def records(self, session: int = 0) -> list[InputRecord]:
-        """One session's records as Python ints."""
-        values, keys = rows_to_ints(self.values[session]), rows_to_ints(self.keys[session])
-        return [
-            InputRecord(v, k0, k1, d)
-            for v, (k0, k1), d in zip(values, keys, self.dummy[session].tolist())
-        ]
 
 
 @dataclass
@@ -304,26 +290,26 @@ def prepare_inputs(
     """One party's sorted, dummy-padded records with fresh key pairs, in
     every session of a round.
 
-    `values` lists the party's values in each session; a collection of
-    ints is one session's. It may also be rows (sessions, u, ⌈σ/8⌉) that
-    hold each session's distinct values in ascending order, then zero
-    rows. Dummies are nonzero and avoid the party's values and
+    `values` is a collection of ints, one session's values, or rows
+    (sessions, u, ⌈σ/8⌉) that hold each session's distinct values in
+    ascending order, then zero rows; an array of any other shape raises
+    SessionError. Dummies are nonzero and avoid the party's values and
     `forbidden_values`; keys avoid `forbidden_keys`. Both are rows
     (sessions, n, ⌈σ/8⌉), or sets of ints forbidden in every session. The keys and
     dummies of all sessions come from one `rng.bytes` call, redraws
     aside. Sorting each session's records interleaves the dummies instead
     of revealing the real count through trailing positions.
     """
-    if isinstance(values, np.ndarray) and values.ndim == 3:
+    if isinstance(values, np.ndarray) and values.ndim != 1:
+        if values.ndim != 3 or values.shape[1:] != (u, row_bytes(sigma)):
+            raise SessionError(f"values of shape {values.shape} are neither ints nor rows (sessions, {u}, "
+                               f"{row_bytes(sigma)})")
         rows = values.copy()
     else:
-        if not values or isinstance(next(iter(values)), (int, np.integer)):
-            values = [values]
-        real = [_distinct_values(vs, sigma) for vs in values]
-        most = max(map(len, real))
-        if most > u:
-            raise TooManyEntries(f"{most} distinct values exceed bound u={u}")
-        rows = _padded_rows(real, u, sigma)
+        real = _distinct_values(values, sigma)
+        if len(real) > u:
+            raise TooManyEntries(f"{len(real)} distinct values exceed bound u={u}")
+        rows = _padded_rows([real], u, sigma)
     sessions, nbytes = len(rows), row_bytes(sigma)
     held = rows.any(axis=2)
     needed = u - held.sum(axis=1)
@@ -476,13 +462,21 @@ def _seed_seq(seed) -> np.random.SeedSequence:
 
 
 def negotiate_u(config: SessionConfig, counts: dict[int, list[int]], seed) -> list[int]:
-    """Batched secure maximum over the parties' private counts."""
+    """Batched secure maximum over the parties' private counts: `counts`
+    maps every configured party to its count in each session. Raises
+    UnknownParty unless it names exactly the configured parties, and
+    SessionError for unequal session numbers or a count outside
+    [0, 2^count_bits), before any engine is built."""
     slots = sorted(config.parties)
-    batch = len(next(iter(counts.values())))
-    for p, cs in counts.items():
-        for c in cs:
-            if c >= 1 << config.count_bits:
-                raise SessionError(f"count {c} exceeds {config.count_bits} bits")
+    if set(counts) != set(slots):
+        raise UnknownParty(f"counts of parties {sorted(counts)} differ from the configured {slots}")
+    batch = len(counts[slots[0]])
+    for p in slots:
+        if len(counts[p]) != batch:
+            raise SessionError(f"party {p} has counts for {len(counts[p])} sessions, party {slots[0]} for {batch}")
+        for c in counts[p]:
+            if not 0 <= c < 1 << config.count_bits:
+                raise SessionError(f"count {c} of party {p} does not fit {config.count_bits} bits")
     circ = CP.build_max_circuit(len(slots), config.count_bits)
     computing = _computing_ids(config)
     ss = _seed_seq(seed)
@@ -641,10 +635,22 @@ def run_sessions(
 
 @dataclass
 class _PartyEpochState:
-    # submitted value -> is it a dummy, in record slot order
-    submitted: dict[int, bool] = field(default_factory=dict)
-    # values added since the last epoch: distinct, none of them submitted
-    pending: list[int] = field(default_factory=list)
+    """One party's records as of its last successful epoch, as ascending
+    value rows (n, nbytes) and their dummy flags (n,), and the values
+    added since: distinct, and none of them submitted."""
+
+    values: np.ndarray
+    dummy: np.ndarray
+    pending: list[int]
+
+    def slots_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each of `rows` (m, nbytes), its slot among the submitted
+        rows and whether it is one of them."""
+        old, new = row_items(self.values), row_items(rows)
+        slot = np.searchsorted(old, new)
+        kept = slot < len(old)
+        kept[kept] = old[slot[kept]] == new[kept]
+        return slot, kept
 
 
 class Session:
@@ -661,11 +667,12 @@ class Session:
         _known_parties(config, stockpiles)
         self.config = config
         self.slots = sorted(config.parties)
+        no_rows = np.zeros((0, row_bytes(config.sigma)), np.uint8)
         self.state = {
-            p: _PartyEpochState(pending=_distinct_values(stockpiles.get(p, ()), config.sigma))
+            p: _PartyEpochState(no_rows, np.zeros(0, bool), _distinct_values(stockpiles.get(p, ()), config.sigma))
             for p in self.slots
         }
-        self._seed = np.random.SeedSequence(seed)
+        self._seed = _seed_seq(seed)
         self.epoch = config.epoch
         self.store: dict[tuple[int, int], tuple[int, bytes]] = {}
 
@@ -673,12 +680,11 @@ class Session:
         _known_parties(self.config, additions)
         if removals and any(removals.values()):
             raise RemovalAttempted("submitted entries cannot be removed or modified")
-        dummy_pool = {
-            v for st in self.state.values() for v, dummy in st.submitted.items() if dummy
-        }
+        dummy_pool = set(rows_to_ints(np.concatenate([st.values[st.dummy] for st in self.state.values()])))
         fresh = {}
         for p, vals in additions.items():
-            real = {v for v, dummy in self.state[p].submitted.items() if not dummy}
+            st = self.state[p]
+            real = set(rows_to_ints(st.values[~st.dummy]))
             fresh[p] = [v for v in _distinct_values(vals, self.config.sigma) if v not in real]
             for v in fresh[p]:
                 if v in dummy_pool:
@@ -695,12 +701,13 @@ class Session:
         only once it has succeeded, so a failed epoch can be retried."""
         config = replace(self.config, epoch=self.epoch)
         config.validate()
-        values = {p: sorted([*st.submitted, *st.pending]) for p, st in self.state.items()}
+        values = {p: sorted([*rows_to_ints(st.values), *st.pending]) for p, st in self.state.items()}
 
         def prepare(u, party_rngs):
             prepared = _prepare_parties([values], u, config.sigma, party_rngs)
             for p, st in self.state.items():
-                prepared[p].dummy[0] |= [st.submitted.get(r.v, False) for r in prepared[p].records()]
+                slot, kept = st.slots_of(prepared[p].values[0])
+                prepared[p].dummy[0, kept] = st.dummy[slot[kept]]
             return prepared
 
         seed = self._seed.spawn(1)[0]  # children are numbered in spawn order
@@ -711,9 +718,7 @@ class Session:
             self.store.clear()  # no shares of this epoch's records exist
         else:
             self._persist(result.engine, result.compiled)
-        for p, st in self.state.items():
-            st.submitted = {r.v: r.is_dummy for r in result.prepared[p].records()}
-            st.pending = []
+        self.state = {p: _PartyEpochState(pp.values[0], pp.dummy[0], []) for p, pp in result.prepared.items()}
         return result
 
     def _restore_persisted(self, engine, compiled, prepared):
@@ -725,24 +730,23 @@ class Session:
         if not self.store:
             return
         sigma = compiled.config.sigma
-        kept = []  # per owner with kept records, their v-wires in this epoch
+        wires = []  # per owner with kept records, their v-wires in this epoch
         bits = {cp: [] for cp in engine.computing_ids}
         for i, p in enumerate(self.slots):
-            old = {v: j for j, v in enumerate(self.state[p].submitted)}
-            slots = [(new, old[r.v]) for new, r in enumerate(prepared[p].records()) if r.v in old]
-            if not slots:
+            st = self.state[p]
+            slot, kept = st.slots_of(prepared[p].values[0])
+            if not kept.any():
                 continue
-            new_slots, old_slots = zip(*slots)
-            kept.append(compiled.v_wires(i)[list(new_slots)].ravel())
+            wires.append(compiled.v_wires(i)[kept].ravel())
             for cp in engine.computing_ids:
                 entry = self.store.get((cp, i))
                 if entry is None:
                     raise mpc.EpochMismatch(f"no stored shares for party {cp} owner {i}")
                 saved_epoch, blob = entry
-                rows = mpc.decode_share_blob(blob, cp, saved_epoch, i + 1, (len(old), sigma))
-                bits[cp].append(rows[list(old_slots)].reshape(-1, 1))
-        if kept:
-            wires = np.concatenate(kept)
+                rows = mpc.decode_share_blob(blob, cp, saved_epoch, i + 1, (len(st.values), sigma))
+                bits[cp].append(rows[slot[kept]].reshape(-1, 1))
+        if wires:
+            wires = np.concatenate(wires)
             for cp in engine.computing_ids:
                 engine.restore_shares(cp, wires, np.concatenate(bits[cp]))
 

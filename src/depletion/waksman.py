@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import CircuitBuilder, exchange_layers
+from .circuit import exchange_layers
 
 
 class RoutingError(ValueError):
@@ -202,13 +202,3 @@ def route_permutation(perm) -> np.ndarray:
         level = below
     return bits[0] if single else bits
 
-
-def build_waksman(n: int, width: int):
-    """Standalone permutation fragment: party 0 supplies the control
-    bits, parties 1..n the records; outputs are the permuted records.
-    """
-    b = CircuitBuilder()
-    controls = b.input_vector(0, switch_count(n))
-    items = [b.input_vector(i + 1, width) for i in range(n)]
-    out = build_network(b, controls, items)
-    return b.finish(out.ravel())

@@ -4,10 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from reference import bits_to_int, int_to_bits
 
 from depletion import circuit as C
 from depletion import compiler as CP
-from depletion.bits import int_to_bits, bits_to_int, ints_to_bit_array
+from depletion.bits import ints_to_rows, rows_to_bits
 
 
 def fragment(widths, block):
@@ -107,8 +108,8 @@ def test_batched_evaluation_matches_single():
 
 def test_less_than_exhaustive_sigma4():
     circ = less_than(4)
-    a = ints_to_bit_array([x for x in range(16) for _ in range(16)], 4).T
-    bb = ints_to_bit_array([y for _ in range(16) for y in range(16)], 4).T
+    a = rows_to_bits(ints_to_rows([x for x in range(16) for _ in range(16)], 4), 4).T
+    bb = rows_to_bits(ints_to_rows([y for _ in range(16) for y in range(16)], 4), 4).T
     got = circ.evaluate({0: a, 1: bb})[0]
     expect = [1 if x < y else 0 for x in range(16) for y in range(16)]
     assert got.tolist() == expect
@@ -123,8 +124,8 @@ def test_less_than_examples_and_bounds():
 
 def test_equality_exhaustive_sigma3():
     circ = equality(3)
-    a = ints_to_bit_array([x for x in range(8) for _ in range(8)], 3).T
-    bb = ints_to_bit_array([y for _ in range(8) for y in range(8)], 3).T
+    a = rows_to_bits(ints_to_rows([x for x in range(8) for _ in range(8)], 3), 3).T
+    bb = rows_to_bits(ints_to_rows([y for _ in range(8) for y in range(8)], 3), 3).T
     got = circ.evaluate({0: a, 1: bb})[0]
     expect = [1 if x == y else 0 for x in range(8) for y in range(8)]
     assert got.tolist() == expect
@@ -147,8 +148,8 @@ def test_mux_exhaustive_width2():
         for x1 in range(4)
     ]
     sel = np.array([[s for s, _, _ in cases]], dtype=np.uint8)
-    x0s = ints_to_bit_array([x0 for _, x0, _ in cases], 2).T
-    x1s = ints_to_bit_array([x1 for _, _, x1 in cases], 2).T
+    x0s = rows_to_bits(ints_to_rows([x0 for _, x0, _ in cases], 2), 2).T
+    x1s = rows_to_bits(ints_to_rows([x1 for _, _, x1 in cases], 2), 2).T
     got = circ.evaluate({0: sel, 1: x0s, 2: x1s})
     for k, (s, x0, x1) in enumerate(cases):
         assert bits_to_int(got[:, k]) == (x1 if s else x0)
@@ -159,8 +160,8 @@ def test_cond_swap_exhaustive_width2():
     circ = fragment((1, 2, 2), lambda b, c, x, y: [w for out in b.cond_swap(c[0], x, y) for w in out])
     cases = [(c, a, b) for c in range(2) for a in range(4) for b in range(4)]
     ctl = np.array([[c for c, _, _ in cases]], dtype=np.uint8)
-    av = ints_to_bit_array([a for _, a, _ in cases], 2).T
-    bv = ints_to_bit_array([b for _, _, b in cases], 2).T
+    av = rows_to_bits(ints_to_rows([a for _, a, _ in cases], 2), 2).T
+    bv = rows_to_bits(ints_to_rows([b for _, _, b in cases], 2), 2).T
     got = circ.evaluate({0: ctl, 1: av, 2: bv})
     for k, (c, a, b) in enumerate(cases):
         out_a = bits_to_int(got[:2, k])

@@ -5,10 +5,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from reference import bits_to_int, int_to_bits
 
 from depletion import compiler as CP
 from depletion import oracle, waksman
-from depletion.bits import bits_to_int, int_to_bits
+from depletion.bits import ints_to_rows, rows_to_bits
+from depletion.circuit import CircuitBuilder
 
 
 def make_cfg(n, u, sigma, variant=None, controls=None):
@@ -57,6 +59,13 @@ def run_plain(cfg, records, perms=None, extra_wires=None):
     ]
     flags = extra[: cfg.n_parties].tolist()
     return keys, flags, extra[cfg.n_parties :]
+
+
+def merged_v_wires(cfg):
+    """The merged records' value wires, in merged order, from a
+    construction of its own: it numbers wires as `compile_circuit` does."""
+    _, _, _, merged_v = CP._construct(CircuitBuilder(), cfg)
+    return merged_v.ravel().tolist()
 
 
 def fresh_keys(rng, count, sigma):
@@ -198,10 +207,9 @@ def test_sortcheck_exhaustive_sigma3_u3():
 
 def test_merge_tree_textbook():
     cfg = make_cfg(2, 2, 4)
-    comp = CP.compile_circuit(cfg)
     rng = random.Random(1)
     recs = records_for(rng, {0: {1, 4}, 1: {2, 3}}, 4)
-    wanted = [w for vec in comp.merged_v_wires for w in vec]
+    wanted = merged_v_wires(cfg)
     _, _, extra = run_plain(cfg, recs, extra_wires=wanted)
     merged = [bits_to_int(extra[i * 4 : (i + 1) * 4]) for i in range(4)]
     assert merged == [1, 2, 3, 4]
@@ -215,8 +223,7 @@ def test_merge_tree_textbook():
 def test_merge_tree_random_vs_sort():
     rng = random.Random(2)
     cfg = make_cfg(4, 4, 8)
-    comp = CP.compile_circuit(cfg)
-    wanted = [w for vec in comp.merged_v_wires for w in vec]
+    wanted = merged_v_wires(cfg)
     for _ in range(20):
         values = {p: set(rng.sample(range(1, 200), 4)) for p in range(4)}
         recs = records_for(rng, values, 8)
@@ -403,12 +410,10 @@ def test_max_circuit_examples():
 def test_max_circuit_exhaustive_3bit():
     circ = CP.build_max_circuit(3, 3)
     cases = [(a, b, c) for a in range(8) for b in range(8) for c in range(8)]
-    import numpy as np
-    from depletion.bits import ints_to_bit_array
     inputs = {
-        0: ints_to_bit_array([a for a, _, _ in cases], 3).T,
-        1: ints_to_bit_array([b for _, b, _ in cases], 3).T,
-        2: ints_to_bit_array([c for _, _, c in cases], 3).T,
+        0: rows_to_bits(ints_to_rows([a for a, _, _ in cases], 3), 3).T,
+        1: rows_to_bits(ints_to_rows([b for _, b, _ in cases], 3), 3).T,
+        2: rows_to_bits(ints_to_rows([c for _, _, c in cases], 3), 3).T,
     }
     got = circ.evaluate(inputs)
     for k, (a, b, c) in enumerate(cases):

@@ -8,11 +8,11 @@ import zlib
 
 import numpy as np
 import pytest
+from reference import int_to_bits
 
 from depletion import mpc
 from depletion import compiler as CP
 from depletion import session as S
-from depletion.bits import int_to_bits
 from depletion.circuit import CircuitBuilder, MissingInput
 
 

@@ -1,9 +1,13 @@
 """Round orchestration: preparation, negotiation, reports, epochs, modes."""
 
 import gc
+import os
 import random
+import subprocess
+import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,19 +28,19 @@ def cfg2(**kw):
 
 def test_prepare_pads_and_sorts():
     rng = np.random.default_rng(0)
-    recs = S.prepare_inputs([9, 3], 4, 8, rng).records()
-    vs = [r.v for r in recs]
+    pp = S.prepare_inputs([9, 3], 4, 8, rng)
+    vs = rows_to_ints(pp.values[0])
     assert len(vs) == 4
     assert vs == sorted(vs) and len(set(vs)) == 4
-    assert sum(r.is_dummy for r in recs) == 2
-    assert {r.v for r in recs if not r.is_dummy} == {3, 9}
+    assert pp.dummy[0].sum() == 2
+    assert set(rows_to_ints(pp.values[0][~pp.dummy[0]])) == {3, 9}
 
 
 def test_prepare_no_dummies_when_full():
     rng = np.random.default_rng(1)
     pp = S.prepare_inputs([5, 2, 7], 3, 8, rng)
     assert not pp.dummy.any()
-    assert [r.v for r in pp.records()] == [2, 5, 7]
+    assert rows_to_ints(pp.values[0]) == [2, 5, 7]
 
 
 def test_prepare_sweep_no_collisions():
@@ -45,13 +49,13 @@ def test_prepare_sweep_no_collisions():
         real = sorted(np.random.default_rng(trial).choice(
             np.arange(1, 256), size=3, replace=False).tolist())
         forb = set(range(100, 140)) - set(real)
-        recs = S.prepare_inputs(real, 6, 8, rng, forbidden_values=forb).records()
-        vs = [r.v for r in recs]
+        pp = S.prepare_inputs(real, 6, 8, rng, forbidden_values=forb)
+        vs = rows_to_ints(pp.values[0])
         assert vs == sorted(set(vs))
-        dummies = {r.v for r in recs if r.is_dummy}
+        dummies = set(rows_to_ints(pp.values[0][pp.dummy[0]]))
         assert not dummies & set(real)
         assert not dummies & forb
-        keys = [k for r in recs for k in (r.k0, r.k1)]
+        keys = [k for pair in rows_to_ints(pp.keys[0]) for k in pair]
         assert len(keys) == len(set(keys))
 
 
@@ -63,6 +67,11 @@ def test_prepare_errors():
         S.prepare_inputs([1], 4, 2, rng)  # only 3 nonzero 2-bit values
     with pytest.raises(S.SessionError):
         S.prepare_inputs([0], 2, 8, rng)  # the zero value is reserved
+    # ints come as one session's collection, rows as (sessions, u, ⌈σ/8⌉)
+    with pytest.raises(S.SessionError, match="shape"):
+        S.prepare_inputs(np.array([[3, 5]]), 4, 16, rng)
+    with pytest.raises(S.SessionError, match="shape"):
+        S.prepare_inputs(np.zeros((1, 4, 1), np.uint8), 4, 16, rng)
 
 
 def _wide_batch(sigma, sessions=64, parties=(0, 1, 2), u=6, seed=0):
@@ -87,19 +96,19 @@ def test_draw_rules_hold_in_every_session_of_a_wide_batch(sigma):
     batch = _wide_batch(sigma)
     values, prepared = _session_draws(batch, sigma, 6, seed=sigma)
     for b, held in enumerate(values):
-        records = {p: prepared[p].records(b) for p in held}
         everyone = set().union(*map(set, held.values()))
         seen_dummies, keys = set(), []
         for p in sorted(held):  # slot order: later parties avoid earlier dummies
-            dummies = [r.v for r in records[p] if r.is_dummy]
-            assert sorted(r.v for r in records[p] if not r.is_dummy) == held[p]
+            pp = prepared[p]
+            dummies = rows_to_ints(pp.values[b][pp.dummy[b]])
+            assert sorted(rows_to_ints(pp.values[b][~pp.dummy[b]])) == held[p]
             assert len(dummies) == 6 - len(held[p])
             assert all(0 < d < 1 << sigma for d in dummies)
             assert not set(dummies) & everyone
             assert not set(dummies) & seen_dummies and len(set(dummies)) == len(dummies)
             seen_dummies |= set(dummies)
-            assert [r.v for r in records[p]] == sorted(r.v for r in records[p])
-            keys += [k for r in records[p] for k in (r.k0, r.k1)]
+            assert rows_to_ints(pp.values[b]) == sorted(rows_to_ints(pp.values[b]))
+            keys += [k for pair in rows_to_ints(pp.keys[b]) for k in pair]
         assert len(keys) == len(set(keys)) == 2 * 6 * len(held)
         assert all(0 <= k < 1 << sigma for k in keys)
 
@@ -111,8 +120,8 @@ def test_pool_path_never_repeats_a_value():
     batch = [{p: {1 + p} for p in parties} for _ in range(64)]
     values, prepared = _session_draws(batch, 8, 9, seed=3)
     for b in range(64):
-        vs = [r.v for p in parties for r in prepared[p].records(b)]
-        keys = [k for p in parties for r in prepared[p].records(b) for k in (r.k0, r.k1)]
+        vs = [v for p in parties for v in rows_to_ints(prepared[p].values[b])]
+        keys = [k for p in parties for pair in rows_to_ints(prepared[p].keys[b]) for k in pair]
         assert len(vs) == len(set(vs)) == 14 * 9
         assert len(keys) == len(set(keys)) == 2 * 14 * 9
 
@@ -229,6 +238,21 @@ def test_negotiate_u_rejects_oversized_counts():
     config = S.SessionConfig(parties=(0, 1), sigma=8, count_bits=4)
     with pytest.raises(S.SessionError):
         S.negotiate_u(config, {0: [16], 1: [1]}, seed=0)
+
+
+@pytest.mark.parametrize("counts, error", [
+    ({0: [3]}, S.UnknownParty),  # party 1 is missing
+    ({0: [3], 1: [2], 5: [1]}, S.UnknownParty),
+    ({0: [3, 4], 1: [2]}, S.SessionError),  # unequal session counts
+    ({0: [3], 1: [-1]}, S.SessionError),
+], ids=["missing-party", "extra-party", "unequal-sessions", "negative-count"])
+def test_negotiate_u_checks_its_counts_before_building_an_engine(monkeypatch, counts, error):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine was built for counts that cannot be negotiated")
+
+    monkeypatch.setattr(mpc, "Engine", no_engine)
+    with pytest.raises(error):
+        S.negotiate_u(S.SessionConfig(parties=(0, 1), sigma=8, count_bits=4), counts, seed=0)
 
 
 # -- single rounds ------------------------------------------------------------------
@@ -421,10 +445,10 @@ def test_dummy_keys_never_open_as_shared():
     for b in range(len(batch)):
         bag = Counter(res.opened_keys[b])
         for p in range(3):
-            for rec in res.prepared[p].records(b):
-                if rec.is_dummy:
-                    assert bag[rec.k1] == 0
-                    assert bag[rec.k0] == 2
+            pp = res.prepared[p]
+            for k0, k1 in rows_to_ints(pp.keys[b][pp.dummy[b]]):
+                assert bag[k1] == 0
+                assert bag[k0] == 2
 
 
 def test_outsourced_mode_matches_direct():
@@ -474,6 +498,40 @@ def test_transcript_message_accounting():
 # -- epochs -------------------------------------------------------------------------
 
 
+def test_session_takes_a_seed_sequence_as_run_sessions_does():
+    held = {0: {5, 9}, 1: {9, 12}}
+    by_int = S.Session(cfg2(), held, seed=3).run_epoch()
+    by_sequence = S.Session(cfg2(), held, seed=np.random.SeedSequence(3)).run_epoch()
+    assert by_sequence.opened_keys == by_int.opened_keys
+    assert by_sequence.reports[0][0].statuses == {5: "exclusive", 9: "shared"}
+
+
+_NO_NUMPY_MA = """
+import sys
+from depletion import session as S
+
+config = S.SessionConfig(parties=(0, 1, 2), sigma=16)
+batch = [{0: {5, 9}, 1: {9, 12}, 2: {7}}, {0: {3}, 1: {3, 4, 8}, 2: {4}}, {0: {1}, 1: {2}, 2: {1, 2}}]
+S.run_sessions(config, batch, seed=1, execution="both")
+# enough records that np.isin would take its sorting path
+session = S.Session(config, {0: set(range(1, 25)), 1: {9, 12}, 2: {7}}, seed=2)
+session.run_epoch()
+for additions in ({0: {30}, 1: {5}}, {2: {5, 31, 32}}):
+    session.epoch_advance(additions)
+    session.run_epoch()
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_rounds_and_epochs_leave_numpy_ma_unimported():
+    """np.unique, np.union1d and np.isin import numpy.ma, which costs
+    about 0.7 MB of resident memory; a round and an epoch must not."""
+    src = str(Path(S.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _NO_NUMPY_MA], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_epoch_advance_rejects_removals():
     sess = S.Session(cfg2(), {0: {1}, 1: {2}}, seed=18)
     with pytest.raises(S.RemovalAttempted):
@@ -483,7 +541,7 @@ def test_epoch_advance_rejects_removals():
 def test_new_value_equal_to_an_own_submitted_dummy_is_refused():
     sess = S.Session(cfg2(), {0: {5}, 1: {5, 9, 12}}, seed=21)
     first = sess.run_epoch()
-    dummies = [r.v for r in first.prepared[0].records() if r.is_dummy]
+    dummies = rows_to_ints(first.prepared[0].values[0][first.prepared[0].dummy[0]])
     assert len(dummies) == 2
     with pytest.raises(S.RandomnessFailure, match="collides with a submitted dummy"):
         sess.epoch_advance({0: {dummies[0]}})
@@ -514,14 +572,14 @@ def test_two_epoch_session_keeps_its_dummies_and_matches_oracle():
     held = {0: {5}, 1: {5, 9, 300}, 2: {9, 4000, 12}}
     sess = S.Session(S.SessionConfig(parties=(0, 1, 2), sigma=16), held, seed=50)
     first = sess.run_epoch(execution="both")
-    old_dummies = {p: {r.v for r in first.prepared[p].records() if r.is_dummy} for p in held}
+    old_dummies = {p: set(rows_to_ints(first.prepared[p].values[0][first.prepared[p].dummy[0]])) for p in held}
     assert [len(old_dummies[p]) for p in (0, 1, 2)] == [2, 0, 0]
     sess.epoch_advance({0: {300, 77}, 2: {5, 78, 79}})
     second = sess.run_epoch(execution="both")
     held = {0: {5, 300, 77}, 1: held[1], 2: {9, 4000, 12, 5, 78, 79}}
     assert second.u == 6
-    recs = second.prepared[0].records()
-    assert old_dummies[0] <= {r.v for r in recs if r.is_dummy}
+    pp = second.prepared[0]
+    assert old_dummies[0] <= set(rows_to_ints(pp.values[0][pp.dummy[0]]))
     want = oracle.brute_force_shared(held)
     for p in held:
         assert set(second.reports[0][p].statuses) == held[p]

