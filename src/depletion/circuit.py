@@ -102,13 +102,12 @@ class BooleanCircuit:
     Gate g drives wire 1 + (input wires) + g, so the circuit stores only
     each gate's kind and input wires. `wire_level` (full topological
     level) and `wire_depth` (AND depth) hold one entry per wire, as
-    `CircuitBuilder` recorded them while it emitted the gates. A circuit
-    made without levels (a loaded text file, a hand-built gate list)
-    gets them by replaying its gates through a `CircuitBuilder`.
+    `CircuitBuilder` recorded them while it emitted the gates; it is the
+    only producer of circuits, and `finish()` passes both.
     """
 
     def __init__(self, n_wires, kind, in_a, in_b, input_map, output_wires,
-                 *, wire_level=None, wire_depth=None):
+                 *, wire_level, wire_depth):
         self.n_wires = int(n_wires)
         self.kind = np.asarray(kind, dtype=np.uint8)
         self.in_a = _wire_indices(in_a)
@@ -117,8 +116,6 @@ class BooleanCircuit:
         self.output_wires = list(map(int, output_wires))
         self.const_one = 0
         self._validate()
-        if wire_level is None or wire_depth is None:
-            wire_level, wire_depth = _replay_levels(self)
         self.wire_level = np.asarray(wire_level, dtype=np.int32)
         self.wire_depth = np.asarray(wire_depth, dtype=np.int32)
         self._schedule = None
@@ -539,32 +536,6 @@ class CircuitBuilder(BuilderBase):
         )
 
 
-def _replay_levels(circuit: BooleanCircuit):
-    """Per-wire levels of a validated gate list, re-emitted through a
-    CircuitBuilder one run of independent gates of one kind at a time."""
-    b = CircuitBuilder()
-    b.input_vector(0, circuit.n_input_wires)
-    first = 1 + circuit.n_input_wires
-    # the gate that drives each gate's later operand (negative: an input)
-    src = np.maximum(circuit.in_a, circuit.in_b).astype(np.int64) - first
-    s, n = 0, circuit.n_gates
-    while s < n:
-        # the run ends at the first gate of another kind or that reads a
-        # gate of the run
-        kind, e, step = circuit.kind[s], s + 1, 64
-        while e < n:
-            end = min(e + step, n)
-            hit = np.flatnonzero((src[e:end] >= s) | (circuit.kind[e:end] != kind))
-            if hit.size:
-                e += int(hit[0])
-                break
-            e, step = end, 2 * step
-        b._emit(int(kind), circuit.in_a[s:e], circuit.in_b[s:e])
-        s = e
-    _, _, _, level, depth = b._trim()
-    return level, depth
-
-
 class CountingBuilder(BuilderBase):
     """Count-only builder: each leaf counts the gates of its broadcast
     shape and returns zero tokens of that shape, so the same blocks size
@@ -596,78 +567,29 @@ class CountingBuilder(BuilderBase):
 # -- text format -------------------------------------------------------------
 
 _KIND_NAMES = {XOR: "XOR", AND: "AND"}
-_KIND_VALUES = {v: k for k, v in _KIND_NAMES.items()}
+_TEXT_CHUNK = 1 << 16  # gate lines per join
 
 
 def save_circuit_text(circuit: BooleanCircuit) -> str:
     """Serialize to the line format: header `W G I O`, one gate per
     line (kind, input wires, the wire it drives), then CONST1/INPUTS/OUTPUTS
-    trailer. Round-trips bit-exactly.
+    trailer. The gate lines are formatted `_TEXT_CHUNK` gates at a time, so
+    no per-gate string of the whole circuit is alive at once.
     """
     first = 1 + circuit.n_input_wires
-    lines = [
+    parts = [
         f"{circuit.n_wires} {circuit.n_gates} "
-        f"{circuit.n_input_wires} {len(circuit.output_wires)}"
+        f"{circuit.n_input_wires} {len(circuit.output_wires)}\n"
     ]
-    for g in range(circuit.n_gates):
-        lines.append(
-            f"{_KIND_NAMES[int(circuit.kind[g])]} "
-            f"{circuit.in_a[g]} {circuit.in_b[g]} {first + g}"
-        )
-    lines.append(f"CONST1 {circuit.const_one}")
+    gate_line = "{} {} {} {}\n".format
+    for s in range(0, circuit.n_gates, _TEXT_CHUNK):
+        e = min(s + _TEXT_CHUNK, circuit.n_gates)
+        kinds = map(_KIND_NAMES.__getitem__, circuit.kind[s:e].tolist())
+        parts.append("".join(map(gate_line, kinds, circuit.in_a[s:e].tolist(),
+                                 circuit.in_b[s:e].tolist(), range(first + s, first + e))))
+    parts.append(f"CONST1 {circuit.const_one}\n")
     for party in sorted(circuit.input_map):
         wires = " ".join(str(w) for w in circuit.input_map[party])
-        lines.append(f"INPUTS {party} {wires}".rstrip())
-    lines.append("OUTPUTS " + " ".join(str(w) for w in circuit.output_wires))
-    return "\n".join(lines) + "\n"
-
-
-def _ints(words, line: str) -> list[int]:
-    try:
-        return [int(w) for w in words]
-    except ValueError as exc:
-        raise CircuitError(f"bad line: {line!r}") from exc
-
-
-def load_circuit_text(text: str) -> BooleanCircuit:
-    """Parse the line format; levels are recomputed by replaying the
-    gates through a CircuitBuilder. Any malformed line, and a gate that
-    does not drive wire 1 + (input wires) + g, raises `CircuitError`."""
-    lines = text.splitlines()
-    if not lines:
-        raise CircuitError("empty circuit file")
-    try:
-        n_wires, n_gates, n_in, n_out = map(int, lines[0].split())
-    except ValueError as exc:
-        raise CircuitError(f"bad header line: {lines[0]!r}") from exc
-    kind, a, b = [], [], []
-    for g, ln in enumerate(lines[1 : 1 + n_gates]):
-        parts = ln.split()
-        if len(parts) != 4 or parts[0] not in _KIND_VALUES:
-            raise CircuitError(f"bad gate line: {ln!r}")
-        kind.append(_KIND_VALUES[parts[0]])
-        wa, wb, wo = _ints(parts[1:], ln)
-        if wo != 1 + n_in + g:
-            raise CircuitError(f"gate {g} output {wo} breaks SSA ordering")
-        a.append(wa)
-        b.append(wb)
-    input_map: dict[int, list[int]] = {}
-    output_wires: list[int] = []
-    for ln in lines[1 + n_gates :]:
-        parts = ln.split()
-        if not parts:
-            continue
-        head, values = parts[0], _ints(parts[1:], ln)
-        if head == "CONST1" and len(values) == 1:
-            if values[0] != 0:
-                raise CircuitError("constant-one wire must be wire 0")
-        elif head == "INPUTS" and values:
-            input_map[values[0]] = values[1:]
-        elif head == "OUTPUTS":
-            output_wires = values
-        elif head != "BARRIERS":  # older files list evaluation barriers, which change no output
-            raise CircuitError(f"bad trailer line: {ln!r}")
-    circ = BooleanCircuit(n_wires, kind, a, b, input_map, output_wires)
-    if circ.n_input_wires != n_in or len(output_wires) != n_out:
-        raise CircuitError("header input/output counts disagree with trailer")
-    return circ
+        parts.append(f"INPUTS {party} {wires}".rstrip() + "\n")
+    parts.append("OUTPUTS " + " ".join(str(w) for w in circuit.output_wires) + "\n")
+    return "".join(parts)

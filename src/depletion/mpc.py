@@ -487,6 +487,8 @@ class Engine:
         epoch: int = 0,
         transport=None,
     ):
+        if batch < 1:
+            raise MpcError(f"batch {batch} must be at least 1")
         self.circuit = circuit
         self.computing_ids = list(computing_ids)
         self.schedule = build_schedule(circuit)

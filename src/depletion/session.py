@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, replace
 from itertools import compress
 
@@ -263,8 +264,13 @@ def _draw_distinct(rng, count, width: int, taken, lowest: int, first=None) -> np
 
 
 def _distinct_values(values, sigma: int) -> list[int]:
-    """Sorted distinct values; each must lie in the nonzero sigma-bit space."""
-    real = sorted(set(map(int, values)))
+    """Sorted distinct values; each must be an integer (a Python or numpy
+    int, not a float or a string) in the nonzero sigma-bit space."""
+    try:
+        real = sorted(set(map(operator.index, values)))
+    except TypeError:
+        bad = next((v for v in values if not hasattr(v, "__index__")), values)
+        raise SessionError(f"value {bad!r} is not an integer") from None
     if real and not 0 < real[0] <= real[-1] < 1 << sigma:
         bad = real[0] if real[0] <= 0 else real[-1]
         raise SessionError(f"value {bad} outside the nonzero {sigma}-bit space")
@@ -465,16 +471,23 @@ def negotiate_u(config: SessionConfig, counts: dict[int, list[int]], seed) -> li
     """Batched secure maximum over the parties' private counts: `counts`
     maps every configured party to its count in each session. Raises
     UnknownParty unless it names exactly the configured parties, and
-    SessionError for unequal session numbers or a count outside
-    [0, 2^count_bits), before any engine is built."""
+    SessionError for no sessions, unequal session numbers, or a count
+    that is not an integer in [0, 2^count_bits), before any engine is
+    built."""
     slots = sorted(config.parties)
     if set(counts) != set(slots):
         raise UnknownParty(f"counts of parties {sorted(counts)} differ from the configured {slots}")
     batch = len(counts[slots[0]])
+    if not batch:
+        raise SessionError("a round needs at least one session")
     for p in slots:
         if len(counts[p]) != batch:
             raise SessionError(f"party {p} has counts for {len(counts[p])} sessions, party {slots[0]} for {batch}")
         for c in counts[p]:
+            try:
+                c = operator.index(c)
+            except TypeError:
+                raise SessionError(f"count {c!r} of party {p} is not an integer") from None
             if not 0 <= c < 1 << config.count_bits:
                 raise SessionError(f"count {c} of party {p} does not fit {config.count_bits} bits")
     circ = CP.build_max_circuit(len(slots), config.count_bits)

@@ -1,5 +1,6 @@
-"""Circuit IR, builder primitives, evaluation, and the text format."""
+"""Circuit IR, builder primitives, evaluation, and the text writer."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -205,58 +206,30 @@ def test_inputs_must_precede_gates():
         b.input_vector(1, 1)
 
 
-def test_text_format_round_trip_bit_exact():
-    b = C.CircuitBuilder()
-    x = b.input_vector(0, 3)
-    y = b.input_vector(2, 2)
-    out = [b.lt(x, [y[0], y[1], b.not_(y[0])]), b.and_v(x[0], y[1])]
-    circ = b.finish(out)
-    text = C.save_circuit_text(circ)
-    circ2 = C.load_circuit_text(text)
-    assert C.save_circuit_text(circ2) == text
-    inputs = {0: [1, 0, 1], 2: [0, 1]}
-    assert circ.evaluate(inputs).tolist() == circ2.evaluate(inputs).tolist()
+# SHA-256 of `save_circuit_text(compile_circuit(cfg).circuit)`: the files
+# `depletion compile --out` writes must stay byte-identical
+WRITER_DIGESTS = [
+    (CP.CircuitConfig(5, 3, 8, CP.VariantSpec("fixed-plus-m", 2, (0, 1))),
+     "b5f4972224288b165caef014aea2001e4ef5b3719a7f118ce0b3006d0ca4585e"),
+    (CP.CircuitConfig(2, 4, 16), "f1b57219499d0172e5744079da9323fbe9e48ff9193bf516eb8f228640ed3ee5"),
+]
 
 
-def test_text_format_rejects_garbage():
-    with pytest.raises(C.CircuitError):
-        C.load_circuit_text("")
-    with pytest.raises(C.CircuitError):
-        C.load_circuit_text("1 2\n")
-    with pytest.raises(C.CircuitError):
-        C.load_circuit_text("2 1 1 1\nNAND 0 1 2\nCONST1 0\nINPUTS 0 1\nOUTPUTS 2\n")
-    with pytest.raises(C.CircuitError):
-        C.load_circuit_text("3 1 1 1\nXOR 0 1 3000000000\nCONST1 0\nINPUTS 0 1\nOUTPUTS 2\n")
+@pytest.mark.parametrize("chunk", [7, C._TEXT_CHUNK])
+@pytest.mark.parametrize("cfg, digest", WRITER_DIGESTS)
+def test_text_writer_output_is_pinned(cfg, digest, chunk, monkeypatch):
+    monkeypatch.setattr(C, "_TEXT_CHUNK", chunk)  # 7 splits the gate lines into many chunks
+    text = C.save_circuit_text(CP.compile_circuit(cfg).circuit)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-VALID_TEXT = "3 1 1 1\nXOR 0 1 2\nCONST1 0\nINPUTS 0 1\nOUTPUTS 2\n"
-
-
-@pytest.mark.parametrize("old, new", [
-    ("CONST1 0", "CONST1"),
-    ("XOR 0 1 2", "XOR 1 x 3"),
-    ("XOR 0 1 2", "XOR 0 1 3"),  # gate 0 must drive wire 2: breaks SSA order
-    ("INPUTS 0 1", "INPUTS 0 1 z"),
-    ("INPUTS 0 1", "INPUTS"),
-    ("OUTPUTS 2", "OUTPUTS 2\nBARRIERS a"),
-])
-def test_text_format_malformed_lines_raise_circuit_error(old, new):
-    assert C.load_circuit_text(VALID_TEXT).evaluate({0: [0]}).tolist() == [1]
-    with pytest.raises(C.CircuitError):
-        C.load_circuit_text(VALID_TEXT.replace(old, new))
-
-
-def test_text_with_legacy_barriers_line_loads_unchanged():
-    """Files written by earlier versions end in a BARRIERS line (the gate
-    index after SortCheck); it is skipped and changes no output."""
-    comp = CP.compile_circuit(CP.CircuitConfig(3, 3, 8))
-    text = C.save_circuit_text(comp.circuit)
-    legacy = C.load_circuit_text(text + f"BARRIERS {comp.stages[0].gate_range[1]}\n")
-    assert C.save_circuit_text(legacy) == text
-    assert legacy.gate_counts() == comp.circuit.gate_counts()
-    rng = np.random.default_rng(5)
-    inputs = {p: rng.integers(0, 2, (len(ws), 16)) for p, ws in comp.circuit.input_map.items()}
-    assert np.array_equal(legacy.evaluate(inputs), comp.circuit.evaluate(inputs))
+def test_circuit_needs_recorded_levels():
+    circ = less_than(4)
+    parts = (circ.n_wires, circ.kind, circ.in_a, circ.in_b, circ.input_map, circ.output_wires)
+    with pytest.raises(TypeError):
+        C.BooleanCircuit(*parts)
+    rebuilt = C.BooleanCircuit(*parts, wire_level=circ.wire_level, wire_depth=circ.wire_depth)
+    assert rebuilt.gate_counts() == circ.gate_counts()
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 8])

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from depletion import cli
+from depletion import compiler as CP
 from depletion import session as S
-from depletion.circuit import load_circuit_text
+from depletion.circuit import save_circuit_text
 
 GOOD_CPE = "cpe:2.3:a:vendorx:productx:1.%d:*:*:*:*:*:*:*"
 
@@ -58,7 +59,8 @@ def test_compile_writes_circuit_and_manifest(tmp_path):
         "--variant", "at-least-two", "--out", str(out), "--report", str(report),
     ])
     assert code == 0
-    circ = load_circuit_text(out.read_text())
+    circ = CP.compile_circuit(CP.CircuitConfig(2, 4, 16)).circuit
+    assert out.read_text() == save_circuit_text(circ)
     man = json.loads(report.read_text())
     assert man["total_and"] + man["total_xor"] == circ.n_gates
     for row in man["stages"]:

@@ -456,6 +456,13 @@ def test_engine_bytes_bounds_the_peak_of_building_an_engine():
         assert kept < peak <= mpc.engine_bytes(3, circ.n_wires, and_count, batch)
 
 
+@pytest.mark.parametrize("batch", [0, -3])
+def test_engine_refuses_an_empty_or_negative_batch(batch):
+    circ = CP.build_max_circuit(2, 4)
+    with pytest.raises(mpc.MpcError, match="at least 1"):
+        mpc.Engine(circ, [0, 1], batch=batch)
+
+
 def test_engine_refuses_an_allocation_over_the_limit_before_making_it(monkeypatch):
     circ = CP.compile_circuit(CP.CircuitConfig(n_parties=3, inputs_per_party=2, sigma=8)).circuit
     and_count = circ.schedule().and_count  # memoized, so not measured below

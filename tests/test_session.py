@@ -74,6 +74,18 @@ def test_prepare_errors():
         S.prepare_inputs(np.zeros((1, 4, 1), np.uint8), 4, 16, rng)
 
 
+def test_prepare_refuses_values_that_are_not_integers():
+    rng = np.random.default_rng(0)
+    # one session's values, not a list of sessions
+    with pytest.raises(S.SessionError, match=r"\[3, 5\] is not an integer"):
+        S.prepare_inputs([[3, 5]], 4, 16, rng)
+    with pytest.raises(S.SessionError, match="2.5 is not an integer"):
+        S.prepare_inputs([2.5, 5], 4, 16, rng)
+    # Python and numpy integers are both values
+    for values in ([3, 5], np.array([3, 5]), [np.uint16(3), 5]):
+        assert rows_to_ints(S.prepare_inputs(values, 4, 16, rng).values[0]).count(3) == 1
+
+
 def _wide_batch(sigma, sessions=64, parties=(0, 1, 2), u=6, seed=0):
     """Stockpiles of unequal sizes, so that most parties draw dummies."""
     rng = random.Random(seed)
@@ -245,7 +257,10 @@ def test_negotiate_u_rejects_oversized_counts():
     ({0: [3], 1: [2], 5: [1]}, S.UnknownParty),
     ({0: [3, 4], 1: [2]}, S.SessionError),  # unequal session counts
     ({0: [3], 1: [-1]}, S.SessionError),
-], ids=["missing-party", "extra-party", "unequal-sessions", "negative-count"])
+    ({0: [2.5], 1: [1]}, S.SessionError),
+    ({0: [], 1: []}, S.SessionError),
+], ids=["missing-party", "extra-party", "unequal-sessions", "negative-count", "non-integer-count",
+        "no-sessions"])
 def test_negotiate_u_checks_its_counts_before_building_an_engine(monkeypatch, counts, error):
     def no_engine(*args, **kwargs):
         raise AssertionError("an engine was built for counts that cannot be negotiated")
@@ -673,6 +688,17 @@ def test_session_rejects_values_outside_the_nonzero_space(bad):
     sess.epoch_advance({0: {9}})
     reports = sess.run_epoch().reports[0]
     assert reports[0].shared == {5} and reports[1].shared == {5}
+
+
+@pytest.mark.parametrize("bad", [3.7, "12", None])
+def test_rounds_refuse_values_that_are_not_integers(bad):
+    with pytest.raises(S.SessionError, match="is not an integer"):
+        S.run_sessions(cfg2(), [{0: {bad, 5}, 1: {3}}], seed=1)
+    with pytest.raises(S.SessionError, match="is not an integer"):
+        S.Session(cfg2(), {0: {bad, 5}, 1: {7}}, seed=42)
+    sess = S.Session(cfg2(), {0: {5}, 1: {5, 7}}, seed=42)
+    with pytest.raises(S.SessionError, match="is not an integer"):
+        sess.epoch_advance({1: {bad}})
 
 
 def test_failed_epoch_can_be_retried(monkeypatch):

@@ -100,13 +100,6 @@ def test_compile_emits_layers_not_gates(monkeypatch):
     assert calls[0] <= 10_000
 
 
-def test_loaded_circuit_replays_recorded_levels():
-    circ = CP.compile_circuit(PINNED[3][0]).circuit
-    loaded = C.load_circuit_text(C.save_circuit_text(circ))
-    assert np.array_equal(loaded.wire_level, circ.wire_level)
-    assert np.array_equal(loaded.wire_depth, circ.wire_depth)
-
-
 def test_leaves_broadcast_and_count_alike():
     real, counting = C.CircuitBuilder(), C.CountingBuilder()
     for b in (real, counting):
