@@ -4,14 +4,15 @@ Wire 0 is the constant-one wire; NOT is expressed as XOR with it.
 Input wires follow the constant, gate outputs follow the inputs, so a
 circuit is a static single-assignment gate list in topological order.
 
-Two builders share every construction routine through two vector
-leaves, `xor_v` and `and_v`, which emit one gate per element of their
-broadcast operand arrays. The blocks (comparators, equality tests,
-muxes, conditional swaps, balanced folds) work on arrays whose leading
-axes are instances, so one call emits a whole layer of them, and
-`exchange_layers` groups the exchanges of a comparator or switch
-network into such layers. `CircuitBuilder` materializes the gates;
-`CountingBuilder` only adds up the sizes of its leaf calls, so
+Two builders share every construction routine through three leaves:
+the vector leaves `xor_v` and `and_v`, which emit one gate per element
+of their broadcast operand arrays, and `lt`, which emits the ripple
+comparators of all its instances as one block. The blocks (comparators,
+equality tests, muxes, conditional swaps, balanced folds) work on arrays
+whose leading axes are instances, so one call emits a whole layer of
+them, and `exchange_layers` groups the exchanges of a comparator or
+switch network into such layers. `CircuitBuilder` materializes the
+gates; `CountingBuilder` only adds up the sizes of its leaf calls, so
 benchmark-scale circuits (10^8 gates) are counted by the same code
 without being built.
 
@@ -341,34 +342,57 @@ def _bits(value, width: int) -> np.ndarray:
     return ((np.asarray(value, dtype=object)[..., None] >> shifts) & 1).astype(bool)
 
 
-def _grown(buf, used: int, size: int) -> np.ndarray:
-    """A zeroed buffer of `size` items that starts with buf[:used].
+_MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
 
-    One of 256 KiB or more gets its own anonymous memory map instead of
-    a heap block: its pages take memory only once written, so the unused
-    tail of a finished circuit's buffers costs nothing, and they go back
-    to the system when the array dies. Heap blocks of this size, grown
-    and freed round after round, fragmented the heap: a process compiling
-    a new circuit every round kept 10-15 % more peak RSS.
+
+def _on_map(mm: mmap.mmap, dtype) -> np.ndarray:
+    """The whole map as an array. The memoryview holds the map's buffer
+    export while the array or any view of it lives, so a resize fails
+    then instead of moving the pages from under it."""
+    return np.frombuffer(memoryview(mm), dtype=dtype)
+
+
+def _mapped(dtype, size: int) -> np.ndarray:
+    """A zeroed array of `size` items on its own anonymous memory map."""
+    return _on_map(mmap.mmap(-1, size * np.dtype(dtype).itemsize, flags=_MAP_FLAGS), dtype)
+
+
+def _grown(mm: mmap.mmap, dtype, size: int) -> np.ndarray:
+    """`mm` grown in place to `size` items, its contents kept and the new
+    tail zero; no array may view `mm` when this is called.
+
+    The builder's buffers are private anonymous maps, which `resize`
+    grows with mremap: no byte is copied and no page is faulted twice.
+    Copying each growth into a fresh map faulted every page about three
+    times over a compile. Pages take memory only once written, so the
+    unused tail of a finished circuit's buffers costs nothing, and they
+    go back to the system when the circuit dies; heap blocks grown and
+    freed round after round fragmented the heap instead. The map must be
+    private: a shared anonymous map resized this way dies with SIGBUS on
+    the first write past its old size. Without mremap `resize` raises
+    `SystemError`, and the contents are copied into a fresh map.
     """
-    if size * buf.itemsize < 1 << 18:
-        out = np.zeros(size, dtype=buf.dtype)
-    else:
-        out = np.frombuffer(mmap.mmap(-1, size * buf.itemsize), dtype=buf.dtype)
-    out[:used] = buf[:used]
-    return out
+    nbytes = size * np.dtype(dtype).itemsize
+    try:
+        mm.resize(nbytes)
+    except SystemError:
+        old, mm = mm, mmap.mmap(-1, nbytes, flags=_MAP_FLAGS)
+        mm[:len(old)] = old
+    return _on_map(mm, dtype)
 
 
 class BuilderBase:
-    """Oblivious building blocks over two vector leaves.
+    """Oblivious building blocks over three leaves.
 
     `xor_v(A, B)` and `and_v(A, B)` take broadcastable arrays of wires
     and emit one gate per element of the broadcast shape, returning the
-    output wires in that shape. Every block works over arrays whose last
-    axis holds the bits of a big-endian vector and whose leading axes
-    are independent instances, so one call emits a whole layer of
-    comparators, muxes or swaps; a 1-D vector is the single-instance
-    case. Subclasses provide the leaves and `input_vector`.
+    output wires in that shape; `lt(A, B)` emits a ripple comparator per
+    instance of its broadcast operands. Every block works over arrays
+    whose last axis holds the bits of a big-endian vector and whose
+    leading axes are independent instances, so one call emits a whole
+    layer of comparators, muxes or swaps; a 1-D vector is the
+    single-instance case. Subclasses provide the leaves and
+    `input_vector`.
     """
 
     one = 0
@@ -401,20 +425,6 @@ class BuilderBase:
             raise WidthMismatch(f"{name} operands must share a positive width")
         return a, b
 
-    def lt(self, a, b):
-        """Strict a < b over equal-width unsigned big-endian vectors.
-
-        LSB-to-MSB ripple: carry c_(i+1) = b_i XOR ((b_i XOR c_i) AND
-        (a_i XOR c_i)); exactly width AND gates per instance.
-        """
-        a, b = self._operands("lt", a, b)
-        c = self.xor_v(b[..., -1], self.and_v(b[..., -1], a[..., -1]))
-        for i in range(a.shape[-1] - 2, -1, -1):
-            # b_i ^ c and a_i ^ c in one call
-            t = self.xor_v(np.stack([b[..., i], a[..., i]]), c)
-            c = self.xor_v(b[..., i], self.and_v(t[0], t[1]))
-        return c
-
     def eq(self, a, b):
         """a == b; width-1 AND gates via an AND-tree over XNORs."""
         a, b = self._operands("eq", a, b)
@@ -441,33 +451,52 @@ class BuilderBase:
 class CircuitBuilder(BuilderBase):
     """Materializing builder; finish() freezes a BooleanCircuit.
 
-    Gates and per-wire levels live in numpy buffers that grow by half
-    their size when full; `finish()` hands views of their used lengths
-    to the circuit. Each leaf call records
-    its gates' full topological levels and AND depths with one pass over
-    its operand arrays.
+    Gates and per-wire levels live in buffers on private anonymous maps
+    that grow in place by half their size when full (`_grown`);
+    `finish()` hands views of their used lengths to the circuit. Each
+    leaf call records its gates' full topological levels and AND depths:
+    `xor_v` and `and_v` with one pass over their operand arrays, `lt`
+    from closed forms over its operands' levels and depths.
     """
 
     def __init__(self):
         self._n_wires = 1
         self._n_gates = 0
-        self._kind = np.zeros(0, dtype=np.uint8)
-        self._a = np.zeros(0, dtype=np.int32)
-        self._b = np.zeros(0, dtype=np.int32)
-        self._level = np.zeros(1, dtype=np.int32)  # per wire; wire 0 is the constant
-        self._depth = np.zeros(1, dtype=np.int32)
+        self._kind = _mapped(np.uint8, 1024)
+        self._a = _mapped(np.int32, 1024)
+        self._b = _mapped(np.int32, 1024)
+        # per wire; wire 0 is the constant, and every wire starts at level 0
+        self._level = _mapped(np.int32, 1024)
+        self._depth = _mapped(np.int32, 1024)
         self._input_map: dict[int, list[int]] = {}
         self.and_count = 0
+
+    def _reserve(self, gates: int, wires: int) -> None:
+        """Room for `gates` gates and `wires` wires; a buffer too short
+        grows by half, or to what is asked if that is more."""
+        for name, need in (("_kind", gates), ("_a", gates), ("_b", gates),
+                           ("_level", wires), ("_depth", wires)):
+            buf = getattr(self, name)
+            if need > len(buf):
+                size, dtype, mm = max(need, len(buf) * 3 // 2), buf.dtype, buf.base.obj
+                del buf
+                setattr(self, name, None)  # resize refuses while an array views the map
+                setattr(self, name, _grown(mm, dtype, size))
 
     def input_vector(self, party: int, n: int) -> list[int]:
         if self._n_gates:
             raise CircuitError("all inputs must be declared before the first gate")
         wires = list(range(self._n_wires, self._n_wires + n))
-        self._level = _grown(self._level, self._n_wires, self._n_wires + n)  # new wires: level 0
-        self._depth = _grown(self._depth, self._n_wires, self._n_wires + n)
+        self._reserve(0, self._n_wires + n)  # unwritten entries are 0: the new wires' levels
         self._n_wires += n
         self._input_map.setdefault(party, []).extend(wires)
         return wires
+
+    def _check_driven(self, a, b):
+        """Refuse intp operand wires that are not driven yet."""
+        # as unsigned, a negative index is out of range too
+        if max(a.view(np.uintp).max(), b.view(np.uintp).max()) >= self._n_wires:
+            raise CircuitError("gate input references an undriven wire")
 
     def _emit(self, kind, a, b):
         """One `kind` gate per element of the broadcast shape of a and b."""
@@ -479,17 +508,9 @@ class CircuitBuilder(BuilderBase):
             return np.zeros(shape, dtype=np.int32)
         a = a.astype(np.intp).ravel()
         b = b.astype(np.intp).ravel()
+        self._check_driven(a, b)
         first, g0 = self._n_wires, self._n_gates
-        # as unsigned, a negative index is out of range too
-        if max(a.view(np.uintp).max(), b.view(np.uintp).max()) >= first:
-            raise CircuitError("gate input references an undriven wire")
-        if g0 + n > len(self._kind):
-            cap = max(g0 + n, len(self._kind) * 3 // 2, 1024)
-            self._kind = _grown(self._kind, g0, cap)
-            self._a = _grown(self._a, g0, cap)
-            self._b = _grown(self._b, g0, cap)
-            self._level = _grown(self._level, first, first - g0 + cap)
-            self._depth = _grown(self._depth, first, first - g0 + cap)
+        self._reserve(g0 + n, first + n)
         g1, w1 = g0 + n, first + n
         self._kind[g0:g1] = kind
         self._a[g0:g1] = a
@@ -510,6 +531,62 @@ class CircuitBuilder(BuilderBase):
 
     def and_v(self, a, b):
         return self._emit(AND, a, b)
+
+    def lt(self, a, b):
+        """Strict a < b over equal-width unsigned big-endian vectors, one
+        comparator per instance of the broadcast operands, as one block.
+
+        LSB-to-MSB ripple: carry c_0 = b_0 XOR (b_0 AND a_0), then c_i =
+        b_i XOR ((b_i XOR c_(i-1)) AND (a_i XOR c_(i-1))); width ANDs and
+        4 width - 2 gates per instance. With k instances the gates are
+        the LSB's k ANDs and k XORs, then per bit k of b XOR c, k of a
+        XOR c, k ANDs and k XORs: the order of a bit-by-bit loop over the
+        vector leaves. Levels and AND depths follow in closed form from
+        the operand bits, LSB first. With M_s and Dm_s the higher level
+        and AND depth of bit s's two operand wires, carry i sits at level
+        3i + max_(s<=i) E_s, where E_0 = M_0 + 2 and E_s = M_s + 3 - 3s,
+        and at AND depth i + 1 + max_(s<=i) (Dm_s - s); each AND is one
+        level below its carry, at its AND depth.
+        """
+        a, b = self._operands("lt", a, b)
+        if a.shape != b.shape:
+            a, b = np.broadcast_arrays(a, b)
+        shape, sigma = a.shape[:-1], a.shape[-1]
+        k = a.size // sigma
+        if not k:
+            return np.zeros(shape, dtype=np.int32)
+        # the operand bits as (sigma, k), LSB first
+        a, b = (np.ascontiguousarray(x.reshape(k, sigma)[:, ::-1].T, dtype=np.intp) for x in (a, b))
+        self._check_driven(a, b)
+        first, g0 = self._n_wires, self._n_gates
+        n = (4 * sigma - 2) * k
+        self._reserve(g0 + n, first + n)
+        level, depth = self._level, self._depth
+        la, lb, da, db = level[a], level[b], depth[a], depth[b]
+        s = np.arange(sigma)[:, None]
+        e = np.maximum(la, lb) - 3 * s + 3
+        e[0] -= 1
+        lc = np.maximum.accumulate(e) + 3 * s
+        dc = np.maximum.accumulate(np.maximum(da, db) - s) + s + 1
+        # (sigma, 4, k) blocks over the slots b^c, a^c, AND and carry of
+        # each bit; the LSB has no b^c or a^c, so its first 2k entries,
+        # whose carry-in wraps round to the MSB's, are dropped
+        wire = np.arange(first - 2 * k, first + n, dtype=np.int32).reshape(sigma, 4, k)
+        carry, c_in = wire[:, 3], np.roll(wire[:, 3], 1, axis=0)
+        in_a = np.stack([b, a, wire[:, 0], b], axis=1)
+        in_b = np.stack([c_in, c_in, wire[:, 1], wire[:, 2]], axis=1)
+        in_a[0, 2], in_b[0, 2] = b[0], a[0]
+        lc_in, dc_in = np.roll(lc, 1, axis=0), np.roll(dc, 1, axis=0)
+        lev = np.stack([np.maximum(lb, lc_in) + 1, np.maximum(la, lc_in) + 1, lc - 1, lc], axis=1)
+        dep = np.stack([np.maximum(db, dc_in), np.maximum(da, dc_in), dc, dc], axis=1)
+        kind = np.zeros((sigma, 4, k), dtype=np.uint8)
+        kind[:, 2] = AND
+        for buf, lo, block in ((self._kind, g0, kind), (self._a, g0, in_a), (self._b, g0, in_b),
+                               (level, first, lev), (depth, first, dep)):
+            buf[lo:lo + n] = block.reshape(-1)[2 * k:]
+        self.and_count += sigma * k
+        self._n_gates, self._n_wires = g0 + n, first + n
+        return carry[-1].reshape(shape)
 
     @property
     def n_gates(self) -> int:
@@ -563,33 +640,41 @@ class CountingBuilder(BuilderBase):
         self.and_count += out.size
         return out
 
+    def lt(self, a, b):
+        a, b = self._operands("lt", a, b)
+        out = self._tokens(a[..., 0], b[..., 0])
+        sigma = a.shape[-1]
+        self.and_count += sigma * out.size
+        self.xor_count += (3 * sigma - 2) * out.size
+        return out
+
 
 # -- text format -------------------------------------------------------------
 
 _KIND_NAMES = {XOR: "XOR", AND: "AND"}
-_TEXT_CHUNK = 1 << 16  # gate lines per join
+_TEXT_CHUNK = 1 << 16  # gate lines per write
 
 
-def save_circuit_text(circuit: BooleanCircuit) -> str:
-    """Serialize to the line format: header `W G I O`, one gate per
-    line (kind, input wires, the wire it drives), then CONST1/INPUTS/OUTPUTS
-    trailer. The gate lines are formatted `_TEXT_CHUNK` gates at a time, so
-    no per-gate string of the whole circuit is alive at once.
+def save_circuit_text(circuit: BooleanCircuit, out) -> None:
+    """Write the circuit to the open text file `out` in the line format:
+    header `W G I O`, one gate per line (kind, input wires, the wire it
+    drives), then CONST1/INPUTS/OUTPUTS trailer. The gate lines are
+    formatted and written `_TEXT_CHUNK` gates at a time, so one chunk of
+    the text is alive at once, never the whole file.
     """
     first = 1 + circuit.n_input_wires
-    parts = [
+    out.write(
         f"{circuit.n_wires} {circuit.n_gates} "
         f"{circuit.n_input_wires} {len(circuit.output_wires)}\n"
-    ]
+    )
     gate_line = "{} {} {} {}\n".format
     for s in range(0, circuit.n_gates, _TEXT_CHUNK):
         e = min(s + _TEXT_CHUNK, circuit.n_gates)
         kinds = map(_KIND_NAMES.__getitem__, circuit.kind[s:e].tolist())
-        parts.append("".join(map(gate_line, kinds, circuit.in_a[s:e].tolist(),
-                                 circuit.in_b[s:e].tolist(), range(first + s, first + e))))
-    parts.append(f"CONST1 {circuit.const_one}\n")
+        out.write("".join(map(gate_line, kinds, circuit.in_a[s:e].tolist(),
+                              circuit.in_b[s:e].tolist(), range(first + s, first + e))))
+    out.write(f"CONST1 {circuit.const_one}\n")
     for party in sorted(circuit.input_map):
         wires = " ".join(str(w) for w in circuit.input_map[party])
-        parts.append(f"INPUTS {party} {wires}".rstrip() + "\n")
-    parts.append("OUTPUTS " + " ".join(str(w) for w in circuit.output_wires) + "\n")
-    return "".join(parts)
+        out.write(f"INPUTS {party} {wires}".rstrip() + "\n")
+    out.write("OUTPUTS " + " ".join(str(w) for w in circuit.output_wires) + "\n")

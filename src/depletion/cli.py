@@ -99,7 +99,8 @@ def cmd_compile(args) -> int:
             )
         comp = CP.compile_circuit(cfg)
         depth = comp.circuit.gate_counts().depth_and
-        Path(args.out).write_text(save_circuit_text(comp.circuit))
+        with open(args.out, "w") as out:
+            save_circuit_text(comp.circuit, out)
         man = CP.manifest(cfg, comp.stages, depth_and=depth)
         print(f"circuit -> {args.out}")
     Path(args.report).write_text(json.dumps(man, indent=2) + "\n")

@@ -1,6 +1,8 @@
 """Reference conversions and circuit fragments that tests check the
 library against; no library code calls them."""
 
+import numpy as np
+
 from depletion.circuit import CircuitBuilder
 from depletion.waksman import build_network, switch_count
 
@@ -29,3 +31,17 @@ def build_waksman(n: int, width: int):
     items = [b.input_vector(i + 1, width) for i in range(n)]
     out = build_network(b, controls, items)
     return b.finish(out.ravel())
+
+
+def ripple_lt(builder, a, b):
+    """Strict a < b over equal-width big-endian vectors, one bit at a time
+    through `builder`'s vector leaves: the LSB-to-MSB ripple that
+    `CircuitBuilder.lt` emits as one block, gate for gate.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+    c = builder.xor_v(b[..., -1], builder.and_v(b[..., -1], a[..., -1]))
+    for i in range(a.shape[-1] - 2, -1, -1):
+        # b_i ^ c and a_i ^ c in one call
+        t = builder.xor_v(np.stack([b[..., i], a[..., i]]), c)
+        c = builder.xor_v(b[..., i], builder.and_v(t[0], t[1]))
+    return c

@@ -1,6 +1,7 @@
 """Circuit IR, builder primitives, evaluation, and the text writer."""
 
 import hashlib
+import io
 import random
 
 import numpy as np
@@ -206,8 +207,8 @@ def test_inputs_must_precede_gates():
         b.input_vector(1, 1)
 
 
-# SHA-256 of `save_circuit_text(compile_circuit(cfg).circuit)`: the files
-# `depletion compile --out` writes must stay byte-identical
+# SHA-256 of what `save_circuit_text(compile_circuit(cfg).circuit, out)`
+# writes: the files `depletion compile --out` writes must stay byte-identical
 WRITER_DIGESTS = [
     (CP.CircuitConfig(5, 3, 8, CP.VariantSpec("fixed-plus-m", 2, (0, 1))),
      "b5f4972224288b165caef014aea2001e4ef5b3719a7f118ce0b3006d0ca4585e"),
@@ -219,8 +220,9 @@ WRITER_DIGESTS = [
 @pytest.mark.parametrize("cfg, digest", WRITER_DIGESTS)
 def test_text_writer_output_is_pinned(cfg, digest, chunk, monkeypatch):
     monkeypatch.setattr(C, "_TEXT_CHUNK", chunk)  # 7 splits the gate lines into many chunks
-    text = C.save_circuit_text(CP.compile_circuit(cfg).circuit)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    out = io.StringIO()
+    C.save_circuit_text(CP.compile_circuit(cfg).circuit, out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 def test_circuit_needs_recorded_levels():
@@ -243,6 +245,10 @@ def test_counting_builder_matches_materialized(width):
             sel = b.input_vector(1, 1)[0]
             if name == "lt":
                 b.lt(x[0], x[1])
+            elif name == "lt_layer":
+                # (2, 3) instances: one operand broadcast from a single row
+                rows = np.array([[x[0], x[1], x[0]], [x[1], x[1], x[0]]])
+                b.lt(rows, np.array(x[1])[None, None])
             elif name == "eq":
                 b.eq(x[0], x[1])
             elif name == "eq_const":
@@ -259,7 +265,7 @@ def test_counting_builder_matches_materialized(width):
                 C.pairwise(b.and_v, x[0])
             ops.append((name, b.and_count, b.xor_count))
 
-        for name in ["lt", "eq", "eq_const", "mux", "cond_swap", "or", "or_fold", "and_fold"]:
+        for name in ["lt", "lt_layer", "eq", "eq_const", "mux", "cond_swap", "or", "or_fold", "and_fold"]:
             record(name)
         return ops
 

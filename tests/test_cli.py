@@ -1,5 +1,6 @@
 """Command-line entry points, file formats, and exit codes."""
 
+import io
 import json
 
 import pytest
@@ -60,7 +61,9 @@ def test_compile_writes_circuit_and_manifest(tmp_path):
     ])
     assert code == 0
     circ = CP.compile_circuit(CP.CircuitConfig(2, 4, 16)).circuit
-    assert out.read_text() == save_circuit_text(circ)
+    text = io.StringIO()
+    save_circuit_text(circ, text)
+    assert out.read_text() == text.getvalue()
     man = json.loads(report.read_text())
     assert man["total_and"] + man["total_xor"] == circ.n_gates
     for row in man["stages"]:

@@ -1,11 +1,16 @@
 """The vector builder emits the same circuits as the per-gate builder it
-replaced: pinned counts, AND depths and schedule shapes, few leaf calls,
-and level replay of a loaded circuit equal to the recorded levels."""
+replaced: pinned counts, AND depths and schedule shapes, and few leaf
+calls. Its `lt` block equals the per-bit ripple gate for gate, and its
+buffers grow in place."""
 
 import hashlib
+import mmap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import ripple_lt
 
 from depletion import circuit as C
 from depletion import compiler as CP
@@ -92,12 +97,72 @@ def test_compile_emits_layers_not_gates(monkeypatch):
 
         return wrapper
 
-    for name in ("xor_v", "and_v"):
+    for name in ("xor_v", "and_v", "lt"):
         monkeypatch.setattr(C.CircuitBuilder, name, counted(getattr(C.CircuitBuilder, name)))
     comp = CP.compile_circuit.__wrapped__(CP.CircuitConfig(3, 16, 64))
     assert comp.circuit.n_gates == 630282
-    # one call per gate would be 630 282 calls; a layer per call is a few thousand
-    assert calls[0] <= 10_000
+    # one call per gate would be 630 282 calls, and a comparator emitted
+    # bit by bit about 190 calls each; a layer per call is a few hundred
+    assert calls[0] <= 400
+
+
+@st.composite
+def lt_cases(draw):
+    """A builder prelude of random gates, so that operand wires sit at
+    mixed levels and AND depths, and two lt operands over its wires:
+    widths 1-9, 0-5 instances in up to two axes, each operand's instance
+    shape broadcast from a shorter or size-1 one."""
+    width = draw(st.integers(1, 9))
+    shape = tuple(draw(st.lists(st.integers(0, 5), max_size=2).filter(lambda s: np.prod(s) <= 5)))
+    n_inputs = draw(st.integers(1, 6))
+    prelude = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 99), st.integers(0, 99)),
+                            max_size=30))
+    n_wires = 1 + n_inputs + len(prelude)
+
+    def operand():
+        keep = draw(st.integers(0, len(shape)))
+        own = tuple(d if draw(st.booleans()) else 1 for d in shape[len(shape) - keep:])
+        size = int(np.prod(own)) * width
+        picks = draw(st.lists(st.integers(0, n_wires - 1), min_size=size, max_size=size))
+        return own, picks
+
+    return width, n_inputs, prelude, operand(), operand()
+
+
+def _prelude_wires(b, n_inputs, prelude):
+    wires = [b.one, *b.input_vector(0, n_inputs)]
+    for is_and, i, j in prelude:
+        leaf = b.and_v if is_and else b.xor_v
+        wires.append(int(leaf(wires[i % len(wires)], wires[j % len(wires)])))
+    return np.array(wires)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lt_cases())
+def test_lt_block_matches_per_bit_reference(case):
+    width, n_inputs, prelude, (shape_a, picks_a), (shape_b, picks_b) = case
+    circuits = []
+    for lt in (C.CircuitBuilder.lt, ripple_lt):
+        b = C.CircuitBuilder()
+        wires = _prelude_wires(b, n_inputs, prelude)
+        a = wires[picks_a].reshape(*shape_a, width)
+        c = wires[picks_b].reshape(*shape_b, width)
+        out = lt(b, a, c)
+        assert out.shape == np.broadcast_shapes(shape_a, shape_b)
+        circuits.append((out, b.and_count, b.finish(np.ravel(out))))
+    (out, ands, circ), (ref_out, ref_ands, ref) = circuits
+    assert np.array_equal(out, ref_out) and ands == ref_ands
+    for name in ("kind", "in_a", "in_b", "wire_level", "wire_depth"):
+        assert np.array_equal(getattr(circ, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("bad", [3, -1])
+def test_lt_refuses_an_undriven_operand_before_emitting(bad):
+    b = C.CircuitBuilder()
+    x = b.input_vector(0, 2)  # wires 0-2 are driven, wire 3 is not
+    with pytest.raises(C.CircuitError):
+        b.lt([[x[0], bad], x], [x, x])
+    assert b.n_gates == 0
 
 
 def test_leaves_broadcast_and_count_alike():
@@ -123,3 +188,31 @@ def test_finish_hands_over_buffers_without_a_copy():
     assert np.shares_memory(circ.kind, kind) and np.shares_memory(circ.wire_level, level)
     assert len(circ.kind) == circ.n_gates == 24
     assert len(circ.wire_level) == circ.n_wires
+
+
+def test_buffers_grow_in_place_and_keep_their_contents():
+    b = C.CircuitBuilder()
+    x = np.array(b.input_vector(0, 64))
+    maps = [buf.base.obj for buf in (b._kind, b._a, b._b, b._level, b._depth)]
+    for _ in range(40):  # 190 gates each, well past the first capacity
+        x = b.xor_v(x, b.lt(x[:32], x[32:]))
+    assert len(b._kind) > 1024
+    grown = (b._kind, b._a, b._b, b._level, b._depth)
+    assert all(buf.base.obj is mm for buf, mm in zip(grown, maps))
+    ref = C.CircuitBuilder()
+    y = np.array(ref.input_vector(0, 64))
+    circ, head = b.finish(x), ref.finish([ref.lt(y[:32], y[32:])])
+    for name in ("kind", "in_a", "in_b", "wire_level", "wire_depth"):
+        assert np.array_equal(getattr(circ, name)[:len(getattr(head, name))], getattr(head, name))
+
+
+def test_grown_copies_where_the_map_cannot_resize():
+    class Fixed(mmap.mmap):
+        def resize(self, newsize):
+            raise SystemError("no mremap")
+
+    old = Fixed(-1, 4 * 3, flags=C._MAP_FLAGS)
+    np.frombuffer(memoryview(old), dtype=np.int32)[:] = [7, 8, 9]
+    grown = C._grown(old, np.int32, 5)
+    assert grown.tolist() == [7, 8, 9, 0, 0]
+    assert grown.base.obj is not old
