@@ -16,11 +16,14 @@ gates; `CountingBuilder` only adds up the sizes of its leaf calls, so
 benchmark-scale circuits (10^8 gates) are counted by the same code
 without being built.
 
-`CircuitBuilder` records each wire's full topological level and AND
-depth as it emits the gates. From those facts `BooleanCircuit.schedule()`
-derives, with one sort, the layered plan that both the plaintext
-evaluator and the MPC engine run; `gate_counts().depth_and` is its number
-of AND layers.
+`CircuitBuilder` is the only producer of circuits. It refuses a bad
+circuit while building it, so `BooleanCircuit` stores what `finish()`
+passes and checks nothing again; its docstring names the builder check
+behind each invariant. The builder records each wire's full topological
+level and AND depth as it emits the gates. From those facts
+`BooleanCircuit.schedule()` derives, with one sort, the layered plan
+that both the plaintext evaluator and the MPC engine run;
+`gate_counts().depth_and` is its number of AND layers.
 """
 
 from __future__ import annotations
@@ -85,40 +88,42 @@ class Schedule:
         return len(self.layers)
 
 
-def _wire_indices(values) -> np.ndarray:
-    """Wire indices as int32; an int32 buffer is adopted without a copy."""
-    arr = np.asarray(values)
-    if arr.dtype == np.int32:
-        return arr
-    arr = np.asarray(values, dtype=np.int64)
-    limit = np.iinfo(np.int32)
-    if arr.size and (arr.min() < limit.min or arr.max() > limit.max):
-        raise CircuitError("wire index does not fit in 32 bits")
-    return arr.astype(np.int32)
-
-
 class BooleanCircuit:
     """Immutable gate list with per-party input map and output wires.
 
     Gate g drives wire 1 + (input wires) + g, so the circuit stores only
     each gate's kind and input wires. `wire_level` (full topological
-    level) and `wire_depth` (AND depth) hold one entry per wire, as
-    `CircuitBuilder` recorded them while it emitted the gates; it is the
-    only producer of circuits, and `finish()` passes both.
+    level) and `wire_depth` (AND depth) hold one entry per wire, and
+    `and_count` counts the AND gates, as `CircuitBuilder` recorded them
+    while it emitted the gates. The builder is the only producer of
+    circuits, and it refuses a bad circuit while building it, so the
+    circuit stores what `finish()` passes and checks nothing again:
+
+    - the gate arrays share one length, and each kind is XOR or AND: each
+      leaf writes one entry of all three per gate, of a kind it names;
+    - the input wires are 1..n, each listed once: `input_vector` refuses
+      a negative count and any input after the first gate;
+    - a gate reads only wires below the one it drives, and no negative
+      one: `_check_driven` in every leaf, before it emits;
+    - every output wire is driven: `finish` refuses any other;
+    - the buffers the circuit views never change again: a finished
+      builder refuses every leaf that emits (in `_reserve`), every input
+      and a second `finish`.
     """
 
-    def __init__(self, n_wires, kind, in_a, in_b, input_map, output_wires,
-                 *, wire_level, wire_depth):
-        self.n_wires = int(n_wires)
-        self.kind = np.asarray(kind, dtype=np.uint8)
-        self.in_a = _wire_indices(in_a)
-        self.in_b = _wire_indices(in_b)
-        self.input_map = {int(p): list(map(int, ws)) for p, ws in input_map.items()}
-        self.output_wires = list(map(int, output_wires))
+    def __init__(self, kind, in_a, in_b, input_map, output_wires,
+                 *, wire_level, wire_depth, and_count):
+        self.kind = kind
+        self.in_a = in_a
+        self.in_b = in_b
+        self.input_map = input_map
+        self.output_wires = output_wires
+        self.wire_level = wire_level
+        self.wire_depth = wire_depth
+        self.and_count = and_count
         self.const_one = 0
-        self._validate()
-        self.wire_level = np.asarray(wire_level, dtype=np.int32)
-        self.wire_depth = np.asarray(wire_depth, dtype=np.int32)
+        self.n_input_wires = sum(len(ws) for ws in input_map.values())
+        self.n_wires = 1 + self.n_input_wires + len(kind)
         self._schedule = None
 
     # -- structure ---------------------------------------------------------
@@ -127,43 +132,12 @@ class BooleanCircuit:
     def n_gates(self) -> int:
         return len(self.kind)
 
-    @property
-    def n_input_wires(self) -> int:
-        return sum(len(ws) for ws in self.input_map.values())
-
-    def _validate(self) -> None:
-        n_in, n_gates = self.n_input_wires, self.n_gates
-        if not len(self.in_a) == len(self.in_b) == n_gates:
-            raise CircuitError("gate arrays differ in length")
-        if self.n_wires != 1 + n_in + n_gates:
-            raise CircuitError("wire count does not match inputs + gates")
-        inputs = np.sort(np.fromiter(
-            (w for ws in self.input_map.values() for w in ws), dtype=np.int64, count=n_in
-        ))
-        if not np.array_equal(inputs, np.arange(1, 1 + n_in)):
-            raise CircuitError("input wires must be 1..n_inputs, each listed once")
-        # a gate may read only wires below the one it drives
-        drives = np.arange(1 + n_in, self.n_wires, dtype=np.int32)
-        bad = np.flatnonzero(
-            (self.in_a < 0) | (self.in_a >= drives) | (self.in_b < 0) | (self.in_b >= drives)
-        )
-        if bad.size:
-            raise CircuitError(f"gate {int(bad[0])} reads a wire not yet driven")
-        bad = np.flatnonzero(self.kind > AND)
-        if bad.size:
-            raise CircuitError(f"gate {int(bad[0])} has unknown kind {self.kind[bad[0]]}")
-        outs = np.asarray(self.output_wires, dtype=np.int64)
-        bad = np.flatnonzero((outs < 0) | (outs >= self.n_wires))
-        if bad.size:
-            raise CircuitError(f"output wire {outs[bad[0]]} is not driven")
-
     def gate_counts(self) -> GateCounts:
         """Exact counts; `depth_and` is the number of AND layers the
         schedule executes."""
-        and_count = int(np.count_nonzero(self.kind == AND))
         return GateCounts(
-            and_count=and_count,
-            xor_count=self.n_gates - and_count,
+            and_count=self.and_count,
+            xor_count=self.n_gates - self.and_count,
             depth_and=int(self.wire_depth.max(initial=0)),
         )
 
@@ -186,9 +160,8 @@ class BooleanCircuit:
         return self._schedule
 
     def _layered(self) -> Schedule:
-        and_count = int(np.count_nonzero(self.kind == AND))
         if not self.n_gates:
-            return Schedule([], [], and_count)
+            return Schedule([], [], self.and_count)
         first = 1 + self.n_input_wires
         is_xor = self.kind != AND
         key = self.wire_depth[first:].astype(np.int64)
@@ -224,7 +197,7 @@ class BooleanCircuit:
                 layers[depth].pre_xors.append(group)
             else:
                 trailing.append(group)
-        return Schedule(layers, trailing, and_count)
+        return Schedule(layers, trailing, self.and_count)
 
     # -- evaluation --------------------------------------------------------
 
@@ -471,9 +444,16 @@ class CircuitBuilder(BuilderBase):
         self._input_map: dict[int, list[int]] = {}
         self.and_count = 0
 
+    def _check_open(self) -> None:
+        if self._kind is None:
+            raise CircuitError("the builder has finished; it takes no more inputs or gates")
+
     def _reserve(self, gates: int, wires: int) -> None:
         """Room for `gates` gates and `wires` wires; a buffer too short
-        grows by half, or to what is asked if that is more."""
+        grows by half, or to what is asked if that is more. Every leaf
+        that emits and every input declaration comes here, so this is
+        where a finished builder refuses them."""
+        self._check_open()
         for name, need in (("_kind", gates), ("_a", gates), ("_b", gates),
                            ("_level", wires), ("_depth", wires)):
             buf = getattr(self, name)
@@ -486,6 +466,8 @@ class CircuitBuilder(BuilderBase):
     def input_vector(self, party: int, n: int) -> list[int]:
         if self._n_gates:
             raise CircuitError("all inputs must be declared before the first gate")
+        if n < 0:
+            raise CircuitError(f"party {party} declares {n} input wires")
         wires = list(range(self._n_wires, self._n_wires + n))
         self._reserve(0, self._n_wires + n)  # unwritten entries are 0: the new wires' levels
         self._n_wires += n
@@ -605,11 +587,16 @@ class CircuitBuilder(BuilderBase):
         return bufs
 
     def finish(self, output_wires) -> BooleanCircuit:
+        """Freeze the gates emitted so far into a circuit whose outputs
+        are `output_wires`, each of them driven already."""
+        self._check_open()
+        outs = _wires(output_wires).astype(np.intp).ravel()
+        if outs.size and outs.view(np.uintp).max() >= self._n_wires:  # negatives too
+            raise CircuitError("an output wire is not driven")
         kind, a, b, level, depth = self._trim()
         return BooleanCircuit(
-            self._n_wires, kind, a, b,
-            self._input_map, np.ravel(output_wires),
-            wire_level=level, wire_depth=depth,
+            kind, a, b, self._input_map, outs.tolist(),
+            wire_level=level, wire_depth=depth, and_count=self.and_count,
         )
 
 

@@ -26,6 +26,7 @@ appear only at the API boundary: stockpiles, reports keyed by value, and
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import operator
@@ -537,9 +538,9 @@ def _execute(config: SessionConfig, seed, counts: dict[int, list[int]], prepare,
     only the plaintext circuit runs. `prepare(u, party_rngs)` returns
     every party's prepared records, for all sessions. `execution` is "mpc",
     "plaintext", or "both" (evaluates both paths and insists on
-    bit-identical opened keys). `restore(engine, compiled, prepared)`,
-    if given, loads stored shares into the round's engine before it
-    runs; the engine then shares only the input wires left unfilled.
+    bit-identical opened keys). `restore(engine, compiled)`, if given,
+    loads stored shares into the round's engine before it runs; the
+    engine then shares only the input wires left unfilled.
     """
     if execution not in ("mpc", "plaintext", "both"):
         raise SessionError(f"unknown execution {execution!r}")
@@ -578,7 +579,7 @@ def _execute(config: SessionConfig, seed, counts: dict[int, list[int]], prepare,
             epoch=config.epoch,
         )
         if restore:
-            restore(engine, compiled, prepared)
+            restore(engine, compiled)
         out = engine.run(inputs, lambda owner: party_rngs[owner])
         if opened is not None and not np.array_equal(out, opened):
             raise ProtocolCorruption("protocol output differs from plaintext circuit")
@@ -715,18 +716,19 @@ class Session:
         config = replace(self.config, epoch=self.epoch)
         config.validate()
         values = {p: sorted([*rows_to_ints(st.values), *st.pending]) for p, st in self.state.items()}
+        slots = {}  # per party, (slot, kept) of each prepared row among the submitted ones
 
         def prepare(u, party_rngs):
             prepared = _prepare_parties([values], u, config.sigma, party_rngs)
             for p, st in self.state.items():
-                slot, kept = st.slots_of(prepared[p].values[0])
+                slot, kept = slots[p] = st.slots_of(prepared[p].values[0])
                 prepared[p].dummy[0, kept] = st.dummy[slot[kept]]
             return prepared
 
         seed = self._seed.spawn(1)[0]  # children are numbered in spawn order
         counts = {p: [len(vs)] for p, vs in values.items()}
         result = _execute(config, seed, counts, prepare, execution,
-                          restore=self._restore_persisted)
+                          restore=functools.partial(self._restore_persisted, slots))
         if result.engine is None:
             self.store.clear()  # no shares of this epoch's records exist
         else:
@@ -734,9 +736,10 @@ class Session:
         self.state = {p: _PartyEpochState(pp.values[0], pp.dummy[0], []) for p, pp in result.prepared.items()}
         return result
 
-    def _restore_persisted(self, engine, compiled, prepared):
+    def _restore_persisted(self, slots, engine, compiled):
         """Restore the stored v-shares of every kept record into its slot
-        of this epoch, with one `restore_shares` call per computing party.
+        of this epoch, with one `restore_shares` call per computing party;
+        `slots` holds each party's (slot, kept) from `slots_of`.
 
         After an epoch that ran only the plaintext circuit nothing is
         stored, and every record is shared fresh."""
@@ -746,8 +749,7 @@ class Session:
         wires = []  # per owner with kept records, their v-wires in this epoch
         bits = {cp: [] for cp in engine.computing_ids}
         for i, p in enumerate(self.slots):
-            st = self.state[p]
-            slot, kept = st.slots_of(prepared[p].values[0])
+            submitted, (slot, kept) = len(self.state[p].values), slots[p]
             if not kept.any():
                 continue
             wires.append(compiled.v_wires(i)[kept].ravel())
@@ -756,7 +758,7 @@ class Session:
                 if entry is None:
                     raise mpc.EpochMismatch(f"no stored shares for party {cp} owner {i}")
                 saved_epoch, blob = entry
-                rows = mpc.decode_share_blob(blob, cp, saved_epoch, i + 1, (len(st.values), sigma))
+                rows = mpc.decode_share_blob(blob, cp, saved_epoch, i + 1, (submitted, sigma))
                 bits[cp].append(rows[slot[kept]].reshape(-1, 1))
         if wires:
             wires = np.concatenate(wires)

@@ -13,7 +13,6 @@ rounds also refuse, is reserved and rejected outright.
 from __future__ import annotations
 
 import json
-import math
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -146,13 +145,6 @@ def hash_identifier(ident: VulnIdentifier, sigma: int = 256) -> HashedId:
 def ledger_digest_hex(ident: VulnIdentifier) -> str:
     """Full (untruncated) SHA3-512 hex as stored on the ledger."""
     return sha3_512(canonicalize(ident)).hexdigest()
-
-
-def approx_id_space(cpe_count: int, cwe_count: int, fn_count: int) -> float:
-    """log2 of the identifier-space size for the given component counts."""
-    if min(cpe_count, cwe_count, fn_count) < 1:
-        raise VulnIdError("component counts must be at least 1")
-    return math.log2(cpe_count * cwe_count * fn_count)
 
 
 # -- files -----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Circuit IR, builder primitives, evaluation, and the text writer."""
 
+import ast
 import hashlib
 import io
+import pathlib
 import random
 
 import numpy as np
@@ -207,6 +209,63 @@ def test_inputs_must_precede_gates():
         b.input_vector(1, 1)
 
 
+def test_input_count_must_not_be_negative():
+    b = C.CircuitBuilder()
+    with pytest.raises(C.CircuitError):
+        b.input_vector(0, -2)
+    # the refused call moved no counter: wire 0 stays the constant
+    assert b.input_vector(1, 3) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("out", [5, -1])
+def test_finish_refuses_an_undriven_output(out):
+    b = C.CircuitBuilder()
+    x = b.input_vector(0, 2)
+    b.and_v(b.xor_v(x[0], x[1]), x[1])  # wires 0-4 are driven
+    with pytest.raises(C.CircuitError):
+        b.finish([out])
+    assert b.finish([4]).output_wires == [4]
+
+
+FINISHED_USES = {
+    "finish": lambda b, x: b.finish(x),
+    "xor_v": lambda b, x: b.xor_v(x[0], x[1]),
+    "and_v": lambda b, x: b.and_v(x, x),
+    "lt": lambda b, x: b.lt(x, x),
+    "input_vector": lambda b, x: b.input_vector(1, 1),
+}
+
+
+@pytest.mark.parametrize("use", FINISHED_USES.values(), ids=FINISHED_USES.keys())
+@pytest.mark.parametrize("gates", [False, True])
+def test_a_finished_builder_refuses_further_use(use, gates):
+    b = C.CircuitBuilder()
+    x = b.input_vector(0, 2)
+    b.finish([b.xor_v(x[0], x[1])] if gates else x)
+    with pytest.raises(C.CircuitError):
+        use(b, x)
+
+
+def test_only_the_builder_makes_circuits():
+    """`BooleanCircuit` stores what it is given unchecked, so its one
+    constructor call in the package stays in `CircuitBuilder.finish`,
+    behind the builder's checks."""
+
+    def calls(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "BooleanCircuit":
+                    yield scope
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from calls(child, f"{scope}.{child.name}" if named else scope)
+
+    package = pathlib.Path(C.__file__).parent
+    found = [site for path in sorted(package.glob("*.py"))
+             for site in calls(ast.parse(path.read_text()), path.stem)]
+    assert found == ["circuit.CircuitBuilder.finish"]
+
+
 # SHA-256 of what `save_circuit_text(compile_circuit(cfg).circuit, out)`
 # writes: the files `depletion compile --out` writes must stay byte-identical
 WRITER_DIGESTS = [
@@ -223,15 +282,6 @@ def test_text_writer_output_is_pinned(cfg, digest, chunk, monkeypatch):
     out = io.StringIO()
     C.save_circuit_text(CP.compile_circuit(cfg).circuit, out)
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
-
-
-def test_circuit_needs_recorded_levels():
-    circ = less_than(4)
-    parts = (circ.n_wires, circ.kind, circ.in_a, circ.in_b, circ.input_map, circ.output_wires)
-    with pytest.raises(TypeError):
-        C.BooleanCircuit(*parts)
-    rebuilt = C.BooleanCircuit(*parts, wire_level=circ.wire_level, wire_depth=circ.wire_depth)
-    assert rebuilt.gate_counts() == circ.gate_counts()
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 8])

@@ -1,15 +1,14 @@
-"""The vectorized schedule against the per-gate reference algorithm, and
-the vectorized wire-order check of BooleanCircuit."""
+"""The vectorized schedule against the per-gate reference algorithm, on
+random builder circuits and on compiled ones."""
 
 import random
 
 import numpy as np
 import pytest
 
-from depletion import circuit as C
 from depletion import compiler as CP
 from depletion import mpc
-from depletion.circuit import AND, BooleanCircuit, CircuitBuilder
+from depletion.circuit import AND, CircuitBuilder
 
 
 def reference_schedule(circuit):
@@ -129,38 +128,3 @@ def test_compiled_circuits_match_reference(variant):
     groups = assert_compact_groups(circ)
     # a compiled circuit has both kinds of group
     assert {isinstance(out, slice) for _, _, out in groups} == {True, False}
-
-
-def _valid_parts():
-    b = CircuitBuilder()
-    x = b.input_vector(0, 2)
-    circ = b.finish([b.and_v(b.xor_v(x[0], x[1]), x[1])])
-    return dict(
-        n_wires=circ.n_wires,
-        kind=circ.kind.tolist(),
-        in_a=circ.in_a.tolist(),
-        in_b=circ.in_b.tolist(),
-        input_map=circ.input_map,
-        output_wires=circ.output_wires,
-        wire_level=circ.wire_level,
-        wire_depth=circ.wire_depth,
-    )
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("n_wires", 6),  # gate g must drive wire 1 + (input wires) + g
-        ("in_a", [0, 4]),  # forward reference to the gate's own output
-        ("in_b", [-1, 1]),  # negative index
-        ("kind", [0, 2]),  # unknown kind
-        ("output_wires", [5]),  # undriven output
-        ("input_map", {0: [1, 1]}),  # repeated input wire
-    ],
-)
-def test_validate_rejects_broken_gate_lists(field, value):
-    parts = _valid_parts()
-    parts[field] = value
-    with pytest.raises(C.CircuitError):
-        BooleanCircuit(**parts)
-

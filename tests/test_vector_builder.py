@@ -174,8 +174,9 @@ def test_leaves_broadcast_and_count_alike():
         assert out.shape == (2, 3)
         assert b.lt(x, x[::-1]).shape == (2,)
     assert (real.and_count, real.xor_count) == (counting.and_count, counting.xor_count)
-    with pytest.raises(C.CircuitError):
-        real.xor_v(0, real.n_gates + 100)
+    for bad in (real.n_gates + 100, -1):
+        with pytest.raises(C.CircuitError):
+            real.xor_v(0, bad)
 
 
 def test_finish_hands_over_buffers_without_a_copy():

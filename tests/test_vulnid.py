@@ -125,13 +125,6 @@ def test_hashed_id_rejects_sentinel():
         V.HashedId(0, 16)
 
 
-def test_approx_id_space():
-    assert V.approx_id_space(2**19, 2**9, 2**53) == pytest.approx(81.0)
-    assert V.approx_id_space(1, 1, 1) == 0.0
-    assert V.approx_id_space(2**10, 2**5, 2**13) == pytest.approx(28.0)
-    with pytest.raises(V.VulnIdError):
-        V.approx_id_space(0, 1, 1)
-
 
 def test_identifier_file_round_trip():
     idents = [ident(cwe=c) for c in (1, 2, 3)]
