@@ -95,27 +95,3 @@ def distinct_counts(rows: np.ndarray) -> np.ndarray:
     """Distinct rows in each group of rows (groups, n, nbytes)."""
     ranked = np.sort(row_items(rows), axis=1)
     return (ranked[:, 1:] != ranked[:, :-1]).sum(axis=1) + (rows.shape[1] > 0)
-
-
-def pool_rows(rng, count: np.ndarray, width: int, taken: np.ndarray) -> np.ndarray:
-    """Distinct width-bit rows not among `taken` (groups, n, nbytes), drawn
-    without replacement, count[g] of them for each group g: rows (groups,
-    max count, nbytes), zero past count[g]. Each group takes the first
-    allowed values of its own shuffle of all 2^width values, so width is
-    at most 16 and every group must have enough allowed values."""
-    groups, space, need = len(count), 1 << width, int(count.max())
-    taken_ints = (taken.astype(np.intp) << 8 * np.arange(taken.shape[2] - 1, -1, -1)).sum(axis=2)
-    out = np.zeros((groups, need), np.uint64)
-    step = max(1, (1 << 20) // space)  # groups per shuffle, to bound its size
-    for lo in range(0, groups, step):
-        hi = min(lo + step, groups)
-        allowed = np.ones((hi - lo, space), bool)
-        allowed[np.arange(hi - lo)[:, None], taken_ints[lo:hi]] = False
-        order = np.tile(np.arange(space, dtype=np.uint16), (hi - lo, 1))
-        rng.permuted(order, axis=1, out=order)
-        free = np.take_along_axis(allowed, order, axis=1)
-        rank = np.cumsum(free, axis=1)
-        g, j = np.nonzero(free & (rank <= need))
-        out[lo + g, rank[g, j] - 1] = order[g, j]
-    out[np.arange(need) >= count[:, None]] = 0
-    return ints_to_rows(out.ravel(), width).reshape(groups, need, -1)

@@ -47,10 +47,6 @@ def load_session_config(path: Path):
     return config, stockpiles
 
 
-def _hex_width(sigma: int) -> int:
-    return sigma // 4
-
-
 # -- commands ----------------------------------------------------------------------
 
 
@@ -125,7 +121,7 @@ def cmd_simulate(args) -> int:
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    width = _hex_width(config.sigma)
+    width = V.hex_width(config.sigma)
     for party, report in result.reports[0].items():
         lines = [
             f"{format(v, f'0{width}x')} {status}"
@@ -172,7 +168,7 @@ def cmd_oracle(args) -> int:
         spec.m,
         frozenset(spec.fixed_parties),
     )
-    width = _hex_width(config.sigma)
+    width = V.hex_width(config.sigma)
     payload = {
         str(p): sorted(format(v, f"0{width}x") for v in vs)
         for p, vs in shared.items()

@@ -2,10 +2,9 @@
 
 `odd_even_merge` is Batcher's merge generalized to arbitrary run
 lengths. It is data-independent: the exchange positions depend only on
-the input sizes, so the same recursion merges plain lists and, run once
-on slot tokens through `circuit.exchange_layers`, gives the compiler
-the comparator layers it emits as gates (one set of block calls per
-layer, for either builder).
+the input sizes, so the recursion, run once on slot tokens through
+`circuit.exchange_layers`, gives the compiler the comparator layers it
+emits as gates (one set of block calls per layer, for either builder).
 """
 
 from __future__ import annotations
@@ -39,12 +38,3 @@ def odd_even_merge(swap, run_a: list, run_b: list) -> list:
             out.append(odds[k])
     out.extend(evens[len(odds) + 1 :])
     return out
-
-
-def merge_plain(run_a: list[int], run_b: list[int]) -> list[int]:
-    """Run the network on plain integers (test oracle substrate)."""
-
-    def swap(x, y):
-        return (x, y) if x <= y else (y, x)
-
-    return odd_even_merge(swap, run_a, run_b)

@@ -12,16 +12,15 @@ collisions that are negligible at sigma 256.
 
 Values and keys travel as big-endian ⌈σ/8⌉-byte rows for every session
 of a round at once. Each party draws its keys and dummies for all
-sessions with one `rng.bytes` call; one sort per session finds the draws
-that repeat a forbidden or an earlier row, and only those are drawn
-again (a space of at most 4096 values is drawn from without replacement
-instead). The rows become input bits with one `np.unpackbits` per party,
-the opened bits become rows again, and one sort plus one `searchsorted`
-match every party's keys against them. A `Session` keeps each party's
-submitted value rows and dummy flags between epochs, and one
-`searchsorted` finds each record of a new epoch among them. Python ints
-appear only at the API boundary: stockpiles, reports keyed by value, and
-`RoundResult.opened_keys`.
+sessions with one `rng.bytes` call, at every width; one sort per session
+finds the draws that repeat a forbidden or an earlier row, and only
+those are drawn again. The rows become input bits with one
+`np.unpackbits` per party, the opened bits become rows again, and one
+sort plus one `searchsorted` match every party's keys against them. A
+`Session` keeps each party's submitted value rows and dummy flags
+between epochs, and one `searchsorted` finds each record of a new epoch
+among them. Python ints appear only at the API boundary: stockpiles,
+reports keyed by value, and `RoundResult.opened_keys`.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 from . import compiler as CP
 from . import mpc, waksman
 from .bits import (
-    distinct_counts, ints_to_rows, pool_rows, random_rows, repeat_flags, row_bytes, row_items, rows_to_bits,
+    distinct_counts, ints_to_rows, random_rows, repeat_flags, row_bytes, row_items, rows_to_bits,
     rows_to_ints, tagged_items,
 )
 from .compiler import VariantSpec
@@ -214,9 +213,6 @@ class IntersectionReport:
 
 # -- input preparation ---------------------------------------------------------
 
-# a space of at most this many values is drawn from without replacement
-_POOL_MAX = 4096
-
 
 def _taken_rows(taken, sessions: int, width: int) -> np.ndarray:
     """Rows (sessions, n, nbytes) to avoid: `taken` itself, or a set of
@@ -233,11 +229,13 @@ def _draw_distinct(rng, count, width: int, taken, lowest: int, first=None) -> np
     nbytes) that are zero past count[b]. `taken` holds rows (sessions, n,
     nbytes), or is a set of ints taken in every session.
 
-    A space of at most _POOL_MAX values is drawn from without
-    replacement. A larger one is drawn from uniformly, from the rows
-    `first` if given; every draw that repeats a taken or an earlier row
-    of its session is drawn again until none does. Either way a session's
-    rows are uniform over the tuples of distinct allowed values.
+    The rows are drawn uniformly, or taken from `first` (rows of the same
+    shape, overwritten in place) if given; every draw that repeats a taken
+    or an earlier row of its session is then drawn again until none does.
+    Whether a draw is drawn again depends only on which rows are equal and
+    where they stand, so a session's rows are uniform over the tuples of
+    distinct allowed values. A space with too few allowed values raises
+    RandomnessFailure before anything is drawn.
     """
     count = np.array(count, dtype=np.int64, ndmin=1)
     sessions, need, nbytes = len(count), int(count.max(initial=0)), row_bytes(width)
@@ -248,8 +246,6 @@ def _draw_distinct(rng, count, width: int, taken, lowest: int, first=None) -> np
         raise RandomnessFailure(f"need {need} fresh {width}-bit values, space exhausted")
     if not need:
         return np.zeros((sessions, 0, nbytes), np.uint8)
-    if space - lowest <= _POOL_MAX:
-        return pool_rows(rng, count, width, taken)
     drawn = random_rows(rng, (sessions, need), width) if first is None else first
     live = np.arange(need) < count[:, None]
     # a dead slot sits after every live one of its session, so it never
@@ -302,10 +298,11 @@ def prepare_inputs(
     ascending order, then zero rows; an array of any other shape raises
     SessionError. Dummies are nonzero and avoid the party's values and
     `forbidden_values`; keys avoid `forbidden_keys`. Both are rows
-    (sessions, n, ⌈σ/8⌉), or sets of ints forbidden in every session. The keys and
-    dummies of all sessions come from one `rng.bytes` call, redraws
-    aside. Sorting each session's records interleaves the dummies instead
-    of revealing the real count through trailing positions.
+    (sessions, n, ⌈σ/8⌉), or sets of ints forbidden in every session.
+    At every σ the keys and dummies of all sessions come from one
+    `rng.bytes` call, redraws aside. Sorting each session's records
+    interleaves the dummies instead of revealing the real count through
+    trailing positions.
     """
     if isinstance(values, np.ndarray) and values.ndim != 1:
         if values.ndim != 3 or values.shape[1:] != (u, row_bytes(sigma)):
@@ -321,16 +318,13 @@ def prepare_inputs(
     held = rows.any(axis=2)
     needed = u - held.sum(axis=1)
     spare = int(needed.max())  # the most dummies any session needs
-    key_draws = dummy_draws = None
-    if (1 << sigma) - 1 > _POOL_MAX:  # neither space is pooled: one call serves both draws
-        raw = random_rows(rng, (sessions, 2 * u + spare), sigma)
-        key_draws, dummy_draws = raw[:, : 2 * u], raw[:, 2 * u :]
-    keys = _draw_distinct(rng, [2 * u] * sessions, sigma, forbidden_keys, lowest=0, first=key_draws)
+    raw = random_rows(rng, (sessions, 2 * u + spare), sigma)
+    keys = _draw_distinct(rng, [2 * u] * sessions, sigma, forbidden_keys, lowest=0, first=raw[:, : 2 * u])
     keys = keys.reshape(sessions, u, 2, nbytes)
     if not spare:
         return PreparedParty(rows, keys, ~held)
     taken = np.concatenate([rows, _taken_rows(forbidden_values, sessions, sigma)], axis=1)
-    dummies = _draw_distinct(rng, needed, sigma, taken, lowest=1, first=dummy_draws)
+    dummies = _draw_distinct(rng, needed, sigma, taken, lowest=1, first=raw[:, 2 * u :])
     rows[~held] = dummies[np.arange(spare) < needed[:, None]]
     order = np.argsort(row_items(rows), axis=1)
     rows = np.take_along_axis(rows, order[..., None], axis=1)

@@ -21,6 +21,7 @@ from hashlib import sha3_512
 ALLOWED_SIGMAS = (16, 32, 64, 128, 256)
 
 _CPE_SPLIT = re.compile(r"(?<!\\):")
+_HEX_DIGITS = re.compile(r"[0-9a-f]+")
 _CPE_PARTS = {"a", "h", "o", "*", "-"}
 
 
@@ -52,6 +53,11 @@ class VulnIdentifier:
     function: str
 
 
+def hex_width(sigma: int) -> int:
+    """Hex digits that spell a sigma-bit hash: ⌈sigma/4⌉."""
+    return -(-sigma // 4)
+
+
 @dataclass(frozen=True)
 class HashedId:
     v: int
@@ -65,7 +71,7 @@ class HashedId:
 
     @property
     def hex(self) -> str:
-        return format(self.v, f"0{self.sigma // 4}x")
+        return format(self.v, f"0{hex_width(self.sigma)}x")
 
 
 def _canonical_cpe(cpe: str) -> str:
@@ -164,25 +170,24 @@ def read_identifier_lines(lines) -> list[VulnIdentifier]:
     return out
 
 
-def write_identifier_lines(idents) -> str:
-    return "".join(canonicalize(i).decode("utf-8") + "\n" for i in idents)
-
-
 def write_hash_lines(hashes) -> str:
     return "".join(h.hex + "\n" for h in hashes)
 
 
 def read_hash_lines(lines, sigma: int) -> list[int]:
+    """The sigma-bit hashes of a hash file, one per nonblank line, each
+    exactly hex_width(sigma) lowercase hex digits that hold a value below
+    2^sigma; any other line raises VulnIdError naming its 1-based number."""
     out = []
-    width = sigma // 4
+    width = hex_width(sigma)
     for no, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
             continue
-        if len(text) != width or text != text.lower():
-            raise VulnIdError(f"line {no}: expected {width} lowercase hex chars")
-        try:
-            out.append(int(text, 16))
-        except ValueError as exc:
-            raise VulnIdError(f"line {no}: not hexadecimal") from exc
+        if len(text) != width or not _HEX_DIGITS.fullmatch(text):
+            raise VulnIdError(f"line {no}: expected {width} lowercase hex digits, got {text!r}")
+        value = int(text, 16)
+        if value >> sigma:
+            raise VulnIdError(f"line {no}: {text} does not fit in {sigma} bits")
+        out.append(value)
     return out

@@ -3,8 +3,7 @@
 The network on n inputs uses S(n) = S(floor(n/2)) + S(ceil(n/2)) + n - 1
 binary switches (n*log2(n) - n + 1 at powers of two) and can realize
 every permutation of its inputs. One recursion, `_network`, lays the
-switches out over a `swap(c, x, y)` callback: on plain values it
-applies a control setting (`apply_network`); run once on slot tokens
+switches out over a `swap(c, x, y)` callback: run once on slot tokens
 through `circuit.exchange_layers`, it groups the switches into columns
 of independent switches, and `build_network` emits each column as one
 `cond_swap` call. The router that turns target permutations into
@@ -74,11 +73,6 @@ def _network(swap, bits, items: list) -> list:
     else:
         out += [top_out[half - 1], bot_out[half - 1]]
     return out
-
-
-def apply_network(bits, items: list) -> list:
-    """Route `items` through the network under a plain control setting."""
-    return _network(lambda c, x, y: (y, x) if c else (x, y), bits, items)
 
 
 @lru_cache(maxsize=4)

@@ -1,10 +1,13 @@
-"""Reference conversions and circuit fragments that tests check the
-library against; no library code calls them."""
+"""Reference conversions, plain runs of the merge and permutation
+networks, circuit fragments and an identifier-file writer that tests
+check the library against; no library code calls them."""
 
 import numpy as np
 
 from depletion.circuit import CircuitBuilder
-from depletion.waksman import build_network, switch_count
+from depletion.merge import odd_even_merge
+from depletion.vulnid import canonicalize
+from depletion.waksman import _network, build_network, switch_count
 
 
 def int_to_bits(value: int, width: int) -> list[int]:
@@ -20,6 +23,25 @@ def bits_to_int(bits) -> int:
     for b in bits:
         out = (out << 1) | int(b)
     return out
+
+
+def merge_plain(run_a: list[int], run_b: list[int]) -> list[int]:
+    """Batcher's merge network run on plain integers."""
+
+    def swap(x, y):
+        return (x, y) if x <= y else (y, x)
+
+    return odd_even_merge(swap, run_a, run_b)
+
+
+def apply_network(bits, items: list) -> list:
+    """Route `items` through the Waksman network under a plain control setting."""
+    return _network(lambda c, x, y: (y, x) if c else (x, y), bits, items)
+
+
+def write_identifier_lines(idents) -> str:
+    """An identifier file: each identifier's canonical JSON on a line of its own."""
+    return "".join(canonicalize(i).decode("utf-8") + "\n" for i in idents)
 
 
 def build_waksman(n: int, width: int):

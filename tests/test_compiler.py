@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from reference import bits_to_int, int_to_bits
+from reference import apply_network, bits_to_int, int_to_bits
 
 from depletion import compiler as CP
 from depletion import oracle, waksman
@@ -305,9 +305,9 @@ def test_shuffle_applies_routed_permutations():
     rng.shuffle(perm1)
     rng.shuffle(perm2)
     keys, _, _ = run_plain(cfg, recs, perms=[perm1, perm2])
-    composed = waksman.apply_network(
+    composed = apply_network(
         waksman.route_permutation(perm2),
-        waksman.apply_network(waksman.route_permutation(perm1), base),
+        apply_network(waksman.route_permutation(perm1), base),
     )
     assert keys == composed
     assert Counter(keys) == Counter(base)

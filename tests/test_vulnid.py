@@ -1,6 +1,7 @@
 """Identifier canonicalization, hashing, and file formats."""
 
 import pytest
+from reference import write_identifier_lines
 
 from depletion import vulnid as V
 
@@ -128,13 +129,13 @@ def test_hashed_id_rejects_sentinel():
 
 def test_identifier_file_round_trip():
     idents = [ident(cwe=c) for c in (1, 2, 3)]
-    text = V.write_identifier_lines(idents)
+    text = write_identifier_lines(idents)
     back = V.read_identifier_lines(text.splitlines())
     assert [V.canonicalize(i) for i in back] == [V.canonicalize(i) for i in idents]
 
 
 def test_identifier_file_errors_carry_line_numbers():
-    lines = [V.write_identifier_lines([ident()]).strip(), "{broken"]
+    lines = [write_identifier_lines([ident()]).strip(), "{broken"]
     with pytest.raises(V.VulnIdError, match="line 2"):
         V.read_identifier_lines(lines)
 
@@ -145,3 +146,19 @@ def test_hash_file_round_trip():
     assert V.read_hash_lines(text.splitlines(), 64) == [h.v for h in hashes]
     with pytest.raises(V.VulnIdError, match="line 1"):
         V.read_hash_lines(["zz"], 64)
+
+
+@pytest.mark.parametrize("line", ["0x1f", "+0ab", "0_ab", "-0ab"])
+def test_hash_lines_are_hex_digits_only(line):
+    # int(text, 16) reads each of these: 31, 171, 171 and -171
+    with pytest.raises(V.VulnIdError, match="line 2"):
+        V.read_hash_lines(["00ff", line], 16)
+
+
+def test_hash_lines_are_ceil_sigma_over_4_digits():
+    assert V.hex_width(10) == 3 and V.hex_width(16) == 4
+    assert V.read_hash_lines(["3ff", "001"], 10) == [1023, 1]
+    assert V.HashedId(1023, 10).hex == "3ff"
+    for line in ("400", "fff", "3f", "03ff"):  # 2^10 and above, or not 3 digits
+        with pytest.raises(V.VulnIdError, match="line 1"):
+            V.read_hash_lines([line], 10)
