@@ -452,7 +452,9 @@ class CircuitBuilder(BuilderBase):
         """Room for `gates` gates and `wires` wires; a buffer too short
         grows by half, or to what is asked if that is more. Every leaf
         that emits and every input declaration comes here, so this is
-        where a finished builder refuses them."""
+        where a finished builder refuses them, and where a buffer that
+        cannot grow is a `CircuitError` that leaves the builder as it
+        was."""
         self._check_open()
         for name, need in (("_kind", gates), ("_a", gates), ("_b", gates),
                            ("_level", wires), ("_depth", wires)):
@@ -461,7 +463,15 @@ class CircuitBuilder(BuilderBase):
                 size, dtype, mm = max(need, len(buf) * 3 // 2), buf.dtype, buf.base.obj
                 del buf
                 setattr(self, name, None)  # resize refuses while an array views the map
-                setattr(self, name, _grown(mm, dtype, size))
+                try:
+                    grown = _grown(mm, dtype, size)
+                except (OSError, MemoryError) as exc:
+                    setattr(self, name, _on_map(mm, dtype))
+                    raise CircuitError(
+                        f"cannot grow the builder's {name} buffer to "
+                        f"{size * dtype.itemsize} bytes: {exc!r}"
+                    ) from exc
+                setattr(self, name, grown)
 
     def input_vector(self, party: int, n: int) -> list[int]:
         if self._n_gates:

@@ -20,7 +20,7 @@ from . import ledger as LG
 from . import mpc, oracle
 from . import session as S
 from . import vulnid as V
-from .circuit import save_circuit_text
+from .circuit import CircuitError, save_circuit_text
 
 log = logging.getLogger("depletion")
 
@@ -302,6 +302,7 @@ _ERRORS = (
     S.SessionError,
     LG.LedgerError,
     mpc.MpcError,
+    CircuitError,
     OSError,
     ValueError,
 )

@@ -15,8 +15,14 @@ ABY and MOTION use for GMW: all their shares live in one party-first
 `uint8` tensor of shape (parties, wires, ceil(batch / 8)), with the
 batch axis packed eight sessions to a byte, most significant bit first
 (`np.packbits` order; the padding bits of a ragged last byte are zero).
-Row i of it and of the dealer's triple arrays, packed the same way,
-belongs to the i-th computing party. The gate kernels are bitwise, so
+Row i of it and of the triple pool's arrays, packed the same way,
+belongs to the i-th computing party. The pool holds one chunk of the
+dealer's triples at a time, about `_CHUNK_BYTES` per kind, and deals
+the next when an AND layer needs more than the chunk has left. The
+dealer's stream is fixed by its seed, the party and triple counts and
+the batch; a chunk is a range of it, drawn by jumping to its words with
+the generator's `advance`, so the triples, and every frame, are the
+same whatever the chunk size. The gate kernels are bitwise, so
 an XOR group is one numpy operation for every party over one eighth of
 the bytes, and an AND layer is one mask, one reconstruction and one
 product for all of them; only party 0 adds d & e. No party's row is
@@ -28,9 +34,10 @@ Two pairs of functions, and no other code, know the batch widths:
 and `_frame_payloads`/`_packed_rows` between packed rows and frame
 payloads. Everything outside the engine (inputs, openings, `shares_of`,
 share blobs) speaks one `uint8` per bit and converts through the first
-pair. Every frame payload goes through the second, and so does the
-dealer's raw random stream, which is read as the frame payload of
-(parties * count, batch) bits.
+pair. Every frame payload goes through the second. The dealer reads its
+raw random stream as the frame payload of (parties * count, batch)
+bits: a range that starts on a byte goes through the second pair, and
+one that starts inside a byte is unpacked and goes through the first.
 
 All messages and share blobs use one framed wire format: a version
 byte, little-endian (epoch, round, sender, wire-range id, bit count),
@@ -238,51 +245,110 @@ def _packed_rows(payloads: np.ndarray, rows: int, batch: int) -> np.ndarray:
 # -- correlated randomness -----------------------------------------------------
 
 
+# Bytes of each kind's share array in one chunk of the engine's pool: the
+# pool holds one chunk at a time, not the whole stream.
+_CHUNK_BYTES = 256 << 10
+
+
+def _chunk_triples(n_parties: int, batch: int) -> int:
+    """Triples in one chunk of the engine's pool; at least one."""
+    return max(1, _CHUNK_BYTES // (n_parties * -(-batch // 8)))
+
+
 @dataclass
 class TriplePool:
-    """Every computing party's triple shares, one (parties, count,
-    ceil(batch / 8)) array per kind packed like the share tensor, with
-    one cursor: row i is the i-th party's pool."""
+    """Triples of one dealer stream, served in stream order by `take`.
+
+    `a`, `b` and `c` hold stream triples `base` onwards of every
+    computing party as (parties, k, ceil(batch / 8)) arrays packed like
+    the share tensor: row i is the i-th party's. `cursor` is the stream
+    index of the next triple to serve. A pool with a `stream`, the
+    (parties, count, seed, batch) of its `deal_triples` calls, holds one
+    chunk at a time: when the chunk cannot serve `take(k)`, the pool
+    drops it and deals triples [cursor, min(count, cursor + max(k,
+    chunk))). A pool without one serves only what it holds.
+    """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     cursor: int = 0
+    base: int = 0
+    stream: tuple | None = None
+
+    @classmethod
+    def chunked(cls, n_parties: int, count: int, seed, batch: int = 1) -> TriplePool:
+        """A pool over the whole stream of `deal_triples(n_parties, count,
+        seed, batch)`, holding its first chunk."""
+        empty = np.empty((n_parties, 0, -(-batch // 8)), dtype=np.uint8)
+        pool = cls(empty, empty, empty, stream=(n_parties, count, seed, batch))
+        pool._deal(0)
+        return pool
+
+    def _deal(self, k: int):
+        n_parties, count, seed, batch = self.stream
+        stop = min(count, self.cursor + max(k, _chunk_triples(n_parties, batch)))
+        self.a = self.b = self.c = None  # never hold two chunks
+        # through the module attribute, so that a wrapper sees every chunk
+        chunk = deal_triples(n_parties, count, seed, batch, self.cursor, stop)
+        self.a, self.b, self.c, self.base = chunk.a, chunk.b, chunk.c, chunk.base
 
     def take(self, k: int):
-        if self.cursor + k > self.a.shape[1]:
-            raise TriplePoolExhausted(
-                f"need {k} triples, {self.a.shape[1] - self.cursor} left"
-            )
-        s = slice(self.cursor, self.cursor + k)
+        held = self.base + self.a.shape[1]
+        if self.cursor + k > held:
+            end = held if self.stream is None else self.stream[1]
+            if self.cursor + k > end:
+                raise TriplePoolExhausted(f"need {k} triples, {end - self.cursor} left")
+            self._deal(k)
+        s = slice(self.cursor - self.base, self.cursor - self.base + k)
         self.cursor += k
         return self.a[:, s], self.b[:, s], self.c[:, s]
 
 
-def deal_triples(n_parties: int, count: int, seed, batch: int = 1) -> TriplePool:
-    """Dealer-made XOR shares of (a, b, c=a&b) for every computing party,
-    as one stacked pool in the packed batch layout; deterministic under
-    seed.
+def deal_triples(n_parties: int, count: int, seed, batch: int = 1,
+                 start: int = 0, stop: int | None = None) -> TriplePool:
+    """Dealer-made XOR shares of (a, b, c=a&b) for triples `start` to
+    `stop` (by default all `count`) of every computing party, as one
+    stacked pool in the packed batch layout; deterministic under seed.
 
     Each kind's share bits are one run of raw 64-bit draws, read as the
-    frame payload of (parties * count, batch) bits.
+    frame payload of (parties * count, batch) bits. A range draws, for
+    each kind and party, only the words that hold its bits, jumping to
+    them with `advance`, so it equals that slice of the whole pool.
     """
-    rng = np.random.default_rng(seed)
-    rows = n_parties * count
+    stop = count if stop is None else stop
+    if not 0 <= start <= stop <= count:
+        raise MpcError(f"triples {start}..{stop} are not a range of {count}")
+    k, width = stop - start, -(-batch // 8)
+    gen = np.random.default_rng(seed).bit_generator
+    run = -(-n_parties * count * batch // 64)  # words per kind
+    drawn = 0  # words of the stream before `gen`'s position
 
-    def share_rows():
-        # One array per kind, made from raw 64-bit draws with no other
-        # copy: a single array for all three kinds, or `rng.bytes` (which
-        # copies its buffer), raised the process's peak RSS.
-        words = rng.bit_generator.random_raw((rows * batch + 63) // 64)
-        payload = words.astype("<u8", copy=False).view(np.uint8)[: -(-rows * batch // 8)]
-        return _packed_rows(payload[None], rows, batch).reshape(n_parties, count, -(-batch // 8))
+    def share_rows(kind):
+        nonlocal drawn
+        rows = np.empty((n_parties, k, width), dtype=np.uint8)
+        for p in range(n_parties if k else 0):
+            lo = (p * count + start) * batch
+            first = kind * run + lo // 64
+            gen.advance(first - drawn)
+            words = gen.random_raw(-(-(lo + k * batch) // 64) - lo // 64)
+            drawn = first + words.size
+            raw = words.astype("<u8", copy=False).view(np.uint8)
+            lo %= 64  # the range's first bit in `raw`
+            if lo % 8 == 0:  # always at a batch that is a multiple of 8
+                payload = raw[lo // 8 : lo // 8 + -(-k * batch // 8)]
+                rows[p] = _packed_rows(payload[None], k, batch)[0]
+            else:
+                bits = np.unpackbits(raw, count=lo + k * batch)[lo:]
+                rows[p] = pack_batch(bits.reshape(k, batch))
+        return rows
 
-    a_sh, b_sh, c_sh = share_rows(), share_rows(), share_rows()
-    a = np.bitwise_xor.reduce(a_sh, axis=0)
-    b = np.bitwise_xor.reduce(b_sh, axis=0)
-    c_sh[-1] ^= np.bitwise_xor.reduce(c_sh, axis=0) ^ (a & b)
-    return TriplePool(a_sh, b_sh, c_sh)
+    a_sh, b_sh, c_sh = share_rows(0), share_rows(1), share_rows(2)
+    ab = np.bitwise_xor.reduce(a_sh, axis=0)
+    ab &= np.bitwise_xor.reduce(b_sh, axis=0)
+    ab ^= np.bitwise_xor.reduce(c_sh, axis=0)
+    c_sh[-1] ^= ab
+    return TriplePool(a_sh, b_sh, c_sh, cursor=start, base=start)
 
 
 def share_input(bits: np.ndarray, n_shares: int, rng) -> list[np.ndarray]:
@@ -450,23 +516,35 @@ def _physical_memory() -> int:
 MAX_ENGINE_BYTES = _physical_memory()
 
 
+# The engine's own Python objects and the dealer's generator: under 8 KiB
+# in tracemalloc, whatever the circuit, rounded up.
+_ENGINE_OBJECT_BYTES = 64 << 10
+
+
 class EngineTooLarge(MpcError):
     """An engine would need more than `MAX_ENGINE_BYTES` while it is built."""
 
 
 def engine_bytes(n_parties: int, n_wires: int, and_count: int, batch: int) -> int:
     """An upper bound on the bytes an engine holds at once while it is
-    built: the share tensor and the three triple-share arrays, ceil(batch
-    / 8) bytes per wire or AND and party, plus the dealer's scratch (five
-    (count, width) arrays and one kind's raw random words, and when the
-    batch is not a multiple of 8 that kind's unpacked bits and their
-    zero-padded copy)."""
+    built: the share tensor, ceil(batch / 8) bytes per wire and party,
+    and the triple pool's first chunk, three (parties, chunk, ceil(batch
+    / 8)) arrays of at most `_CHUNK_BYTES` each, with the dealer's
+    scratch for that chunk (two (chunk, width) arrays and one party's raw
+    random words, and when the batch is not a multiple of 8 their
+    unpacked bits, zero-padded copy and packed rows). Each later chunk
+    is dealt after the one before it is dropped, and is no larger unless
+    an AND layer holds more ANDs than a chunk: such a layer's triples are
+    one chunk of the layer's width, dealt while the layer runs. On top
+    comes `_ENGINE_OBJECT_BYTES`, for what does not scale with the
+    circuit."""
     width = -(-batch // 8)
-    triple_bits = n_parties * and_count * batch
-    scratch = 5 * and_count * width + 8 * -(-triple_bits // 64)
+    chunk = min(and_count, _chunk_triples(n_parties, batch))
+    scratch = 2 * chunk * width + 8 * (-(-chunk * batch // 64) + 1)
     if batch % 8:
-        scratch += triple_bits + n_parties * and_count * 8 * width
-    return n_parties * n_wires * width + 3 * n_parties * and_count * width + scratch
+        scratch += chunk * batch + 64 + 9 * chunk * width
+    return (n_parties * n_wires * width + 3 * n_parties * chunk * width + scratch
+            + _ENGINE_OBJECT_BYTES)
 
 
 class Engine:
@@ -489,20 +567,21 @@ class Engine:
     ):
         if batch < 1:
             raise MpcError(f"batch {batch} must be at least 1")
-        self.circuit = circuit
         self.computing_ids = list(computing_ids)
+        n = len(self.computing_ids)
+        # before the schedule, which is itself as large as the circuit
+        need = engine_bytes(n, circuit.n_wires, circuit.and_count, batch)
+        if need > MAX_ENGINE_BYTES:
+            raise EngineTooLarge(
+                f"shares and triples need {need} bytes, over the limit of {MAX_ENGINE_BYTES}"
+            )
+        self.circuit = circuit
         self.schedule = build_schedule(circuit)
         self.reactive = list(reactive)
         self.batch = batch
         self.epoch = epoch
         self.transport = transport or InProcessTransport()
-        n = len(self.computing_ids)
-        need = engine_bytes(n, circuit.n_wires, self.schedule.and_count, batch)
-        if need > MAX_ENGINE_BYTES:
-            raise EngineTooLarge(
-                f"shares and triples need {need} bytes, over the limit of {MAX_ENGINE_BYTES}"
-            )
-        pool = deal_triples(n, self.schedule.and_count, dealer_seed, batch)
+        pool = TriplePool.chunked(n, self.schedule.and_count, dealer_seed, batch)
         self.parties = Party(n, circuit.n_wires, batch, pool)
         self._row = {pid: i for i, pid in enumerate(self.computing_ids)}
         self._peers = {pid: [o for o in self.computing_ids if o != pid] for pid in self.computing_ids}

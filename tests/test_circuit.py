@@ -1,6 +1,7 @@
 """Circuit IR, builder primitives, evaluation, and the text writer."""
 
 import ast
+import errno
 import hashlib
 import io
 import pathlib
@@ -225,6 +226,27 @@ def test_finish_refuses_an_undriven_output(out):
     with pytest.raises(C.CircuitError):
         b.finish([out])
     assert b.finish([4]).output_wires == [4]
+
+
+@pytest.mark.parametrize("error", [OSError(errno.ENOMEM, "Cannot allocate memory"), MemoryError()],
+                         ids=["ENOMEM", "MemoryError"])
+def test_a_buffer_that_cannot_grow_is_a_circuit_error(error, monkeypatch):
+    b = C.CircuitBuilder()
+    x = b.input_vector(0, 1000)  # 1 001 wires: the 1 024-wire buffers hold them
+
+    def refuse(mm, dtype, size):
+        raise error
+
+    monkeypatch.setattr(C, "_grown", refuse)
+    with pytest.raises(C.CircuitError, match="builder's _level buffer to 6144 bytes") as exc:
+        b.input_vector(1, 100)  # 1 101 wires: grow by half, to 1 536 int32
+    assert exc.value.__cause__ is error
+    monkeypatch.undo()
+    # the refused call left the builder as it was
+    y = b.input_vector(1, 100)
+    assert y[0] == 1001
+    circ = b.finish([b.and_v(x[0], y[0])])
+    assert circ.evaluate({0: [1] * 1000, 1: [1] * 100}).tolist() == [1]
 
 
 FINISHED_USES = {

@@ -1,11 +1,12 @@
 """Command-line entry points, file formats, and exit codes."""
 
+import errno
 import io
 import json
 
 import pytest
 
-from depletion import cli
+from depletion import circuit, cli
 from depletion import compiler as CP
 from depletion import session as S
 from depletion.circuit import save_circuit_text
@@ -166,6 +167,24 @@ def test_simulate_round_trip(tmp_path, capsys):
     t = summary["transcript"]
     assert t["rounds"] == t["and_layers"] + t["reactive_opens"] + 1
     assert all(v == t["and_count"] for v in t["triples_consumed"].values())
+
+
+@pytest.mark.parametrize("command", ["compile", "simulate"])
+def test_a_builder_buffer_that_cannot_grow_exits_2(command, tmp_path, capsys, monkeypatch):
+    def refuse(mm, dtype, size):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(circuit, "_grown", refuse)
+    if command == "compile":
+        argv = ["compile", "--parties", "2", "--u", "4", "--sigma", "16",
+                "--out", str(tmp_path / "c.txt"), "--report", str(tmp_path / "m.json")]
+    else:
+        config = write_session_files(tmp_path, {0: [10, 22], 1: [22, 40]})
+        argv = ["--seed", "7", "simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+    CP.compile_circuit.cache_clear()  # so that the circuit is built here
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: CircuitError: cannot grow the builder's" in err and "Cannot allocate memory" in err
 
 
 def test_simulate_unsorted_injection_exit_code(tmp_path, capsys):

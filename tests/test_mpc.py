@@ -191,6 +191,65 @@ def test_packed_triples_are_the_bit_stream_of_the_dealer(batch, count):
         assert np.array_equal(mpc.unpack_batch(getattr(pool, name), batch), want)
 
 
+# With 3 parties and 37 triples, each party's row block starts off a
+# 64-bit word at every batch but 64's multiples, and so do these ranges:
+# (13, 14) and (36, 37) lie inside one word, (5, 29) spans several.
+RANGES = [(0, 37), (5, 29), (13, 14), (36, 37), (0, 1), (20, 20), (0, 0), (37, 37)]
+
+
+@pytest.mark.parametrize("batch", [1, 3, 9, 16, 256])
+def test_a_dealt_range_is_that_slice_of_the_whole_pool(batch):
+    n_parties, count = 3, 37
+    whole = mpc.deal_triples(n_parties, count, seed=6, batch=batch)
+    for start, stop in RANGES:
+        part = mpc.deal_triples(n_parties, count, seed=6, batch=batch, start=start, stop=stop)
+        for name in "abc":
+            assert np.array_equal(getattr(part, name), getattr(whole, name)[:, start:stop])
+        assert part.cursor == part.base == start
+        ta, _, _ = part.take(stop - start)
+        assert np.array_equal(ta, whole.a[:, start:stop])
+        with pytest.raises(mpc.TriplePoolExhausted):
+            part.take(1)
+    for start, stop in [(-1, 3), (5, 4), (0, 38)]:
+        with pytest.raises(mpc.MpcError, match="not a range"):
+            mpc.deal_triples(n_parties, count, seed=6, batch=batch, start=start, stop=stop)
+
+
+@pytest.mark.parametrize("batch", [1, 9, 16])
+def test_the_chunked_pool_serves_the_stream_one_chunk_at_a_time(batch, monkeypatch):
+    n_parties, count = 3, 50
+    whole = mpc.deal_triples(n_parties, count, seed=2, batch=batch)
+    width = -(-batch // 8)
+    monkeypatch.setattr(mpc, "_CHUNK_BYTES", 7 * n_parties * width)  # 7 triples
+    dealt = []
+    deal = mpc.deal_triples
+
+    def counting(*args):
+        dealt.append(args[-2:])
+        return deal(*args)
+
+    monkeypatch.setattr(mpc, "deal_triples", counting)
+    pool = mpc.TriplePool.chunked(n_parties, count, seed=2, batch=batch)
+    assert pool.a.shape == (n_parties, 7, width)
+    at = 0
+    for k in [3, 4, 0, 5, 12, 1, 7, 18]:  # 12 and 18 are wider than a chunk
+        ta, tb, tc = pool.take(k)
+        for name, got in zip("abc", (ta, tb, tc)):
+            assert np.array_equal(got, getattr(whole, name)[:, at:at + k])
+        at += k
+        assert pool.cursor == at
+        # the pool holds one chunk: 7 triples, or a wider take's own
+        assert pool.a.shape[1] <= max(7, k) and pool.base + pool.a.shape[1] <= count
+    # a take the chunk cannot serve deals from the cursor on, the unserved
+    # rest of the chunk included
+    assert dealt == [(0, 7), (7, 14), (12, 24), (24, 31), (25, 32), (32, 50)]
+    with pytest.raises(mpc.TriplePoolExhausted, match="need 1 triples, 0 left"):
+        pool.take(1)
+    pool = mpc.TriplePool.chunked(n_parties, count, seed=2, batch=batch)
+    with pytest.raises(mpc.TriplePoolExhausted, match="need 51 triples, 50 left"):
+        pool.take(51)
+
+
 def test_share_input_reconstruction():
     rng = np.random.default_rng(0)
     one = np.array([1], dtype=np.uint8)
@@ -257,6 +316,31 @@ def test_accounting_identities():
         # N-1 recipients per AND layer plus the output opening, plus the
         # input distribution messages counted against the owners
         assert t.messages_sent[pid] >= (t.rounds) * (t.n_parties - 1)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 256])
+def test_transcript_counts_what_each_sender_sent(batch):
+    sent = {}
+
+    class Counting(mpc.InProcessTransport):
+        def send(self, sender, recipient, data):
+            nbits = mpc.decode_frame(data)[4]
+            messages, bits, nbytes = sent.get(sender, (0, 0, 0))
+            sent[sender] = (messages + 1, bits + nbits, nbytes + len(data))
+            super().send(sender, recipient, data)
+
+    circ = random_circuit(random.Random(batch), n_parties=3, gates=80)
+    rng = np.random.default_rng(batch)
+    inputs = {
+        p: rng.integers(0, 2, size=(len(ws), batch), dtype=np.uint8)
+        for p, ws in circ.input_map.items()
+    }
+    _, engine = run_engine(circ, inputs, batch=batch, transport=Counting())
+    t = engine.transcript
+    assert sorted(sent) == engine.computing_ids
+    assert {pid: (t.messages_sent[pid], t.payload_bits_sent[pid], t.bytes_sent[pid])
+            for pid in sent} == sent
+    assert t.total_bytes() == sum(nbytes for *_, nbytes in sent.values())
 
 
 def test_tampered_transcript_raises_accounting_mismatch():
@@ -440,20 +524,69 @@ def test_input_sharing_refuses_wires_restored_for_only_some_parties():
         engine.run(inputs, lambda p: np.random.default_rng(p))
 
 
-def test_engine_bytes_bounds_the_peak_of_building_an_engine():
+def test_engine_bytes_bounds_the_peak_of_building_an_engine(monkeypatch):
     circ = CP.compile_circuit(CP.CircuitConfig(n_parties=3, inputs_per_party=2, sigma=8)).circuit
     and_count = circ.schedule().and_count  # memoized, so not measured below
-    for batch in (64, 9):  # byte-aligned, and ragged with dealer scratch
-        tracemalloc.start()
-        try:
-            engine = mpc.Engine(circ, [0, 1, 2], batch=batch)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        pool = engine.parties.pool
-        kept = engine.parties.shares.nbytes + pool.a.nbytes + pool.b.nbytes + pool.c.nbytes
-        assert kept == (circ.n_wires + 3 * and_count) * 3 * -(-batch // 8)
-        assert kept < peak <= mpc.engine_bytes(3, circ.n_wires, and_count, batch)
+    np.random.default_rng()  # numpy imports its random module on first use
+    # byte-aligned, ragged with dealer scratch, and one bit; the pool in
+    # one chunk and in four
+    for batch in (64, 9, 1):
+        width = -(-batch // 8)
+        for chunks in (1, 4):
+            monkeypatch.setattr(mpc, "_CHUNK_BYTES", 3 * width * -(-and_count // chunks))
+            chunk = mpc._chunk_triples(3, batch)
+            assert -(-and_count // chunk) == chunks
+            tracemalloc.start()
+            try:
+                engine = mpc.Engine(circ, [0, 1, 2], batch=batch)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            pool = engine.parties.pool
+            kept = engine.parties.shares.nbytes + pool.a.nbytes + pool.b.nbytes + pool.c.nbytes
+            # the share tensor and the pool's first chunk
+            assert kept == (circ.n_wires + 3 * chunk) * 3 * width
+            assert kept < peak <= mpc.engine_bytes(3, circ.n_wires, and_count, batch)
+
+
+def test_an_engine_holds_one_chunk_of_a_pool_of_many():
+    """Building and running an engine whose pool spans about twelve
+    chunks peaks below its share tensor plus the whole pool, which is
+    what it held while the dealer dealt the pool up front."""
+    circ = CP.compile_circuit(CP.CircuitConfig(n_parties=3, inputs_per_party=8, sigma=32)).circuit
+    circ.schedule()  # memoized, so not measured below
+    batch, ids = 256, [0, 1, 2]
+    assert circ.and_count > 10 * mpc._chunk_triples(len(ids), batch)
+    rng = np.random.default_rng(0)
+    inputs = {
+        p: rng.integers(0, 2, size=(len(ws), batch), dtype=np.uint8)
+        for p, ws in circ.input_map.items()
+    }
+    rngs = {p: np.random.default_rng(100 + p) for p in ids}
+    tracemalloc.start()
+    try:
+        engine = mpc.Engine(circ, ids, batch=batch)
+        out = engine.run(inputs, lambda p: rngs[p])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, circ.evaluate(inputs))
+    shares = engine.parties.shares.nbytes
+    whole_pool = 3 * len(ids) * circ.and_count * batch // 8
+    assert shares < peak < shares + whole_pool
+
+
+def test_engine_refuses_an_oversized_round_before_building_the_schedule(monkeypatch):
+    circ = CP.compile_circuit(CP.CircuitConfig(n_parties=3, inputs_per_party=2, sigma=8)).circuit
+
+    def no_schedule(self):
+        raise AssertionError("the schedule was built before the size check")
+
+    monkeypatch.setattr(type(circ), "schedule", no_schedule)
+    need = mpc.engine_bytes(3, circ.n_wires, circ.and_count, 16)
+    monkeypatch.setattr(mpc, "MAX_ENGINE_BYTES", need - 1)
+    with pytest.raises(mpc.EngineTooLarge, match=f"{need} bytes"):
+        mpc.Engine(circ, [0, 1, 2], batch=16)
 
 
 @pytest.mark.parametrize("batch", [0, -3])
@@ -624,8 +757,7 @@ ENGINE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("batch", sorted(ENGINE_DIGESTS))
-def test_engine_frames_openings_and_blobs_are_pinned(batch):
+def _engine_digest(batch):
     h = hashlib.sha256()
 
     class Hashing(mpc.InProcessTransport):
@@ -652,4 +784,14 @@ def test_engine_frames_openings_and_blobs_are_pinned(batch):
     wires = [w for p in ids for w in circ.input_map[p]]
     for pid in ids:
         h.update(engine.persist_shares(pid, wires, range_id=pid + 1))
-    assert h.hexdigest() == ENGINE_DIGESTS[batch]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("batch", sorted(ENGINE_DIGESTS))
+def test_engine_frames_openings_and_blobs_are_pinned(batch, monkeypatch):
+    """Pinned with the pool in one chunk and in one-triple chunks, so
+    chunked dealing leaves every triple and so every frame as it was."""
+    assert _engine_digest(batch) == ENGINE_DIGESTS[batch]
+    monkeypatch.setattr(mpc, "_CHUNK_BYTES", 1)
+    assert mpc._chunk_triples(3, batch) == 1
+    assert _engine_digest(batch) == ENGINE_DIGESTS[batch]
