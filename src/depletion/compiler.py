@@ -3,8 +3,10 @@
 Stage pipeline: per-party sortedness flags (opened reactively before
 anything else is revealed), an oblivious merge tree over all parties'
 sorted records, duplicate-key selection under a `VariantSpec` (at
-least two holders, at least m, or every fixed party plus m others), and
-a composed per-party Waksman shuffle of the output keys.
+least two holders, at least m, or every fixed party plus m others) that
+picks one key per record, and a composed per-party Waksman shuffle of
+those N*u keys. Each shuffled key is then an output wire twice, side by
+side, so the opening shows 2*N*u keys, each exactly twice.
 
 Records are the rows `v | k0 | k1 | tag` of one wire array, and every
 stage is emitted a layer at a time: SortCheck's comparators and
@@ -28,7 +30,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .circuit import BooleanCircuit, CircuitBuilder, CountingBuilder, exchange_layers, pairwise
+from .circuit import AND, BooleanCircuit, CircuitBuilder, CountingBuilder, exchange_layers, pairwise
 from .merge import odd_even_merge
 from .waksman import build_network, switch_count
 
@@ -126,7 +128,8 @@ class CircuitConfig:
 
     @property
     def control_bits_per_layer(self) -> int:
-        return switch_count(2 * self.total_records)
+        """Switches of one Waksman network over the N*u selected keys."""
+        return switch_count(self.total_records)
 
     def describe(self) -> dict:
         return {
@@ -157,12 +160,45 @@ class CompiledStage:
     wire_range: tuple[int, int]
 
 
+@dataclass(frozen=True)
+class StageDepths:
+    """Where one stage's ANDs sit: `ands[d]` of them at AND depth d."""
+
+    name: str
+    ands: np.ndarray
+
+    @property
+    def span(self) -> tuple[int, int] | None:
+        """The first and last AND depth the stage occupies, if any."""
+        occupied = np.flatnonzero(self.ands)
+        return (int(occupied[0]), int(occupied[-1])) if len(occupied) else None
+
+    @property
+    def depth_count(self) -> int:
+        """How many AND depths hold at least one of the stage's ANDs."""
+        return int(np.count_nonzero(self.ands))
+
+
 @dataclass
 class Compiled:
     config: CircuitConfig
     circuit: BooleanCircuit
     stages: list[CompiledStage]
     flag_wires: list[int]
+
+    def and_depths(self) -> list[StageDepths]:
+        """Each stage's ANDs counted per AND depth, read from the
+        circuit's recorded wire depths over the stage's gate range.
+        Computed on demand: compiling does not pay for it."""
+        circ = self.circuit
+        first = 1 + circ.n_input_wires  # gate g drives wire first + g
+        top = circ.gate_counts().depth_and
+        out = []
+        for st in self.stages:
+            g0, g1 = st.gate_range
+            depths = circ.wire_depth[first + g0 : first + g1][circ.kind[g0:g1] == AND]
+            out.append(StageDepths(st.name, np.bincount(depths, minlength=top + 1)))
+        return out
 
     def v_wires(self, party: int) -> np.ndarray:
         """Input wires carrying party's record hash values: a (u, sigma)
@@ -182,7 +218,8 @@ def _construct(b, cfg: CircuitConfig):
     Each stage's counts and gate and wire ranges come from the builder's
     running AND and XOR counts, since gate g drives wire 1 + (input
     wires) + g in either builder. Returns the sortedness flags, the
-    output keys, the stages, and the merged records' value wires.
+    output keys (each shuffled key twice, side by side), the stages, and
+    the merged records' value wires.
     """
     N, u, sigma = cfg.n_parties, cfg.inputs_per_party, cfg.sigma
     records = np.array([b.input_vector(p, u * 3 * sigma) for p in range(N)])
@@ -234,16 +271,17 @@ def _construct(b, cfg: CircuitConfig):
         out_keys = build_network(b, layer_bits, out_keys)
     close("Shuffle")
 
-    return flags, out_keys, stages, merged[:, :sigma]
+    return flags, np.repeat(out_keys, 2, axis=0), stages, merged[:, :sigma]
 
 
 def _dup_select(b, cfg: CircuitConfig, merged: np.ndarray) -> np.ndarray:
     """Per-record key selection over the merged sorted records, one row
-    each; returns two sigma-bit output keys per record.
+    each; returns one sigma-bit key per record.
 
     Every variant is one window test: a record qualifies when it lies in
     a window of z + m equal values and its run of them holds each of the
-    z fixed tags. It emits k1 if so and k0 if not, twice, so every opened
+    z fixed tags. It selects k1 if so and k0 if not. The Shuffle permutes
+    these N*u keys and only then is each output twice, so every opened
     key appears exactly twice. A window longer than all N*u records can
     never be filled, so every record keeps its 0-key.
     """
@@ -256,7 +294,7 @@ def _dup_select(b, cfg: CircuitConfig, merged: np.ndarray) -> np.ndarray:
     z = len(variant.fixed_parties)
     window = z + variant.m
     if window > total:
-        return np.repeat(k0, 2, axis=0)
+        return k0
 
     eqs = b.eq(v[:-1], v[1:])
 
@@ -290,7 +328,7 @@ def _dup_select(b, cfg: CircuitConfig, merged: np.ndarray) -> np.ndarray:
         presence.append(b.or_(np.array(fwd), np.array(bwd[::-1])))
 
     sel = pairwise(b.and_v, np.stack([length_ok, *presence]))
-    return np.repeat(b.mux(sel, k0, k1), 2, axis=0)
+    return b.mux(sel, k0, k1)
 
 
 @lru_cache(maxsize=2)  # one configuration plus one alternate
@@ -320,7 +358,7 @@ def stage_bounds(cfg: CircuitConfig) -> dict[str, float]:
         "SortCheck": N * (u - 1) * (sigma + 1),
         "MergeTree": 2 * N * N * u * sigma * math.log2(total) if total > 1 else 0,
         "DupSelect": dup,
-        "Shuffle": cfg.shuffle_layers * sigma * 2 * total * math.log2(2 * total),
+        "Shuffle": cfg.shuffle_layers * sigma * total * math.log2(total),
     }
 
 

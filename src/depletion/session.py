@@ -405,8 +405,9 @@ def _round_inputs(
     record bits of each party, one `np.unpackbits` per party, then each
     control party's shuffle bits.
 
-    Shuffle permutations are drawn control party by control party,
-    session by session, and all of them are routed by one call.
+    Shuffle permutations, each of the N*u selected keys, are drawn
+    control party by control party, session by session, and all of them
+    are routed by one call.
     """
     inputs = {}
     for i, pp in enumerate(prepared.values()):
@@ -414,9 +415,9 @@ def _round_inputs(
         inputs[i] = rows_to_bits(rows, cfg.sigma).reshape(len(rows), -1).T
     batch = inputs[0].shape[1]
     rng = np.random.default_rng(control_seed)
-    n_keys = 2 * cfg.total_records
-    # row by row, the same draws as one rng.permutation(n_keys) per row
-    perms = np.tile(np.arange(n_keys), (len(cfg.control_parties) * batch, 1))
+    n_slots = cfg.total_records
+    # row by row, the same draws as one rng.permutation(n_slots) per row
+    perms = np.tile(np.arange(n_slots), (len(cfg.control_parties) * batch, 1))
     rng.permuted(perms, axis=1, out=perms)
     bits = waksman.route_permutation(perms)
     for j, owner in enumerate(cfg.control_parties):

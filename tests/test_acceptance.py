@@ -163,7 +163,7 @@ def test_criterion_3_gate_count_bounds():
             assert measured["SortCheck"] <= n * (u - 1) * (256 + 1)
             assert measured["MergeTree"] <= 2 * n * n * u * 256 * math.log2(n * u)
             assert measured["DupSelect"] <= 4 * n * u * 256
-            assert measured["Shuffle"] <= n * 256 * 2 * n * u * math.log2(2 * n * u)
+            assert measured["Shuffle"] <= n * 256 * n * u * math.log2(n * u)
             for name, count in measured.items():
                 assert count <= bounds[name], (n, u, name)
 

@@ -289,11 +289,13 @@ def test_only_the_builder_makes_circuits():
 
 
 # SHA-256 of what `save_circuit_text(compile_circuit(cfg).circuit, out)`
-# writes: the files `depletion compile --out` writes must stay byte-identical
+# writes: the files `depletion compile --out` writes must stay byte-identical.
+# Re-recorded when the Shuffle came to permute the N*u selected keys before
+# each was output twice.
 WRITER_DIGESTS = [
     (CP.CircuitConfig(5, 3, 8, CP.VariantSpec("fixed-plus-m", 2, (0, 1))),
-     "b5f4972224288b165caef014aea2001e4ef5b3719a7f118ce0b3006d0ca4585e"),
-    (CP.CircuitConfig(2, 4, 16), "f1b57219499d0172e5744079da9323fbe9e48ff9193bf516eb8f228640ed3ee5"),
+     "dfd7f99e0c170aeb526f36495304b0dbea67be0354676da220678a00e0bf38cf"),
+    (CP.CircuitConfig(2, 4, 16), "d33077bcf5d7b000a1ddf55d230bcfad59015c45f6c9729a931a980bfb47e5ce"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Compiler stages, variant semantics, and gate-count accounting."""
 
+import math
 import random
 from collections import Counter
 
@@ -47,7 +48,7 @@ def run_plain(cfg, records, perms=None, extra_wires=None):
             bits += int_to_bits(v, sigma) + int_to_bits(k0, sigma) + int_to_bits(k1, sigma)
         inputs[p] = bits
     if perms is None:
-        perms = [list(range(2 * cfg.total_records))] * cfg.shuffle_layers
+        perms = [list(range(cfg.total_records))] * cfg.shuffle_layers
     for owner, perm in zip(cfg.control_parties, perms):
         ctl = [int(x) for x in waksman.route_permutation(perm)]
         inputs[owner] = inputs.get(owner, []) + ctl
@@ -299,17 +300,19 @@ def test_shuffle_applies_routed_permutations():
     rng = random.Random(3)
     recs = records_for(rng, {0: {1, 4}, 1: {2, 3}}, 4)
     base, _, _ = run_plain(cfg, recs)
+    # the networks permute the 4 selected keys; each is then output twice
+    assert base[::2] == base[1::2]
 
-    perm1 = list(range(8))
-    perm2 = list(range(8))
+    perm1 = list(range(4))
+    perm2 = list(range(4))
     rng.shuffle(perm1)
     rng.shuffle(perm2)
     keys, _, _ = run_plain(cfg, recs, perms=[perm1, perm2])
     composed = apply_network(
         waksman.route_permutation(perm2),
-        apply_network(waksman.route_permutation(perm1), base),
+        apply_network(waksman.route_permutation(perm1), base[::2]),
     )
-    assert keys == composed
+    assert keys == [k for k in composed for _ in range(2)]
     assert Counter(keys) == Counter(base)
 
 
@@ -343,7 +346,7 @@ def test_circuit_matches_oracle_random_instances():
             recs = records_for(rng, values, 8)
             perms = []
             for _ in range(cfg.shuffle_layers):
-                perm = list(range(2 * n * u))
+                perm = list(range(n * u))
                 rng.shuffle(perm)
                 perms.append(perm)
             keys, flags, _ = run_plain(cfg, recs, perms=perms)
@@ -381,6 +384,40 @@ def test_stage_bounds_hold_small():
         bounds = CP.stage_bounds(cfg)
         for st in CP.stage_counts(cfg):
             assert st.and_count <= bounds[st.name], (cfg, st)
+
+
+def test_waksman_switches_fit_the_shuffle_bound():
+    for n in range(2, 5001):
+        assert waksman.switch_count(n) <= n * math.log2(n), n
+
+
+def test_shuffle_is_one_network_per_layer_over_the_selected_keys():
+    def shuffle_ands(cfg):
+        return cfg.shuffle_layers * cfg.sigma * waksman.switch_count(cfg.total_records)
+
+    for cfg in count_grid():
+        (shuffle,) = [s for s in CP.compile_circuit(cfg).stages if s.name == "Shuffle"]
+        assert shuffle.and_count == shuffle_ands(cfg), cfg
+    for n in (2, 5):
+        for u in (100, 500):
+            cfg = make_cfg(n, u, 256)
+            assert CP.stage_counts(cfg)[-1].and_count == shuffle_ands(cfg), cfg
+
+
+def test_stage_and_depths_cover_the_schedule():
+    for cfg in [*count_grid(), make_cfg(3, 8, 32, at_least_m(2), controls=(3, 4))]:
+        comp = CP.compile_circuit(cfg)
+        depths = comp.and_depths()
+        assert [d.name for d in depths] == list(CP.STAGE_NAMES)
+        assert [int(d.ands.sum()) for d in depths] == [s.and_count for s in comp.stages]
+        assert sum(int(d.ands.sum()) for d in depths) == comp.circuit.and_count
+        occupied = set()
+        for d in depths:
+            at = np.flatnonzero(d.ands).tolist()
+            assert d.depth_count == len(at)
+            assert d.span == ((at[0], at[-1]) if at else None)
+            occupied.update(at)
+        assert occupied == set(range(1, comp.circuit.schedule().and_layers + 1)), cfg
 
 
 def test_large_instance_count_report():

@@ -553,7 +553,7 @@ def test_an_engine_holds_one_chunk_of_a_pool_of_many():
     """Building and running an engine whose pool spans about twelve
     chunks peaks below its share tensor plus the whole pool, which is
     what it held while the dealer dealt the pool up front."""
-    circ = CP.compile_circuit(CP.CircuitConfig(n_parties=3, inputs_per_party=8, sigma=32)).circuit
+    circ = CP.compile_circuit(CP.CircuitConfig(n_parties=3, inputs_per_party=12, sigma=32)).circuit
     circ.schedule()  # memoized, so not measured below
     batch, ids = 256, [0, 1, 2]
     assert circ.and_count > 10 * mpc._chunk_triples(len(ids), batch)
@@ -672,11 +672,13 @@ def test_masked_messages_look_uniform():
 # the order they are sent in, as it was. The at-least-two session was
 # re-recorded when at-least-two became the windowed selection with m = 2,
 # and all three when the session layer began drawing keys and dummies as
-# byte rows for a whole round (the reports they return did not change).
+# byte rows for a whole round, and again when the Shuffle came to
+# permute the N*u selected keys before each was output twice (the reports
+# they return did not change either time).
 TRANSCRIPT_DIGESTS = {
-    "direct-fixed-plus-m": "4d73c83a1caee2094e1618d971e251df44387fa4617e895a7a0c6fe44e6cdaca",
-    "outsourced-at-least-m-batch-3": "79abf5c4534bfb1a81a3bf8fcff0d4b3e90f1e5593bee49164b28131ad69e9f1",
-    "session-two-epochs": "de282fc23701ab4d9cddf446997ec12c099e920c2393b22996270b2bd1eba3ce",
+    "direct-fixed-plus-m": "49fb7d102055f3809c4a41b84cfbea4a7f094695c2154b752e686eca88c75d4a",
+    "outsourced-at-least-m-batch-3": "75d55ffafb752a43e30cb5df31115c4d7d16cfa4f43693e620dd149a3c65a7df",
+    "session-two-epochs": "a39602b5222d837eb7c74b710a40d692218a8c91ed553461759b5f14454c9348",
 }
 
 

@@ -512,6 +512,35 @@ def test_outsourced_mode_matches_direct():
         assert outsourced.reports[0][p].shared == want[p]
 
 
+def test_opened_keys_are_adjacent_pairs_in_uniform_slots():
+    """The Shuffle permutes the N*u selected keys and each is opened
+    twice, side by side; over many sessions of one stockpile, the pair
+    slot of a shared record's k1 and of an exclusive record's k0 is
+    uniform over the N*u slots."""
+    from scipy import stats
+
+    stockpiles = {0: {5, 7}, 1: {5, 11}, 2: {9, 13}}
+    sessions, slots = 600, 6
+    res = S.run_sessions(S.SessionConfig(parties=(0, 1, 2), sigma=16), [stockpiles] * sessions, seed=29)
+    rows = res.opened_rows
+    assert rows.shape[1] == 2 * slots
+    assert np.array_equal(rows[:, 0::2], rows[:, 1::2])
+    keys = np.array(res.opened_keys)[:, 0::2]
+    assert all(len(set(row)) == slots for row in keys.tolist())
+
+    def pair_slots(party, value, kind):
+        pp = res.prepared[party]
+        (at,) = np.flatnonzero(np.array(rows_to_ints(pp.values[0])) == value)
+        chosen = np.array([k[kind] for k in rows_to_ints(pp.keys[:, at])])
+        hit = keys == chosen[:, None]
+        assert (hit.sum(axis=1) == 1).all()
+        return hit.argmax(axis=1)
+
+    for party, value, kind in [(0, 5, 1), (2, 9, 0)]:  # shared, then exclusive
+        counts = np.bincount(pair_slots(party, value, kind), minlength=slots)
+        assert stats.chisquare(counts).pvalue > 0.01, (value, counts)
+
+
 def test_full_width_sigma_256_round():
     rng = random.Random(77)
     pools = {

@@ -22,35 +22,38 @@ from depletion import compiler as CP
 # its per-layer AND counts joined by commas, and its number of XOR groups.
 # The last item is a SHA-256 prefix of the gate list and the full levels
 # (kind, in_a, in_b, out and wire_level, each as little-endian int32),
-# which both schedules share.
+# which both schedules share. Every item was re-recorded when the Shuffle
+# came to permute the N*u selected keys before each was output twice;
+# the gates up to the end of DupSelect stayed as recorded, apart from the
+# shift of wire numbers by the fewer control inputs.
 PINNED = [
     (
         # at-least-two; re-recorded when it became the windowed selection
         # with m = 2, which costs fewer ANDs and one more AND layer
         CP.CircuitConfig(3, 16, 64),
         [(2922, 8553, (0, 11475)), (45568, 136348, (11475, 193391)),
-         (6079, 12252, (193391, 211722)), (104640, 313920, (211722, 630282))],
-        830, "c6fb4ea7f14d787f", 1513, "54273d958e41da0b",
+         (6079, 12252, (193391, 211722)), (43200, 129600, (211722, 384522))],
+        824, "586a99cca555b91b", 1497, "91ebac0c42715008",
     ),
     (
         # the `batch` benchmark round: three parties, u = 8, two servers
         CP.CircuitConfig(3, 8, 32, CP.VariantSpec("at-least-m", 2), control_parties=(3, 4)),
         [(690, 1977, (0, 2667)), (8960, 26740, (2667, 38367)),
-         (1503, 3052, (38367, 42922)), (14400, 43200, (42922, 100522))],
-        361, "833a75b07c46d777", 645, "75d46dd2e9602bc2",
+         (1503, 3052, (38367, 42922)), (5696, 17088, (42922, 65706))],
+        357, "7245aea2016a6423", 633, "f8e1e45b6e5e9100",
     ),
     (
         # the `recurring` benchmark round: four parties, u = 12
         CP.CircuitConfig(4, 12, 64, CP.VariantSpec("fixed-plus-m", 1, (0,))),
         [(2856, 8364, (0, 11220)), (52171, 156108, (11220, 219499)),
-         (6363, 12584, (219499, 238446)), (139520, 418560, (238446, 796526))],
-        938, "652341bc714635a0", 1732, "ba8b97b458a720eb",
+         (6363, 12584, (219499, 238446)), (57600, 172800, (238446, 468846))],
+        930, "02226fe9dd2cd665", 1670, "b84d41890c974d8c",
     ),
     (
         CP.CircuitConfig(5, 3, 8, CP.VariantSpec("fixed-plus-m", 2, (0, 1))),
         [(85, 225, (0, 310)), (1734, 5101, (310, 7145)),
-         (477, 747, (7145, 8369)), (4760, 14280, (8369, 27409))],
-        195, "1bdd985b3ffaba24", 362, "df66edb3c4608169",
+         (477, 747, (7145, 8369)), (1800, 5400, (8369, 15569))],
+        185, "044e4bd72b060ad3", 331, "67784d61884866a7",
     ),
 ]
 
@@ -100,8 +103,8 @@ def test_compile_emits_layers_not_gates(monkeypatch):
     for name in ("xor_v", "and_v", "lt"):
         monkeypatch.setattr(C.CircuitBuilder, name, counted(getattr(C.CircuitBuilder, name)))
     comp = CP.compile_circuit.__wrapped__(CP.CircuitConfig(3, 16, 64))
-    assert comp.circuit.n_gates == 630282
-    # one call per gate would be 630 282 calls, and a comparator emitted
+    assert comp.circuit.n_gates == 384522
+    # one call per gate would be 384 522 calls, and a comparator emitted
     # bit by bit about 190 calls each; a layer per call is a few hundred
     assert calls[0] <= 400
 
