@@ -16,28 +16,27 @@ ABY and MOTION use for GMW: all their shares live in one party-first
 batch axis packed eight sessions to a byte, most significant bit first
 (`np.packbits` order; the padding bits of a ragged last byte are zero).
 Row i of it and of the triple pool's arrays, packed the same way,
-belongs to the i-th computing party. The pool holds one chunk of the
-dealer's triples at a time, about `_CHUNK_BYTES` per kind, and deals
-the next when an AND layer needs more than the chunk has left. The
-dealer's stream is fixed by its seed, the party and triple counts and
-the batch; a chunk is a range of it, drawn by jumping to its words with
-the generator's `advance`, so the triples, and every frame, are the
-same whatever the chunk size. The gate kernels are bitwise, so
-an XOR group is one numpy operation for every party over one eighth of
-the bytes, and an AND layer is one mask, one reconstruction and one
-product for all of them; only party 0 adds d & e. No party's row is
-computed from another party's row except through the frames the round
-carries.
+belongs to the i-th computing party. Random share bytes are drawn one
+way: `random_packed` reads a bit generator's next raw words as packed
+share bytes and clears the padding bits. The dealer's triples are one
+such block per chunk, and an owner's random input shares another. The
+pool holds one chunk at a time, about `_CHUNK_BYTES` per kind: when an
+AND layer needs more than the chunk has left, it drops the chunk with
+its unserved rest and deals the next triples from the dealer's seeded
+generator, so the triples are fixed by the seed and the chunk sizes.
+The gate kernels are bitwise, so an XOR group is one numpy operation
+for every party over one eighth of the bytes, and an AND layer is one
+mask, one reconstruction and one product for all of them; only party 0
+adds d & e. No party's row is computed from another party's row except
+through the frames the round carries.
 
-Two pairs of functions, and no other code, know the batch widths:
-`pack_batch`/`unpack_batch` convert between 0/1 bits and packed rows,
-and `_frame_payloads`/`_packed_rows` between packed rows and frame
-payloads. Everything outside the engine (inputs, openings, `shares_of`,
-share blobs) speaks one `uint8` per bit and converts through the first
-pair. Every frame payload goes through the second. The dealer reads its
-raw random stream as the frame payload of (parties * count, batch)
-bits: a range that starts on a byte goes through the second pair, and
-one that starts inside a byte is unpacked and goes through the first.
+Two pairs of functions and `random_packed`, and no other code, know
+the batch widths: `pack_batch`/`unpack_batch` convert between 0/1 bits
+and packed rows, `_frame_payloads`/`_packed_rows` between packed rows
+and frame payloads, and `random_packed` draws packed rows. Everything
+outside the engine (inputs, openings, `shares_of`, share blobs) speaks
+one `uint8` per bit and converts through the first pair. Every frame
+payload goes through the second.
 
 All messages and share blobs use one framed wire format: a version
 byte, little-endian (epoch, round, sender, wire-range id, bit count),
@@ -224,10 +223,10 @@ def _frame_payloads(packed: np.ndarray, batch: int) -> np.ndarray:
     """Frame payloads of (parties, rows, width) packed rows, one row of
     packed (rows, batch) bits per party; at a batch that is a multiple
     of 8, a view of `packed`."""
-    n = packed.shape[0]
+    n, rows, width = packed.shape
     if batch % 8 == 0:
-        return packed.reshape(n, -1)
-    return np.packbits(unpack_batch(packed, batch).reshape(n, -1), axis=1)
+        return packed.reshape(n, rows * width)
+    return np.packbits(unpack_batch(packed, batch).reshape(n, rows * batch), axis=1)
 
 
 def _packed_rows(payloads: np.ndarray, rows: int, batch: int) -> np.ndarray:
@@ -245,8 +244,22 @@ def _packed_rows(payloads: np.ndarray, rows: int, batch: int) -> np.ndarray:
 # -- correlated randomness -----------------------------------------------------
 
 
+def random_packed(gen, shape: tuple, batch: int) -> np.ndarray:
+    """The bit generator's next `random_raw` words as uniform packed share
+    bytes, (*shape, ceil(batch / 8)) in the share tensor's layout, with
+    the padding bits of a ragged last byte cleared."""
+    width = -(-batch // 8)
+    size = math.prod(shape) * width
+    words = gen.random_raw(-(-size // 8)).astype("<u8", copy=False)
+    out = words.view(np.uint8)[:size].reshape(*shape, width)
+    if batch % 8:
+        # keep the top batch % 8 bits: the sessions, MSB first
+        out[..., -1] &= np.uint8((0xFF00 >> batch % 8) & 0xFF)
+    return out
+
+
 # Bytes of each kind's share array in one chunk of the engine's pool: the
-# pool holds one chunk at a time, not the whole stream.
+# pool holds one chunk at a time, not all its triples.
 _CHUNK_BYTES = 256 << 10
 
 
@@ -255,113 +268,63 @@ def _chunk_triples(n_parties: int, batch: int) -> int:
     return max(1, _CHUNK_BYTES // (n_parties * -(-batch // 8)))
 
 
-@dataclass
-class TriplePool:
-    """Triples of one dealer stream, served in stream order by `take`.
+def deal_triples(gen, n_parties: int, k: int, batch: int):
+    """Dealer-made XOR shares (a, b, c = a & b) of the next `k` triples of
+    every computing party, each a (parties, k, ceil(batch / 8)) array
+    packed like the share tensor: the next words of `gen`, as one
+    `random_packed` block of all three kinds, with the last party's `c`
+    fixed up."""
+    a, b, c = random_packed(gen, (3, n_parties, k), batch)
+    ab = np.bitwise_xor.reduce(a, axis=0)
+    ab &= np.bitwise_xor.reduce(b, axis=0)
+    ab ^= np.bitwise_xor.reduce(c, axis=0)
+    c[-1] ^= ab
+    return a, b, c
 
-    `a`, `b` and `c` hold stream triples `base` onwards of every
-    computing party as (parties, k, ceil(batch / 8)) arrays packed like
-    the share tensor: row i is the i-th party's. `cursor` is the stream
-    index of the next triple to serve. A pool with a `stream`, the
-    (parties, count, seed, batch) of its `deal_triples` calls, holds one
-    chunk at a time: when the chunk cannot serve `take(k)`, the pool
-    drops it and deals triples [cursor, min(count, cursor + max(k,
-    chunk))). A pool without one serves only what it holds.
+
+class TriplePool:
+    """The dealer's `count` triples for every computing party, served in
+    order by `take` and deterministic under `seed`.
+
+    The pool holds one chunk at a time, `a`, `b` and `c` as returned by
+    `deal_triples`; `cursor` counts the triples served. When the chunk
+    cannot serve `take(k)`, the pool drops it with its unserved rest and
+    deals the next min(count - cursor, max(k, chunk)) triples, so the
+    first chunk is dealt by the first `take`.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    cursor: int = 0
-    base: int = 0
-    stream: tuple | None = None
-
-    @classmethod
-    def chunked(cls, n_parties: int, count: int, seed, batch: int = 1) -> TriplePool:
-        """A pool over the whole stream of `deal_triples(n_parties, count,
-        seed, batch)`, holding its first chunk."""
-        empty = np.empty((n_parties, 0, -(-batch // 8)), dtype=np.uint8)
-        pool = cls(empty, empty, empty, stream=(n_parties, count, seed, batch))
-        pool._deal(0)
-        return pool
-
-    def _deal(self, k: int):
-        n_parties, count, seed, batch = self.stream
-        stop = min(count, self.cursor + max(k, _chunk_triples(n_parties, batch)))
-        self.a = self.b = self.c = None  # never hold two chunks
-        # through the module attribute, so that a wrapper sees every chunk
-        chunk = deal_triples(n_parties, count, seed, batch, self.cursor, stop)
-        self.a, self.b, self.c, self.base = chunk.a, chunk.b, chunk.c, chunk.base
+    def __init__(self, n_parties: int, count: int, seed, batch: int):
+        self.n_parties, self.count, self.batch = n_parties, count, batch
+        self.gen = np.random.default_rng(seed).bit_generator
+        self.a = self.b = self.c = np.empty((n_parties, 0, -(-batch // 8)), dtype=np.uint8)
+        self.cursor = 0
+        self._at = 0  # the held chunk's next triple
 
     def take(self, k: int):
-        held = self.base + self.a.shape[1]
-        if self.cursor + k > held:
-            end = held if self.stream is None else self.stream[1]
-            if self.cursor + k > end:
-                raise TriplePoolExhausted(f"need {k} triples, {end - self.cursor} left")
-            self._deal(k)
-        s = slice(self.cursor - self.base, self.cursor - self.base + k)
+        if self._at + k > self.a.shape[1]:
+            left = self.count - self.cursor
+            if k > left:
+                raise TriplePoolExhausted(f"need {k} triples, {left} left")
+            self.a = self.b = self.c = None  # never hold two chunks
+            size = min(left, max(k, _chunk_triples(self.n_parties, self.batch)))
+            # through the module attribute, so that a wrapper sees every chunk
+            self.a, self.b, self.c = deal_triples(self.gen, self.n_parties, size, self.batch)
+            self._at = 0
+        s = slice(self._at, self._at + k)
+        self._at += k
         self.cursor += k
         return self.a[:, s], self.b[:, s], self.c[:, s]
 
 
-def deal_triples(n_parties: int, count: int, seed, batch: int = 1,
-                 start: int = 0, stop: int | None = None) -> TriplePool:
-    """Dealer-made XOR shares of (a, b, c=a&b) for triples `start` to
-    `stop` (by default all `count`) of every computing party, as one
-    stacked pool in the packed batch layout; deterministic under seed.
-
-    Each kind's share bits are one run of raw 64-bit draws, read as the
-    frame payload of (parties * count, batch) bits. A range draws, for
-    each kind and party, only the words that hold its bits, jumping to
-    them with `advance`, so it equals that slice of the whole pool.
-    """
-    stop = count if stop is None else stop
-    if not 0 <= start <= stop <= count:
-        raise MpcError(f"triples {start}..{stop} are not a range of {count}")
-    k, width = stop - start, -(-batch // 8)
-    gen = np.random.default_rng(seed).bit_generator
-    run = -(-n_parties * count * batch // 64)  # words per kind
-    drawn = 0  # words of the stream before `gen`'s position
-
-    def share_rows(kind):
-        nonlocal drawn
-        rows = np.empty((n_parties, k, width), dtype=np.uint8)
-        for p in range(n_parties if k else 0):
-            lo = (p * count + start) * batch
-            first = kind * run + lo // 64
-            gen.advance(first - drawn)
-            words = gen.random_raw(-(-(lo + k * batch) // 64) - lo // 64)
-            drawn = first + words.size
-            raw = words.astype("<u8", copy=False).view(np.uint8)
-            lo %= 64  # the range's first bit in `raw`
-            if lo % 8 == 0:  # always at a batch that is a multiple of 8
-                payload = raw[lo // 8 : lo // 8 + -(-k * batch // 8)]
-                rows[p] = _packed_rows(payload[None], k, batch)[0]
-            else:
-                bits = np.unpackbits(raw, count=lo + k * batch)[lo:]
-                rows[p] = pack_batch(bits.reshape(k, batch))
-        return rows
-
-    a_sh, b_sh, c_sh = share_rows(0), share_rows(1), share_rows(2)
-    ab = np.bitwise_xor.reduce(a_sh, axis=0)
-    ab &= np.bitwise_xor.reduce(b_sh, axis=0)
-    ab ^= np.bitwise_xor.reduce(c_sh, axis=0)
-    c_sh[-1] ^= ab
-    return TriplePool(a_sh, b_sh, c_sh, cursor=start, base=start)
-
-
-def share_input(bits: np.ndarray, n_shares: int, rng) -> list[np.ndarray]:
-    """Split bits into n XOR shares; the correction share is last."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    shares = [
-        rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
-        for _ in range(n_shares - 1)
-    ]
-    correction = bits.copy()
-    for s in shares:
-        correction ^= s
-    return shares + [correction]
+def share_input(packed: np.ndarray, n_shares: int, gen, batch: int) -> np.ndarray:
+    """Split packed (rows, ceil(batch / 8)) bits into `n_shares` XOR
+    shares, (n_shares, rows, ceil(batch / 8)), the random ones drawn by
+    `random_packed`; the correction share is last."""
+    shares = np.empty((n_shares, *packed.shape), dtype=np.uint8)
+    shares[:-1] = random_packed(gen, (n_shares - 1, len(packed)), batch)
+    shares[-1] = packed
+    shares[-1] ^= np.bitwise_xor.reduce(shares[:-1], axis=0)
+    return shares
 
 
 # -- evaluation schedule -------------------------------------------------------
@@ -527,23 +490,18 @@ class EngineTooLarge(MpcError):
 
 def engine_bytes(n_parties: int, n_wires: int, and_count: int, batch: int) -> int:
     """An upper bound on the bytes an engine holds at once while it is
-    built: the share tensor, ceil(batch / 8) bytes per wire and party,
-    and the triple pool's first chunk, three (parties, chunk, ceil(batch
-    / 8)) arrays of at most `_CHUNK_BYTES` each, with the dealer's
-    scratch for that chunk (two (chunk, width) arrays and one party's raw
-    random words, and when the batch is not a multiple of 8 their
-    unpacked bits, zero-padded copy and packed rows). Each later chunk
-    is dealt after the one before it is dropped, and is no larger unless
-    an AND layer holds more ANDs than a chunk: such a layer's triples are
-    one chunk of the layer's width, dealt while the layer runs. On top
-    comes `_ENGINE_OBJECT_BYTES`, for what does not scale with the
-    circuit."""
+    built and deals its first chunk: the share tensor, ceil(batch / 8)
+    bytes per wire and party, and the triple pool's chunk, three
+    (parties, chunk, ceil(batch / 8)) arrays of at most `_CHUNK_BYTES`
+    each in one block of raw random words, with the dealer's scratch for
+    it (two (chunk, ceil(batch / 8)) arrays). Each later chunk is dealt
+    after the one before it is dropped, and is no larger unless an AND
+    layer holds more ANDs than a chunk: such a layer's triples are one
+    chunk of the layer's width, dealt while the layer runs. On top comes
+    `_ENGINE_OBJECT_BYTES`, for what does not scale with the circuit."""
     width = -(-batch // 8)
     chunk = min(and_count, _chunk_triples(n_parties, batch))
-    scratch = 2 * chunk * width + 8 * (-(-chunk * batch // 64) + 1)
-    if batch % 8:
-        scratch += chunk * batch + 64 + 9 * chunk * width
-    return (n_parties * n_wires * width + 3 * n_parties * chunk * width + scratch
+    return (n_parties * n_wires * width + (3 * n_parties + 2) * chunk * width
             + _ENGINE_OBJECT_BYTES)
 
 
@@ -581,7 +539,7 @@ class Engine:
         self.batch = batch
         self.epoch = epoch
         self.transport = transport or InProcessTransport()
-        pool = TriplePool.chunked(n, self.schedule.and_count, dealer_seed, batch)
+        pool = TriplePool(n, self.schedule.and_count, dealer_seed, batch)
         self.parties = Party(n, circuit.n_wires, batch, pool)
         self._row = {pid: i for i, pid in enumerate(self.computing_ids)}
         self._peers = {pid: [o for o in self.computing_ids if o != pid] for pid in self.computing_ids}
@@ -628,17 +586,19 @@ class Engine:
                     f"party {owner}: expected {(len(wires), self.batch)} bits, "
                     f"got {bits.shape}"
                 )
-            shares = share_input(bits[keep], len(self.computing_ids), rng_of(owner))
-            # The owner keeps the correction share, which comes last.
+            shares = share_input(pack_batch(bits[keep]), len(self.computing_ids),
+                                 rng_of(owner).bit_generator, self.batch)
+            # The owner keeps the correction share, which comes last; an
+            # owner that computes nothing sends every share.
             others = [pid for pid in self.computing_ids if pid != owner]
-            for pid, share in zip(others, shares):
+            nbits = todo.size * self.batch
+            for pid, payload in zip(others, _frame_payloads(shares[:len(others)], self.batch)):
                 rid = self._next_range()
-                nbits, payload = pack_bits(share)
                 self._post(owner, [pid], rid, nbits, payload)
                 got = np.frombuffer(self._take(pid, owner, rid, nbits, "input share"), dtype=np.uint8)
-                self.parties.shares[self._row[pid], todo] = _packed_rows(got[None], len(todo), self.batch)[0]
+                self.parties.shares[self._row[pid], todo] = _packed_rows(got[None], todo.size, self.batch)[0]
             if owner in self._row:
-                self.parties.shares[self._row[owner], todo] = pack_batch(shares[-1])
+                self.parties.shares[self._row[owner], todo] = shares[-1]
         self._end_round("input share")
 
     def restore_shares(self, pid: int, wires, bits):

@@ -59,7 +59,9 @@ PINNED = [
 
 
 @pytest.mark.parametrize(
-    "cfg, stages, split_depth, layer_digest, xor_groups, gate_digest", PINNED
+    "cfg, stages, split_depth, layer_digest, xor_groups, gate_digest", PINNED,
+    # fixed, so that a re-recorded pin keeps the test's name
+    ids=["at-least-two-n3-u16", "batch-round", "recurring-round", "fixed-plus-m-n5-u3"],
 )
 def test_compiled_circuit_matches_pinned_shape(
     cfg, stages, split_depth, layer_digest, xor_groups, gate_digest
