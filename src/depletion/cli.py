@@ -197,11 +197,13 @@ def cmd_ledger(args) -> int:
     if args.action == "submit":
         if args.hash:
             hashes = [args.hash]
-        else:
+        elif args.id_file:
             idents = V.read_identifier_lines(
                 Path(args.id_file).read_text().splitlines()
             )
             hashes = [V.ledger_digest_hex(i) for i in idents]
+        else:
+            raise LG.LedgerError("ledger submit needs --hash or --id-file")
         for h in hashes:
             led.submit(args.writer, h)
         path.write_bytes(led.save_bytes())

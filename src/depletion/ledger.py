@@ -145,6 +145,8 @@ class Ledger:
 
     @classmethod
     def load_bytes(cls, data: bytes) -> "Ledger":
+        """The ledger that `save_bytes` wrote; `LedgerError` for any file
+        that is not one, down to a field of the wrong type."""
         if len(data) < 5:
             raise LedgerError("truncated ledger file")
         version, count = struct.unpack("<BI", data[:5])
@@ -152,7 +154,7 @@ class Ledger:
             raise LedgerError(f"unsupported ledger file version {version}")
         pos = 5
 
-        def record():
+        def record(what):
             nonlocal pos
             if pos + 4 > len(data):
                 raise LedgerError("truncated ledger record")
@@ -160,19 +162,28 @@ class Ledger:
             pos += 4
             if pos + n > len(data):
                 raise LedgerError("truncated ledger record")
-            rec = data[pos : pos + n]
             pos += n
-            return rec
+            try:
+                return json.loads(data[pos - n : pos])
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise LedgerError(f"{what} is not JSON: {exc}") from None
 
-        meta = json.loads(record())
-        ledger = cls.__new__(cls)
-        ledger._lock = threading.Lock()
-        ledger.writers = set(meta["writers"])
-        ledger.readers = set(meta["readers"])
+        meta = record("the ledger metadata")
+        lists = [meta.get(k) if isinstance(meta, dict) else None for k in ("writers", "readers")]
+        if not all(isinstance(names, list) and all(type(n) is str for n in names) for names in lists):
+            raise LedgerError("the ledger metadata is not an object of 'writers' and 'readers' string lists")
+        ledger = cls()
+        ledger.writers, ledger.readers = map(set, lists)
         ledger.blocks = []
-        for _ in range(count):
-            index, prev, payload, submitter, digest = json.loads(record())
-            ledger.blocks.append(Block(index, prev, payload, submitter, digest))
+        for i in range(count):
+            rec = record(f"ledger record {i}")
+            # json gives exact types, so comparing them also refuses a bool index
+            if not (isinstance(rec, list) and [type(v) for v in rec] == [int, str, dict, str, str]
+                    and (rec[2].get("type") != "submission" or type(rec[2].get("hash")) is str)):
+                raise LedgerError(f"ledger record {i} is not [index, previous digest, payload, submitter, digest]")
+            ledger.blocks.append(Block(*rec))
+        if pos != len(data):
+            raise LedgerError(f"{len(data) - pos} trailing bytes after the last ledger record")
         return ledger
 
 

@@ -33,10 +33,10 @@ through the frames the round carries.
 Two pairs of functions and `random_packed`, and no other code, know
 the batch widths: `pack_batch`/`unpack_batch` convert between 0/1 bits
 and packed rows, `_frame_payloads`/`_packed_rows` between packed rows
-and frame payloads, and `random_packed` draws packed rows. Everything
-outside the engine (inputs, openings, `shares_of`, share blobs) speaks
-one `uint8` per bit and converts through the first pair. Every frame
-payload goes through the second.
+and frame payloads, and `random_packed` draws packed rows. Inputs and
+openings speak one `uint8` per bit and convert through the first pair;
+share blobs and restores are packed rows. Every frame payload, a share
+blob's too, goes through the second.
 
 All messages and share blobs use one framed wire format: a version
 byte, little-endian (epoch, round, sender, wire-range id, bit count),
@@ -130,13 +130,6 @@ def encode_frame(epoch: int, round_no: int, sender: int, range_id: int, nbits: i
     return body + _CRC.pack(zlib.crc32(body))
 
 
-def pack_bits(bits) -> tuple[int, np.ndarray]:
-    """(bit count, packed payload) of a 0/1 array, flattened row-major:
-    what `encode_frame` takes."""
-    flat = np.asarray(bits, dtype=np.uint8).reshape(-1)
-    return flat.size, np.packbits(flat)
-
-
 def decode_frame(data: bytes):
     """(epoch, round, sender, range id, bit count, packed payload) of a
     frame that passes its checksum, version and length checks; the
@@ -169,19 +162,15 @@ def read_frame(data: bytes, epoch: int, round_no: int, sender: int, range_id: in
     return payload
 
 
-def encode_share_blob(party: int, epoch: int, range_id: int, bits: np.ndarray) -> bytes:
-    return encode_frame(epoch, 0, party, range_id, *pack_bits(bits))
-
-
-def decode_share_blob(data: bytes, party: int, epoch: int, range_id: int, shape: tuple) -> np.ndarray:
-    """A blob's bits as `shape`: `CorruptBlob` if it fails its checksum or
-    length, `EpochMismatch` if it belongs to another party, epoch or owner."""
-    nbits = math.prod(shape)
+def decode_share_blob(data: bytes, party: int, epoch: int, range_id: int, rows: int, batch: int) -> np.ndarray:
+    """A blob's `rows` shares as packed (rows, ceil(batch / 8)) rows:
+    `CorruptBlob` if it fails its checksum or length, `EpochMismatch` if
+    it belongs to another party, epoch or owner or holds another count."""
     try:
-        payload = read_frame(data, epoch, 0, party, range_id, nbits, mismatch=EpochMismatch)
+        payload = read_frame(data, epoch, 0, party, range_id, rows * batch, mismatch=EpochMismatch)
     except TransportFailure as exc:
         raise CorruptBlob(str(exc)) from exc
-    return np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits).reshape(shape)
+    return _packed_rows(np.frombuffer(payload, dtype=np.uint8)[None], rows, batch)[0]
 
 
 # -- batch layout ----------------------------------------------------------------
@@ -509,7 +498,7 @@ class Engine:
     """Drive the computing parties through one protocol execution.
 
     `parties` holds every computing party's shares and triples; row i
-    belongs to `computing_ids[i]` (see `shares_of`).
+    belongs to `computing_ids[i]`.
     """
 
     def __init__(
@@ -552,12 +541,7 @@ class Engine:
         )
         self._round = 0
         self._range_id = 0
-        self._restored: dict[int, np.ndarray] = {}  # per computing party, the wires it restored
-
-    def shares_of(self, pid: int) -> np.ndarray:
-        """Computing party `pid`'s shares as (wires, batch) bits: an
-        unpacked copy of its row of the share tensor, not a view."""
-        return unpack_batch(self.parties.shares[self._row[pid]], self.batch)
+        self._restored = np.zeros(0, dtype=np.intp)  # sorted: the wires `restore_shares` filled
 
     # input distribution ----------------------------------------------------
 
@@ -567,12 +551,9 @@ class Engine:
 
         `inputs` maps owner id to its full input bit vector (or batch).
         """
-        restored, *rest = (self._restored.get(pid, np.zeros(0)) for pid in self.computing_ids)
-        if not all(np.array_equal(wires, restored) for wires in rest):
-            raise MissingInput("the computing parties restored different wires")
         for owner, wires in self.circuit.input_map.items():
             wires = np.asarray(wires, dtype=np.intp)
-            keep = ~np.isin(wires, restored) if restored.size else slice(None)
+            keep = ~np.isin(wires, self._restored) if self._restored.size else slice(None)
             todo = wires[keep]
             if owner not in inputs:
                 if todo.size:
@@ -601,14 +582,15 @@ class Engine:
                 self.parties.shares[self._row[owner], todo] = shares[-1]
         self._end_round("input share")
 
-    def restore_shares(self, pid: int, wires, bits):
-        """Load `pid`'s stored shares of `wires`, as (wires, batch) bits;
-        every computing party must restore the same wires."""
+    def restore_shares(self, wires, packed):
+        """Load every computing party's stored shares of `wires`, packed
+        (parties, wires, ceil(batch / 8)) rows with row i the i-th
+        computing party's, as `decode_share_blob` returns them."""
         wires = np.asarray(wires, dtype=np.intp)
-        self.parties.shares[self._row[pid], wires] = pack_batch(bits)
+        self.parties.shares[:, wires] = packed
         # not np.union1d: it goes through np.unique, whose first call imports
         # numpy.ma, 0.7 MB of resident memory a round never needed before
-        self._restored[pid] = np.sort(np.concatenate((self._restored.get(pid, wires[:0]), wires)))
+        self._restored = np.sort(np.concatenate((self._restored, wires)))
 
     # protocol rounds ---------------------------------------------------------
 
@@ -723,5 +705,8 @@ class Engine:
     # persistence ----------------------------------------------------------------
 
     def persist_shares(self, pid: int, wires, range_id: int = 1) -> bytes:
-        bits = unpack_batch(self.parties.shares[self._row[pid], list(wires)], self.batch)
-        return encode_share_blob(pid, self.epoch, range_id, bits)
+        """`pid`'s share blob of `wires`: its packed rows of them framed
+        in round 0, with `range_id` naming the input owner."""
+        rows = self.parties.shares[self._row[pid], np.asarray(wires, dtype=np.intp)]
+        payload = _frame_payloads(rows[None], self.batch)[0]
+        return encode_frame(self.epoch, 0, pid, range_id, len(rows) * self.batch, payload)

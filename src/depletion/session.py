@@ -666,9 +666,10 @@ class Session:
     """Stateful multi-epoch orchestration with share persistence.
 
     Submitted records are immutable: additions only. Every computing
-    party persists its shares of each record's hash value after a run;
-    the next epoch restores them into the engine at the records' new
-    slots, so only new records and the epoch's fresh keys are shared again.
+    party persists its shares of each record's hash value after a run,
+    as a blob of the engine's packed rows; the next epoch restores every
+    party's into the engine at once, at the records' new slots, so only
+    new records and the epoch's fresh keys are shared again.
     """
 
     def __init__(self, config: SessionConfig, stockpiles: dict[int, object], seed):
@@ -732,17 +733,18 @@ class Session:
         return result
 
     def _restore_persisted(self, slots, engine, compiled):
-        """Restore the stored v-shares of every kept record into its slot
-        of this epoch, with one `restore_shares` call per computing party;
-        `slots` holds each party's (slot, kept) from `slots_of`.
+        """Restore every computing party's stored v-shares of every kept
+        record into its slot of this epoch, packed rows as the blobs hold
+        them, with one `restore_shares` call; `slots` holds each party's
+        (slot, kept) from `slots_of`.
 
         After an epoch that ran only the plaintext circuit nothing is
         stored, and every record is shared fresh."""
         if not self.store:
             return
-        sigma = compiled.config.sigma
+        sigma, batch = compiled.config.sigma, engine.batch
         wires = []  # per owner with kept records, their v-wires in this epoch
-        bits = {cp: [] for cp in engine.computing_ids}
+        rows = {cp: [] for cp in engine.computing_ids}
         for i, p in enumerate(self.slots):
             submitted, (slot, kept) = len(self.state[p].values), slots[p]
             if not kept.any():
@@ -753,12 +755,10 @@ class Session:
                 if entry is None:
                     raise mpc.EpochMismatch(f"no stored shares for party {cp} owner {i}")
                 saved_epoch, blob = entry
-                rows = mpc.decode_share_blob(blob, cp, saved_epoch, i + 1, (submitted, sigma))
-                bits[cp].append(rows[slot[kept]].reshape(-1, 1))
+                packed = mpc.decode_share_blob(blob, cp, saved_epoch, i + 1, submitted * sigma, batch)
+                rows[cp].append(packed.reshape(submitted, sigma, -1)[slot[kept]].reshape(-1, packed.shape[1]))
         if wires:
-            wires = np.concatenate(wires)
-            for cp in engine.computing_ids:
-                engine.restore_shares(cp, wires, np.concatenate(bits[cp]))
+            engine.restore_shares(np.concatenate(wires), np.stack([np.concatenate(r) for r in rows.values()]))
 
     def _persist(self, engine, compiled):
         for i in range(len(self.slots)):

@@ -107,6 +107,23 @@ def test_compile_fixed_plus_m_manifests_agree(tmp_path):
     assert counted_man == {k: v for k, v in man.items() if k != "and_depth"}
 
 
+def test_compile_layers_sets_the_shuffle_layers(tmp_path):
+    """`--layers 2` of three parties: a two-layer Shuffle of 2/3 of the
+    default's ANDs, on which the counted and materialized manifests agree."""
+    args = ["compile", "--parties", "3", "--u", "2", "--sigma", "8"]
+    default, built, counted = (tmp_path / f"{name}.json" for name in ("default", "built", "counted"))
+    assert run(args + ["--counts-only", "--report", str(default)]) == 0
+    args += ["--layers", "2"]
+    assert run(args + ["--out", str(tmp_path / "c.txt"), "--report", str(built)]) == 0
+    assert run(args + ["--counts-only", "--report", str(counted)]) == 0
+    default, built, counted = (json.loads(p.read_text()) for p in (default, built, counted))
+    assert default["config"]["shuffle_layers"] == 3 and built["config"]["shuffle_layers"] == 2
+    shuffle = [next(s["and_count"] for s in m["stages"] if s["name"] == "Shuffle") for m in (default, built)]
+    assert 2 * shuffle[0] == 3 * shuffle[1] > 0
+    assert built.pop("and_depth") > 0 and counted.pop("and_depth") is None
+    assert counted == built
+
+
 def test_compile_variant_defaults(tmp_path):
     """The default --fixed-parties 0 serves fixed-plus-m and is ignored
     by the other variants."""
@@ -336,3 +353,25 @@ def test_ledger_attack_command(tmp_path, capsys):
         "--report", str(report),
     ]) == 0
     assert "recovered: 1 (100.0%)" in report.read_text()
+
+
+def test_ledger_submit_without_a_hash_source_exits_2(tmp_path, capsys):
+    path = tmp_path / "chain.ledger"
+    assert run(["ledger", "init", "--file", str(path), "--writers", "w1"]) == 0
+    capsys.readouterr()
+    assert run(["ledger", "submit", "--file", str(path), "--writer", "w1"]) == 2
+    err = capsys.readouterr().err
+    assert "LedgerError" in err and "--hash" in err and "--id-file" in err
+
+
+@pytest.mark.parametrize("action", ["verify", "check"])
+def test_malformed_ledger_file_exits_2(tmp_path, capsys, action):
+    """A file whose genesis payload is not an object is a LedgerError,
+    not a traceback, whatever the action."""
+    path = tmp_path / "chain.ledger"
+    assert run(["ledger", "init", "--file", str(path), "--readers", "r1"]) == 0
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b'{"type":"genesis"}', b'"genesis"'.ljust(18)))
+    capsys.readouterr()
+    assert run(["ledger", action, "--file", str(path), "--reader", "r1"]) == 2
+    assert "LedgerError" in capsys.readouterr().err

@@ -35,8 +35,7 @@ def _reframe(data, trim=0, **steps):
     for name, step in steps.items():
         head[HEADER.index(name)] += step
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits - trim)
-    nbits, packed = mpc.pack_bits(bits)
-    body = mpc._HEAD.pack(*head, nbits) + packed.tobytes()
+    body = mpc._HEAD.pack(*head, bits.size) + np.packbits(bits).tobytes()
     return body + mpc._CRC.pack(zlib.crc32(body))
 
 

@@ -1,7 +1,9 @@
 """Hash-chain ledger, intersection transaction, tamper and attack demos."""
 
 import dataclasses
+import json
 import random
+import struct
 
 import pytest
 
@@ -114,6 +116,52 @@ def test_file_round_trip():
     assert back.writers == led.writers and back.readers == led.readers
     with pytest.raises(L.LedgerError):
         L.Ledger.load_bytes(data[:10])
+
+
+def _ledger_file(meta, records, tail=b""):
+    """A ledger file of the metadata and records, each JSON-encoded
+    unless it is bytes already, followed by `tail`."""
+    out = [struct.pack("<BI", L.LEDGER_FILE_VERSION, len(records))]
+    for item in [meta, *records]:
+        raw = item if isinstance(item, bytes) else json.dumps(item).encode()
+        out += [struct.pack("<I", len(raw)), raw]
+    return b"".join(out) + tail
+
+
+META = {"writers": ["w1"], "readers": ["r1"]}
+GENESIS = list(dataclasses.astuple(L.Ledger().blocks[0]))
+
+
+def test_hand_built_ledger_file_loads():
+    """The malformed files below differ from this one in one fault each."""
+    led = L.Ledger.load_bytes(_ledger_file(META, [GENESIS]))
+    assert led.verify_chain() is None and led.writers == {"w1"} and led.readers == {"r1"}
+
+
+@pytest.mark.parametrize("meta, records, tail", [
+    (META, [7], b""),
+    (["w1", "r1"], [GENESIS], b""),
+    ({"readers": ["r1"]}, [GENESIS], b""),
+    ({"writers": ["w1"]}, [GENESIS], b""),
+    ({"writers": "w1", "readers": ["r1"]}, [GENESIS], b""),
+    ({"writers": [1], "readers": ["r1"]}, [GENESIS], b""),
+    (META, [[*GENESIS[:2], "genesis", *GENESIS[3:]]], b""),
+    (META, [[*GENESIS[:2], ["genesis"], *GENESIS[3:]]], b""),
+    (META, [GENESIS], b"\x00"),
+    (META, [["0", *GENESIS[1:]]], b""),
+    (META, [[True, *GENESIS[1:]]], b""),
+    (META, [[*GENESIS[:3], None, GENESIS[4]]], b""),
+    (META, [GENESIS[:4]], b""),
+    (META, [GENESIS, [1, GENESIS[4], {"type": "submission"}, "w1", "0" * 128]], b""),
+    (META, [b"\xff"], b""),
+    (b"{", [GENESIS], b""),
+], ids=["record-number", "metadata-list", "no-writers", "no-readers", "writers-string",
+        "writer-number", "payload-string", "payload-list", "trailing-byte", "index-string",
+        "index-bool", "submitter-null", "four-fields", "submission-without-hash",
+        "record-not-utf8", "metadata-not-json"])
+def test_malformed_ledger_file_is_a_ledger_error(meta, records, tail):
+    with pytest.raises(L.LedgerError):
+        L.Ledger.load_bytes(_ledger_file(meta, records, tail))
 
 
 def test_attack_recovers_in_space_submissions():

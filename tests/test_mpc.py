@@ -13,7 +13,7 @@ from reference import int_to_bits
 from depletion import mpc
 from depletion import compiler as CP
 from depletion import session as S
-from depletion.circuit import CircuitBuilder, MissingInput
+from depletion.circuit import CircuitBuilder
 
 
 def tiny_and_circuit():
@@ -54,7 +54,7 @@ def frame_bits(data):
 
 def test_frame_round_trip():
     bits = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.uint8)
-    frame = mpc.encode_frame(3, 17, 2, 9, *mpc.pack_bits(bits))
+    frame = mpc.encode_frame(3, 17, 2, 9, bits.size, np.packbits(bits))
     *head, nbits, payload = mpc.decode_frame(frame)
     assert head == [3, 17, 2, 9] and nbits == bits.size
     assert payload == np.packbits(bits).tobytes()
@@ -62,7 +62,7 @@ def test_frame_round_trip():
 
 
 def test_frame_corruption_detected():
-    frame = bytearray(mpc.encode_frame(1, 1, 0, 0, *mpc.pack_bits(np.ones(16, dtype=np.uint8))))
+    frame = bytearray(mpc.encode_frame(1, 1, 0, 0, 16, b"\xff\xff"))
     frame[7] ^= 0x40
     with pytest.raises(mpc.TransportFailure):
         mpc.decode_frame(bytes(frame))
@@ -72,7 +72,7 @@ def test_frame_corruption_detected():
 
 def test_read_frame_checks_every_header_field_and_the_bit_count():
     bits = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-    frame = mpc.encode_frame(3, 17, 2, 9, *mpc.pack_bits(bits))
+    frame = mpc.encode_frame(3, 17, 2, 9, bits.size, np.packbits(bits))
     assert mpc.read_frame(frame, 3, 17, 2, 9, 6) == np.packbits(bits).tobytes()
     for header, nbits in [
         ((4, 17, 2, 9), 6),
@@ -84,26 +84,6 @@ def test_read_frame_checks_every_header_field_and_the_bit_count():
     ]:
         with pytest.raises(mpc.TransportFailure):
             mpc.read_frame(frame, *header, nbits)
-
-
-def test_share_blob_round_trip_and_authorization():
-    bits = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8)
-    blob = mpc.encode_share_blob(party=4, epoch=2, range_id=1, bits=bits)
-    got = mpc.decode_share_blob(blob, party=4, epoch=2, range_id=1, shape=(3, 2))
-    assert got.tolist() == bits.tolist()
-    for party, epoch, range_id, shape in [
-        (1, 2, 1, (3, 2)),  # another computing party
-        (4, 3, 1, (3, 2)),  # another epoch
-        (4, 2, 2, (3, 2)),  # another input owner
-        (4, 2, 1, (2, 2)),  # another size
-    ]:
-        with pytest.raises(mpc.EpochMismatch):
-            mpc.decode_share_blob(blob, party, epoch, range_id, shape)
-    with pytest.raises(mpc.CorruptBlob):
-        mpc.decode_share_blob(blob[:-1] + bytes([blob[-1] ^ 1]), 4, 2, 1, (3, 2))
-    short = blob[:-5]  # one payload byte gone, checksum recomputed
-    with pytest.raises(mpc.CorruptBlob):
-        mpc.decode_share_blob(short + struct.pack("<I", zlib.crc32(short)), 4, 2, 1, (3, 2))
 
 
 # -- batch layout --------------------------------------------------------------
@@ -411,7 +391,7 @@ def test_opening_aborts_when_recipients_reconstruct_differently():
         def send(self, sender, recipient, data):
             if (sender, recipient) == (0, 2):
                 head, bits = frame_bits(data)
-                data = mpc.encode_frame(*head, *mpc.pack_bits(bits ^ 1))
+                data = mpc.encode_frame(*head, bits.size, np.packbits(bits ^ 1))
             super().send(sender, recipient, data)
 
     b = CircuitBuilder()
@@ -491,22 +471,6 @@ def test_full_compiled_circuit_mpc_equals_plaintext():
     engine.transcript.verify()
 
 
-def test_persist_and_load_round_trip():
-    circ = tiny_and_circuit()
-    ids = [0, 1]
-    engine = mpc.Engine(circ, ids, dealer_seed=0, epoch=5)
-    rngs = {p: np.random.default_rng(p) for p in ids}
-    engine.share_inputs({0: [1], 1: [1]}, lambda p: rngs[p])
-    wires = circ.input_map[0] + circ.input_map[1]
-    blob = engine.persist_shares(0, wires)
-    fresh = mpc.Engine(circ, ids, dealer_seed=1, epoch=5)
-    bits = mpc.decode_share_blob(blob, 0, 5, 1, (len(wires), 1))
-    fresh.restore_shares(0, wires, bits)
-    assert np.array_equal(fresh.shares_of(0)[wires], engine.shares_of(0)[wires])
-    with pytest.raises(mpc.EpochMismatch):
-        mpc.decode_share_blob(blob, 1, 5, 1, (len(wires), 1))
-
-
 def _restore_circuit():
     """Owner 0 holds six input wires, owners 1 and 2 three each."""
     b = CircuitBuilder()
@@ -528,8 +492,7 @@ def test_restored_wires_are_left_out_of_input_sharing():
     restored, todo = circ.input_map[0][1::2], circ.input_map[0][0::2]
     transport = RecordingTransport()
     engine = mpc.Engine(circ, ids, dealer_seed=2, batch=batch, transport=transport)
-    for pid in ids:
-        engine.restore_shares(pid, restored, earlier.shares_of(pid)[restored])
+    engine.restore_shares(restored, earlier.parties.shares[:, restored])
     rngs = {p: np.random.default_rng(20 + p) for p in ids}
     assert np.array_equal(engine.run(inputs, lambda p: rngs[p]), circ.evaluate(inputs))
 
@@ -540,20 +503,58 @@ def test_restored_wires_are_left_out_of_input_sharing():
         # exactly the recipient's shares of the unrestored bits
         assert nbits == len(todo) * batch
         bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits)
-        assert np.array_equal(bits.reshape(len(todo), batch), engine.shares_of(recipient)[todo])
+        own = mpc.unpack_batch(engine.parties.shares[ids.index(recipient), todo], batch)
+        assert np.array_equal(bits.reshape(len(todo), batch), own)
     for owner in (1, 2):
         assert all(frame[4] == 3 * batch for s, _, frame in round0 if s == owner)
-    for pid in ids:
-        assert np.array_equal(engine.shares_of(pid)[restored], earlier.shares_of(pid)[restored])
+    assert np.array_equal(engine.parties.shares[:, restored], earlier.parties.shares[:, restored])
 
 
-def test_input_sharing_refuses_wires_restored_for_only_some_parties():
+@pytest.mark.parametrize("batch, ids, epoch", [
+    (1, [0, 1], 5),
+    (2, [2, 4], 2),  # computing parties 2 and 4: owners 0 and 1 send every share
+    (3, [0, 1, 2], 1),
+    (9, [0, 1, 2], 7),
+    (256, [0, 1, 2], 3),
+], ids=["batch1-two-parties", "batch2-party4", "batch3", "batch9", "batch256"])
+def test_share_blobs_restore_every_party_and_are_refused_elsewhere(batch, ids, epoch):
+    """`persist_shares`, `decode_share_blob` and one `restore_shares` give
+    a fresh engine every computing party's packed rows back, and its run
+    the plaintext outputs. A blob read as another party's, epoch's,
+    owner's or row count's is refused, and a damaged one is corrupt."""
     circ = _restore_circuit()
-    engine = mpc.Engine(circ, [0, 1, 2], dealer_seed=0)
-    engine.restore_shares(0, circ.input_map[0][:2], np.zeros((2, 1), dtype=np.uint8))
-    inputs = {p: [0] * len(ws) for p, ws in circ.input_map.items()}
-    with pytest.raises(MissingInput, match="restored different wires"):
-        engine.run(inputs, lambda p: np.random.default_rng(p))
+    rng = np.random.default_rng(batch)
+    inputs = {p: rng.integers(0, 2, size=(len(ws), batch), dtype=np.uint8)
+              for p, ws in circ.input_map.items()}
+    engine = mpc.Engine(circ, ids, dealer_seed=1, batch=batch, epoch=epoch)
+    rngs = {p: np.random.default_rng(10 + p) for p in circ.input_map}
+    engine.share_inputs(inputs, lambda p: rngs[p])
+    wires = [w for p in sorted(circ.input_map) for w in circ.input_map[p]]
+    rows, width = len(wires), -(-batch // 8)
+    blobs = {pid: engine.persist_shares(pid, wires, range_id=3) for pid in ids}
+    packed = np.stack([mpc.decode_share_blob(blobs[pid], pid, epoch, 3, rows, batch) for pid in ids])
+    assert packed.shape == (len(ids), rows, width)
+
+    fresh = mpc.Engine(circ, ids, dealer_seed=2, batch=batch, epoch=epoch + 1)
+    fresh.restore_shares(wires, packed)
+    assert np.array_equal(fresh.parties.shares[:, wires], engine.parties.shares[:, wires])
+    rngs = {p: np.random.default_rng(20 + p) for p in circ.input_map}
+    assert np.array_equal(fresh.run(inputs, lambda p: rngs[p]), circ.evaluate(inputs))
+
+    pid, blob = ids[-1], blobs[ids[-1]]
+    for party, at, owner, count in [
+        (ids[0], epoch, 3, rows),      # another computing party
+        (pid, epoch + 1, 3, rows),     # another epoch
+        (pid, epoch, 2, rows),         # another input owner
+        (pid, epoch, 3, rows - 1),     # another row count
+    ]:
+        with pytest.raises(mpc.EpochMismatch):
+            mpc.decode_share_blob(blob, party, at, owner, count, batch)
+    with pytest.raises(mpc.CorruptBlob):
+        mpc.decode_share_blob(blob[:-1] + bytes([blob[-1] ^ 1]), pid, epoch, 3, rows, batch)
+    short = blob[:-5]  # one payload byte gone, checksum recomputed
+    with pytest.raises(mpc.CorruptBlob):
+        mpc.decode_share_blob(short + struct.pack("<I", zlib.crc32(short)), pid, epoch, 3, rows, batch)
 
 
 def test_engine_bytes_bounds_the_peak_of_building_an_engine(monkeypatch):
