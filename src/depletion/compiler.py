@@ -4,14 +4,18 @@ Stage pipeline: per-party sortedness flags (opened reactively before
 anything else is revealed), an oblivious merge tree over all parties'
 sorted records, duplicate-key selection under a `VariantSpec` (at
 least two holders, at least m, or every fixed party plus m others) that
-picks one key per record, and a composed per-party Waksman shuffle of
-those N*u keys. Each shuffled key is then an output wire twice, side by
-side, so the opening shows 2*N*u keys, each exactly twice.
+XORs its select bit into every bit of the record's key, and a composed
+per-party Waksman shuffle of those N*u keys. Each shuffled key is then
+an output wire twice, side by side, so the opening shows 2*N*u keys,
+each exactly twice: a record's key k if it is exclusive, its complement
+¬k if it is shared.
 
-Records are the rows `v | k0 | k1 | tag` of one wire array, and every
-stage is emitted a layer at a time: SortCheck's comparators and
-DupSelect's equality tests and muxes are one block call each, and the
-merge tree and each shuffle layer emit one call set per layer of
+Records are the rows `v | k | tag` of one wire array, laid out once
+here (`RECORD_FIELDS`, `CircuitConfig.field`, `CircuitConfig.record_bits`,
+`Compiled.v_wires`, `CircuitConfig.output_keys`) for the session layer
+to read. Every stage is emitted a layer at a time: SortCheck's
+comparators and DupSelect's equality tests are one block call each, and
+the merge tree and each shuffle layer emit one call set per layer of
 independent exchanges. The tag column exists only for fixed-plus-m and
 is derived from the variant: the i-th fixed slot carries the public
 constant i and every other slot carries z, the number of fixed slots.
@@ -36,6 +40,9 @@ from .waksman import build_network, switch_count
 
 STAGE_NAMES = ("SortCheck", "MergeTree", "DupSelect", "Shuffle")
 VARIANT_KINDS = ("at-least-two", "at-least-m", "fixed-plus-m")
+# a record's sigma-bit input fields in wire order: its value and its key;
+# fixed-plus-m appends the slot's public tag as constant wires
+RECORD_FIELDS = ("v", "k")
 
 
 class ConfigInvalid(Exception):
@@ -127,6 +134,21 @@ class CircuitConfig:
         return len(self.control_parties)
 
     @property
+    def record_bits(self) -> int:
+        """Input bits of one record: its `RECORD_FIELDS`, sigma bits each."""
+        return len(RECORD_FIELDS) * self.sigma
+
+    def field(self, name: str) -> slice:
+        """Where the field `name` of `RECORD_FIELDS` lies in a record's row."""
+        at = RECORD_FIELDS.index(name) * self.sigma
+        return slice(at, at + self.sigma)
+
+    @property
+    def output_keys(self) -> int:
+        """Opened keys: each of the N*u shuffled keys twice."""
+        return 2 * self.total_records
+
+    @property
     def control_bits_per_layer(self) -> int:
         """Switches of one Waksman network over the N*u selected keys."""
         return switch_count(self.total_records)
@@ -203,16 +225,16 @@ class Compiled:
     def v_wires(self, party: int) -> np.ndarray:
         """Input wires carrying party's record hash values: a (u, sigma)
         array whose row r holds record slot r's."""
-        u, sigma = self.config.inputs_per_party, self.config.sigma
-        records = np.asarray(self.circuit.input_map[party][: u * 3 * sigma])
-        return records.reshape(u, 3, sigma)[:, 0]
+        cfg = self.config
+        records = np.asarray(self.circuit.input_map[party][: cfg.inputs_per_party * cfg.record_bits])
+        return records.reshape(cfg.inputs_per_party, cfg.record_bits)[:, cfg.field("v")]
 
 
 def _construct(b, cfg: CircuitConfig):
     """Emit the four stages through builder `b`.
 
-    A record is one flat row of wires `v | k0 | k1 | tag`: three sigma-bit
-    input fields, then the party's public tag as constant wires
+    A record is one flat row of wires `v | k | tag`: the sigma-bit input
+    fields `RECORD_FIELDS`, then the party's public tag as constant wires
     (fixed-plus-m only). Records are rows of one array, so each block
     call serves every record, comparator or switch of a layer at once.
     Each stage's counts and gate and wire ranges come from the builder's
@@ -221,14 +243,15 @@ def _construct(b, cfg: CircuitConfig):
     output keys (each shuffled key twice, side by side), the stages, and
     the merged records' value wires.
     """
-    N, u, sigma = cfg.n_parties, cfg.inputs_per_party, cfg.sigma
-    records = np.array([b.input_vector(p, u * 3 * sigma) for p in range(N)])
-    records = records.reshape(N, u, 3 * sigma)
+    N, u, width = cfg.n_parties, cfg.inputs_per_party, cfg.record_bits
+    records = np.array([b.input_vector(p, u * width) for p in range(N)])
+    records = records.reshape(N, u, width)
     controls = [
         b.input_vector(owner, cfg.control_bits_per_layer)
         for owner in cfg.control_parties
     ]
-    first = 1 + N * u * 3 * sigma + len(controls) * cfg.control_bits_per_layer
+    first = 1 + N * u * width + len(controls) * cfg.control_bits_per_layer
+    v = cfg.field("v")
     stages: list[CompiledStage] = []
     mark = (0, 0)
 
@@ -240,14 +263,14 @@ def _construct(b, cfg: CircuitConfig):
         mark = (a1, x1)
 
     if u >= 2:
-        v = records[:, :, :sigma]
+        values = records[:, :, v]
         # axis 0 of the transposed (u-1, N) verdicts is each party's fold axis
-        flags = b.not_(pairwise(b.and_v, b.lt(v[:, :-1], v[:, 1:]).T))
+        flags = b.not_(pairwise(b.and_v, b.lt(values[:, :-1], values[:, 1:]).T))
     else:
         flags = np.full(N, b.zero())
     close("SortCheck")
 
-    merged = records.reshape(N * u, 3 * sigma)
+    merged = records.reshape(N * u, width)
     if cfg.variant.kind == "fixed-plus-m":
         tags = b.const_bits(*_slot_tags(cfg))
         merged = np.concatenate([merged, np.repeat(tags, u, axis=0)], axis=1)
@@ -259,7 +282,7 @@ def _construct(b, cfg: CircuitConfig):
 
     layers, order = exchange_layers(tree, N * u)
     for lo, hi in (layer.T for layer in layers):
-        c = b.lt(merged[hi, :sigma], merged[lo, :sigma])
+        c = b.lt(merged[hi, v], merged[lo, v])
         merged[lo], merged[hi] = b.cond_swap(c, merged[lo], merged[hi])
     merged = merged[order]
     close("MergeTree")
@@ -271,7 +294,7 @@ def _construct(b, cfg: CircuitConfig):
         out_keys = build_network(b, layer_bits, out_keys)
     close("Shuffle")
 
-    return flags, np.repeat(out_keys, 2, axis=0), stages, merged[:, :sigma]
+    return flags, np.repeat(out_keys, 2, axis=0), stages, merged[:, v]
 
 
 def _dup_select(b, cfg: CircuitConfig, merged: np.ndarray) -> np.ndarray:
@@ -280,21 +303,21 @@ def _dup_select(b, cfg: CircuitConfig, merged: np.ndarray) -> np.ndarray:
 
     Every variant is one window test: a record qualifies when it lies in
     a window of z + m equal values and its run of them holds each of the
-    z fixed tags. It selects k1 if so and k0 if not. The Shuffle permutes
-    these N*u keys and only then is each output twice, so every opened
-    key appears exactly twice. A window longer than all N*u records can
-    never be filled, so every record keeps its 0-key.
+    z fixed tags. Its select bit sel is XORed into every bit of its key
+    k, so it yields ¬k if it qualifies and k if not, with XOR gates only.
+    The Shuffle permutes these N*u keys and only then is each output
+    twice, so every opened key appears exactly twice. A window longer
+    than all N*u records can never be filled, so every record keeps k.
     """
-    total, sigma = len(merged), cfg.sigma
-    v = merged[:, :sigma]
-    k0 = merged[:, sigma : 2 * sigma]
-    k1 = merged[:, 2 * sigma : 3 * sigma]
+    total = len(merged)
+    v = merged[:, cfg.field("v")]
+    k = merged[:, cfg.field("k")]
     variant = cfg.variant
     # fixed tags are 0..z-1; z is 0 outside fixed-plus-m
     z = len(variant.fixed_parties)
     window = z + variant.m
     if window > total:
-        return k0
+        return k
 
     eqs = b.eq(v[:-1], v[1:])
 
@@ -318,7 +341,7 @@ def _dup_select(b, cfg: CircuitConfig, merged: np.ndarray) -> np.ndarray:
     # via forward/backward sweeps that stop at run boundaries
     presence = []
     for tag in range(z):
-        has = b.eq_const(merged[:, 3 * sigma :], tag)
+        has = b.eq_const(merged[:, cfg.record_bits :], tag)
         fwd = [has[0]]
         for i in range(1, total):
             fwd.append(b.or_(has[i], b.and_v(eqs[i - 1], fwd[i - 1])))
@@ -328,7 +351,7 @@ def _dup_select(b, cfg: CircuitConfig, merged: np.ndarray) -> np.ndarray:
         presence.append(b.or_(np.array(fwd), np.array(bwd[::-1])))
 
     sel = pairwise(b.and_v, np.stack([length_ok, *presence]))
-    return b.mux(sel, k0, k1)
+    return b.xor_v(k, sel[:, None])
 
 
 @lru_cache(maxsize=2)  # one configuration plus one alternate
@@ -353,7 +376,7 @@ def stage_bounds(cfg: CircuitConfig) -> dict[str, float]:
     total = N * u
     # z = 0 outside fixed-plus-m
     z, omega = len(cfg.variant.fixed_parties), _slot_tags(cfg)[1]
-    dup = 2 * total * (sigma + (z + cfg.variant.m) + z * (omega + 5))
+    dup = total * sigma + 2 * total * (z + cfg.variant.m + z * (omega + 5))
     return {
         "SortCheck": N * (u - 1) * (sigma + 1),
         "MergeTree": 2 * N * N * u * sigma * math.log2(total) if total > 1 else 0,
@@ -396,6 +419,6 @@ def manifest(cfg: CircuitConfig, stages: list[CompiledStage], depth_and: int | N
         "total_and": sum(st.and_count for st in stages),
         "total_xor": sum(st.xor_count for st in stages),
         "and_depth": depth_and,
-        "output_keys": 2 * cfg.total_records,
+        "output_keys": cfg.output_keys,
         "control_bits_per_layer": cfg.control_bits_per_layer,
     }

@@ -11,12 +11,15 @@ under a shared forbidden set so that sub-cryptographic hash widths
 collisions that are negligible at sigma 256.
 
 Values and keys travel as big-endian ⌈σ/8⌉-byte rows for every session
-of a round at once. Each party draws its keys and dummies for all
-sessions with one `rng.bytes` call, at every width; one sort per session
-finds the draws that repeat a forbidden or an earlier row, and only
-those are drawn again. The rows become input bits with one
-`np.unpackbits` per party, the opened bits become rows again, and one
-sort plus one `searchsorted` match every party's keys against them. A
+of a round at once. Each record has one key k; the circuit opens k if
+the record is exclusive and its complement ¬k if it is shared, so the
+pairs {k, ¬k} of a session's records must be disjoint. Each party draws
+its keys and dummies for all sessions with one `rng.bytes` call, at
+every width; one sort per session finds the draws that repeat a
+forbidden or an earlier row, and only those are drawn again. The rows
+become input bits with one `np.unpackbits` per party, the opened bits
+become rows again, and one sort plus one `searchsorted` match every
+party's k and ¬k against them. A
 `Session` keeps each party's submitted value rows and dummy flags
 between epochs, and one `searchsorted` finds each record of a new epoch
 among them. Python ints appear only at the API boundary: stockpiles,
@@ -60,7 +63,8 @@ class ConfigMismatch(SessionError):
 
 
 class ProtocolCorruption(SessionError):
-    """Opened keys are missing both keys of a submitted record."""
+    """The opened output contradicts the protocol: a record's k and ¬k
+    are both opened or neither is, or the two evaluations disagree."""
 
 
 class RemovalAttempted(SessionError):
@@ -186,8 +190,8 @@ def _json_fields(obj: dict, kinds: dict, where: str) -> dict:
 class PreparedParty:
     """One party's records in every session of a round, sorted by value
     within each session: big-endian ⌈σ/8⌉-byte rows of the values
-    (sessions, u, nbytes) and of their key pairs (sessions, u, 2, nbytes),
-    k0 then k1, and which records are dummies (sessions, u)."""
+    (sessions, u, nbytes) and of their keys (sessions, u, nbytes), and
+    which records are dummies (sessions, u)."""
 
     values: np.ndarray
     keys: np.ndarray
@@ -223,20 +227,26 @@ def _taken_rows(taken, sessions: int, width: int) -> np.ndarray:
     return np.broadcast_to(rows, (sessions, *rows.shape))
 
 
-def _draw_distinct(rng, count, width: int, taken, lowest: int, first=None) -> np.ndarray:
+def _draw_distinct(rng, count, width: int, taken, lowest: int) -> np.ndarray:
     """Distinct fresh values of [lowest, 2^width) that avoid `taken`,
     count[b] of them in each session b, as rows (sessions, max count,
     nbytes) that are zero past count[b]. `taken` holds rows (sessions, n,
     nbytes), or is a set of ints taken in every session.
 
-    The rows are drawn uniformly, or taken from `first` (rows of the same
-    shape, overwritten in place) if given; every draw that repeats a taken
-    or an earlier row of its session is then drawn again until none does.
-    Whether a draw is drawn again depends only on which rows are equal and
-    where they stand, so a session's rows are uniform over the tuples of
-    distinct allowed values. A space with too few allowed values raises
-    RandomnessFailure before anything is drawn.
+    A space with too few allowed values raises RandomnessFailure before
+    anything is drawn; the rows are then drawn uniformly and made
+    distinct by `_redraw_repeats`.
     """
+    count, taken = _claim(count, width, taken, lowest)
+    drawn = random_rows(rng, (len(count), int(count.max(initial=0))), width)
+    return _redraw_repeats(rng, count, width, taken, drawn)
+
+
+def _claim(count, width: int, taken, lowest: int) -> tuple[np.ndarray, np.ndarray]:
+    """The counts as an array and the rows (sessions, n, nbytes) that
+    fresh width-bit values must avoid: `taken` and every value below
+    `lowest`. Raises RandomnessFailure unless each session b has count[b]
+    values left."""
     count = np.array(count, dtype=np.int64, ndmin=1)
     sessions, need, nbytes = len(count), int(count.max(initial=0)), row_bytes(width)
     below = np.broadcast_to(ints_to_rows(range(lowest), width), (sessions, lowest, nbytes))
@@ -244,10 +254,18 @@ def _draw_distinct(rng, count, width: int, taken, lowest: int, first=None) -> np
     space = 1 << width
     if taken.shape[1] + need > space and (distinct_counts(taken) + count > space).any():
         raise RandomnessFailure(f"need {need} fresh {width}-bit values, space exhausted")
-    if not need:
-        return np.zeros((sessions, 0, nbytes), np.uint8)
-    drawn = random_rows(rng, (sessions, need), width) if first is None else first
-    live = np.arange(need) < count[:, None]
+    return count, taken
+
+
+def _redraw_repeats(rng, count: np.ndarray, width: int, taken: np.ndarray, drawn: np.ndarray) -> np.ndarray:
+    """`drawn`, uniform width-bit rows (sessions, max count, nbytes), made
+    distinct in place: every draw that repeats a taken or an earlier row
+    of its session is drawn again until none does, and the rows past
+    count[b] are zeroed. Whether a draw is drawn again depends only on
+    which rows are equal and where they stand, so a session's rows are
+    uniform over the tuples of distinct allowed values. `count` and
+    `taken` come from `_claim`."""
+    live = np.arange(drawn.shape[1]) < count[:, None]
     # a dead slot sits after every live one of its session, so it never
     # makes a live draw a repeat
     while True:
@@ -258,6 +276,37 @@ def _draw_distinct(rng, count, width: int, taken, lowest: int, first=None) -> np
         drawn[flags] = random_rows(rng, (again,), width)
     drawn[~live] = 0
     return drawn
+
+
+def _complement(sigma: int) -> np.ndarray:
+    """The row of 2^sigma - 1: XORed into a sigma-bit row, it gives ¬k."""
+    return ints_to_rows([(1 << sigma) - 1], sigma)[0]
+
+
+def _flip_bits(keys: np.ndarray, sigma: int) -> np.ndarray:
+    """The top bit of each sigma-bit key row, shape (..., 1)."""
+    return keys[..., :1] >> (7 - (8 * keys.shape[-1] - sigma)) & 1
+
+
+def _canonical(keys: np.ndarray, sigma: int) -> np.ndarray:
+    """min(k, ¬k) of each sigma-bit key row, as a (sigma-1)-bit row: k
+    without its top bit if that bit is 0, ¬k without it if it is 1."""
+    flipped = keys ^ _flip_bits(keys, sigma) * _complement(sigma)
+    return flipped[..., keys.shape[-1] - row_bytes(sigma - 1) :]
+
+
+def _draw_keys(rng, raw: np.ndarray, sigma: int, taken: np.ndarray) -> np.ndarray:
+    """One sigma-bit key per record from the uniform rows `raw`: a row's
+    top bit is its flip bit, and its canonical c = min(row, ¬row) is made
+    distinct from the other records' and from the canonical rows `taken`
+    (drawn again where it repeats one); the key is c, or ¬c if the flip
+    bit is 1, which is the row itself unless c was drawn again. So each
+    key is uniform over all sigma bits, and min(k, ¬k) = c makes the
+    pairs {k, ¬k} disjoint."""
+    canon = _redraw_repeats(rng, np.full(len(raw), raw.shape[1]), sigma - 1, taken, _canonical(raw, sigma))
+    keys = np.zeros_like(raw)
+    keys[..., raw.shape[-1] - canon.shape[-1] :] = canon
+    return keys ^ _flip_bits(raw, sigma) * _complement(sigma)
 
 
 def _distinct_values(values, sigma: int) -> list[int]:
@@ -290,20 +339,25 @@ def prepare_inputs(
     forbidden_values=frozenset(),
     forbidden_keys=frozenset(),
 ) -> PreparedParty:
-    """One party's sorted, dummy-padded records with fresh key pairs, in
-    every session of a round.
+    """One party's sorted, dummy-padded records with fresh keys, in every
+    session of a round.
 
     `values` is a collection of ints, one session's values, or rows
     (sessions, u, ⌈σ/8⌉) that hold each session's distinct values in
     ascending order, then zero rows; an array of any other shape raises
     SessionError. Dummies are nonzero and avoid the party's values and
-    `forbidden_values`; keys avoid `forbidden_keys`. Both are rows
-    (sessions, n, ⌈σ/8⌉), or sets of ints forbidden in every session.
-    At every σ the keys and dummies of all sessions come from one
-    `rng.bytes` call, redraws aside. Sorting each session's records
-    interleaves the dummies instead of revealing the real count through
-    trailing positions.
+    `forbidden_values`. Each key k is uniform over σ bits, and the pairs
+    {k, ¬k} of the party's keys are disjoint from each other and from
+    those of `forbidden_keys`, so at most 2^(σ-1) keys fit in a session.
+    Both are rows (sessions, n, ⌈σ/8⌉), or sets of ints forbidden in
+    every session. Both spaces are checked before the generator is
+    touched, and at every σ the keys and dummies of all sessions come
+    from one `rng.bytes` call, redraws aside. Sorting each session's
+    records interleaves the dummies instead of revealing the real count
+    through trailing positions.
     """
+    if sigma < 2:
+        raise SessionError(f"sigma {sigma} leaves no canonical key bit")
     if isinstance(values, np.ndarray) and values.ndim != 1:
         if values.ndim != 3 or values.shape[1:] != (u, row_bytes(sigma)):
             raise SessionError(f"values of shape {values.shape} are neither ints nor rows (sessions, {u}, "
@@ -314,17 +368,20 @@ def prepare_inputs(
         if len(real) > u:
             raise TooManyEntries(f"{len(real)} distinct values exceed bound u={u}")
         rows = _padded_rows([real], u, sigma)
-    sessions, nbytes = len(rows), row_bytes(sigma)
+    sessions = len(rows)
     held = rows.any(axis=2)
     needed = u - held.sum(axis=1)
     spare = int(needed.max())  # the most dummies any session needs
-    raw = random_rows(rng, (sessions, 2 * u + spare), sigma)
-    keys = _draw_distinct(rng, [2 * u] * sessions, sigma, forbidden_keys, lowest=0, first=raw[:, : 2 * u])
-    keys = keys.reshape(sessions, u, 2, nbytes)
+    canonical = _canonical(_taken_rows(forbidden_keys, sessions, sigma), sigma)
+    _, taken_keys = _claim([u] * sessions, sigma - 1, canonical, lowest=0)
+    if spare:
+        taken = np.concatenate([rows, _taken_rows(forbidden_values, sessions, sigma)], axis=1)
+        needed, taken = _claim(needed, sigma, taken, lowest=1)
+    raw = random_rows(rng, (sessions, u + spare), sigma)
+    keys = _draw_keys(rng, raw[:, :u], sigma, taken_keys)
     if not spare:
         return PreparedParty(rows, keys, ~held)
-    taken = np.concatenate([rows, _taken_rows(forbidden_values, sessions, sigma)], axis=1)
-    dummies = _draw_distinct(rng, needed, sigma, taken, lowest=1, first=raw[:, 2 * u :])
+    dummies = _redraw_repeats(rng, needed, sigma, taken, raw[:, u:])
     rows[~held] = dummies[np.arange(spare) < needed[:, None]]
     order = np.argsort(row_items(rows), axis=1)
     rows = np.take_along_axis(rows, order[..., None], axis=1)
@@ -335,7 +392,8 @@ def _prepare_parties(values: list[dict[int, list[int]]], u: int, sigma: int, rng
     """Prepare every session's parties in slot order, each party from its
     own generator. `values` holds each session's sorted distinct values
     per party. Dummies avoid every party's values and earlier parties'
-    dummies in their session; keys avoid earlier parties' keys."""
+    dummies in their session; each key's pair {k, ¬k} avoids those of
+    earlier parties' keys."""
     slots = sorted(values[0])
     real = {p: _padded_rows([vb[p] for vb in values], u, sigma) for p in slots}
     taken_values = np.concatenate(list(real.values()), axis=1)
@@ -345,7 +403,7 @@ def _prepare_parties(values: list[dict[int, list[int]]], u: int, sigma: int, rng
         pp = prepare_inputs(real[p], u, sigma, rngs[i],
                             forbidden_values=taken_values, forbidden_keys=taken_keys)
         taken_values = np.concatenate([taken_values, pp.values], axis=1)
-        taken_keys = np.concatenate([taken_keys, pp.keys.reshape(len(values), 2 * u, -1)], axis=1)
+        taken_keys = np.concatenate([taken_keys, pp.keys], axis=1)
         prepared[p] = pp
     return prepared
 
@@ -353,25 +411,30 @@ def _prepare_parties(values: list[dict[int, list[int]]], u: int, sigma: int, rng
 _STATUS = ("exclusive", "shared")
 
 
-def interpret_output(prepared: dict[int, PreparedParty], opened: np.ndarray) -> list[dict[int, IntersectionReport]]:
-    """Every party's report in every session, from the opened key rows
-    (sessions, n_keys, nbytes): a real record is shared if its k1 is among
-    its session's opened keys and exclusive if its k0 is.
+def interpret_output(prepared: dict[int, PreparedParty], opened: np.ndarray,
+                     sigma: int) -> list[dict[int, IntersectionReport]]:
+    """Every party's report in every session, from the opened sigma-bit
+    key rows (sessions, n_keys, nbytes): a real record is exclusive if its
+    key k is among its session's opened keys and shared if its complement
+    ¬k is. A record, dummy or real, with both or neither opened raises
+    ProtocolCorruption.
 
     One sort of the opened keys and one `searchsorted` of every party's
-    keys match all sessions at once."""
+    k and ¬k match all sessions at once."""
     slots = list(prepared)
     ref = np.sort(tagged_items(opened).ravel())
-    query = tagged_items(np.stack([prepared[p].keys for p in slots], axis=1))  # (sessions, N, u, 2)
+    keys = np.stack([prepared[p].keys for p in slots], axis=1)  # (sessions, N, u, nbytes)
+    query = tagged_items(np.stack([keys, keys ^ _complement(sigma)], axis=3))  # (sessions, N, u, 2)
     at = np.minimum(np.searchsorted(ref, query.ravel()), len(ref) - 1)
     found = (ref[at] == query.ravel()).reshape(query.shape)
     shared = found[..., 1]
-    dummy = np.stack([prepared[p].dummy for p in slots], axis=1)
-    lost = ~(shared | found[..., 0] | dummy)
-    if lost.any():
-        b, i, j = np.argwhere(lost)[0]
+    bad = found[..., 0] == shared
+    if bad.any():
+        b, i, j = np.argwhere(bad)[0]
         (v,) = rows_to_ints(prepared[slots[i]].values[b, j : j + 1])
-        raise ProtocolCorruption(f"no key for value {v} of party {slots[i]} in session {b} in the opened output")
+        which = "both k and ¬k" if shared[b, i, j] else "no key"
+        raise ProtocolCorruption(f"{which} for value {v} of party {slots[i]} in session {b} in the opened output")
+    dummy = np.stack([prepared[p].dummy for p in slots], axis=1)
     values = rows_to_ints(np.stack([prepared[p].values for p in slots], axis=1))
     real, flags = (~dummy).tolist(), shared.tolist()
     return [
@@ -411,7 +474,8 @@ def _round_inputs(
     """
     inputs = {}
     for i, pp in enumerate(prepared.values()):
-        rows = np.concatenate([pp.values[:, :, None], pp.keys], axis=2)  # (batch, u, 3, nbytes)
+        fields = {"v": pp.values, "k": pp.keys}
+        rows = np.stack([fields[f] for f in CP.RECORD_FIELDS], axis=2)  # (batch, u, fields, nbytes)
         inputs[i] = rows_to_bits(rows, cfg.sigma).reshape(len(rows), -1).T
     batch = inputs[0].shape[1]
     rng = np.random.default_rng(control_seed)
@@ -580,10 +644,10 @@ def _execute(config: SessionConfig, seed, counts: dict[int, list[int]], prepare,
             raise ProtocolCorruption("protocol output differs from plaintext circuit")
         opened = out
 
-    opened_rows = _keys_from_output(opened, 2 * cfg.total_records, config.sigma)
+    opened_rows = _keys_from_output(opened, cfg.output_keys, config.sigma)
     return RoundResult(
         u=u,
-        reports=interpret_output(prepared, opened_rows),
+        reports=interpret_output(prepared, opened_rows, config.sigma),
         opened_keys=rows_to_ints(opened_rows),
         opened_rows=opened_rows,
         prepared=prepared,

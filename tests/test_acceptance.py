@@ -375,13 +375,13 @@ def test_criterion_8_dummy_soundness():
                 config, batch, seed=rng.randrange(2**32), execution="plaintext"
             )
             # sigma 8 keys are one byte: mark each session's opened keys
-            # in a table and look every dummy's k1 up in it
+            # in a table and look every dummy's complement ¬k up in it
             opened = np.zeros((batch_size, 256), bool)
             sessions = np.arange(batch_size)[:, None]
             opened[sessions, result.opened_rows[..., 0]] = True
             for p in range(n):
                 pp = result.prepared[p]
-                dummy_hits += int((opened[sessions, pp.keys[:, :, 1, 0]] & pp.dummy).sum())
+                dummy_hits += int((opened[sessions, pp.keys[:, :, 0] ^ 0xFF] & pp.dummy).sum())
                 dummy_records += int(pp.dummy.sum())
             for b, pools in enumerate(batch):
                 want = oracle.brute_force_shared(

@@ -291,11 +291,13 @@ def test_only_the_builder_makes_circuits():
 # SHA-256 of what `save_circuit_text(compile_circuit(cfg).circuit, out)`
 # writes: the files `depletion compile --out` writes must stay byte-identical.
 # Re-recorded when the Shuffle came to permute the N*u selected keys before
-# each was output twice.
+# each was output twice, and when a record came to carry one key k, with
+# DupSelect XORing its select bit into every bit of k (SortCheck's gates
+# stayed as recorded, apart from wire numbers).
 WRITER_DIGESTS = [
     (CP.CircuitConfig(5, 3, 8, CP.VariantSpec("fixed-plus-m", 2, (0, 1))),
-     "dfd7f99e0c170aeb526f36495304b0dbea67be0354676da220678a00e0bf38cf"),
-    (CP.CircuitConfig(2, 4, 16), "d33077bcf5d7b000a1ddf55d230bcfad59015c45f6c9729a931a980bfb47e5ce"),
+     "85e396cb96f7ac3bbe63aa13bf7ec602db56b543b602a4bd021b08b32a4c0905"),
+    (CP.CircuitConfig(2, 4, 16), "271b8cc9ec8585de0853dd41ff6715e998a8bb89e4d9952b012cf4ba8ddd8335"),
 ]
 
 

@@ -33,9 +33,9 @@ def fixed_plus_m(fixed, m):
 
 
 def run_plain(cfg, records, perms=None, extra_wires=None):
-    """Evaluate the compiled circuit on per-party (v, k0, k1) records.
+    """Evaluate the compiled circuit on per-party (v, k) records.
 
-    records: {party: [(v, k0, k1), ...]} with exactly u records each.
+    records: {party: [(v, k), ...]} with exactly u records each.
     perms: optional permutation per shuffle layer (default: identity).
     Returns (opened key list, flag bits, extra wire values).
     """
@@ -44,8 +44,8 @@ def run_plain(cfg, records, perms=None, extra_wires=None):
     inputs = {}
     for p in range(cfg.n_parties):
         bits = []
-        for v, k0, k1 in records[p]:
-            bits += int_to_bits(v, sigma) + int_to_bits(k0, sigma) + int_to_bits(k1, sigma)
+        for v, k in records[p]:
+            bits += int_to_bits(v, sigma) + int_to_bits(k, sigma)
         inputs[p] = bits
     if perms is None:
         perms = [list(range(cfg.total_records))] * cfg.shuffle_layers
@@ -56,7 +56,7 @@ def run_plain(cfg, records, perms=None, extra_wires=None):
     out, extra = comp.circuit.evaluate(inputs, extra_wires=wanted)
     keys = [
         bits_to_int(out[i * sigma : (i + 1) * sigma])
-        for i in range(2 * cfg.total_records)
+        for i in range(cfg.output_keys)
     ]
     flags = extra[: cfg.n_parties].tolist()
     return keys, flags, extra[cfg.n_parties :]
@@ -69,30 +69,36 @@ def merged_v_wires(cfg):
     return merged_v.ravel().tolist()
 
 
+def neg(k, sigma):
+    """The complement ¬k of a sigma-bit key: what a shared record opens."""
+    return k ^ ((1 << sigma) - 1)
+
+
 def fresh_keys(rng, count, sigma):
+    """Keys whose pairs {k, ¬k} are disjoint."""
     seen = set()
     keys = []
     while len(keys) < count:
-        k = rng.randrange(1, 1 << sigma)
+        k = rng.randrange(1 << sigma)
         if k not in seen:
-            seen.add(k)
+            seen.update((k, neg(k, sigma)))
             keys.append(k)
     return keys
 
 
 def records_for(rng, values_per_party, sigma):
-    ks = iter(fresh_keys(rng, 2 * sum(len(v) for v in values_per_party.values()), sigma))
+    ks = iter(fresh_keys(rng, sum(len(v) for v in values_per_party.values()), sigma))
     return {
-        p: [(v, next(ks), next(ks)) for v in sorted(vals)]
+        p: [(v, next(ks)) for v in sorted(vals)]
         for p, vals in values_per_party.items()
     }
 
 
-def shared_from_keys(records, opened):
+def shared_from_keys(records, opened, sigma):
     bag = Counter(opened)
     out = {}
     for p, recs in records.items():
-        out[p] = {v for v, k0, k1 in recs if bag[k1] > 0}
+        out[p] = {v for v, k in recs if bag[neg(k, sigma)] > 0}
     return out
 
 
@@ -114,8 +120,8 @@ def test_config_validation():
         make_cfg(3, 2, 8, CP.VariantSpec("at-least-three"))
     with pytest.raises(CP.ConfigInvalid):
         make_cfg(2, 2, 8, controls=())
-    # a window longer than all N*u records compiles and opens only 0-keys
-    recs = {0: [(5, 1, 2), (6, 3, 4)], 1: [(5, 5, 6), (6, 7, 8)]}
+    # a window longer than all N*u records compiles and opens only keys k
+    recs = {0: [(5, 1), (6, 3)], 1: [(5, 5), (6, 7)]}
     for variant in (at_least_m(5), fixed_plus_m((0,), 4)):
         keys, _, _ = run_plain(make_cfg(2, 2, 8, variant), recs)
         assert Counter(keys) == Counter({1: 2, 3: 2, 5: 2, 7: 2}), variant
@@ -170,7 +176,7 @@ def test_sortcheck_flags():
     assert flags == [1, 0]
 
     equal = {0: list(recs[0]), 1: list(recs[1])}
-    equal[0][1] = (equal[0][0][0], 7, 8)  # duplicate v: strict order violated
+    equal[0][1] = (equal[0][0][0], 7)  # duplicate v: strict order violated
     _, flags, _ = run_plain(cfg, equal)
     assert flags == [1, 0]
 
@@ -178,17 +184,17 @@ def test_sortcheck_flags():
 def test_sortcheck_exhaustive_sigma3_u3():
     cfg = make_cfg(2, 3, 3)
     comp = CP.compile_circuit(cfg)
-    fixed = [(1, 1, 2), (2, 3, 4), (3, 5, 6)]
+    fixed = [(1, 1), (2, 3), (3, 5)]
     cases = [(a, b, c) for a in range(1, 8) for b in range(1, 8) for c in range(1, 8)]
     inputs0 = []
     for a, b, c in cases:
         bits = []
         for i, v in enumerate((a, b, c)):
-            bits += int_to_bits(v, 3) + int_to_bits(1, 3) + int_to_bits(2, 3)
+            bits += int_to_bits(v, 3) + int_to_bits(1, 3)
         inputs0.append(bits)
     bits1 = []
-    for v, k0, k1 in fixed:
-        bits1 += int_to_bits(v, 3) + int_to_bits(k0, 3) + int_to_bits(k1, 3)
+    for v, k in fixed:
+        bits1 += int_to_bits(v, 3) + int_to_bits(k, 3)
     n_ctl = cfg.control_bits_per_layer
     inputs = {
         0: np.array(inputs0, dtype=np.uint8).T,
@@ -239,31 +245,31 @@ def test_merge_tree_random_vs_sort():
 def test_dupselect_base_example():
     cfg = make_cfg(3, 1, 4)
     recs = {
-        0: [(5, 1, 2)],   # A0=1 A1=2
-        1: [(5, 3, 4)],   # B0=3 B1=4
-        2: [(7, 5, 6)],   # C0=5 C1=6
+        0: [(5, 1)],   # A: k=1, ¬k=14
+        1: [(5, 3)],   # B: k=3, ¬k=12
+        2: [(7, 5)],   # C: k=5, ¬k=10
     }
     keys, flags, _ = run_plain(cfg, recs)
     assert flags == [0, 0, 0]
-    # the matched pair opens its 1-keys and C its 0-key, each twice
-    assert Counter(keys) == Counter({2: 2, 4: 2, 5: 2})
+    # the matched pair opens its complements and C its key, each twice
+    assert Counter(keys) == Counter({14: 2, 12: 2, 5: 2})
 
 
 def test_dupselect_at_least_m_run_of_two():
     cfg = make_cfg(3, 1, 4, at_least_m(3))
-    recs = {0: [(5, 1, 2)], 1: [(5, 3, 4)], 2: [(9, 5, 6)]}
+    recs = {0: [(5, 1)], 1: [(5, 3)], 2: [(9, 5)]}
     keys, _, _ = run_plain(cfg, recs)
     bag = Counter(keys)
-    assert bag[2] == 0 and bag[4] == 0 and bag[6] == 0
+    assert bag[14] == 0 and bag[12] == 0 and bag[10] == 0
     assert bag[1] == 2 and bag[3] == 2 and bag[5] == 2
 
 
 def test_dupselect_at_least_m_satisfied():
     cfg = make_cfg(3, 1, 4, at_least_m(3))
-    recs = {0: [(5, 1, 2)], 1: [(5, 3, 4)], 2: [(5, 5, 6)]}
+    recs = {0: [(5, 1)], 1: [(5, 3)], 2: [(5, 5)]}
     keys, _, _ = run_plain(cfg, recs)
     bag = Counter(keys)
-    assert bag[2] == 2 and bag[4] == 2 and bag[6] == 2
+    assert bag[14] == 2 and bag[12] == 2 and bag[10] == 2
 
 
 def test_dupselect_fixed_plus_m_tag_bruteforce():
@@ -273,10 +279,10 @@ def test_dupselect_fixed_plus_m_tag_bruteforce():
         cfg = make_cfg(5, 1, 4, fixed_plus_m(fixed, 2))
         for mask in range(32):
             values = {p: {5 if mask >> p & 1 else 6 + p} for p in range(5)}
-            recs = {p: [(v, 2 * p + 1, 2 * p + 2)] for p, (v,) in values.items()}
+            recs = {p: [(v, 2 * p + 1)] for p, (v,) in values.items()}
             keys, _, _ = run_plain(cfg, recs)
             want = oracle.brute_force_shared(values, "fixed-plus-m", 2, frozenset(fixed))
-            assert shared_from_keys(recs, keys) == want, (fixed, mask)
+            assert shared_from_keys(recs, keys, 4) == want, (fixed, mask)
 
 
 def test_fixed_plus_m_scattered_fixed_members():
@@ -285,11 +291,11 @@ def test_fixed_plus_m_scattered_fixed_members():
     # order unspecified the fixed records may sit anywhere in the run,
     # so presence must be computed run-wide, not per window.
     cfg = make_cfg(5, 1, 5, fixed_plus_m((0, 4), 1))
-    recs = {p: [(9, 2 * p + 1, 2 * p + 2)] for p in range(5)}
+    recs = {p: [(9, 2 * p + 1)] for p in range(5)}
     keys, _, _ = run_plain(cfg, recs)
     bag = Counter(keys)
     for p in range(5):
-        assert bag[2 * p + 2] == 2
+        assert bag[neg(2 * p + 1, 5)] == 2
 
 
 # -- shuffle -----------------------------------------------------------------
@@ -351,7 +357,7 @@ def test_circuit_matches_oracle_random_instances():
                 perms.append(perm)
             keys, flags, _ = run_plain(cfg, recs, perms=perms)
             assert flags == [0] * n
-            got = shared_from_keys(recs, keys)
+            got = shared_from_keys(recs, keys, 8)
             want = oracle.brute_force_shared(values, kind, m, frozenset(fixed))
             assert got == want, (kind, m, fixed, values)
 
@@ -384,6 +390,35 @@ def test_stage_bounds_hold_small():
         bounds = CP.stage_bounds(cfg)
         for st in CP.stage_counts(cfg):
             assert st.and_count <= bounds[st.name], (cfg, st)
+
+
+def test_stage_bounds_hold_at_the_grid_and_workload_points():
+    """DupSelect's bound has no mux term: its ANDs are the equality tests,
+    the windows and the fixed-tag sweeps, since the select bit reaches the
+    key through XOR gates only."""
+    V = CP.VariantSpec
+    points = [make_cfg(n, u, 256) for n in (2, 5) for u in (100, 500)] + [
+        make_cfg(4, 12, 64, fixed_plus_m((0,), 1)),  # recurring
+        make_cfg(3, 8, 32, at_least_m(2), controls=(3, 4)),  # batch
+        make_cfg(3, 16, 64),  # the last epoch of epochs
+        make_cfg(5, 20, 64, fixed_plus_m((1,), 2)),
+        make_cfg(5, 20, 64, fixed_plus_m((0, 4), 1)),
+        make_cfg(5, 20, 64, V("fixed-plus-m", 2, (0, 2, 3))),
+    ]
+    for cfg in points:
+        bounds = CP.stage_bounds(cfg)
+        for st in CP.stage_counts(cfg):
+            assert st.and_count <= bounds[st.name], (cfg, st)
+    cfg = make_cfg(5, 100, 256)
+    dup = {s.name: s.and_count for s in CP.stage_counts(cfg)}["DupSelect"]
+    assert (dup, CP.stage_bounds(cfg)["DupSelect"]) == (127_743, 130_000)
+
+
+def test_dupselect_spends_no_and_on_the_key():
+    # the same records at twice the key width: only the value comparisons
+    # grow, by one AND per bit of each of the N*u - 1 equality tests
+    narrow, wide = (CP.stage_counts(make_cfg(3, 4, sigma))[2] for sigma in (8, 16))
+    assert wide.and_count - narrow.and_count == 8 * (3 * 4 - 1)
 
 
 def test_waksman_switches_fit_the_shuffle_bound():

@@ -17,8 +17,8 @@ from depletion import session as S
 def rounds(draw):
     n = draw(st.integers(2, 4))
     u = draw(st.integers(1, 5))
-    # every record needs two distinct keys: 2^sigma >= 2*n*u, or the key
-    # draw raises RandomnessFailure
+    # the records' key pairs {k, ¬k} must be disjoint: 2^sigma >= 2*n*u,
+    # or the key draw raises RandomnessFailure
     sigma = draw(st.integers(max(4, (2 * n * u).bit_length()), 16))
     # sparse ids exercise the map from party ids to circuit slots
     parties = tuple(sorted(draw(st.lists(st.integers(0, 11), min_size=n, max_size=n, unique=True))))

@@ -452,7 +452,6 @@ def test_full_compiled_circuit_mpc_equals_plaintext():
         for v in vals:
             bits += int_to_bits(v, 16)
             bits += int_to_bits(rng.randrange(1 << 16), 16)
-            bits += int_to_bits(rng.randrange(1 << 16), 16)
         inputs[p] = bits
     for p in range(3):
         inputs[p] = inputs[p] + [0] * cfg.control_bits_per_layer
@@ -710,12 +709,13 @@ def test_masked_messages_look_uniform():
 # byte rows for a whole round, again when the Shuffle came to permute
 # the N*u selected keys before each was output twice, and again when the
 # dealer's triples and the input shares became the generators' next raw
-# words read as packed share bytes (the reports they return did not
-# change any time).
+# words read as packed share bytes, and again when a record came to carry
+# one key k instead of two (the reports they return did not change any
+# time).
 TRANSCRIPT_DIGESTS = {
-    "direct-fixed-plus-m": "3e69478a902296272df151f7651de89148baf7f4a60fa18c8facc598dd14da17",
-    "outsourced-at-least-m-batch-3": "f1ddcb8286c76b40cddae1d5ffa8aecf948dd5b125d69e24b6eb567a52a3dfe3",
-    "session-two-epochs": "72aa9bfc5cb79ba8cb23ef8c884ffe590b618874c2921d2fd6ef6af1311a0a3f",
+    "direct-fixed-plus-m": "642628c973a0b0b849345ead3a0b952d855a57f41c51fec104bf8372c13899c1",
+    "outsourced-at-least-m-batch-3": "09999b23b5080d42dfb635c30243509a57eb099905f5f6f6521feb25cd5e0134",
+    "session-two-epochs": "9fc33edc7fafda9496ac76b38d8352c5fc4cbc948df898d25a1d5dd49274a8b4",
 }
 
 

@@ -24,6 +24,16 @@ def cfg2(**kw):
     return S.SessionConfig(**base)
 
 
+def neg(k, sigma):
+    """The complement ¬k of a sigma-bit key: what a shared record opens."""
+    return k ^ ((1 << sigma) - 1)
+
+
+def assert_pairs_disjoint(keys, sigma):
+    """The pairs {k, ¬k} of `keys` share no value."""
+    assert len({*keys, *(neg(k, sigma) for k in keys)}) == 2 * len(keys)
+
+
 # -- preparation ------------------------------------------------------------------
 
 
@@ -56,8 +66,9 @@ def test_prepare_sweep_no_collisions():
         dummies = set(rows_to_ints(pp.values[0][pp.dummy[0]]))
         assert not dummies & set(real)
         assert not dummies & forb
-        keys = [k for pair in rows_to_ints(pp.keys[0]) for k in pair]
-        assert len(keys) == len(set(keys))
+        keys = rows_to_ints(pp.keys[0])
+        assert len(keys) == 6
+        assert_pairs_disjoint(keys, 8)
 
 
 def test_prepare_errors():
@@ -65,9 +76,11 @@ def test_prepare_errors():
     with pytest.raises(S.TooManyEntries):
         S.prepare_inputs([1, 2, 3], 2, 8, rng)
     with pytest.raises(S.RandomnessFailure):
-        S.prepare_inputs([1], 4, 2, rng)  # only 3 nonzero 2-bit values
+        S.prepare_inputs([1], 4, 2, rng)  # only 2 key pairs and 3 nonzero values
     with pytest.raises(S.SessionError):
         S.prepare_inputs([0], 2, 8, rng)  # the zero value is reserved
+    with pytest.raises(S.SessionError, match="no canonical key bit"):
+        S.prepare_inputs([1], 1, 1, rng)  # a key needs a flip bit and a canonical bit
     # ints come as one session's collection, rows as (sessions, u, ⌈σ/8⌉)
     with pytest.raises(S.SessionError, match="shape"):
         S.prepare_inputs(np.array([[3, 5]]), 4, 16, rng)
@@ -121,23 +134,83 @@ def test_draw_rules_hold_in_every_session_of_a_wide_batch(sigma):
             assert not set(dummies) & seen_dummies and len(set(dummies)) == len(dummies)
             seen_dummies |= set(dummies)
             assert rows_to_ints(pp.values[b]) == sorted(rows_to_ints(pp.values[b]))
-            keys += [k for pair in rows_to_ints(pp.keys[b]) for k in pair]
-        assert len(keys) == len(set(keys)) == 2 * 6 * len(held)
+            keys += rows_to_ints(pp.keys[b])
+        assert len(keys) == 6 * len(held)
+        assert_pairs_disjoint(keys, sigma)
         assert all(0 <= k < 1 << sigma for k in keys)
 
 
 def test_a_nearly_exhausted_space_never_repeats_a_value():
     # at sigma 8, 14 parties of 9 records fill 126 of the 255 nonzero
-    # values and their keys 252 of the 256 values, so the last draws of a
-    # session repeat a taken row many times before the redraws find a free one
+    # values and their key pairs 252 of the 256 values, so the last draws of
+    # a session repeat a taken row many times before the redraws find a free one
     parties = tuple(range(14))
     batch = [{p: {1 + p} for p in parties} for _ in range(64)]
     values, prepared = _session_draws(batch, 8, 9, seed=3)
     for b in range(64):
         vs = [v for p in parties for v in rows_to_ints(prepared[p].values[b])]
-        keys = [k for p in parties for pair in rows_to_ints(prepared[p].keys[b]) for k in pair]
+        keys = [k for p in parties for k in rows_to_ints(prepared[p].keys[b])]
         assert len(vs) == len(set(vs)) == 14 * 9
-        assert len(keys) == len(set(keys)) == 2 * 14 * 9
+        assert len(keys) == 14 * 9
+        assert_pairs_disjoint(keys, 8)
+
+
+@pytest.mark.parametrize("sigma, parties, u", [(4, 2, 4), (9, 4, 64)])
+def test_keys_that_exactly_fill_the_space_have_disjoint_pairs(sigma, parties, u):
+    # N*u = 2^(sigma-1): the pairs {k, ¬k} of all parties' keys cover every
+    # sigma-bit value once; sigma 9 keeps a row byte for the flip bit alone
+    batch = [{p: {1 + p} for p in range(parties)}] * 4
+    _, prepared = _session_draws(batch, sigma, u, seed=sigma)
+    for b in range(len(batch)):
+        keys = [k for p in range(parties) for k in rows_to_ints(prepared[p].keys[b])]
+        assert len(keys) == 1 << (sigma - 1)
+        assert_pairs_disjoint(keys, sigma)
+
+
+class UntouchedGenerator:
+    """A generator stub that fails the test if it is asked for anything."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the generator was touched: {name}")
+
+
+def test_one_key_past_the_space_is_refused_before_the_generator_is_touched():
+    # sigma 4 holds 2^3 = 8 key pairs: three parties of u = 3 need 9, and
+    # the third party finds only 2 left
+    values = [{0: [1], 1: [2], 2: [3]}]
+    rngs = [np.random.default_rng(0), np.random.default_rng(1), UntouchedGenerator()]
+    with pytest.raises(S.RandomnessFailure):
+        S._prepare_parties(values, 3, 4, rngs)
+    with pytest.raises(S.RandomnessFailure):
+        S.prepare_inputs([1], 9, 4, UntouchedGenerator())
+    # so is a dummy space that is too small, though the keys fit
+    with pytest.raises(S.RandomnessFailure):
+        S.prepare_inputs([1], 4, 3, UntouchedGenerator(), forbidden_values={2, 3, 4, 5})
+
+
+def test_keys_are_uniform_in_every_bit():
+    # sigma 4, three parties of u = 2: 6 of the 8 key pairs per session, so
+    # the pair rule is tight, yet each key's bits, the top (flip) bit
+    # among them, and the key itself must be uniform
+    from scipy import stats
+
+    sessions = 3000
+    batch = [{0: {1}, 1: {2}, 2: {3}}] * sessions
+    _, prepared = _session_draws(batch, 4, 2, seed=41)
+    keys = np.array([rows_to_ints(prepared[p].keys) for p in range(3)]).ravel()
+    for bit in range(4):
+        ones = int(np.count_nonzero(keys >> bit & 1))
+        assert stats.chisquare([ones, len(keys) - ones]).pvalue > 0.01, bit
+    assert stats.chisquare(np.bincount(keys, minlength=16)).pvalue > 0.01
+
+
+def test_prepare_inputs_and_draw_distinct_keep_their_plain_forms():
+    # one session's ints and sets of forbidden ints, as external callers pass them
+    pp = S.prepare_inputs([3, 5], 4, 16, np.random.default_rng(0), forbidden_keys={7})
+    assert pp.keys.shape == (1, 4, 2) and pp.values.shape == (1, 4, 2)
+    assert not {7, neg(7, 16)} & set(rows_to_ints(pp.keys[0]))
+    rows = S._draw_distinct(np.random.default_rng(0), 2, 16, set(), lowest=1)
+    assert rows.shape == (1, 2, 2) and 0 not in rows_to_ints(rows[0])
 
 
 class RepeatingBytes:
@@ -174,8 +247,8 @@ def test_repeated_draws_are_drawn_again():
 
 
 def test_an_exhausted_space_is_a_randomness_failure():
-    # at u = 6 each party needs 12 distinct keys, two need 24 of the 16
-    # 4-bit values: refused before any draw, never an endless redraw
+    # at u = 6 each party needs 6 key pairs, two need 12 of the 8 pairs
+    # of 4-bit values: refused before any draw, never an endless redraw
     with pytest.raises(S.RandomnessFailure):
         _session_draws([{0: {1}, 1: {2}, 2: {3}}] * 4, 4, 6, seed=0)
     # every 13-bit value but 0 and 1 is taken, and 0 is below `lowest`
@@ -209,17 +282,15 @@ def test_draws_are_uniform_over_tuples_of_distinct_allowed_values(count, taken, 
 
 
 def _prepared(values, keys, dummy, sigma=8):
-    """One session's PreparedParty from ints: keys are (k0, k1) pairs."""
-    rows = ints_to_rows(values, sigma)[None]
-    key_rows = ints_to_rows([k for pair in keys for k in pair], sigma).reshape(1, len(values), 2, -1)
-    return S.PreparedParty(rows, key_rows, np.array([dummy]))
+    """One session's PreparedParty from ints: one key per record."""
+    return S.PreparedParty(ints_to_rows(values, sigma)[None], ints_to_rows(keys, sigma)[None], np.array([dummy]))
 
 
 def test_interpret_output_basic():
-    prepared = {0: _prepared([5, 9], [(10, 11), (20, 21)], [False, False]),
-                1: _prepared([7, 8], [(30, 31), (40, 41)], [False, True])}
-    opened = ints_to_rows([11, 11, 20, 20, 31, 31, 40, 40], 8)[None]
-    (reports,) = S.interpret_output(prepared, opened)
+    prepared = {0: _prepared([5, 9], [10, 20], [False, False]),
+                1: _prepared([7, 8], [30, 40], [False, True])}
+    opened = ints_to_rows([neg(10, 8), neg(10, 8), 20, 20, neg(30, 8), neg(30, 8), 40, 40], 8)[None]
+    (reports,) = S.interpret_output(prepared, opened, 8)
     assert reports[0].statuses == {5: "shared", 9: "exclusive"}
     assert reports[0].shared == {5}
     assert reports[0].shared_count == 1 and reports[0].exclusive_count == 1
@@ -229,19 +300,61 @@ def test_interpret_output_basic():
 def test_interpret_output_matches_each_session_separately():
     prepared = {0: S.PreparedParty(
         ints_to_rows([5, 5], 8).reshape(2, 1, 1),
-        ints_to_rows([10, 11, 10, 11], 8).reshape(2, 1, 2, 1),
+        ints_to_rows([10, 10], 8).reshape(2, 1, 1),
         np.zeros((2, 1), bool),
     )}
-    # session 0 opens k1 = 11, session 1 opens k0 = 10: the same key rows
-    opened = ints_to_rows([11, 11, 10, 10], 8).reshape(2, 2, 1)
-    reports = S.interpret_output(prepared, opened)
+    # session 0 opens ¬k, session 1 opens k = 10: the same key rows
+    opened = ints_to_rows([neg(10, 8), neg(10, 8), 10, 10], 8).reshape(2, 2, 1)
+    reports = S.interpret_output(prepared, opened, 8)
     assert [r[0].statuses for r in reports] == [{5: "shared"}, {5: "exclusive"}]
 
 
 def test_interpret_output_corruption():
-    prepared = {0: _prepared([5], [(10, 11)], [False])}
+    prepared = {0: _prepared([5], [10], [False])}
     with pytest.raises(S.ProtocolCorruption, match="value 5"):
-        S.interpret_output(prepared, ints_to_rows([12, 13], 8)[None])
+        S.interpret_output(prepared, ints_to_rows([12, 13], 8)[None], 8)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    pytest.param([10, neg(10, 9), 3, 3], "both k and ¬k for value 5 of party 1", id="both"),
+    pytest.param([300, 300, 3, 3], "no key for value 5 of party 1", id="neither"),
+    pytest.param([10, 10, 3, neg(3, 9)], "both k and ¬k for value 6 of party 1", id="both-of-a-dummy"),
+    pytest.param([10, 10, 300, 300], "no key for value 6 of party 1", id="neither-of-a-dummy"),
+])
+def test_interpret_output_refuses_both_or_neither_key(pairs, message):
+    # party 0's records open k = 7 and ¬k = 8; party 1's opened pairs are
+    # `pairs`. At sigma 9 ¬k flips the row byte that holds only the top bit.
+    prepared = {0: _prepared([4, 9], [7, 8], [False, False], sigma=9),
+                1: _prepared([5, 6], [10, 3], [False, True], sigma=9)}
+    opened = [7, 7, neg(8, 9), neg(8, 9), *pairs]
+    with pytest.raises(S.ProtocolCorruption, match=message):
+        S.interpret_output(prepared, ints_to_rows(opened, 9)[None], 9)
+
+
+@pytest.mark.parametrize("fault", ["both", "neither"])
+def test_a_corrupted_opening_is_refused_end_to_end(monkeypatch, fault):
+    # the first opened pair of every session becomes ¬x, x (both) or two
+    # values that are no record's key or complement (neither); plaintext
+    # execution, so no negotiation reads keys through the patched reader
+    config = S.SessionConfig(parties=(0, 1, 2), sigma=16)
+    stockpiles = [{0: {5, 7}, 1: {5, 11}, 2: {9}}] * 3
+    clean = S.run_sessions(config, stockpiles, seed=5, execution="plaintext")
+    keys = {k for pp in clean.prepared.values() for k in rows_to_ints(pp.keys[0])}
+    stray = next(x for x in range(1 << 16) if x not in keys and neg(x, 16) not in keys)
+    read = S._keys_from_output
+
+    def corrupted(out_bits, n_keys, sigma):
+        rows = read(out_bits, n_keys, sigma)
+        if fault == "both":
+            rows[:, 0] ^= S._complement(sigma)
+        else:
+            rows[:, :2] = ints_to_rows([stray], sigma)
+        return rows
+
+    monkeypatch.setattr(S, "_keys_from_output", corrupted)
+    which = "both k and ¬k" if fault == "both" else "no key"
+    with pytest.raises(S.ProtocolCorruption, match=which):
+        S.run_sessions(config, stockpiles, seed=5, execution="plaintext")
 
 
 @pytest.mark.parametrize("sigma", [1, 8, 13, 32, 64, 256])
@@ -485,9 +598,9 @@ def test_dummy_keys_never_open_as_shared():
         bag = Counter(res.opened_keys[b])
         for p in range(3):
             pp = res.prepared[p]
-            for k0, k1 in rows_to_ints(pp.keys[b][pp.dummy[b]]):
-                assert bag[k1] == 0
-                assert bag[k0] == 2
+            for k in rows_to_ints(pp.keys[b][pp.dummy[b]]):
+                assert bag[neg(k, 8)] == 0
+                assert bag[k] == 2
 
 
 def test_outsourced_mode_matches_direct():
@@ -515,7 +628,7 @@ def test_outsourced_mode_matches_direct():
 def test_opened_keys_are_adjacent_pairs_in_uniform_slots():
     """The Shuffle permutes the N*u selected keys and each is opened
     twice, side by side; over many sessions of one stockpile, the pair
-    slot of a shared record's k1 and of an exclusive record's k0 is
+    slot of a shared record's ¬k and of an exclusive record's k is
     uniform over the N*u slots."""
     from scipy import stats
 
@@ -528,16 +641,16 @@ def test_opened_keys_are_adjacent_pairs_in_uniform_slots():
     keys = np.array(res.opened_keys)[:, 0::2]
     assert all(len(set(row)) == slots for row in keys.tolist())
 
-    def pair_slots(party, value, kind):
+    def pair_slots(party, value, shared):
         pp = res.prepared[party]
         (at,) = np.flatnonzero(np.array(rows_to_ints(pp.values[0])) == value)
-        chosen = np.array([k[kind] for k in rows_to_ints(pp.keys[:, at])])
+        chosen = np.array([neg(k, 16) if shared else k for k in rows_to_ints(pp.keys[:, at])])
         hit = keys == chosen[:, None]
         assert (hit.sum(axis=1) == 1).all()
         return hit.argmax(axis=1)
 
-    for party, value, kind in [(0, 5, 1), (2, 9, 0)]:  # shared, then exclusive
-        counts = np.bincount(pair_slots(party, value, kind), minlength=slots)
+    for party, value, shared in [(0, 5, True), (2, 9, False)]:
+        counts = np.bincount(pair_slots(party, value, shared), minlength=slots)
         assert stats.chisquare(counts).pvalue > 0.01, (value, counts)
 
 

@@ -25,35 +25,39 @@ from depletion import compiler as CP
 # which both schedules share. Every item was re-recorded when the Shuffle
 # came to permute the N*u selected keys before each was output twice;
 # the gates up to the end of DupSelect stayed as recorded, apart from the
-# shift of wire numbers by the fewer control inputs.
+# shift of wire numbers by the fewer control inputs. Every item was
+# re-recorded again when a record came to carry one key k, `v | k | tag`,
+# with DupSelect XORing its select bit into every bit of k instead of a
+# mux of two keys: SortCheck's gates stayed as recorded, apart from wire
+# numbers, and every circuit lost one AND layer.
 PINNED = [
     (
         # at-least-two; re-recorded when it became the windowed selection
         # with m = 2, which costs fewer ANDs and one more AND layer
         CP.CircuitConfig(3, 16, 64),
-        [(2922, 8553, (0, 11475)), (45568, 136348, (11475, 193391)),
-         (6079, 12252, (193391, 211722)), (43200, 129600, (211722, 384522))],
-        824, "586a99cca555b91b", 1497, "91ebac0c42715008",
+        [(2922, 8553, (0, 11475)), (34176, 102172, (11475, 147823)),
+         (3007, 9180, (147823, 160010)), (43200, 129600, (160010, 332810))],
+        823, "92a366ef96cdd53e", 1497, "bb8c8c43e0798af5",
     ),
     (
         # the `batch` benchmark round: three parties, u = 8, two servers
         CP.CircuitConfig(3, 8, 32, CP.VariantSpec("at-least-m", 2), control_parties=(3, 4)),
-        [(690, 1977, (0, 2667)), (8960, 26740, (2667, 38367)),
-         (1503, 3052, (38367, 42922)), (5696, 17088, (42922, 65706))],
-        357, "7245aea2016a6423", 633, "f8e1e45b6e5e9100",
+        [(690, 1977, (0, 2667)), (6720, 20020, (2667, 29407)),
+         (735, 2284, (29407, 32426)), (5696, 17088, (32426, 55210))],
+        356, "41e5e475b3c334d7", 633, "235810aabd3112e2",
     ),
     (
         # the `recurring` benchmark round: four parties, u = 12
         CP.CircuitConfig(4, 12, 64, CP.VariantSpec("fixed-plus-m", 1, (0,))),
-        [(2856, 8364, (0, 11220)), (52171, 156108, (11220, 219499)),
-         (6363, 12584, (219499, 238446)), (57600, 172800, (238446, 468846))],
-        930, "02226fe9dd2cd665", 1670, "b84d41890c974d8c",
+        [(2856, 8364, (0, 11220)), (39179, 117132, (11220, 167531)),
+         (3291, 9512, (167531, 180334)), (57600, 172800, (180334, 410734))],
+        929, "afb03dcd111334e7", 1670, "a5a9a09e6884ca4f",
     ),
     (
         CP.CircuitConfig(5, 3, 8, CP.VariantSpec("fixed-plus-m", 2, (0, 1))),
-        [(85, 225, (0, 310)), (1734, 5101, (310, 7145)),
-         (477, 747, (7145, 8369)), (1800, 5400, (8369, 15569))],
-        185, "044e4bd72b060ad3", 331, "67784d61884866a7",
+        [(85, 225, (0, 310)), (1326, 3877, (310, 5513)),
+         (357, 627, (5513, 6497)), (1800, 5400, (6497, 13697))],
+        184, "6e577c462d4129a1", 333, "9483e97407e371ef",
     ),
 ]
 
@@ -105,8 +109,8 @@ def test_compile_emits_layers_not_gates(monkeypatch):
     for name in ("xor_v", "and_v", "lt"):
         monkeypatch.setattr(C.CircuitBuilder, name, counted(getattr(C.CircuitBuilder, name)))
     comp = CP.compile_circuit.__wrapped__(CP.CircuitConfig(3, 16, 64))
-    assert comp.circuit.n_gates == 384522
-    # one call per gate would be 384 522 calls, and a comparator emitted
+    assert comp.circuit.n_gates == 332810
+    # one call per gate would be 332 810 calls, and a comparator emitted
     # bit by bit about 190 calls each; a layer per call is a few hundred
     assert calls[0] <= 400
 
