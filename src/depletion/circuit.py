@@ -201,14 +201,46 @@ class BooleanCircuit:
 
     # -- evaluation --------------------------------------------------------
 
+    def input_bits(self, inputs: dict[int, np.ndarray]) -> tuple[dict[int, np.ndarray], bool]:
+        """The one check of a round's inputs, made by `evaluate` and the
+        MPC engine alike. `inputs` must map every party of `input_map`,
+        and no other, to 0/1 bits of shape (wires,) or (wires, batch),
+        one batch for all; (wires,) is a batch of one. Returns each
+        party's bits as a (wires, batch) uint8 array, in `input_map`
+        order, and whether any input has a batch axis. Raises
+        `MissingInput` for a missing or unknown party, `WidthMismatch`
+        for a wrong wire count or batch, and `CircuitError` for bits that
+        are not bool or integer 0 and 1."""
+        if inputs.keys() != self.input_map.keys():
+            raise MissingInput(f"input parties {sorted(inputs)}, expected {sorted(self.input_map)}")
+        bits, batched = {}, False
+        for party, wires in self.input_map.items():
+            arr = np.asarray(inputs[party])
+            batched |= arr.ndim > 1
+            if arr.ndim == 1:
+                arr = arr[:, None]
+            if arr.ndim != 2 or arr.shape[0] != len(wires):
+                raise WidthMismatch(f"party {party}: got bits of shape {arr.shape} for {len(wires)} wires")
+            if arr.dtype.kind not in "biu" or arr.min(initial=0) < 0 or arr.max(initial=0) > 1:
+                raise CircuitError(f"party {party}: input bits must be integers 0 or 1")
+            bits[party] = arr.astype(np.uint8, copy=False)
+        if len({arr.shape[1] for arr in bits.values()}) > 1:
+            raise WidthMismatch("inconsistent batch widths across parties")
+        return bits, batched
+
     def evaluate(self, inputs: dict[int, np.ndarray], extra_wires=None) -> np.ndarray:
         """Evaluate on plaintext bits.
 
-        `inputs` maps party id to a 0/1 array of shape (n,) or (n, B);
-        returns the output bits with the matching shape. With
-        `extra_wires`, returns (outputs, extra wire values) instead.
+        `inputs` maps party id to a 0/1 array of shape (n,) or (n, B), as
+        `input_bits` checks them; returns the output bits with the
+        matching shape. With `extra_wires`, returns (outputs, extra wire
+        values) instead.
         """
-        values, batched = self._assign_inputs(inputs)
+        bits, batched = self.input_bits(inputs)
+        values = np.zeros((self.n_wires, next(iter(bits.values())).shape[1] if bits else 1), dtype=np.uint8)
+        values[self.const_one] = 1
+        for party, arr in bits.items():
+            values[self.input_map[party]] = arr
 
         def xors(groups):
             for a, b, o in groups:
@@ -220,42 +252,10 @@ class BooleanCircuit:
             a, b, o = layer.and_gates
             values[o] = values[a] & values[b]
         xors(schedule.trailing_xors)
-        out = values[self.output_wires]
-        if extra_wires is None:
-            return out if batched else out[:, 0]
-        extra = values[list(extra_wires)]
         if not batched:
-            return out[:, 0], extra[:, 0]
-        return out, extra
-
-    def _assign_inputs(self, inputs):
-        if set(inputs) != set(self.input_map):
-            missing = set(self.input_map) - set(inputs)
-            extra = set(inputs) - set(self.input_map)
-            raise MissingInput(f"input parties missing={sorted(missing)} unknown={sorted(extra)}")
-        arrays = {}
-        batched = False
-        width = 1
-        for party, bits in inputs.items():
-            arr = np.asarray(bits, dtype=np.uint8)
-            if arr.ndim == 1:
-                arr = arr[:, None]
-            else:
-                batched = True
-                width = arr.shape[1]
-            arrays[party] = arr
-        values = np.zeros((self.n_wires, width), dtype=np.uint8)
-        values[self.const_one] = 1
-        for party, arr in arrays.items():
-            wires = self.input_map[party]
-            if arr.shape[0] != len(wires):
-                raise WidthMismatch(
-                    f"party {party}: got {arr.shape[0]} bits for {len(wires)} wires"
-                )
-            if arr.shape[1] != width:
-                raise WidthMismatch("inconsistent batch widths across parties")
-            values[wires] = arr
-        return values, batched
+            values = values[:, 0]
+        out = values[self.output_wires]
+        return out if extra_wires is None else (out, values[list(extra_wires)])
 
 
 # -- builders ----------------------------------------------------------------

@@ -240,8 +240,7 @@ def _construct(b, cfg: CircuitConfig):
     Each stage's counts and gate and wire ranges come from the builder's
     running AND and XOR counts, since gate g drives wire 1 + (input
     wires) + g in either builder. Returns the sortedness flags, the
-    output keys (each shuffled key twice, side by side), the stages, and
-    the merged records' value wires.
+    output keys (each shuffled key twice, side by side) and the stages.
     """
     N, u, width = cfg.n_parties, cfg.inputs_per_party, cfg.record_bits
     records = np.array([b.input_vector(p, u * width) for p in range(N)])
@@ -294,7 +293,7 @@ def _construct(b, cfg: CircuitConfig):
         out_keys = build_network(b, layer_bits, out_keys)
     close("Shuffle")
 
-    return flags, np.repeat(out_keys, 2, axis=0), stages, merged[:, v]
+    return flags, np.repeat(out_keys, 2, axis=0), stages
 
 
 def _dup_select(b, cfg: CircuitConfig, merged: np.ndarray) -> np.ndarray:
@@ -358,7 +357,7 @@ def _dup_select(b, cfg: CircuitConfig, merged: np.ndarray) -> np.ndarray:
 def compile_circuit(cfg: CircuitConfig) -> Compiled:
     """Materialize the full circuit plus stage metadata (cached)."""
     b = CircuitBuilder()
-    flags, out_keys, stages, _ = _construct(b, cfg)
+    flags, out_keys, stages = _construct(b, cfg)
     circuit = b.finish(out_keys.ravel())
     return Compiled(cfg, circuit, stages, flags.tolist())
 
@@ -366,7 +365,7 @@ def compile_circuit(cfg: CircuitConfig) -> Compiled:
 def stage_counts(cfg: CircuitConfig) -> list[CompiledStage]:
     """Exact per-stage gate counts without materializing the circuit."""
     b = CountingBuilder()
-    _, _, stages, _ = _construct(b, cfg)
+    _, _, stages = _construct(b, cfg)
     return stages
 
 

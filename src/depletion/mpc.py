@@ -30,13 +30,20 @@ mask, one reconstruction and one product for all of them; only party 0
 adds d & e. No party's row is computed from another party's row except
 through the frames the round carries.
 
-Two pairs of functions and `random_packed`, and no other code, know
-the batch widths: `pack_batch`/`unpack_batch` convert between 0/1 bits
-and packed rows, `_frame_payloads`/`_packed_rows` between packed rows
-and frame payloads, and `random_packed` draws packed rows. Inputs and
-openings speak one `uint8` per bit and convert through the first pair;
-share blobs and restores are packed rows. Every frame payload, a share
-blob's too, goes through the second.
+A packed row is `bits.row_bytes(batch)` bytes wide wherever the width
+is needed. Two pairs of functions and `random_packed`, and no other
+code, lay bits out in packed rows: `pack_batch`/`unpack_batch` convert
+between 0/1 bits and packed rows, `_frame_payloads`/`_packed_rows`
+between packed rows and frame payloads, and `random_packed` draws packed
+rows. Inputs and openings speak one `uint8` per bit and convert through
+the first pair; share blobs and restores are packed rows. Every frame
+payload, a share blob's too, goes through the second.
+
+The engine reads a round's inputs through `BooleanCircuit.input_bits`,
+the check the plaintext evaluator makes, so both refuse the same
+inputs: a missing or unknown party is `MissingInput`, a wrong wire
+count or a ragged batch `WidthMismatch`. The engine adds only that the
+batch is its own, and refuses before it sends a frame.
 
 All messages and share blobs use one framed wire format: a version
 byte, little-endian (epoch, round, sender, wire-range id, bit count),
@@ -77,7 +84,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import BooleanCircuit, MissingInput, Schedule
+from .bits import row_bytes
+from .circuit import BooleanCircuit, Schedule, WidthMismatch
 
 FRAME_VERSION = 1
 _HEAD = struct.Struct("<BIIHII")
@@ -142,7 +150,7 @@ def decode_frame(data: bytes):
     if version != FRAME_VERSION:
         raise TransportFailure(f"unsupported frame version {version}")
     payload = data[_HEAD.size : -_CRC.size]
-    if len(payload) != (nbits + 7) // 8:
+    if len(payload) != row_bytes(nbits):
         raise TransportFailure("payload length disagrees with bit count")
     return epoch, round_no, sender, range_id, nbits, payload
 
@@ -189,7 +197,7 @@ def pack_batch(bits) -> np.ndarray:
     *lead, batch = bits.shape
     if batch == 1:
         return bits * _MSB
-    width = -(-batch // 8)
+    width = row_bytes(batch)
     if batch % 8:
         # pad each row to whole bytes, then pack flat: one pass, where
         # packing along a short last axis loops per row
@@ -237,7 +245,7 @@ def random_packed(gen, shape: tuple, batch: int) -> np.ndarray:
     """The bit generator's next `random_raw` words as uniform packed share
     bytes, (*shape, ceil(batch / 8)) in the share tensor's layout, with
     the padding bits of a ragged last byte cleared."""
-    width = -(-batch // 8)
+    width = row_bytes(batch)
     size = math.prod(shape) * width
     words = gen.random_raw(-(-size // 8)).astype("<u8", copy=False)
     out = words.view(np.uint8)[:size].reshape(*shape, width)
@@ -254,7 +262,7 @@ _CHUNK_BYTES = 256 << 10
 
 def _chunk_triples(n_parties: int, batch: int) -> int:
     """Triples in one chunk of the engine's pool; at least one."""
-    return max(1, _CHUNK_BYTES // (n_parties * -(-batch // 8)))
+    return max(1, _CHUNK_BYTES // (n_parties * row_bytes(batch)))
 
 
 def deal_triples(gen, n_parties: int, k: int, batch: int):
@@ -285,7 +293,7 @@ class TriplePool:
     def __init__(self, n_parties: int, count: int, seed, batch: int):
         self.n_parties, self.count, self.batch = n_parties, count, batch
         self.gen = np.random.default_rng(seed).bit_generator
-        self.a = self.b = self.c = np.empty((n_parties, 0, -(-batch // 8)), dtype=np.uint8)
+        self.a = self.b = self.c = np.empty((n_parties, 0, row_bytes(batch)), dtype=np.uint8)
         self.cursor = 0
         self._at = 0  # the held chunk's next triple
 
@@ -341,7 +349,7 @@ class Party:
     """
 
     def __init__(self, n_parties: int, n_wires: int, batch: int, pool: TriplePool):
-        self.shares = np.zeros((n_parties, n_wires, -(-batch // 8)), dtype=np.uint8)
+        self.shares = np.zeros((n_parties, n_wires, row_bytes(batch)), dtype=np.uint8)
         # constant-one wire reconstructs to 1 in every session
         self.shares[0, 0] = pack_batch(np.ones(batch, dtype=np.uint8))
         self.pool = pool
@@ -488,7 +496,7 @@ def engine_bytes(n_parties: int, n_wires: int, and_count: int, batch: int) -> in
     layer holds more ANDs than a chunk: such a layer's triples are one
     chunk of the layer's width, dealt while the layer runs. On top comes
     `_ENGINE_OBJECT_BYTES`, for what does not scale with the circuit."""
-    width = -(-batch // 8)
+    width = row_bytes(batch)
     chunk = min(and_count, _chunk_triples(n_parties, batch))
     return (n_parties * n_wires * width + (3 * n_parties + 2) * chunk * width
             + _ENGINE_OBJECT_BYTES)
@@ -549,25 +557,17 @@ class Engine:
         """Split each owner's bits toward the computing parties, leaving
         out the wires that `restore_shares` filled.
 
-        `inputs` maps owner id to its full input bit vector (or batch).
+        `inputs` maps every input owner to its full input bits, as
+        `BooleanCircuit.input_bits` checks them, for this engine's batch.
         """
-        for owner, wires in self.circuit.input_map.items():
-            wires = np.asarray(wires, dtype=np.intp)
+        bits, _ = self.circuit.input_bits(inputs)
+        for owner, own in bits.items():
+            if own.shape[1] != self.batch:
+                raise WidthMismatch(f"party {owner}: {own.shape[1]} sessions for a batch of {self.batch}")
+            wires = np.asarray(self.circuit.input_map[owner], dtype=np.intp)
             keep = ~np.isin(wires, self._restored) if self._restored.size else slice(None)
             todo = wires[keep]
-            if owner not in inputs:
-                if todo.size:
-                    raise MissingInput(f"no input bits for party {owner}")
-                continue
-            bits = np.asarray(inputs[owner], dtype=np.uint8)
-            if bits.ndim == 1:
-                bits = bits[:, None]
-            if bits.shape != (len(wires), self.batch):
-                raise MissingInput(
-                    f"party {owner}: expected {(len(wires), self.batch)} bits, "
-                    f"got {bits.shape}"
-                )
-            shares = share_input(pack_batch(bits[keep]), len(self.computing_ids),
+            shares = share_input(pack_batch(own[keep]), len(self.computing_ids),
                                  rng_of(owner).bit_generator, self.batch)
             # The owner keeps the correction share, which comes last; an
             # owner that computes nothing sends every share.

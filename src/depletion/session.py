@@ -22,8 +22,9 @@ become rows again, and one sort plus one `searchsorted` match every
 party's k and ¬k against them. A
 `Session` keeps each party's submitted value rows and dummy flags
 between epochs, and one `searchsorted` finds each record of a new epoch
-among them. Python ints appear only at the API boundary: stockpiles,
-reports keyed by value, and `RoundResult.opened_keys`.
+among them. Python ints appear at the API boundary (stockpiles, reports
+keyed by value, `RoundResult.opened_keys`) and where `Session.epoch_advance`
+and `run_epoch` turn stored rows back into ints to merge new values in.
 """
 
 from __future__ import annotations
@@ -527,13 +528,12 @@ def _seed_seq(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def negotiate_u(config: SessionConfig, counts: dict[int, list[int]], seed) -> list[int]:
-    """Batched secure maximum over the parties' private counts: `counts`
-    maps every configured party to its count in each session. Raises
-    UnknownParty unless it names exactly the configured parties, and
-    SessionError for no sessions, unequal session numbers, or a count
-    that is not an integer in [0, 2^count_bits), before any engine is
-    built."""
+def _checked_maxima(config: SessionConfig, counts: dict[int, list[int]]) -> list[int]:
+    """The plain maximum of `counts` in each session, after the checks
+    every execution makes: UnknownParty unless `counts` names exactly the
+    configured parties, and SessionError for no sessions, unequal
+    session numbers, or a count that is not an integer in
+    [0, 2^count_bits)."""
     slots = sorted(config.parties)
     if set(counts) != set(slots):
         raise UnknownParty(f"counts of parties {sorted(counts)} differ from the configured {slots}")
@@ -550,26 +550,25 @@ def negotiate_u(config: SessionConfig, counts: dict[int, list[int]], seed) -> li
                 raise SessionError(f"count {c!r} of party {p} is not an integer") from None
             if not 0 <= c < 1 << config.count_bits:
                 raise SessionError(f"count {c} of party {p} does not fit {config.count_bits} bits")
+    return [max(per_session) for per_session in zip(*counts.values())]
+
+
+def negotiate_u(config: SessionConfig, counts: dict[int, list[int]], seed) -> list[int]:
+    """Batched secure maximum over the parties' private counts: `counts`
+    maps every configured party to its count in each session. Refuses
+    what `_checked_maxima` refuses, before any engine is built."""
+    expected = _checked_maxima(config, counts)
+    slots = sorted(config.parties)
     circ = CP.build_max_circuit(len(slots), config.count_bits)
-    computing = _computing_ids(config)
-    ss = _seed_seq(seed)
-    dealer_seed, *party_seeds = ss.spawn(1 + len(slots))
+    dealer_seed, *party_seeds = _seed_seq(seed).spawn(1 + len(slots))
     rngs = {i: np.random.default_rng(s) for i, s in enumerate(party_seeds)}
-    engine = mpc.Engine(
-        circ,
-        computing,
-        dealer_seed=dealer_seed,
-        batch=batch,
-        epoch=config.epoch,
-    )
+    engine = mpc.Engine(circ, _computing_ids(config), dealer_seed=dealer_seed,
+                        batch=len(expected), epoch=config.epoch)
     inputs = {}
     for i, p in enumerate(slots):
         inputs[i] = rows_to_bits(ints_to_rows(counts[p], config.count_bits), config.count_bits).T
     out = engine.run(inputs, lambda owner: rngs[owner])
     maxima = [m for (m,) in rows_to_ints(_keys_from_output(out, 1, config.count_bits))]
-    expected = [
-        max(counts[p][b] for p in slots) for b in range(batch)
-    ]
     if maxima != expected:
         raise ProtocolCorruption("negotiated maximum disagrees with plain maximum")
     return maxima
@@ -609,7 +608,7 @@ def _execute(config: SessionConfig, seed, counts: dict[int, list[int]], prepare,
     party_rngs = {i: np.random.default_rng(s) for i, s in enumerate(owner_seeds)}
 
     if execution == "plaintext":
-        maxima = [max(per_session) for per_session in zip(*counts.values())]
+        maxima = _checked_maxima(config, counts)
     else:
         maxima = negotiate_u(config, counts, neg_seed)
     u = max(1, max(maxima))

@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,10 +64,19 @@ def run_plain(cfg, records, perms=None, extra_wires=None):
 
 
 def merged_v_wires(cfg):
-    """The merged records' value wires, in merged order, from a
-    construction of its own: it numbers wires as `compile_circuit` does."""
-    _, _, _, merged_v = CP._construct(CircuitBuilder(), cfg)
-    return merged_v.ravel().tolist()
+    """The merged records' value wires, in merged order, as MergeTree hands
+    them to DupSelect in a construction of its own: it numbers wires as
+    `compile_circuit` does."""
+    seen = []
+
+    def dup_select(b, cfg, merged):
+        seen.append(merged[:, cfg.field("v")])
+        return select(b, cfg, merged)
+
+    select = CP._dup_select
+    with mock.patch.object(CP, "_dup_select", dup_select):
+        CP._construct(CircuitBuilder(), cfg)
+    return seen[0].ravel().tolist()
 
 
 def neg(k, sigma):

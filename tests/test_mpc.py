@@ -13,6 +13,7 @@ from reference import int_to_bits
 from depletion import mpc
 from depletion import compiler as CP
 from depletion import session as S
+from depletion import circuit as C
 from depletion.circuit import CircuitBuilder
 
 
@@ -668,6 +669,55 @@ class RecordingTransport(mpc.InProcessTransport):
     def send(self, sender, recipient, data):
         self.log.append((sender, recipient, data))
         super().send(sender, recipient, data)
+
+
+# -- input check ----------------------------------------------------------------
+
+
+def _two_owner_circuit():
+    b = CircuitBuilder()
+    x = b.input_vector(0, 2)
+    y = b.input_vector(1, 2)
+    return b.finish([b.xor_v(x[0], y[1]), b.and_v(x[1], y[0])])
+
+
+def _bits(rows, batch):
+    return np.random.default_rng(rows * 10 + batch).integers(0, 2, size=(rows, batch), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("inputs, error", [
+    ({0: _bits(2, 2)}, C.MissingInput),
+    ({0: _bits(2, 2), 1: _bits(2, 2), 5: _bits(2, 2)}, C.MissingInput),
+    ({0: _bits(3, 2), 1: _bits(2, 2)}, C.WidthMismatch),
+    ({0: _bits(2, 2), 1: _bits(2, 3)}, C.WidthMismatch),
+    ({0: 2 * _bits(2, 2), 1: _bits(2, 2)}, C.CircuitError),
+    ({0: np.full((2, 2), 0.5), 1: _bits(2, 2)}, C.CircuitError),
+    ({0: np.full((2, 2), -1), 1: _bits(2, 2)}, C.CircuitError),
+], ids=["missing-party", "unknown-party", "wire-count", "ragged-batch", "two", "half", "negative"])
+def test_evaluate_and_the_engine_refuse_the_same_inputs(inputs, error):
+    """Both evaluators read their inputs through `input_bits`, so each bad
+    round is the same error from either, and the engine sends nothing."""
+    circ = _two_owner_circuit()
+    with pytest.raises(C.CircuitError) as plain:
+        circ.evaluate(inputs)
+    transport = RecordingTransport()
+    with pytest.raises(C.CircuitError) as protocol:
+        run_engine(circ, inputs, batch=2, transport=transport)
+    assert type(plain.value) is type(protocol.value) is error
+    assert transport.log == []
+
+
+def test_engine_refuses_a_batch_other_than_its_own():
+    """A consistent batch the plaintext evaluator accepts is still refused
+    by an engine built for another width, before any frame is sent."""
+    circ = _two_owner_circuit()
+    inputs = {0: _bits(2, 3), 1: _bits(2, 3)}
+    assert circ.evaluate(inputs).shape == (2, 3)
+    for batch, given in ((2, inputs), (3, {0: [1, 0], 1: [0, 1]})):
+        transport = RecordingTransport()
+        with pytest.raises(C.WidthMismatch, match=f"for a batch of {batch}"):
+            run_engine(circ, given, batch=batch, transport=transport)
+        assert transport.log == []
 
 
 def test_masked_messages_look_uniform():

@@ -407,6 +407,16 @@ def test_negotiate_u_checks_its_counts_before_building_an_engine(monkeypatch, co
         S.negotiate_u(S.SessionConfig(parties=(0, 1), sigma=8, count_bits=4), counts, seed=0)
 
 
+@pytest.mark.parametrize("execution", ["mpc", "plaintext", "both"])
+def test_every_execution_refuses_a_count_over_count_bits(execution):
+    """A party with 4 values does not fit count_bits = 2: each execution
+    refuses the round with the error negotiation raises."""
+    config = S.SessionConfig(parties=(0, 1), sigma=8, count_bits=2)
+    with pytest.raises(S.SessionError, match="count 4 of party 0 does not fit 2 bits") as exc:
+        S.run_sessions(config, [{0: {1, 2, 3, 4}, 1: {5}}], seed=0, execution=execution)
+    assert type(exc.value) is S.SessionError
+
+
 # -- single rounds ------------------------------------------------------------------
 
 
@@ -601,6 +611,34 @@ def test_dummy_keys_never_open_as_shared():
             for k in rows_to_ints(pp.keys[b][pp.dummy[b]]):
                 assert bag[neg(k, 8)] == 0
                 assert bag[k] == 2
+
+
+@pytest.mark.parametrize("sessions", [1, 9])
+def test_one_server_round_sends_no_frame_after_the_input_shares(monkeypatch, sessions):
+    """With one computing server every broadcast round has no peer: only
+    the owners' input shares travel, in round 0, and the opened keys still
+    equal the plaintext circuit's and the oracle's answer."""
+    rng = random.Random(sessions)
+    batch = [{p: set(rng.sample(range(1, 40), rng.randint(1, 3))) for p in range(3)}
+             for _ in range(sessions)]
+    rounds = []
+    send = mpc.InProcessTransport.send
+
+    def recording(transport, sender, recipient, data):
+        rounds.append(mpc.decode_frame(data)[1])
+        send(transport, sender, recipient, data)
+
+    monkeypatch.setattr(mpc.InProcessTransport, "send", recording)
+    config = S.SessionConfig(parties=(0, 1, 2), sigma=8, mode="outsourced", n_servers=1)
+    res = S.run_sessions(config, batch, seed=sessions, execution="both")
+    for held, reports in zip(batch, res.reports):
+        assert {p: set(reports[p].statuses) for p in held} == held
+        assert {p: reports[p].shared for p in held} == oracle.brute_force_shared(held)
+    tr = res.transcript
+    assert tr.n_parties == 1 and tr.batch == sessions
+    assert tr.rounds == tr.and_layers + tr.reactive_opens + 1
+    # the negotiation's and the round's input shares: one frame per party
+    assert rounds == [0] * 6
 
 
 def test_outsourced_mode_matches_direct():
