@@ -23,13 +23,16 @@ behind each invariant. The builder records each wire's full topological
 level and AND depth as it emits the gates. From those facts
 `BooleanCircuit.schedule()` derives, with one sort, the layered plan
 that both the plaintext evaluator and the MPC engine run;
-`gate_counts().depth_and` is its number of AND layers.
+`gate_counts().depth_and` is its number of AND layers. The plan names
+each AND layer's distinct input wires once, so the engine opens each
+of them once per layer, however many of the layer's ANDs read it.
 """
 
 from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -60,10 +63,14 @@ class GateCounts:
 class Layer:
     """XOR groups computable before one AND round, then that round's ANDs.
 
-    Each group is (in_a, in_b, out) for mutually independent gates:
+    Each XOR group is (in_a, in_b, out) for mutually independent gates:
     in_a and in_b are int32 wire arrays, and out, the ascending wires
     the gates drive, is a `slice` when they form one run and an int32
-    array otherwise.
+    array otherwise. The ANDs are one group (inputs, idx, out): `inputs`
+    holds the layer's distinct input wires, ascending, and the int32
+    array `idx` holds, for k ANDs, the first inputs' positions in
+    `inputs` and then the second inputs', so AND g computes
+    `inputs[idx[g]] & inputs[idx[k + g]]` into the g-th wire of `out`.
     """
 
     pre_xors: list
@@ -76,16 +83,32 @@ class Schedule:
 
     Its groups index the wire axis directly (`values[out] = values[a] ^
     values[b]`): int32 inputs, and outputs as a slice wherever they are
-    contiguous, so most writes need no index array.
+    contiguous, so most writes need no index array. Every layer's `idx`
+    is a view of `and_index`, layer after layer; `opened` and `ands`
+    hold each layer's count of distinct inputs and of ANDs.
     """
 
     layers: list
     trailing_xors: list
     and_count: int
+    and_index: np.ndarray
+    opened: np.ndarray
+    ands: np.ndarray
 
     @property
     def and_layers(self) -> int:
         return len(self.layers)
+
+    @property
+    def and_inputs_opened(self) -> int:
+        """Distinct AND inputs summed over the layers: the wires that the
+        AND layers open, each once per layer that reads it."""
+        return int(self.opened.sum())
+
+    @property
+    def widest_layer(self) -> int:
+        """The most inputs plus ANDs of one layer."""
+        return int((self.opened + self.ands).max(initial=0))
 
 
 class BooleanCircuit:
@@ -153,7 +176,8 @@ class BooleanCircuit:
         full level, ANDs keep gate order. Layer d is then the XORs of
         depth d-1 plus the ANDs of depth d, and the XORs of the top depth
         trail the last layer. A wire's AND depth rises only at an AND
-        gate, so every layer holds at least one AND.
+        gate, so every layer holds at least one AND. The AND layers' plan
+        (`_and_plan`) is then built from the ANDs' inputs in that order.
         """
         if self._schedule is None:
             self._schedule = self._layered()
@@ -161,7 +185,8 @@ class BooleanCircuit:
 
     def _layered(self) -> Schedule:
         if not self.n_gates:
-            return Schedule([], [], self.and_count)
+            none = np.zeros(0, dtype=np.int64)
+            return Schedule([], [], self.and_count, np.zeros(0, dtype=np.int32), none, none)
         first = 1 + self.n_input_wires
         is_xor = self.kind != AND
         key = self.wire_depth[first:].astype(np.int64)
@@ -174,30 +199,55 @@ class BooleanCircuit:
         order = np.argsort(key, kind="stable")
         key.sort()  # equals key[order]: equal keys are equal values
         starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        group_key = (key[starts] >> 32).tolist()
+        group_key = key[starts] >> 32
         del key
-        gate_a = self.in_a[order]
-        gate_b = self.in_b[order]
-        ends = np.append(starts[1:], len(order))
+        sizes = np.diff(starts, append=len(order))
         # a group's gates, and so the wires they drive, ascend: they form
         # one run exactly when the last is as far from the first as the
         # group is long
         head = order[starts]
-        runs = (order[ends - 1] - head == ends - starts - 1).tolist()
+        runs = (order[starts + sizes - 1] - head == sizes - 1).tolist()
         low = (head + first).tolist()  # gate g drives wire first + g
+        # the XOR groups' gates and the AND layers' gates apart, each in
+        # sorted order, and `order` freed before what the schedule keeps is
+        # made, so that it takes the place `order` held
+        is_and = group_key % 2 == 0
+        gate_is_and = np.repeat(is_and, sizes)
+        and_order, xor_order = order[gate_is_and], order[~gate_is_and]
+        del order, gate_is_and
+        gate_a = self.in_a[xor_order]
+        gate_b = self.in_b[xor_order]
+        # each group's start among the gates of its kind
+        at = np.where(is_and, np.cumsum(sizes * is_and), np.cumsum(sizes * ~is_and)) - sizes
         layers = [Layer([], None) for _ in range(top)]
         trailing = []
-        for k, run, lo, s, e in zip(group_key, runs, low, starts.tolist(), ends.tolist()):
-            out = slice(lo, lo + e - s) if run else (order[s:e] + first).astype(np.int32)
-            group = (gate_a[s:e], gate_b[s:e], out)
+        for k, run, lo, s, n in zip(group_key.tolist(), runs, low, at.tolist(), sizes.tolist()):
             depth, xor = divmod(k, 2)
+            out = slice(lo, lo + n) if run else ((xor_order if xor else and_order)[s:s + n] + first).astype(np.int32)
             if not xor:
-                layers[depth - 1].and_gates = group
+                layers[depth - 1].and_gates = out
             elif depth < top:
-                layers[depth].pre_xors.append(group)
+                layers[depth].pre_xors.append((gate_a[s:s + n], gate_b[s:s + n], out))
             else:
-                trailing.append(group)
-        return Schedule(layers, trailing, self.and_count)
+                trailing.append((gate_a[s:s + n], gate_b[s:s + n], out))
+        del xor_order
+        ands = sizes[is_and]
+        # per layer, its ANDs' first inputs, then their second inputs: AND
+        # t's first input goes to slot t plus its layer's first AND, and its
+        # second input as many slots on as the layer has ANDs
+        slot = np.repeat(at[is_and].astype(np.int32), ands)
+        slot += np.arange(len(and_order), dtype=np.int32)
+        operands = np.empty(2 * len(and_order), dtype=np.int32)
+        operands[slot] = self.in_a[and_order]
+        slot += np.repeat(ands.astype(np.int32), ands)
+        operands[slot] = self.in_b[and_order]
+        del and_order, slot
+        inputs, index, opened = _and_plan(operands, ands, self.n_wires)
+        g0 = 0
+        for layer, layer_inputs, k in zip(layers, inputs, ands.tolist()):
+            layer.and_gates = (layer_inputs, index[2 * g0:2 * (g0 + k)], layer.and_gates)
+            g0 += k
+        return Schedule(layers, trailing, self.and_count, index, opened, ands)
 
     # -- evaluation --------------------------------------------------------
 
@@ -249,13 +299,69 @@ class BooleanCircuit:
         schedule = self.schedule()
         for layer in schedule.layers:
             xors(layer.pre_xors)
-            a, b, o = layer.and_gates
-            values[o] = values[a] & values[b]
+            inputs, idx, o = layer.and_gates
+            operands = values[inputs][idx]
+            k = len(idx) // 2
+            values[o] = operands[:k] & operands[k:]
         xors(schedule.trailing_xors)
         if not batched:
             values = values[:, 0]
         out = values[self.output_wires]
         return out if extra_wires is None else (out, values[list(extra_wires)])
+
+
+# Operands per run of whole AND layers while `_and_plan` builds the plan,
+# so its temporaries stay a few hundred KiB whatever the circuit.
+_PLAN_RUN = 1 << 14
+
+
+def _and_plan(operands, ands, n_wires: int):
+    """The AND layers' plan. `operands` holds, layer after layer, the
+    first inputs of the layer's ANDs and then their second inputs, and
+    `ands` each layer's number of ANDs. Returns each layer's distinct
+    input wires (int32, ascending); each operand's position among its
+    layer's (int32, laid out as `operands`: each layer's `ia | ib`); and
+    each layer's count of distinct inputs.
+
+    It runs over whole layers, about `_PLAN_RUN` operands at a time: a
+    stable sort of the run's operands by (layer, wire) marks the first
+    of each distinct pair, and each operand is ranked among its layer's
+    marks. Only the results outlive a run.
+    """
+    n_layers = len(ands)
+    starts = np.zeros(n_layers + 1, dtype=np.int64)
+    np.cumsum(2 * ands, out=starts[1:])
+    index = np.empty(len(operands), dtype=np.int32)
+    opened = np.empty(n_layers, dtype=np.int64)
+    inputs = []
+    l0 = 0
+    while l0 < n_layers:
+        l1 = max(l0 + 1, int(np.searchsorted(starts, starts[l0] + _PLAN_RUN, "right")) - 1)
+        o0, o1 = int(starts[l0]), int(starts[l1])
+        ops, sizes = operands[o0:o1], 2 * ands[l0:l1]
+        key = np.repeat(np.arange(l1 - l0, dtype=np.int64) * n_wires, sizes)
+        key += ops
+        # the operands come nearly sorted, in runs, which a stable sort
+        # merges several times faster than an unstable one sorts them
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new = np.empty(len(key), dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        del key
+        rank = np.cumsum(new, dtype=np.int32)  # an int32 sum runs twice as fast as a bool one
+        rank -= 1
+        # sorted, each layer's operands keep their places in the run
+        firsts = rank[starts[l0:l1] - o0]
+        count = np.diff(firsts, append=rank[-1] + 1)
+        rank -= np.repeat(firsts, sizes)
+        index[o0:o1][order] = rank
+        wires = ops[order[new]]
+        bounds = [0, *accumulate(count.tolist())]
+        inputs += [wires[s:e] for s, e in zip(bounds, bounds[1:])]
+        opened[l0:l1] = count
+        l0 = l1
+    return inputs, index, opened
 
 
 # -- builders ----------------------------------------------------------------

@@ -145,6 +145,7 @@ def cmd_simulate(args) -> int:
             "parties": t.n_parties,
             "and_count": t.and_count,
             "and_layers": t.and_layers,
+            "and_inputs_opened": t.and_inputs_opened,
             "reactive_opens": t.reactive_opens,
             "rounds": t.rounds,
             "messages_sent": t.messages_sent,

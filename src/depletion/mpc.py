@@ -1,34 +1,42 @@
-"""XOR-sharing protocol evaluator with dealer triples.
+"""XOR-sharing protocol evaluator with dealer-made per-layer input masks.
 
-Parties hold XOR shares of every wire; XOR gates are local, each AND
-layer costs one communication round of masked openings backed by one
-Beaver triple per gate per batch element. An AND layer opens only
-values masked by fresh triples, so it reveals nothing about any wire.
-After the last AND layer, designated wires are opened (reactive
-opening) before the outputs, and a validator may abort the run there:
-the sortedness flags are the first opening, so an unsorted input stops
-the round before any output key is revealed. Shares stay valid after
-an opening, which carries cross-epoch reuse of input shares.
+Parties hold XOR shares of every wire; XOR gates are local, and each AND
+layer costs one communication round. In it each distinct input wire w
+of the layer is opened once, masked: d_w = w ⊕ r_w, with r_w a fresh
+dealer mask of that layer. Each AND x·y of the layer consumes one dealt
+share of r_x·r_y: every party adds d_x·[r_y] ⊕ d_y·[r_x] ⊕ [r_x·r_y],
+and party 0 also d_x·d_y. This is Beaver's masked-opening AND (CRYPTO
+1991) with one mask per input wire, as in ABY2.0 (Patra et al., USENIX
+Security 2021), but drawn afresh for every layer, so a layer opens each
+input once however many of its ANDs read it. No mask serves two
+openings, so every opening is uniform and independent of all other
+messages, and reveals nothing about any wire. After the last AND layer,
+designated wires are opened (reactive opening) before the outputs, and
+a validator may abort the run there: the sortedness flags are the first
+opening, so an unsorted input stops the round before any output key is
+revealed. Shares stay valid after an opening, which carries cross-epoch
+reuse of input shares.
 
 The computing parties are simulated together, in the SIMD layout that
 ABY and MOTION use for GMW: all their shares live in one party-first
 `uint8` tensor of shape (parties, wires, ceil(batch / 8)), with the
 batch axis packed eight sessions to a byte, most significant bit first
 (`np.packbits` order; the padding bits of a ragged last byte are zero).
-Row i of it and of the triple pool's arrays, packed the same way,
-belongs to the i-th computing party. Random share bytes are drawn one
-way: `random_packed` reads a bit generator's next raw words as packed
-share bytes and clears the padding bits. The dealer's triples are one
-such block per chunk, and an owner's random input shares another. The
-pool holds one chunk at a time, about `_CHUNK_BYTES` per kind: when an
-AND layer needs more than the chunk has left, it drops the chunk with
-its unserved rest and deals the next triples from the dealer's seeded
-generator, so the triples are fixed by the seed and the chunk sizes.
-The gate kernels are bitwise, so an XOR group is one numpy operation
-for every party over one eighth of the bytes, and an AND layer is one
-mask, one reconstruction and one product for all of them; only party 0
-adds d & e. No party's row is computed from another party's row except
-through the frames the round carries.
+Row i of it and of the pool's arrays, packed the same way, belongs to
+the i-th computing party. Random share bytes are drawn one way:
+`random_packed` reads a bit generator's next raw words as packed share
+bytes and clears the padding bits. The dealer's masks and products are
+one such block per chunk, and an owner's random input shares another.
+The pool holds one chunk at a time, the masks and products of a run of
+whole AND layers, at most `_CHUNK_BYTES` with the dealer's scratch
+unless one layer alone needs more: when the next layer is past the
+chunk, it drops the chunk and deals the next run from the dealer's
+seeded generator, so the masks are fixed by the seed and the chunk
+sizes. The gate kernels are bitwise, so an XOR group is one numpy
+operation for every party over one eighth of the bytes, and an AND
+layer is one masking, one reconstruction and one product for all of
+them; only party 0 adds d_x·d_y. No party's row is computed from another
+party's row except through the frames the round carries.
 
 A packed row is `bits.row_bytes(batch)` bytes wide wherever the width
 is needed. Two pairs of functions and `random_packed`, and no other
@@ -108,7 +116,7 @@ class AbortUnsorted(MpcError):
 
 
 class TriplePoolExhausted(MpcError):
-    """More AND gates evaluated than triples dealt."""
+    """More AND layers evaluated than the dealer dealt for."""
 
 
 class AccountingMismatch(MpcError):
@@ -255,62 +263,100 @@ def random_packed(gen, shape: tuple, batch: int) -> np.ndarray:
     return out
 
 
-# Bytes of each kind's share array in one chunk of the engine's pool: the
-# pool holds one chunk at a time, not all its triples.
-_CHUNK_BYTES = 256 << 10
+# Bytes of one chunk of the engine's pool, with the dealer's scratch for
+# it: the pool holds one chunk at a time, not all its masks and products.
+_CHUNK_BYTES = 768 << 10
 
 
-def _chunk_triples(n_parties: int, batch: int) -> int:
-    """Triples in one chunk of the engine's pool; at least one."""
-    return max(1, _CHUNK_BYTES // (n_parties * row_bytes(batch)))
+def _dealt_row_bytes(n_parties: int, batch: int) -> int:
+    """Bytes the dealer holds at most per row (mask or product) of a
+    chunk while it deals it: every party's share; four rows for the
+    reconstructed masks, the products and their scratch; and an int64
+    index for each of a product's two operands."""
+    return (n_parties + 4) * row_bytes(batch) + 16
 
 
-def deal_triples(gen, n_parties: int, k: int, batch: int):
-    """Dealer-made XOR shares (a, b, c = a & b) of the next `k` triples of
-    every computing party, each a (parties, k, ceil(batch / 8)) array
-    packed like the share tensor: the next words of `gen`, as one
-    `random_packed` block of all three kinds, with the last party's `c`
-    fixed up."""
-    a, b, c = random_packed(gen, (3, n_parties, k), batch)
-    ab = np.bitwise_xor.reduce(a, axis=0)
-    ab &= np.bitwise_xor.reduce(b, axis=0)
-    ab ^= np.bitwise_xor.reduce(c, axis=0)
-    c[-1] ^= ab
-    return a, b, c
+def _chunk_rows(n_parties: int, batch: int) -> int:
+    """Rows, masks plus products, in one chunk of the engine's pool; at
+    least one."""
+    return max(1, _CHUNK_BYTES // _dealt_row_bytes(n_parties, batch))
+
+
+def deal_triples(gen, n_parties: int, index, opened, ands, batch: int):
+    """Dealer-made XOR shares for a run of whole AND layers of a schedule:
+    per layer, a fresh mask r of each of its `opened` distinct inputs,
+    and per each of its `ands` ANDs, a share of r_a & r_b for the ANDs'
+    inputs at `index` (each layer's `ia | ib`, as `Schedule.and_index`
+    holds them). Returns (r, c), (parties, masks, ceil(batch / 8)) and
+    (parties, ANDs, ceil(batch / 8)) arrays packed like the share tensor:
+    the next words of `gen`, as one `random_packed` block of both, with
+    the last party's `c` fixed up."""
+    m = int(opened.sum())
+    block = random_packed(gen, (n_parties, m + int(ands.sum())), batch)
+    r, c = block[:, :m], block[:, m:]
+    # each operand's row in r: its position among its layer's inputs,
+    # plus the layer's first row
+    at = np.repeat(np.cumsum(opened) - opened, 2 * ands)
+    at += index
+    masks = np.bitwise_xor.reduce(r, axis=0).take(at, axis=0)
+    del at
+    first = np.repeat(np.arange(2 * len(ands)) % 2 == 0, np.repeat(ands, 2))  # the ia halves
+    prod = np.compress(first, masks, axis=0)  # several times faster than masks[first]
+    prod &= np.compress(~first, masks, axis=0)
+    del masks, first
+    prod ^= np.bitwise_xor.reduce(c, axis=0)
+    c[-1] ^= prod
+    return r, c
 
 
 class TriplePool:
-    """The dealer's `count` triples for every computing party, served in
-    order by `take` and deterministic under `seed`.
+    """The dealer's masks and product shares for every AND layer of
+    `schedule` and every computing party, served a layer at a time by
+    `take` and deterministic under `seed`.
 
-    The pool holds one chunk at a time, `a`, `b` and `c` as returned by
-    `deal_triples`; `cursor` counts the triples served. When the chunk
-    cannot serve `take(k)`, the pool drops it with its unserved rest and
-    deals the next min(count - cursor, max(k, chunk)) triples, so the
-    first chunk is dealt by the first `take`.
+    The pool holds one chunk at a time, `r` and `c` as `deal_triples`
+    returns them for a run of whole layers; `cursor` counts the products
+    served, one per AND. When the next layer is past the chunk, the pool
+    drops it and deals the layers from there whose masks and products
+    add up to at most `_chunk_rows` rows, or that one layer if it alone
+    has more. So the first chunk is dealt by the first `take`.
     """
 
-    def __init__(self, n_parties: int, count: int, seed, batch: int):
-        self.n_parties, self.count, self.batch = n_parties, count, batch
+    def __init__(self, n_parties: int, schedule: Schedule, seed, batch: int):
+        self.n_parties, self.batch = n_parties, batch
+        self.index, self.opened, self.ands = schedule.and_index, schedule.opened, schedule.ands
         self.gen = np.random.default_rng(seed).bit_generator
-        self.a = self.b = self.c = np.empty((n_parties, 0, row_bytes(batch)), dtype=np.uint8)
+        self.r = self.c = np.empty((n_parties, 0, row_bytes(batch)), dtype=np.uint8)
         self.cursor = 0
-        self._at = 0  # the held chunk's next triple
+        self.layer = 0  # the next layer to serve
+        self._end = 0  # the layer after the held chunk's last
+        self._at = (0, 0)  # the next layer's first mask and product in the chunk
 
-    def take(self, k: int):
-        if self._at + k > self.a.shape[1]:
-            left = self.count - self.cursor
-            if k > left:
-                raise TriplePoolExhausted(f"need {k} triples, {left} left")
-            self.a = self.b = self.c = None  # never hold two chunks
-            size = min(left, max(k, _chunk_triples(self.n_parties, self.batch)))
+    def take(self):
+        """The next layer's masks (parties, inputs, ceil(batch / 8)) and
+        product shares (parties, ANDs, ceil(batch / 8))."""
+        i = self.layer
+        if i == self._end:
+            if i == len(self.ands):
+                raise TriplePoolExhausted(f"all {i} AND layers were served")
+            self.r = self.c = None  # never hold two chunks
+            most = _chunk_rows(self.n_parties, self.batch)
+            # a layer has at least two rows, one AND and one input
+            ahead = slice(i, i + most // 2 + 1)
+            rows = np.cumsum(self.opened[ahead] + self.ands[ahead])
+            j = i + max(1, int(np.searchsorted(rows, most, "right")))
+            g0 = self.cursor  # the products before layer i
+            g1 = g0 + int(self.ands[i:j].sum())
             # through the module attribute, so that a wrapper sees every chunk
-            self.a, self.b, self.c = deal_triples(self.gen, self.n_parties, size, self.batch)
-            self._at = 0
-        s = slice(self._at, self._at + k)
-        self._at += k
+            self.r, self.c = deal_triples(self.gen, self.n_parties, self.index[2 * g0:2 * g1],
+                                          self.opened[i:j], self.ands[i:j], self.batch)
+            self._end, self._at = j, (0, 0)
+        m, k = int(self.opened[i]), int(self.ands[i])
+        m0, g0 = self._at
+        self._at = (m0 + m, g0 + k)
+        self.layer += 1
         self.cursor += k
-        return self.a[:, s], self.b[:, s], self.c[:, s]
+        return self.r[:, m0:m0 + m], self.c[:, g0:g0 + k]
 
 
 def share_input(packed: np.ndarray, n_shares: int, gen, batch: int) -> np.ndarray:
@@ -328,9 +374,10 @@ def share_input(packed: np.ndarray, n_shares: int, gen, batch: int) -> np.ndarra
 
 
 def build_schedule(circuit: BooleanCircuit) -> Schedule:
-    """Layered plan: per AND depth, XOR groups then one AND round, and
-    the XOR groups after the last AND round. Built from the levels the
-    builder recorded; memoized on the circuit.
+    """Layered plan: per AND depth, XOR groups then one AND round over
+    the layer's distinct inputs, and the XOR groups after the last AND
+    round. Built from the levels the builder recorded; memoized on the
+    circuit.
     """
     return circuit.schedule()
 
@@ -342,8 +389,8 @@ class Party:
     """Local gate logic of every computing party at once.
 
     Row i of `shares`, a (parties, wires, ceil(batch / 8)) tensor with
-    the batch axis packed (`pack_batch`), and of the triple pool belongs
-    to the i-th computing party. Each kernel is one bitwise numpy
+    the batch axis packed (`pack_batch`), and of the pool belongs to the
+    i-th computing party. Each kernel is one bitwise numpy
     operation over all rows, and each row is computed only from that
     party's own rows and, in `and_recv`, its own reconstruction.
     """
@@ -363,29 +410,32 @@ class Party:
             sh[:, o] = x
 
     def and_send(self, gates) -> np.ndarray:
-        """Every party's masked (d, e) as packed (parties, 2 * gates, width) rows."""
-        a_idx, b_idx, _ = gates
-        k = len(a_idx)
-        ta, tb, tc = self.pool.take(k)
-        sh = self.shares
-        payload = np.concatenate((sh.take(a_idx, axis=1), sh.take(b_idx, axis=1)), axis=1)
-        payload[:, :k] ^= ta
-        payload[:, k:] ^= tb
-        self._pending = (ta, tb, tc)
+        """Every party's shares of the layer's distinct inputs, masked
+        with its shares of the layer's masks, as packed (parties, inputs,
+        width) rows."""
+        r, c = self.pool.take()
+        payload = self.shares.take(gates[0], axis=1)
+        payload ^= r
+        self._pending = (r, c)
         return payload
 
     def and_recv(self, gates, opened: np.ndarray):
-        """`opened` holds each party's reconstruction of (d, e), as
-        packed (parties, 2 * gates, width) rows."""
-        ta, tb, tc = self._pending
+        """`opened` holds each party's reconstruction d = w ⊕ r_w of the
+        layer's inputs, as packed (parties, inputs, width) rows. Each
+        AND's share is d_a·[r_b] ⊕ d_b·[r_a] ⊕ [r_a·r_b], plus d_a·d_b
+        at party 0."""
+        r, c = self._pending
         self._pending = None
-        k = ta.shape[1]
-        d, e = opened[:, :k], opened[:, k:]
-        z = d & tb
-        z ^= tc
-        z ^= e & ta
-        z[0] ^= d[0] & e[0]
-        self.shares[:, gates[2]] = z
+        _, idx, out = gates
+        k = len(idx) // 2
+        d = opened.take(idx, axis=1)
+        m = r.take(idx, axis=1)
+        z = d[:, :k] & m[:, k:]
+        z ^= c
+        m[:, :k] &= d[:, k:]
+        z ^= m[:, :k]
+        z[0] ^= d[0, :k] & d[0, k:]
+        self.shares[:, out] = z
 
 
 # -- transport -----------------------------------------------------------------
@@ -417,21 +467,69 @@ class InProcessTransport:
 
 @dataclass
 class Transcript:
-    n_parties: int
+    """The counts of one engine's run.
+
+    Input shares are counted per sender in `input_sent`. In every later
+    round each computing party frames one payload of the same size and
+    sends it to each of its peers, so those rounds are counted once for
+    all computing parties: `round_sent` holds what each of them sent in
+    them, and `and_bits` the payload bits of its AND layers alone.
+    `triples_consumed` counts each computing party's dealt mask
+    products, one per AND.
+    """
+
+    computing_ids: list
     batch: int
     and_count: int
     and_layers: int
+    and_inputs_opened: int
     reactive_opens: int = 0
     rounds: int = 0
-    messages_sent: dict = field(default_factory=dict)
-    payload_bits_sent: dict = field(default_factory=dict)
-    bytes_sent: dict = field(default_factory=dict)
+    input_sent: dict = field(default_factory=dict)  # sender -> [messages, payload bits, bytes]
+    round_sent: list = field(default_factory=lambda: [0, 0, 0])
+    and_bits: int = 0
     triples_consumed: dict = field(default_factory=dict)
 
-    def _bump(self, pid, messages, payload_bits, nbytes):
-        self.messages_sent[pid] = self.messages_sent.get(pid, 0) + messages
-        self.payload_bits_sent[pid] = self.payload_bits_sent.get(pid, 0) + payload_bits
-        self.bytes_sent[pid] = self.bytes_sent.get(pid, 0) + nbytes
+    @property
+    def n_parties(self) -> int:
+        return len(self.computing_ids)
+
+    def _sent(self, i: int) -> dict:
+        """Item i of (messages, payload bits, bytes) per party that sent."""
+        senders = [*self.input_sent, *(p for p in self.computing_ids if p not in self.input_sent)]
+        computing = set(self.computing_ids)
+        return {p: self.input_sent.get(p, (0, 0, 0))[i] + (self.round_sent[i] if p in computing else 0)
+                for p in senders}
+
+    @property
+    def messages_sent(self) -> dict:
+        return self._sent(0)
+
+    @property
+    def payload_bits_sent(self) -> dict:
+        return self._sent(1)
+
+    @property
+    def bytes_sent(self) -> dict:
+        return self._sent(2)
+
+    def _bump_input(self, sender, nbits, frame_bytes):
+        """One frame of input shares from `sender`."""
+        sent = self.input_sent.setdefault(sender, [0, 0, 0])
+        sent[0] += 1
+        sent[1] += nbits
+        sent[2] += frame_bytes
+
+    def _bump_round(self, nbits, frame_bytes, and_layer: bool):
+        """One broadcast round: each computing party sent one frame of
+        `nbits` payload bits and `frame_bytes` bytes to each peer."""
+        peers = self.n_parties - 1
+        sent = self.round_sent
+        sent[0] += peers
+        sent[1] += nbits * peers
+        sent[2] += frame_bytes * peers
+        if and_layer:
+            self.and_bits += nbits * peers
 
     def total_bytes(self) -> int:
         return sum(self.bytes_sent.values())
@@ -448,6 +546,12 @@ class Transcript:
                 raise AccountingMismatch(
                     f"party {pid} consumed {used} triples for {self.and_count} ANDs"
                 )
+        opened = self.and_inputs_opened * self.batch * (self.n_parties - 1)
+        if self.and_bits != opened:
+            raise AccountingMismatch(
+                f"each computing party sent {self.and_bits} AND-layer payload bits for "
+                f"{self.and_inputs_opened} inputs opened at batch {self.batch} to {self.n_parties - 1} peers"
+            )
 
 
 # -- engine ----------------------------------------------------------------------
@@ -485,27 +589,34 @@ class EngineTooLarge(MpcError):
     """An engine would need more than `MAX_ENGINE_BYTES` while it is built."""
 
 
-def engine_bytes(n_parties: int, n_wires: int, and_count: int, batch: int) -> int:
+def engine_bytes(n_parties: int, n_wires: int, and_count: int, batch: int, widest: int = 0) -> int:
     """An upper bound on the bytes an engine holds at once while it is
     built and deals its first chunk: the share tensor, ceil(batch / 8)
-    bytes per wire and party, and the triple pool's chunk, three
-    (parties, chunk, ceil(batch / 8)) arrays of at most `_CHUNK_BYTES`
-    each in one block of raw random words, with the dealer's scratch for
-    it (two (chunk, ceil(batch / 8)) arrays). Each later chunk is dealt
-    after the one before it is dropped, and is no larger unless an AND
-    layer holds more ANDs than a chunk: such a layer's triples are one
-    chunk of the layer's width, dealt while the layer runs. On top comes
-    `_ENGINE_OBJECT_BYTES`, for what does not scale with the circuit."""
-    width = row_bytes(batch)
-    chunk = min(and_count, _chunk_triples(n_parties, batch))
-    return (n_parties * n_wires * width + (3 * n_parties + 2) * chunk * width
+    bytes per wire and party, and the pool's first chunk with the
+    dealer's scratch, `_dealt_row_bytes` per row. A chunk has at most
+    `_chunk_rows` rows (masks and products), or one layer's if that
+    layer alone has more; `widest`, the most rows of one layer, is known
+    once the schedule is, and the whole circuit has at most 3 × ANDs
+    rows. Each later chunk is dealt after the one before it is dropped,
+    and is no larger. On top comes `_ENGINE_OBJECT_BYTES`, for what does
+    not scale with the circuit."""
+    rows = min(3 * and_count, max(_chunk_rows(n_parties, batch), widest))
+    return (n_parties * n_wires * row_bytes(batch) + rows * _dealt_row_bytes(n_parties, batch)
             + _ENGINE_OBJECT_BYTES)
+
+
+_AND_LAYER = "AND layer"  # the kind of round whose payload bits `Transcript.and_bits` counts
+
+
+def _check_size(need: int) -> None:
+    if need > MAX_ENGINE_BYTES:
+        raise EngineTooLarge(f"shares and masks need {need} bytes, over the limit of {MAX_ENGINE_BYTES}")
 
 
 class Engine:
     """Drive the computing parties through one protocol execution.
 
-    `parties` holds every computing party's shares and triples; row i
+    `parties` holds every computing party's shares and dealt masks; row i
     belongs to `computing_ids[i]`.
     """
 
@@ -524,27 +635,26 @@ class Engine:
             raise MpcError(f"batch {batch} must be at least 1")
         self.computing_ids = list(computing_ids)
         n = len(self.computing_ids)
-        # before the schedule, which is itself as large as the circuit
-        need = engine_bytes(n, circuit.n_wires, circuit.and_count, batch)
-        if need > MAX_ENGINE_BYTES:
-            raise EngineTooLarge(
-                f"shares and triples need {need} bytes, over the limit of {MAX_ENGINE_BYTES}"
-            )
+        # before the schedule, which is itself as large as the circuit, and
+        # again once the schedule tells how wide its widest layer is
+        _check_size(engine_bytes(n, circuit.n_wires, circuit.and_count, batch))
         self.circuit = circuit
         self.schedule = build_schedule(circuit)
+        _check_size(engine_bytes(n, circuit.n_wires, circuit.and_count, batch, self.schedule.widest_layer))
         self.reactive = list(reactive)
         self.batch = batch
         self.epoch = epoch
         self.transport = transport or InProcessTransport()
-        pool = TriplePool(n, self.schedule.and_count, dealer_seed, batch)
+        pool = TriplePool(n, self.schedule, dealer_seed, batch)
         self.parties = Party(n, circuit.n_wires, batch, pool)
         self._row = {pid: i for i, pid in enumerate(self.computing_ids)}
         self._peers = {pid: [o for o in self.computing_ids if o != pid] for pid in self.computing_ids}
         self.transcript = Transcript(
-            n_parties=n,
+            computing_ids=self.computing_ids,
             batch=batch,
             and_count=self.schedule.and_count,
             and_layers=self.schedule.and_layers,
+            and_inputs_opened=self.schedule.and_inputs_opened,
             reactive_opens=len(self.reactive),
         )
         self._round = 0
@@ -575,7 +685,7 @@ class Engine:
             nbits = todo.size * self.batch
             for pid, payload in zip(others, _frame_payloads(shares[:len(others)], self.batch)):
                 rid = self._next_range()
-                self._post(owner, [pid], rid, nbits, payload)
+                self.transcript._bump_input(owner, nbits, self._post(owner, [pid], rid, nbits, payload))
                 got = np.frombuffer(self._take(pid, owner, rid, nbits, "input share"), dtype=np.uint8)
                 self.parties.shares[self._row[pid], todo] = _packed_rows(got[None], todo.size, self.batch)[0]
             if owner in self._row:
@@ -598,14 +708,13 @@ class Engine:
         self._range_id += 1
         return self._range_id
 
-    def _post(self, sender: int, recipients: list[int], range_id: int, nbits: int, payload):
+    def _post(self, sender: int, recipients: list[int], range_id: int, nbits: int, payload) -> int:
         """Frame `nbits` bits packed in `payload` once in the current round
-        and send the frame to each recipient."""
+        and send the frame to each recipient; returns the frame's length."""
         frame = encode_frame(self.epoch, self._round, sender, range_id, nbits, payload)
         for other in recipients:
             self.transport.send(sender, other, frame)
-        n = len(recipients)
-        self.transcript._bump(sender, n, nbits * n, len(frame) * n)
+        return len(frame)
 
     def _abort(self, recipient: int, kind: str, reason) -> TransportFailure:
         return TransportFailure(f"recipient {recipient}, {kind} round {self._round}: {reason}")
@@ -644,6 +753,8 @@ class Engine:
         n, size = own.shape
         for pid, payload in zip(self.computing_ids, own):
             self._post(pid, self._peers[pid], rid, nbits, payload)
+        length = _HEAD.size + size + _CRC.size
+        self.transcript._bump_round(nbits, length, kind == _AND_LAYER)
         # `read_frame` accepts exactly the frames that are the expected
         # header, `size` payload bytes and a CRC that checks; a frame that
         # fails this goes through it only for the message, and is refused.
@@ -651,7 +762,6 @@ class Engine:
             pid: _HEAD.pack(FRAME_VERSION, self.epoch, self._round, pid, rid, nbits)
             for pid in self.computing_ids
         }
-        length = _HEAD.size + size + _CRC.size
         recv, crc32 = self.transport.recv, zlib.crc32
         received = []  # per recipient, the frames of its peers
         try:
@@ -693,7 +803,7 @@ class Engine:
         for layer in self.schedule.layers:
             parties.apply_xors(layer.pre_xors)
             payload = parties.and_send(layer.and_gates)
-            parties.and_recv(layer.and_gates, self._broadcast_round(payload, "AND layer"))
+            parties.and_recv(layer.and_gates, self._broadcast_round(payload, _AND_LAYER))
         parties.apply_xors(self.schedule.trailing_xors)
         for point in self.reactive:
             point.validator(self.open_wires(point.wires, "reactive opening"))

@@ -673,8 +673,6 @@ def run_sessions(
     paths and insists on bit-identical opened keys).
     """
     config.validate()
-    if not stockpiles_batch:
-        raise SessionError("a round needs at least one session")
     slots = sorted(config.parties)
     digest = config.digest()
     if config_overrides:

@@ -184,6 +184,8 @@ def test_simulate_round_trip(tmp_path, capsys):
     t = summary["transcript"]
     assert t["rounds"] == t["and_layers"] + t["reactive_opens"] + 1
     assert all(v == t["and_count"] for v in t["triples_consumed"].values())
+    # each AND layer opens each of its inputs once, not a (d, e) pair per AND
+    assert t["and_inputs_opened"] < 2 * t["and_count"]
 
 
 @pytest.mark.parametrize("command", ["compile", "simulate"])

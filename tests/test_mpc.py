@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 import struct
 import tracemalloc
 import zlib
@@ -110,19 +111,70 @@ def gen(seed):
     return np.random.default_rng(seed).bit_generator
 
 
+def sharing_circuit(rng, n_parties=3, layers=5, ands=24):
+    """Layers of ANDs whose inputs repeat: a few first inputs shared by
+    many ANDs, a wire ANDed with itself, the constant-one wire as an
+    operand, and wires of earlier layers read again in later ones."""
+    b = CircuitBuilder()
+    wires = [b.one]
+    for p in range(n_parties):
+        wires += b.input_vector(p, rng.randint(1, 4))
+    for _ in range(layers):
+        few = rng.sample(wires, k=min(3, len(wires)))
+        a = [rng.choice(few) for _ in range(ands)]
+        c = [rng.choice(wires) for _ in range(ands)]
+        c[0], a[1] = a[0], b.one
+        new = b.and_v(np.array(a), np.array(c)).tolist()
+        wires += new + [b.xor_v(new[0], new[-1])]
+    return b.finish(rng.sample(wires[1:], k=8))
+
+
+def layer_runs(schedule, first, last):
+    """Per layer of schedule.layers[first:last], its slices of a run's
+    masks and products and its `ia | ib`."""
+    m = g = 0
+    for layer in schedule.layers[first:last]:
+        inputs, idx, _ = layer.and_gates
+        k = len(idx) // 2
+        yield slice(m, m + len(inputs)), slice(g, g + k), idx
+        m, g = m + len(inputs), g + k
+
+
+def deal_layers(seed, n_parties, schedule, first, last, batch):
+    """`deal_triples` for layers first..last - 1 of `schedule`."""
+    g0, g1 = (int(schedule.ands[:i].sum()) for i in (first, last))
+    return mpc.deal_triples(gen(seed), n_parties, schedule.and_index[2 * g0:2 * g1],
+                            schedule.opened[first:last], schedule.ands[first:last], batch)
+
+
+def assert_products(schedule, first, last, r, c, batch):
+    """Every dealt product reconstructs to the AND of its inputs' masks."""
+    rx, cx = (mpc.unpack_batch(np.bitwise_xor.reduce(kind, axis=0), batch) for kind in (r, c))
+    for masks, products, idx in layer_runs(schedule, first, last):
+        k = len(idx) // 2
+        assert np.array_equal(cx[products], rx[masks][idx[:k]] & rx[masks][idx[k:]])
+
+
 def test_triples_reconstruct():
-    a, b, c = (np.bitwise_xor.reduce(kind, axis=0) for kind in mpc.deal_triples(gen(5), 4, 10000, 1))
-    assert np.array_equal(c, a & b)
+    sched = sharing_circuit(random.Random(5)).schedule()
+    assert sched.and_inputs_opened < 2 * sched.and_count  # the inputs repeat
+    r, c = deal_layers(5, 4, sched, 0, sched.and_layers, 1)
+    assert r.shape == (4, sched.and_inputs_opened, 1) and c.shape == (4, sched.and_count, 1)
+    assert_products(sched, 0, sched.and_layers, r, c, 1)
+    # a run from the middle of the schedule indexes its own layers' masks
+    r, c = deal_layers(5, 4, sched, 2, 4, 1)
+    assert_products(sched, 2, 4, r, c, 1)
 
 
 def test_triples_seed_determinism():
-    one, two, other = (mpc.deal_triples(gen(seed), 3, 64, 1) for seed in (1, 1, 2))
+    sched = sharing_circuit(random.Random(1)).schedule()
+    one, two, other = (deal_layers(seed, 3, sched, 0, 3, 1) for seed in (1, 1, 2))
     assert all(np.array_equal(p, q) for p, q in zip(one, two))
     assert not np.array_equal(one[0], other[0])
 
-    def served(seed):  # a pool's triples, in two takes
-        pool = mpc.TriplePool(3, 64, seed, batch=9)
-        return [np.concatenate(kind, axis=1) for kind in zip(pool.take(30), pool.take(34))]
+    def served(seed):  # a pool's masks and products, a layer at a time
+        pool = mpc.TriplePool(3, sched, seed, batch=9)
+        return [np.concatenate(kind, axis=1) for kind in zip(*(pool.take() for _ in sched.layers))]
 
     first, again, other = served(1), served(1), served(2)
     assert all(np.array_equal(p, q) for p, q in zip(first, again))
@@ -130,100 +182,106 @@ def test_triples_seed_determinism():
 
 
 def test_triples_batched_with_ragged_bit_count():
-    n_parties, count, batch = 3, 7, 3  # 189 share bits per kind, not a multiple of 8
-    dealt = mpc.deal_triples(gen(11), n_parties, count, batch)
-    assert all(kind.shape == (n_parties, count, 1) for kind in dealt)
-    a, b, c = (mpc.unpack_batch(np.bitwise_xor.reduce(kind, axis=0), batch) for kind in dealt)
-    assert np.array_equal(c, a & b)
+    n_parties, batch = 3, 3  # 3 share bits per row, not a multiple of 8
+    sched = sharing_circuit(random.Random(11)).schedule()
+    dealt = deal_layers(11, n_parties, sched, 0, sched.and_layers, batch)
+    assert [kind.shape for kind in dealt] == [(n_parties, sched.and_inputs_opened, 1),
+                                              (n_parties, sched.and_count, 1)]
+    assert_products(sched, 0, sched.and_layers, *dealt, batch)
     assert not any((kind & 0b00011111).any() for kind in dealt)  # padding bits stay zero
-    again = mpc.deal_triples(gen(11), n_parties, count, batch)
-    other = mpc.deal_triples(gen(12), n_parties, count, batch)
+    again = deal_layers(11, n_parties, sched, 0, sched.and_layers, batch)
+    other = deal_layers(12, n_parties, sched, 0, sched.and_layers, batch)
     assert all(np.array_equal(p, q) for p, q in zip(dealt, again))
     assert any(not np.array_equal(p, q) for p, q in zip(dealt, other))
 
 
 def test_triple_pool_exhaustion():
+    sched = sharing_circuit(random.Random(0), layers=3).schedule()
     for batch, width in [(1, 1), (9, 2), (16, 2)]:
-        pool = mpc.TriplePool(2, 4, seed=0, batch=batch)
-        ta, tb, tc = pool.take(3)
-        assert ta.shape == tb.shape == tc.shape == (2, 3, width)
-        with pytest.raises(mpc.TriplePoolExhausted):
-            pool.take(2)
+        pool = mpc.TriplePool(2, sched, seed=0, batch=batch)
+        for layer in sched.layers:
+            r, c = pool.take()
+            inputs, idx, _ = layer.and_gates
+            assert r.shape == (2, len(inputs), width) and c.shape == (2, len(idx) // 2, width)
+        assert pool.cursor == sched.and_count
+        with pytest.raises(mpc.TriplePoolExhausted, match=f"all {sched.and_layers} AND layers"):
+            pool.take()
 
 
 @pytest.mark.parametrize("batch, count", [
-    pytest.param(batch, 5, id=str(batch)) for batch in (1, 3, 9, 16)
+    pytest.param(batch, 3, id=str(batch)) for batch in (1, 3, 9, 16)
 ] + [pytest.param(batch, 0, id=f"{batch}-no-ands") for batch in (1, 9, 16)])
 def test_packed_triples_are_the_bit_stream_of_the_dealer(batch, count):
-    """The three kinds are the generator's next raw 64-bit words, read
-    little-endian as (3, parties, count, ceil(batch / 8)) packed bytes
-    with the padding bits of a ragged last byte cleared."""
+    """The masks, then the products, are the generator's next raw 64-bit
+    words, read little-endian as (parties, masks + products, ceil(batch /
+    8)) packed bytes with the padding bits of a ragged last byte cleared;
+    only the last party's products are fixed up. `count` layers are
+    dealt."""
     n_parties, width = 3, -(-batch // 8)
-    dealt = mpc.deal_triples(gen(4), n_parties, count, batch)
-    size = 3 * n_parties * count * width
+    sched = sharing_circuit(random.Random(4)).schedule()
+    r, c = deal_layers(4, n_parties, sched, 0, count, batch)
+    m, k = r.shape[1], c.shape[1]
+    assert (m, k) == (int(sched.opened[:count].sum()), int(sched.ands[:count].sum()))
+    size = n_parties * (m + k) * width
     words = gen(4).random_raw(-(-size // 8)).astype("<u8").view(np.uint8)[:size]
-    want = mpc.pack_batch(mpc.unpack_batch(words.reshape(3, n_parties, count, width), batch))
-    for kind, got in zip(want[:2], dealt[:2]):
-        assert got.shape == (n_parties, count, width)
-        assert np.array_equal(got, kind)
-    assert np.array_equal(dealt[2][:-1], want[2][:-1])  # only the last party's c is fixed up
+    want = mpc.pack_batch(mpc.unpack_batch(words.reshape(n_parties, m + k, width), batch))
+    assert np.array_equal(r, want[:, :m])
+    assert np.array_equal(c[:-1], want[:-1, m:])
 
 
 @pytest.mark.parametrize("batch", [1, 3, 9, 16, 256])
 def test_a_dealt_range_is_that_slice_of_the_whole_pool(batch):
-    """A pool whose first chunk holds all its triples serves each take as
-    the next slice of the whole pool dealt at once."""
-    n_parties, count = 3, 37
-    assert mpc._chunk_triples(n_parties, batch) >= count
-    whole = mpc.deal_triples(gen(6), n_parties, count, batch)
-    pool = mpc.TriplePool(n_parties, count, 6, batch)
-    at = 0
-    for k in (5, 0, 1, 24, 7):
-        got = pool.take(k)
-        assert all(np.array_equal(g, w[:, at:at + k]) for g, w in zip(got, whole))
-        at += k
-    with pytest.raises(mpc.TriplePoolExhausted, match="need 1 triples, 0 left"):
-        pool.take(1)
+    """A pool whose first chunk holds all its layers serves each layer as
+    the next slice of the whole schedule dealt at once."""
+    n_parties = 3
+    sched = sharing_circuit(random.Random(6)).schedule()
+    assert mpc._chunk_rows(n_parties, batch) >= sched.and_inputs_opened + sched.and_count
+    whole = deal_layers(6, n_parties, sched, 0, sched.and_layers, batch)
+    pool = mpc.TriplePool(n_parties, sched, 6, batch)
+    for masks, products, _ in layer_runs(sched, 0, sched.and_layers):
+        r, c = pool.take()
+        assert np.array_equal(r, whole[0][:, masks]) and np.array_equal(c, whole[1][:, products])
+    with pytest.raises(mpc.TriplePoolExhausted, match="all 5 AND layers were served"):
+        pool.take()
 
 
 @pytest.mark.parametrize("batch", [1, 9, 16])
 def test_the_chunked_pool_serves_the_stream_one_chunk_at_a_time(batch, monkeypatch):
-    n_parties, count, seed = 3, 50, 2
-    width = -(-batch // 8)
-    monkeypatch.setattr(mpc, "_CHUNK_BYTES", 7 * n_parties * width)  # 7 triples
-    dealt = []  # per chunk, its size and the triples left to serve when dealt
+    n_parties, seed = 3, 2
+    sched = random_circuit(random.Random(3), gates=120).schedule()
+    rows = (sched.opened + sched.ands).tolist()
+    assert min(rows) <= 3 and max(rows) > 7  # layers that share a chunk, and wider ones
+    monkeypatch.setattr(mpc, "_CHUNK_BYTES", 7 * mpc._dealt_row_bytes(n_parties, batch))  # 7 rows
+    dealt = []  # per chunk, its layers
     deal = mpc.deal_triples
 
-    def counting(gen, n, k, b):
-        dealt.append((k, count - pool.cursor))
-        return deal(gen, n, k, b)
+    def counting(gen, n, index, opened, ands, b):
+        dealt.append((pool.layer, pool.layer + len(ands)))
+        return deal(gen, n, index, opened, ands, b)
 
     monkeypatch.setattr(mpc, "deal_triples", counting)
-    pool = mpc.TriplePool(n_parties, count, seed, batch)
-    assert dealt == [] and pool.a.shape == (n_parties, 0, width)  # dealt by the first take
-    served = []
-    for k in [3, 4, 0, 5, 12, 1, 7, 18]:  # 12 and 18 are wider than a chunk
-        served.append(pool.take(k))
-        # the pool holds one chunk: 7 triples, or a wider take's own
-        assert pool.a.shape[1] <= max(7, k)
-    assert pool.cursor == count
-    # a take the chunk cannot serve drops the chunk with its unserved rest
-    # (2 triples at the take of 12, 6 at the take of 18) and deals the next
-    # max(k, 7) triples, never more than are left to serve
-    assert [k for k, _ in dealt] == [7, 7, 12, 7, 7, 18]
-    assert all(k <= left for k, left in dealt)
-    # so the served triples are those slices of the seeded chunks
+    pool = mpc.TriplePool(n_parties, sched, seed, batch)
+    assert dealt == [] and pool.r.shape == (n_parties, 0, -(-batch // 8))  # dealt by the first take
+    served = [pool.take() for _ in sched.layers]
+    assert pool.cursor == sched.and_count
+    # whole layers, one after another: as many as fit in 7 rows, or one
+    # wider layer alone, so the pool never holds more than that
+    assert [first for first, _ in dealt] == [0] + [last for _, last in dealt[:-1]]
+    assert dealt[-1][1] == sched.and_layers
+    for first, last in dealt:
+        assert sum(rows[first:last]) <= 7 or last == first + 1
+        if last < sched.and_layers:
+            assert sum(rows[first:last + 1]) > 7
+    # so the served masks and products are those slices of the seeded chunks
     g = np.random.default_rng(seed).bit_generator
-    chunks = [deal(g, n_parties, k, batch) for k, _ in dealt]
-    starts = [(0, 0), (0, 3), (0, 7), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0)]
-    for (i, at), got in zip(starts, served):
-        k = got[0].shape[1]
-        assert all(np.array_equal(g_, w[:, at:at + k]) for g_, w in zip(got, chunks[i]))
-    with pytest.raises(mpc.TriplePoolExhausted, match="need 1 triples, 0 left"):
-        pool.take(1)
-    pool = mpc.TriplePool(n_parties, count, seed, batch)
-    with pytest.raises(mpc.TriplePoolExhausted, match="need 51 triples, 50 left"):
-        pool.take(51)
+    for first, last in dealt:
+        g0, g1 = (int(sched.ands[:i].sum()) for i in (first, last))
+        r, c = deal(g, n_parties, sched.and_index[2 * g0:2 * g1], sched.opened[first:last],
+                    sched.ands[first:last], batch)
+        for (masks, products, _), got in zip(layer_runs(sched, first, last), served[first:last]):
+            assert np.array_equal(got[0], r[:, masks]) and np.array_equal(got[1], c[:, products])
+    with pytest.raises(mpc.TriplePoolExhausted):
+        pool.take()
 
 
 def test_share_input_reconstruction():
@@ -245,7 +303,7 @@ def test_share_input_reconstruction():
 @pytest.mark.parametrize("batch", [1, 3, 9, 256])
 def test_random_share_bytes_are_uniform_in_every_session_and_zero_in_padding(batch):
     """The padding mask of `random_packed` keeps exactly the session bits:
-    a mask on the wrong end would zero session bits of the dealt a and b,
+    a mask on the wrong end would zero session bits of the dealt masks,
     and so unmask AND inputs, or of input shares. Every session bit of
     every share is 1 with frequency near 1/2 over many rows; every
     padding bit is 0."""
@@ -262,14 +320,15 @@ def test_random_share_bytes_are_uniform_in_every_session_and_zero_in_padding(bat
     block = mpc.random_packed(gen(batch), (2, rows), batch)
     assert block.shape == (2, rows, width)
     check(block)
-    a, b, c = mpc.deal_triples(gen(batch + 1), 3, rows, batch)
-    check(a)
-    check(b)
+    # one AND layer of `rows` ANDs over 2 * rows distinct inputs
+    b = CircuitBuilder()
+    x, y = b.input_vector(0, rows), b.input_vector(1, rows)
+    sched = b.finish(b.and_v(x, y)).schedule()
+    r, c = mpc.deal_triples(gen(batch + 1), 3, sched.and_index, sched.opened, sched.ands, batch)
+    check(r)
     check(c)
-    assert np.array_equal(
-        np.bitwise_xor.reduce(a, axis=0) & np.bitwise_xor.reduce(b, axis=0),
-        np.bitwise_xor.reduce(c, axis=0),
-    )
+    rx = np.bitwise_xor.reduce(r, axis=0)
+    assert np.array_equal(rx[:rows] & rx[rows:], np.bitwise_xor.reduce(c, axis=0))
     for value in (0, 1):  # whatever the input, each share is uniform
         packed = mpc.pack_batch(np.full((rows, batch), value, dtype=np.uint8))
         shares = mpc.share_input(packed, 3, gen(batch + 2), batch)
@@ -312,6 +371,30 @@ def test_batched_engine_matches_plaintext():
     out, engine = run_engine(circ, inputs, batch=batch)
     assert np.array_equal(out, want)
     assert engine.transcript.triples_consumed[0] == engine.schedule.and_count
+
+
+@pytest.mark.parametrize("batch", [1, 3, 9, 256])
+def test_engine_matches_plaintext_when_ands_share_inputs(batch):
+    """Layers whose ANDs read one wire many times, x & x, the constant-one
+    wire, and wires that earlier layers read too: each layer opens each
+    of its inputs once, and the outputs are the plaintext circuit's."""
+    rng = random.Random(batch)
+    for trial in range(6):
+        circ = sharing_circuit(rng)
+        sched = circ.schedule()
+        ands = circ.kind == C.AND
+        assert (circ.in_a[ands] == circ.in_b[ands]).any() and (circ.in_a[ands] == 0).any()
+        reads = Counter(w for layer in sched.layers for w in layer.and_gates[0].tolist())
+        assert max(reads.values()) > 1
+        assert sched.and_inputs_opened < 2 * sched.and_count
+        gen_inputs = np.random.default_rng(trial)
+        inputs = {p: gen_inputs.integers(0, 2, size=(len(ws), batch), dtype=np.uint8)
+                  for p, ws in circ.input_map.items()}
+        out, engine = run_engine(circ, inputs, seed=trial, batch=batch)
+        assert np.array_equal(out, circ.evaluate(inputs))
+        t = engine.transcript
+        assert t.and_inputs_opened == sched.and_inputs_opened
+        assert t.and_bits == sched.and_inputs_opened * batch * (len(engine.computing_ids) - 1)
 
 
 def test_accounting_identities():
@@ -366,6 +449,11 @@ def test_tampered_transcript_raises_accounting_mismatch():
     t.rounds -= 1
     t.triples_consumed[0] -= 1
     with pytest.raises(mpc.AccountingMismatch):
+        t.verify()
+    t.triples_consumed[0] += 1
+    t.verify()
+    t.and_bits += t.batch  # one input opened once more than the layers name
+    with pytest.raises(mpc.AccountingMismatch, match="AND-layer payload bits"):
         t.verify()
 
 
@@ -559,37 +647,42 @@ def test_share_blobs_restore_every_party_and_are_refused_elsewhere(batch, ids, e
 
 def test_engine_bytes_bounds_the_peak_of_building_an_engine(monkeypatch):
     circ = CP.compile_circuit(CP.CircuitConfig(n_parties=3, inputs_per_party=2, sigma=8)).circuit
-    and_count = circ.schedule().and_count  # memoized, so not measured below
+    sched = circ.schedule()  # memoized, so not measured below
     np.random.default_rng()  # numpy imports its random module on first use
-    # byte-aligned, ragged and one bit; the pool in one chunk and in four
+    rows = sched.and_inputs_opened + sched.and_count
+    # byte-aligned, ragged and one bit; the pool in one chunk, in about
+    # four, and in chunks of four rows, which every layer outgrows, so
+    # that the first chunk is the first layer alone
     for batch in (64, 9, 1):
         width = -(-batch // 8)
-        for chunks in (1, 4):
-            monkeypatch.setattr(mpc, "_CHUNK_BYTES", 3 * width * -(-and_count // chunks))
-            chunk = mpc._chunk_triples(3, batch)
-            assert -(-and_count // chunk) == chunks
+        for most in (rows, -(-rows // 4), 4):
+            monkeypatch.setattr(mpc, "_CHUNK_BYTES", most * mpc._dealt_row_bytes(3, batch))
+            assert mpc._chunk_rows(3, batch) == most
             tracemalloc.start()
             try:
                 engine = mpc.Engine(circ, [0, 1, 2], batch=batch)
-                engine.parties.pool.take(1)  # deals the first chunk
+                engine.parties.pool.take()  # deals the first chunk
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             pool = engine.parties.pool
-            kept = engine.parties.shares.nbytes + pool.a.nbytes + pool.b.nbytes + pool.c.nbytes
+            first = pool.r.shape[1] + pool.c.shape[1]  # rows of the first chunk
+            assert first <= most if most > 4 else first == sched.opened[0] + sched.ands[0] > most
+            kept = engine.parties.shares.nbytes + pool.r.nbytes + pool.c.nbytes
             # the share tensor and the pool's first chunk
-            assert kept == (circ.n_wires + 3 * chunk) * 3 * width
-            assert kept < peak <= mpc.engine_bytes(3, circ.n_wires, and_count, batch)
+            assert kept == (circ.n_wires + first) * 3 * width
+            assert kept < peak <= mpc.engine_bytes(3, circ.n_wires, circ.and_count, batch, sched.widest_layer)
 
 
 def test_an_engine_holds_one_chunk_of_a_pool_of_many():
-    """Building and running an engine whose pool spans about twelve
-    chunks peaks below its share tensor plus the whole pool, which is
-    what it held while the dealer dealt the pool up front."""
+    """Building and running an engine whose pool spans over ten chunks
+    peaks below its share tensor plus the whole pool, which is what it
+    would hold if the dealer dealt the pool up front."""
     circ = CP.compile_circuit(CP.CircuitConfig(n_parties=3, inputs_per_party=12, sigma=32)).circuit
     circ.schedule()  # memoized, so not measured below
     batch, ids = 256, [0, 1, 2]
-    assert circ.and_count > 10 * mpc._chunk_triples(len(ids), batch)
+    sched = circ.schedule()
+    assert sched.and_inputs_opened + circ.and_count > 10 * mpc._chunk_rows(len(ids), batch)
     rng = np.random.default_rng(0)
     inputs = {
         p: rng.integers(0, 2, size=(len(ws), batch), dtype=np.uint8)
@@ -605,7 +698,7 @@ def test_an_engine_holds_one_chunk_of_a_pool_of_many():
         tracemalloc.stop()
     assert np.array_equal(out, circ.evaluate(inputs))
     shares = engine.parties.shares.nbytes
-    whole_pool = 3 * len(ids) * circ.and_count * batch // 8
+    whole_pool = len(ids) * (sched.and_inputs_opened + circ.and_count) * batch // 8
     assert shares < peak < shares + whole_pool
 
 
@@ -620,6 +713,22 @@ def test_engine_refuses_an_oversized_round_before_building_the_schedule(monkeypa
     monkeypatch.setattr(mpc, "MAX_ENGINE_BYTES", need - 1)
     with pytest.raises(mpc.EngineTooLarge, match=f"{need} bytes"):
         mpc.Engine(circ, [0, 1, 2], batch=16)
+
+
+def test_engine_refuses_a_layer_wider_than_the_limit_once_the_schedule_shows_it(monkeypatch):
+    """A layer wider than a chunk is dealt as one chunk of its own, which
+    only the schedule can size: the engine checks the limit again then,
+    before it makes its shares or deals a mask."""
+    circ = CP.compile_circuit(CP.CircuitConfig(n_parties=3, inputs_per_party=2, sigma=8)).circuit
+    widest = circ.schedule().widest_layer
+    monkeypatch.setattr(mpc, "_CHUNK_BYTES", 4 * mpc._dealt_row_bytes(3, 64))  # 4 rows
+    assert widest > 4
+    need = mpc.engine_bytes(3, circ.n_wires, circ.and_count, 64, widest)
+    assert need > mpc.engine_bytes(3, circ.n_wires, circ.and_count, 64)
+    monkeypatch.setattr(mpc, "MAX_ENGINE_BYTES", need - 1)
+    monkeypatch.setattr(mpc, "Party", None)  # nothing past the check may run
+    with pytest.raises(mpc.EngineTooLarge, match=f"{need} bytes"):
+        mpc.Engine(circ, [0, 1, 2], batch=64)
 
 
 @pytest.mark.parametrize("batch", [0, -3])
@@ -747,6 +856,48 @@ def test_masked_messages_look_uniform():
         assert abs(f0 - f1) < 0.07
 
 
+def test_openings_of_shared_inputs_are_uniform_and_independent():
+    """x is an input of all 64 ANDs of the first layer, and of the second
+    layer's AND. Over seeds, each opening of either layer is a uniform
+    bit, x's is independent of a neighbour's, and x's two openings, one
+    per layer, are independent of each other, whatever x holds: every
+    opening is masked by a mask drawn for it alone."""
+    from scipy import stats
+
+    b = CircuitBuilder()
+    x = b.input_vector(0, 1)[0]
+    y = np.array(b.input_vector(1, 64))
+    z = b.and_v(x, y)
+    circ = b.finish([b.and_v(x, b.xor_v(z[0], z[1])), *z])
+    # x is each layer's first input: it is the lowest wire either reads
+    assert [layer.and_gates[0][0] for layer in circ.schedule().layers] == [x, x]
+    assert circ.schedule().opened.tolist() == [65, 2]
+
+    def openings(x_bit, runs=400):
+        """Per run, the 65 openings of the first layer, then the 2 of the second."""
+        seen = []
+        for r in range(runs):
+            tr = RecordingTransport()
+            engine = mpc.Engine(circ, [0, 1], dealer_seed=r, transport=tr)
+            rngs = {p: np.random.default_rng(1000 * r + p) for p in (0, 1)}
+            engine.run({0: [x_bit], 1: [1, 0] * 32}, lambda p: rngs[p])
+            # an opening is the XOR of both parties' masked payloads
+            seen.append(np.concatenate([
+                np.bitwise_xor.reduce([frame_bits(f)[1] for _, _, f in tr.log if mpc.decode_frame(f)[1] == rnd])
+                for rnd in (1, 2)
+            ]))
+        return np.array(seen)
+
+    for x_bit in (0, 1):
+        bits = openings(x_bit)
+        assert bits.shape == (400, 67)
+        ones = bits.sum(axis=0)
+        assert stats.chisquare(np.stack([ones, 400 - ones]).ravel()).pvalue > 1e-3
+        for other in (1, 65):  # y_0 in the same layer, x in the next
+            cells = np.bincount(2 * bits[:, 0] + bits[:, other], minlength=4)
+            assert stats.chisquare(cells).pvalue > 1e-3, (x_bit, other, cells)
+
+
 # -- transcript identity -----------------------------------------------------------
 
 # SHA-256 over every (sender, recipient, frame) sent in one fixed-seed
@@ -760,12 +911,14 @@ def test_masked_messages_look_uniform():
 # the N*u selected keys before each was output twice, and again when the
 # dealer's triples and the input shares became the generators' next raw
 # words read as packed share bytes, and again when a record came to carry
-# one key k instead of two (the reports they return did not change any
-# time).
+# one key k instead of two, and again when each AND layer came to open
+# each of its distinct inputs once, masked by the dealer's per-layer
+# masks, in place of a (d, e) pair per AND (the reports they return did
+# not change any time).
 TRANSCRIPT_DIGESTS = {
-    "direct-fixed-plus-m": "642628c973a0b0b849345ead3a0b952d855a57f41c51fec104bf8372c13899c1",
-    "outsourced-at-least-m-batch-3": "09999b23b5080d42dfb635c30243509a57eb099905f5f6f6521feb25cd5e0134",
-    "session-two-epochs": "9fc33edc7fafda9496ac76b38d8352c5fc4cbc948df898d25a1d5dd49274a8b4",
+    "direct-fixed-plus-m": "5db8fa9e0ae40e08847946c2656dccc7d29f19aec1474bc522363d2b96e2181c",
+    "outsourced-at-least-m-batch-3": "3c62ffe23e7dc5ab6aa384cbf3704dd9346cb3bbbeaeabc567ccaead01555c98",
+    "session-two-epochs": "6e3f57472e24e67179d223f0738875ad2eea5740b2c6e27ced00f2ea1c9624e4",
 }
 
 
@@ -837,13 +990,15 @@ def test_transcript_is_identical_frame_for_frame(monkeypatch, name):
 # ragged width and whole bytes. Pinned with one uint8 per share bit, so
 # that the packed batch layout left frames, openings and blobs as they
 # were; re-recorded when the dealer's triples and the input shares became
-# the generators' next raw words read as packed share bytes.
+# the generators' next raw words read as packed share bytes, and again
+# when each AND layer came to open each of its distinct inputs once (the
+# outputs and openings did not change).
 ENGINE_DIGESTS = {
-    1: "75c8de142acea05a6a3aee89724a6b71399c4ea609ce9d0331926887a56ba801",
-    3: "8c24150a1904af298c5cb5ef945b016ded6fa53f4dd250581f7113ac86feb56e",
-    9: "9574e94efe6aced713c702292a5cb7f61723d3fdb29f8e0588b5e1928ba6ec26",
-    16: "47ed571e88ed539301dfeb5cd828cce90f6e4f030a162207c93f065d86c033ca",
-    256: "f2b93c3296543a011a2cd25701015ef57c80ef08358fa66eb93f31a15f6bd68f",
+    1: "123a90c2298f4f43d91784851235a6eeac65c70e97e4f72d2beb20ce936f926f",
+    3: "79e62748b519a07a512f24f295918c7aaba9bbba45474d394d79f9de8cc66658",
+    9: "bf2f80daf8128331549171869ae3758bd9527dc390abeaa62f7ddd8b91291d5e",
+    16: "418dc59ea087264e16f5b5d8701515224e71f89fd1f0c442056ac071a8efe4a7",
+    256: "f6f96cb3a0508f60d8769f4703d1cc62c33de27cf59c43723dae43f6262668cf",
 }
 
 
@@ -879,10 +1034,10 @@ def _engine_digest(batch):
 
 @pytest.mark.parametrize("batch", sorted(ENGINE_DIGESTS))
 def test_engine_frames_openings_and_blobs_are_pinned(batch, monkeypatch):
-    """Pinned with the pool in one chunk. One-triple chunks deal other
-    triples, and so other frames, but the same outputs."""
+    """Pinned with the pool in one chunk. Chunks of one layer deal other
+    masks, and so other frames, but the same outputs."""
     assert _engine_digest(batch)[0] == ENGINE_DIGESTS[batch]
     monkeypatch.setattr(mpc, "_CHUNK_BYTES", 1)
-    assert mpc._chunk_triples(3, batch) == 1
+    assert mpc._chunk_rows(3, batch) == 1
     _, engine = _engine_digest(batch)  # its outputs equal `circ.evaluate`'s
     engine.transcript.verify()

@@ -60,16 +60,34 @@ def assert_same_groups(got, want):
         assert np.array_equal(wires_of(out), rout)
 
 
+def and_operands(and_gates):
+    """An AND group's (in_a, in_b, out), read through its distinct inputs:
+    `idx` holds the k first inputs' positions, then the k second inputs'."""
+    inputs, idx, out = and_gates
+    k = len(idx) // 2
+    return inputs[idx[:k]], inputs[idx[k:]], out
+
+
 def assert_matches_reference(circuit):
     sched = mpc.build_schedule(circuit)
     ref_layers, ref_trailing = reference_schedule(circuit)
     assert len(sched.layers) == len(ref_layers)
+    opened = []
     for layer, (ref_pre, ref_ands) in zip(sched.layers, ref_layers):
         assert_same_groups(layer.pre_xors, ref_pre)
-        assert_same_groups([layer.and_gates], [ref_ands])
+        assert_same_groups([and_operands(layer.and_gates)], [ref_ands])
+        # each input once, ascending: exactly the wires the layer's ANDs read
+        inputs = layer.and_gates[0]
+        assert np.array_equal(inputs, np.unique(np.concatenate(ref_ands[:2])))
+        opened.append(len(inputs))
     assert_same_groups(sched.trailing_xors, ref_trailing)
     assert sched.and_count == circuit.gate_counts().and_count
     assert circuit.gate_counts().depth_and == sched.and_layers == len(ref_layers)
+    assert sched.opened.tolist() == opened and sched.and_inputs_opened == sum(opened)
+    assert sched.ands.tolist() == [len(ands[0]) for _, ands in ref_layers]
+    assert np.array_equal(
+        sched.and_index, np.concatenate([layer.and_gates[1] for layer in sched.layers] or [[]])
+    )
     assert mpc.build_schedule(circuit) is sched
 
 
@@ -78,7 +96,10 @@ def assert_compact_groups(circuit):
     form one ascending run, and an int32 array of ascending wires
     otherwise."""
     sched = circuit.schedule()
-    groups = [g for layer in sched.layers for g in (*layer.pre_xors, layer.and_gates)]
+    for inputs, idx, out in (layer.and_gates for layer in sched.layers):
+        assert inputs.dtype == idx.dtype == np.int32
+        assert len(wires_of(out)) == len(idx) // 2 >= 1
+    groups = [g for layer in sched.layers for g in (*layer.pre_xors, and_operands(layer.and_gates))]
     groups += sched.trailing_xors
     for a, b, out in groups:
         assert a.dtype == b.dtype == np.int32

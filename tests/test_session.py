@@ -578,10 +578,10 @@ def test_unsorted_abort_comes_before_any_key_is_opened(monkeypatch, mode):
 
 @pytest.mark.parametrize("execution", ["mpc", "plaintext", "both"])
 def test_run_sessions_rejects_an_empty_batch(monkeypatch, execution):
-    def negotiate(*args):
-        raise AssertionError("negotiation started")
+    def engine(*args, **kwargs):
+        raise AssertionError("an engine was built")
 
-    monkeypatch.setattr(S, "negotiate_u", negotiate)
+    monkeypatch.setattr(mpc, "Engine", engine)
     with pytest.raises(S.SessionError, match="at least one session"):
         S.run_sessions(cfg2(), [], seed=1, execution=execution)
 
@@ -639,6 +639,42 @@ def test_one_server_round_sends_no_frame_after_the_input_shares(monkeypatch, ses
     assert tr.rounds == tr.and_layers + tr.reactive_opens + 1
     # the negotiation's and the round's input shares: one frame per party
     assert rounds == [0] * 6
+
+
+_VARIANTS = [S.VariantSpec(), S.VariantSpec("at-least-m", m=2),
+             S.VariantSpec("fixed-plus-m", m=1, fixed_parties=(0,))]
+
+
+def _oracle_reports(held, variant):
+    return oracle.brute_force_shared(held, variant.kind, variant.m, frozenset(variant.fixed_parties))
+
+
+@pytest.mark.parametrize("mode", ["direct", "outsourced"])
+@pytest.mark.parametrize("variant", _VARIANTS, ids=lambda v: v.kind)
+def test_reports_match_the_oracle_at_every_width_and_over_four_epochs(variant, mode):
+    """Protocol, plaintext circuit and oracle agree for every variant and
+    mode, at one session, ragged widths, and a width of whole bytes, and
+    through a Session of four epochs."""
+    rng = random.Random(f"{variant.kind}-{mode}")
+    config = S.SessionConfig(parties=(0, 1, 2), sigma=12, variant=variant, mode=mode,
+                             n_servers=2 if mode == "outsourced" else 0)
+    for sessions in (1, 3, 9, 256):
+        batch = [{p: set(rng.sample(range(1, 40), rng.randint(1, 3))) for p in range(3)}
+                 for _ in range(sessions)]
+        res = S.run_sessions(config, batch, seed=sessions, execution="both")
+        for held, reports in zip(batch, res.reports):
+            assert {p: reports[p].shared for p in held} == _oracle_reports(held, variant)
+    held = {p: set(rng.sample(range(1, 40), 2)) for p in range(3)}
+    session = S.Session(config, held, seed=7)
+    for epoch in range(4):
+        if epoch:
+            additions = {p: set(rng.sample(range(40, 80), 1)) - held[p] for p in range(3)}
+            additions[epoch % 3].add(sorted(held[(epoch + 1) % 3])[0])  # a value becomes shared
+            session.epoch_advance(additions)
+            for p, values in additions.items():
+                held[p] |= values
+        res = session.run_epoch("both")
+        assert {p: res.reports[0][p].shared for p in held} == _oracle_reports(held, variant)
 
 
 def test_outsourced_mode_matches_direct():
