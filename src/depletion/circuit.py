@@ -67,10 +67,10 @@ class Layer:
     in_a and in_b are int32 wire arrays, and out, the ascending wires
     the gates drive, is a `slice` when they form one run and an int32
     array otherwise. The ANDs are one group (inputs, idx, out): `inputs`
-    holds the layer's distinct input wires, ascending, and the int32
-    array `idx` holds, for k ANDs, the first inputs' positions in
-    `inputs` and then the second inputs', so AND g computes
-    `inputs[idx[g]] & inputs[idx[k + g]]` into the g-th wire of `out`.
+    holds the layer's distinct input wires, ascending, and the (2, k)
+    int32 array `idx` holds, for k ANDs, the first inputs' positions in
+    `inputs` in row 0 and the second inputs' in row 1, so AND g computes
+    `inputs[idx[0, g]] & inputs[idx[1, g]]` into the g-th wire of `out`.
     """
 
     pre_xors: list
@@ -83,17 +83,21 @@ class Schedule:
 
     Its groups index the wire axis directly (`values[out] = values[a] ^
     values[b]`): int32 inputs, and outputs as a slice wherever they are
-    contiguous, so most writes need no index array. Every layer's `idx`
-    is a view of `and_index`, layer after layer; `opened` and `ands`
-    hold each layer's count of distinct inputs and of ANDs.
+    contiguous, so most writes need no index array. `and_index` is the
+    (2, ANDs) int32 array of every AND's two input positions, layer after
+    layer, and each layer's `idx` is the view of its columns; `opened`
+    and `ands` hold each layer's count of distinct inputs and of ANDs.
     """
 
     layers: list
     trailing_xors: list
-    and_count: int
     and_index: np.ndarray
     opened: np.ndarray
     ands: np.ndarray
+
+    @property
+    def and_count(self) -> int:
+        return int(self.ands.sum())
 
     @property
     def and_layers(self) -> int:
@@ -186,7 +190,7 @@ class BooleanCircuit:
     def _layered(self) -> Schedule:
         if not self.n_gates:
             none = np.zeros(0, dtype=np.int64)
-            return Schedule([], [], self.and_count, np.zeros(0, dtype=np.int32), none, none)
+            return Schedule([], [], np.zeros((2, 0), dtype=np.int32), none, none)
         first = 1 + self.n_input_wires
         is_xor = self.kind != AND
         key = self.wire_depth[first:].astype(np.int64)
@@ -232,22 +236,16 @@ class BooleanCircuit:
                 trailing.append((gate_a[s:s + n], gate_b[s:s + n], out))
         del xor_order
         ands = sizes[is_and]
-        # per layer, its ANDs' first inputs, then their second inputs: AND
-        # t's first input goes to slot t plus its layer's first AND, and its
-        # second input as many slots on as the layer has ANDs
-        slot = np.repeat(at[is_and].astype(np.int32), ands)
-        slot += np.arange(len(and_order), dtype=np.int32)
-        operands = np.empty(2 * len(and_order), dtype=np.int32)
-        operands[slot] = self.in_a[and_order]
-        slot += np.repeat(ands.astype(np.int32), ands)
-        operands[slot] = self.in_b[and_order]
-        del and_order, slot
+        operands = np.empty((2, len(and_order)), dtype=np.int32)
+        np.take(self.in_a, and_order, out=operands[0])
+        np.take(self.in_b, and_order, out=operands[1])
+        del and_order
         inputs, index, opened = _and_plan(operands, ands, self.n_wires)
         g0 = 0
         for layer, layer_inputs, k in zip(layers, inputs, ands.tolist()):
-            layer.and_gates = (layer_inputs, index[2 * g0:2 * (g0 + k)], layer.and_gates)
+            layer.and_gates = (layer_inputs, index[:, g0:g0 + k], layer.and_gates)
             g0 += k
-        return Schedule(layers, trailing, self.and_count, index, opened, ands)
+        return Schedule(layers, trailing, index, opened, ands)
 
     # -- evaluation --------------------------------------------------------
 
@@ -300,9 +298,8 @@ class BooleanCircuit:
         for layer in schedule.layers:
             xors(layer.pre_xors)
             inputs, idx, o = layer.and_gates
-            operands = values[inputs][idx]
-            k = len(idx) // 2
-            values[o] = operands[:k] & operands[k:]
+            a, b = values[inputs][idx]
+            values[o] = a & b
         xors(schedule.trailing_xors)
         if not batched:
             values = values[:, 0]
@@ -310,53 +307,58 @@ class BooleanCircuit:
         return out if extra_wires is None else (out, values[list(extra_wires)])
 
 
-# Operands per run of whole AND layers while `_and_plan` builds the plan,
-# so its temporaries stay a few hundred KiB whatever the circuit.
-_PLAN_RUN = 1 << 14
+# ANDs, two operands each, per run of whole AND layers while `_and_plan`
+# builds the plan, so its temporaries stay a few hundred KiB whatever the
+# circuit.
+_PLAN_RUN = 1 << 13
 
 
 def _and_plan(operands, ands, n_wires: int):
-    """The AND layers' plan. `operands` holds, layer after layer, the
-    first inputs of the layer's ANDs and then their second inputs, and
-    `ands` each layer's number of ANDs. Returns each layer's distinct
-    input wires (int32, ascending); each operand's position among its
-    layer's (int32, laid out as `operands`: each layer's `ia | ib`); and
-    each layer's count of distinct inputs.
+    """The AND layers' plan. `operands` is the (2, ANDs) array of the
+    ANDs' first inputs (row 0) and second inputs (row 1), layer after
+    layer, and `ands` each layer's number of ANDs. Returns each layer's
+    distinct input wires (int32, ascending); each operand's position
+    among its layer's (int32, shaped as `operands`); and each layer's
+    count of distinct inputs.
 
-    It runs over whole layers, about `_PLAN_RUN` operands at a time: a
+    It runs over whole layers, about `_PLAN_RUN` ANDs at a time: a
     stable sort of the run's operands by (layer, wire) marks the first
     of each distinct pair, and each operand is ranked among its layer's
     marks. Only the results outlive a run.
     """
     n_layers = len(ands)
     starts = np.zeros(n_layers + 1, dtype=np.int64)
-    np.cumsum(2 * ands, out=starts[1:])
-    index = np.empty(len(operands), dtype=np.int32)
+    np.cumsum(ands, out=starts[1:])
+    index = np.empty_like(operands)
     opened = np.empty(n_layers, dtype=np.int64)
     inputs = []
     l0 = 0
     while l0 < n_layers:
         l1 = max(l0 + 1, int(np.searchsorted(starts, starts[l0] + _PLAN_RUN, "right")) - 1)
-        o0, o1 = int(starts[l0]), int(starts[l1])
-        ops, sizes = operands[o0:o1], 2 * ands[l0:l1]
-        key = np.repeat(np.arange(l1 - l0, dtype=np.int64) * n_wires, sizes)
-        key += ops
-        # the operands come nearly sorted, in runs, which a stable sort
+        g0, g1 = int(starts[l0]), int(starts[l1])
+        ops = operands[:, g0:g1]
+        key = np.repeat(np.arange(l1 - l0, dtype=np.int64) * n_wires, ands[l0:l1]) + ops
+        # each row comes nearly sorted, in runs, which a stable sort
         # merges several times faster than an unstable one sorts them
-        order = np.argsort(key, kind="stable")
-        key = key[order]
+        order = np.argsort(key, axis=None, kind="stable")
+        key = key.take(order)
         new = np.empty(len(key), dtype=bool)
         new[0] = True
         np.not_equal(key[1:], key[:-1], out=new[1:])
         del key
         rank = np.cumsum(new, dtype=np.int32)  # an int32 sum runs twice as fast as a bool one
         rank -= 1
-        # sorted, each layer's operands keep their places in the run
-        firsts = rank[starts[l0:l1] - o0]
+        # sorted, each layer's operands follow the run's earlier layers'
+        firsts = rank[2 * (starts[l0:l1] - g0)]
         count = np.diff(firsts, append=rank[-1] + 1)
-        rank -= np.repeat(firsts, sizes)
-        index[o0:o1][order] = rank
-        wires = ops[order[new]]
+        rank -= np.repeat(firsts, 2 * ands[l0:l1])
+        wires = ops.take(order[new])
+        # each operand's place in the flattened `index`, whose rows are all
+        # ANDs long: a scatter through the run's view's `flat` is three
+        # times slower, and a run-sized buffer would raise the peak
+        np.add(order, index.shape[1] - (g1 - g0), out=order, where=order >= g1 - g0)
+        order += g0
+        index.reshape(-1)[order] = rank
         bounds = [0, *accumulate(count.tolist())]
         inputs += [wires[s:e] for s, e in zip(bounds, bounds[1:])]
         opened[l0:l1] = count

@@ -269,10 +269,13 @@ _CHUNK_BYTES = 768 << 10
 
 
 def _dealt_row_bytes(n_parties: int, batch: int) -> int:
-    """Bytes the dealer holds at most per row (mask or product) of a
-    chunk while it deals it: every party's share; four rows for the
-    reconstructed masks, the products and their scratch; and an int64
-    index for each of a product's two operands."""
+    """Bytes counted per row (mask or product) of a chunk while the
+    dealer deals it: every party's share, four rows of scratch and 16
+    bytes. Its scratch is less: a row per mask for the reconstructed
+    masks, two rows per product for the product and its other factor,
+    and per product an int64 mask offset and one operand's int64 mask
+    row. The formula is kept so that the chunks, and with them every
+    dealt mask and product, stay as they were."""
     return (n_parties + 4) * row_bytes(batch) + 16
 
 
@@ -286,24 +289,21 @@ def deal_triples(gen, n_parties: int, index, opened, ands, batch: int):
     """Dealer-made XOR shares for a run of whole AND layers of a schedule:
     per layer, a fresh mask r of each of its `opened` distinct inputs,
     and per each of its `ands` ANDs, a share of r_a & r_b for the ANDs'
-    inputs at `index` (each layer's `ia | ib`, as `Schedule.and_index`
-    holds them). Returns (r, c), (parties, masks, ceil(batch / 8)) and
-    (parties, ANDs, ceil(batch / 8)) arrays packed like the share tensor:
-    the next words of `gen`, as one `random_packed` block of both, with
-    the last party's `c` fixed up."""
+    inputs at `index`, the run's (2, ANDs) columns of
+    `Schedule.and_index`. Returns (r, c), (parties, masks, ceil(batch /
+    8)) and (parties, ANDs, ceil(batch / 8)) arrays packed like the share
+    tensor: the next words of `gen`, as one `random_packed` block of
+    both, with the last party's `c` fixed up."""
     m = int(opened.sum())
     block = random_packed(gen, (n_parties, m + int(ands.sum())), batch)
     r, c = block[:, :m], block[:, m:]
-    # each operand's row in r: its position among its layer's inputs,
-    # plus the layer's first row
-    at = np.repeat(np.cumsum(opened) - opened, 2 * ands)
-    at += index
-    masks = np.bitwise_xor.reduce(r, axis=0).take(at, axis=0)
-    del at
-    first = np.repeat(np.arange(2 * len(ands)) % 2 == 0, np.repeat(ands, 2))  # the ia halves
-    prod = np.compress(first, masks, axis=0)  # several times faster than masks[first]
-    prod &= np.compress(~first, masks, axis=0)
-    del masks, first
+    masks = np.bitwise_xor.reduce(r, axis=0)
+    # an operand's row in r is its position among its layer's inputs plus
+    # the layer's first row
+    at = np.repeat(np.cumsum(opened) - opened, ands)
+    prod = masks.take(index[0] + at, axis=0)
+    prod &= masks.take(index[1] + at, axis=0)
+    del masks, at
     prod ^= np.bitwise_xor.reduce(c, axis=0)
     c[-1] ^= prod
     return r, c
@@ -348,7 +348,7 @@ class TriplePool:
             g0 = self.cursor  # the products before layer i
             g1 = g0 + int(self.ands[i:j].sum())
             # through the module attribute, so that a wrapper sees every chunk
-            self.r, self.c = deal_triples(self.gen, self.n_parties, self.index[2 * g0:2 * g1],
+            self.r, self.c = deal_triples(self.gen, self.n_parties, self.index[:, g0:g1],
                                           self.opened[i:j], self.ands[i:j], self.batch)
             self._end, self._at = j, (0, 0)
         m, k = int(self.opened[i]), int(self.ands[i])
@@ -427,14 +427,13 @@ class Party:
         r, c = self._pending
         self._pending = None
         _, idx, out = gates
-        k = len(idx) // 2
         d = opened.take(idx, axis=1)
         m = r.take(idx, axis=1)
-        z = d[:, :k] & m[:, k:]
+        z = d[:, 0] & m[:, 1]
         z ^= c
-        m[:, :k] &= d[:, k:]
-        z ^= m[:, :k]
-        z[0] ^= d[0, :k] & d[0, k:]
+        m[:, 0] &= d[:, 1]
+        z ^= m[:, 0]
+        z[0] ^= d[0, 0] & d[0, 1]
         self.shares[:, out] = z
 
 
@@ -633,7 +632,14 @@ class Engine:
     ):
         if batch < 1:
             raise MpcError(f"batch {batch} must be at least 1")
+        # what the frame header can carry: a 32-bit epoch and 16-bit senders
+        if not 0 <= epoch < 1 << 32:
+            raise MpcError(f"epoch {epoch} is not in 0..{(1 << 32) - 1}")
         self.computing_ids = list(computing_ids)
+        if not self.computing_ids or len(set(self.computing_ids)) < len(self.computing_ids):
+            raise MpcError(f"computing parties {self.computing_ids} must be one or more distinct ids")
+        if not all(0 <= pid < 1 << 16 for pid in self.computing_ids):
+            raise MpcError(f"computing parties {self.computing_ids} are not all in 0..{(1 << 16) - 1}")
         n = len(self.computing_ids)
         # before the schedule, which is itself as large as the circuit, and
         # again once the schedule tells how wide its widest layer is

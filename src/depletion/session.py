@@ -343,10 +343,10 @@ def prepare_inputs(
     """One party's sorted, dummy-padded records with fresh keys, in every
     session of a round.
 
-    `values` is a collection of ints, one session's values, or rows
+    `values` is a collection of ints, one session's values, or uint8 rows
     (sessions, u, ⌈σ/8⌉) that hold each session's distinct values in
-    ascending order, then zero rows; an array of any other shape raises
-    SessionError. Dummies are nonzero and avoid the party's values and
+    ascending order, then zero rows; an array of any other shape or dtype
+    raises SessionError. Dummies are nonzero and avoid the party's values and
     `forbidden_values`. Each key k is uniform over σ bits, and the pairs
     {k, ¬k} of the party's keys are disjoint from each other and from
     those of `forbidden_keys`, so at most 2^(σ-1) keys fit in a session.
@@ -363,6 +363,8 @@ def prepare_inputs(
         if values.ndim != 3 or values.shape[1:] != (u, row_bytes(sigma)):
             raise SessionError(f"values of shape {values.shape} are neither ints nor rows (sessions, {u}, "
                                f"{row_bytes(sigma)})")
+        if values.dtype != np.uint8:
+            raise SessionError(f"rows of values are uint8, not {values.dtype}")
         rows = values.copy()
     else:
         real = _distinct_values(values, sigma)

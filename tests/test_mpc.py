@@ -131,11 +131,11 @@ def sharing_circuit(rng, n_parties=3, layers=5, ands=24):
 
 def layer_runs(schedule, first, last):
     """Per layer of schedule.layers[first:last], its slices of a run's
-    masks and products and its `ia | ib`."""
+    masks and products and its (2, ANDs) `idx`."""
     m = g = 0
     for layer in schedule.layers[first:last]:
         inputs, idx, _ = layer.and_gates
-        k = len(idx) // 2
+        k = idx.shape[1]
         yield slice(m, m + len(inputs)), slice(g, g + k), idx
         m, g = m + len(inputs), g + k
 
@@ -143,7 +143,7 @@ def layer_runs(schedule, first, last):
 def deal_layers(seed, n_parties, schedule, first, last, batch):
     """`deal_triples` for layers first..last - 1 of `schedule`."""
     g0, g1 = (int(schedule.ands[:i].sum()) for i in (first, last))
-    return mpc.deal_triples(gen(seed), n_parties, schedule.and_index[2 * g0:2 * g1],
+    return mpc.deal_triples(gen(seed), n_parties, schedule.and_index[:, g0:g1],
                             schedule.opened[first:last], schedule.ands[first:last], batch)
 
 
@@ -151,8 +151,8 @@ def assert_products(schedule, first, last, r, c, batch):
     """Every dealt product reconstructs to the AND of its inputs' masks."""
     rx, cx = (mpc.unpack_batch(np.bitwise_xor.reduce(kind, axis=0), batch) for kind in (r, c))
     for masks, products, idx in layer_runs(schedule, first, last):
-        k = len(idx) // 2
-        assert np.array_equal(cx[products], rx[masks][idx[:k]] & rx[masks][idx[k:]])
+        a, b = rx[masks][idx]
+        assert np.array_equal(cx[products], a & b)
 
 
 def test_triples_reconstruct():
@@ -202,7 +202,7 @@ def test_triple_pool_exhaustion():
         for layer in sched.layers:
             r, c = pool.take()
             inputs, idx, _ = layer.and_gates
-            assert r.shape == (2, len(inputs), width) and c.shape == (2, len(idx) // 2, width)
+            assert r.shape == (2, len(inputs), width) and c.shape == (2, idx.shape[1], width)
         assert pool.cursor == sched.and_count
         with pytest.raises(mpc.TriplePoolExhausted, match=f"all {sched.and_layers} AND layers"):
             pool.take()
@@ -276,7 +276,7 @@ def test_the_chunked_pool_serves_the_stream_one_chunk_at_a_time(batch, monkeypat
     g = np.random.default_rng(seed).bit_generator
     for first, last in dealt:
         g0, g1 = (int(sched.ands[:i].sum()) for i in (first, last))
-        r, c = deal(g, n_parties, sched.and_index[2 * g0:2 * g1], sched.opened[first:last],
+        r, c = deal(g, n_parties, sched.and_index[:, g0:g1], sched.opened[first:last],
                     sched.ands[first:last], batch)
         for (masks, products, _), got in zip(layer_runs(sched, first, last), served[first:last]):
             assert np.array_equal(got[0], r[:, masks]) and np.array_equal(got[1], c[:, products])
@@ -736,6 +736,28 @@ def test_engine_refuses_an_empty_or_negative_batch(batch):
     circ = CP.build_max_circuit(2, 4)
     with pytest.raises(mpc.MpcError, match="at least 1"):
         mpc.Engine(circ, [0, 1], batch=batch)
+
+
+@pytest.mark.parametrize("epoch", [1 << 32, -1])
+def test_engine_refuses_an_epoch_the_frame_header_cannot_carry(epoch, monkeypatch):
+    circ = CP.build_max_circuit(2, 4)
+    mpc.Engine(circ, [0, 1], epoch=(1 << 32) - 1)  # the largest the header carries
+    monkeypatch.setattr(type(circ), "schedule", None)  # refused before the schedule is built
+    with pytest.raises(mpc.MpcError, match=f"epoch {epoch} is not in"):
+        mpc.Engine(circ, [0, 1], epoch=epoch)
+
+
+@pytest.mark.parametrize("ids, why", [
+    ([0, 0], "distinct"),
+    ([], "one or more"),
+    ([0, 1 << 16], "not all in"),
+    ([-1, 0], "not all in"),
+])
+def test_engine_refuses_repeated_missing_or_unframeable_computing_parties(ids, why, monkeypatch):
+    circ = CP.build_max_circuit(2, 4)
+    monkeypatch.setattr(type(circ), "schedule", None)  # refused before the schedule is built
+    with pytest.raises(mpc.MpcError, match=why):
+        mpc.Engine(circ, ids)
 
 
 def test_engine_refuses_an_allocation_over_the_limit_before_making_it(monkeypatch):

@@ -2,12 +2,14 @@
 random builder circuits and on compiled ones."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from depletion import compiler as CP
 from depletion import mpc
+from depletion import session as S
 from depletion.circuit import AND, CircuitBuilder
 
 
@@ -62,10 +64,10 @@ def assert_same_groups(got, want):
 
 def and_operands(and_gates):
     """An AND group's (in_a, in_b, out), read through its distinct inputs:
-    `idx` holds the k first inputs' positions, then the k second inputs'."""
+    row 0 of `idx` holds the first inputs' positions, row 1 the second
+    inputs'."""
     inputs, idx, out = and_gates
-    k = len(idx) // 2
-    return inputs[idx[:k]], inputs[idx[k:]], out
+    return *inputs[idx], out
 
 
 def assert_matches_reference(circuit):
@@ -85,9 +87,9 @@ def assert_matches_reference(circuit):
     assert circuit.gate_counts().depth_and == sched.and_layers == len(ref_layers)
     assert sched.opened.tolist() == opened and sched.and_inputs_opened == sum(opened)
     assert sched.ands.tolist() == [len(ands[0]) for _, ands in ref_layers]
-    assert np.array_equal(
-        sched.and_index, np.concatenate([layer.and_gates[1] for layer in sched.layers] or [[]])
-    )
+    idx = [layer.and_gates[1] for layer in sched.layers]
+    assert np.array_equal(sched.and_index, np.concatenate([np.zeros((2, 0), np.int32), *idx], axis=1))
+    assert all(np.shares_memory(i, sched.and_index) for i in idx)
     assert mpc.build_schedule(circuit) is sched
 
 
@@ -98,7 +100,7 @@ def assert_compact_groups(circuit):
     sched = circuit.schedule()
     for inputs, idx, out in (layer.and_gates for layer in sched.layers):
         assert inputs.dtype == idx.dtype == np.int32
-        assert len(wires_of(out)) == len(idx) // 2 >= 1
+        assert idx.shape == (2, len(wires_of(out))) and idx.shape[1] >= 1
     groups = [g for layer in sched.layers for g in (*layer.pre_xors, and_operands(layer.and_gates))]
     groups += sched.trailing_xors
     for a, b, out in groups:
@@ -149,3 +151,29 @@ def test_compiled_circuits_match_reference(variant):
     groups = assert_compact_groups(circ)
     # a compiled circuit has both kinds of group
     assert {isinstance(out, slice) for _, _, out in groups} == {True, False}
+
+
+@pytest.mark.parametrize("config, u", [
+    pytest.param(S.SessionConfig(parties=(0, 1, 2, 3), sigma=64,
+                                 variant=S.VariantSpec("fixed-plus-m", m=1, fixed_parties=(0,))),
+                 12, id="recurring"),
+    pytest.param(S.SessionConfig(parties=(0, 1, 2), sigma=64), 16, id="epochs-u16"),
+    pytest.param(S.SessionConfig(parties=(0, 1, 2), sigma=32, variant=S.VariantSpec("at-least-m", m=2),
+                                 mode="outsourced", n_servers=2),
+                 8, id="batch"),
+])
+def test_building_the_schedule_peaks_near_what_it_keeps(config, u):
+    """`schedule()` builds its AND plan a run of layers at a time, so its
+    temporaries stay small: on the benchmark workloads' circuits its
+    traced peak is at most 1.6 times the schedule it keeps (1.36, 1.36
+    and 1.54 times when this test was written). A plan built over every
+    operand at once peaks near twice it."""
+    circ = CP.compile_circuit.__wrapped__(S._compiler_config(config, u)).circuit
+    tracemalloc.start()
+    try:
+        sched = circ.schedule()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sched.and_layers > 100
+    assert peak <= 1.6 * kept, (peak, kept)

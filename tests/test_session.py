@@ -86,6 +86,9 @@ def test_prepare_errors():
         S.prepare_inputs(np.array([[3, 5]]), 4, 16, rng)
     with pytest.raises(S.SessionError, match="shape"):
         S.prepare_inputs(np.zeros((1, 4, 1), np.uint8), 4, 16, rng)
+    # and rows as uint8: int64 rows would come back mixed with uint8 dummies
+    with pytest.raises(S.SessionError, match="uint8, not int64"):
+        S.prepare_inputs(np.zeros((1, 4, 2), np.int64), 4, 16, rng)
 
 
 def test_prepare_refuses_values_that_are_not_integers():

@@ -86,13 +86,13 @@ def test_compiled_circuit_matches_pinned_shape(
     depth_and = circ.gate_counts().depth_and
     assert depth_and == split_depth - sort_check_depth
     schedule = circ.schedule()
-    per_layer = [len(layer.and_gates[1]) // 2 for layer in schedule.layers]
+    per_layer = [layer.and_gates[1].shape[1] for layer in schedule.layers]
     # each layer's distinct inputs, indexed by `idx`, give its ANDs' inputs
     # in the order that the layer's gates hold them
     first = 1 + circ.n_input_wires
     for inputs, idx, out in (layer.and_gates for layer in schedule.layers):
         gates = (np.arange(out.start, out.stop) if isinstance(out, slice) else out) - first
-        assert np.array_equal(inputs[idx], np.concatenate([circ.in_a[gates], circ.in_b[gates]]))
+        assert np.array_equal(inputs[idx], np.stack([circ.in_a[gates], circ.in_b[gates]]))
     assert len(per_layer) == schedule.and_layers == depth_and
     assert min(per_layer) >= 1
     digest = hashlib.sha256(",".join(map(str, per_layer)).encode()).hexdigest()
