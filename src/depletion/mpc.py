@@ -36,7 +36,7 @@ sizes. The gate kernels are bitwise, so an XOR group is one numpy
 operation for every party over one eighth of the bytes, and an AND
 layer is one masking, one reconstruction and one product for all of
 them; only party 0 adds d_x·d_y. No party's row is computed from another
-party's row except through the frames the round carries.
+party's row except through the messages the round carries.
 
 A packed row is `bits.row_bytes(batch)` bytes wide wherever the width
 is needed. Two pairs of functions and `random_packed`, and no other
@@ -53,32 +53,31 @@ inputs: a missing or unknown party is `MissingInput`, a wrong wire
 count or a ragged batch `WidthMismatch`. The engine adds only that the
 batch is its own, and refuses before it sends a frame.
 
-All messages and share blobs use one framed wire format: a version
-byte, little-endian (epoch, round, sender, wire-range id, bit count),
-the payload, the bits of its (rows, batch) block packed row-major and
-MSB-first, and a trailing CRC32 over everything before it. When the
-batch is a multiple of 8, that payload is the block's packed rows byte
-for byte. `decode_frame` returns the header, the bit count and the
-packed payload, and `read_frame` is the one reader that checks them
-against what the reader expects. Input shares travel in round 0 and
-each takes a fresh range id; a protocol round's frames share one. In a
-protocol round each sender's payload is framed once and sent to every
-peer. Each recipient checks every frame it received: the round knows
-each sender's header bytes (version, epoch, round, sender, range id and
-bit count), so a frame is accepted when it starts with them, has the
-length they imply and its CRC32 checks, which is exactly when
-`read_frame` would accept it; a frame that fails goes through
-`read_frame`, which names the fault, and is refused. The recipient
-XORs the accepted payloads onto its own, so each recipient's
-reconstruction is made only from the frames that recipient received.
-An opening insists that all recipients agree. A
-share blob is a round-0 frame whose sender is the computing party
-holding it and whose range id names the input owner (slot + 1), so a
-blob handed back for the wrong owner, party or epoch is refused. A
-frame still unread when its round ends aborts the run: a corrupted,
-dropped, duplicated or reordered frame ends in `TransportFailure`,
-naming the recipient that caught it and the kind of round, never in
-an output.
+Messages and share blobs are sealed by one rule. A frame is a header,
+a version byte and little-endian (epoch, round, sender, wire-range id,
+bit count); the payload, the bits of its (rows, batch) block packed
+row-major and MSB-first (at a batch that is a multiple of 8, the
+block's packed rows byte for byte); and a CRC32 of header and payload.
+A message between parties leaves the header off, since its recipient
+knows every field from the fixed schedule: `encode_frame` seals
+payload ‖ CRC32(header ‖ payload), and `decode_frame` rebuilds the
+header the recipient expects and accepts a message whose length fits
+the bit count and whose CRC32 checks over that header and the message,
+so a message sealed under any other header is refused like a corrupted
+one. A share blob keeps the header in front, so that `read_frame` can
+tell a blob of another party, epoch or owner (`EpochMismatch`) from a
+damaged one (`CorruptBlob`). Input shares travel in round 0, each with
+a fresh range id; a protocol round's messages share one. In a protocol
+round each sender's payload is sealed once and sent to every peer;
+each recipient checks every message it received and XORs the payloads
+onto its own, so its reconstruction is made only from what it
+received. An opening sends each distinct wire once and insists that
+all recipients agree. A share blob is sealed in round 0 by the
+computing party holding it, its range id naming the input owner (slot
++ 1). A message still unread when its round ends aborts the run: a
+corrupted, dropped, duplicated or reordered message ends in
+`TransportFailure`, naming the recipient that caught it and the kind
+of round, never in an output.
 """
 
 from __future__ import annotations
@@ -98,8 +97,10 @@ from .circuit import BooleanCircuit, Schedule, WidthMismatch
 FRAME_VERSION = 1
 _HEAD = struct.Struct("<BIIHII")
 _CRC = struct.Struct("<I")
-# The CRC32 of a whole frame, trailer included, is this constant exactly
-# when the trailer is the CRC32 of everything before it.
+# The CRC32 of a header followed by a message, trailer included, is this
+# constant exactly when the trailer is the CRC32 of everything before it:
+# `zlib.crc32(message, zlib.crc32(header))` checks a message under a header
+# that does not travel.
 _CRC_RESIDUE = 0x2144DF1C
 
 
@@ -138,37 +139,51 @@ class CorruptBlob(MpcError):
 # -- framing -----------------------------------------------------------------
 
 
+def frame_header(epoch: int, round_no: int, sender: int, range_id: int, nbits: int) -> bytes:
+    """The header of a frame: the version byte and little-endian (epoch,
+    round, sender, wire-range id, bit count)."""
+    return _HEAD.pack(FRAME_VERSION, epoch, round_no, sender, range_id, nbits)
+
+
 def encode_frame(epoch: int, round_no: int, sender: int, range_id: int, nbits: int, payload) -> bytes:
-    """A frame of `nbits` bits whose packed payload is the C-contiguous
-    bytes-like `payload`; the inverse of `decode_frame`."""
-    head = _HEAD.pack(FRAME_VERSION, epoch, round_no, sender, range_id, nbits)
-    body = head + bytes(payload)
-    return body + _CRC.pack(zlib.crc32(body))
+    """The message that carries `nbits` bits packed in the C-contiguous
+    bytes-like `payload`: the payload and the CRC32 of this frame's
+    header and the payload. The header itself is not sent; the inverse
+    of `decode_frame`."""
+    head = frame_header(epoch, round_no, sender, range_id, nbits)
+    body = bytes(payload)
+    return body + _CRC.pack(zlib.crc32(body, zlib.crc32(head)))
 
 
-def decode_frame(data: bytes):
-    """(epoch, round, sender, range id, bit count, packed payload) of a
-    frame that passes its checksum, version and length checks; the
-    inverse of `encode_frame`."""
-    if len(data) < _HEAD.size + _CRC.size:
-        raise TransportFailure("frame shorter than header")
-    if zlib.crc32(data) != _CRC_RESIDUE:
-        raise TransportFailure("frame checksum mismatch")
-    version, epoch, round_no, sender, range_id, nbits = _HEAD.unpack_from(data)
-    if version != FRAME_VERSION:
-        raise TransportFailure(f"unsupported frame version {version}")
-    payload = data[_HEAD.size : -_CRC.size]
-    if len(payload) != row_bytes(nbits):
-        raise TransportFailure("payload length disagrees with bit count")
-    return epoch, round_no, sender, range_id, nbits, payload
+def decode_frame(data: bytes, epoch: int, round_no: int, sender: int, range_id: int, nbits: int) -> bytes:
+    """The packed payload of a message sealed under exactly this header:
+    the recipient rebuilds the header it expects, and the message is
+    accepted when its length is what `nbits` implies and its CRC32 checks
+    over that header and the message; the inverse of `encode_frame`."""
+    size = row_bytes(nbits)
+    if len(data) != size + _CRC.size:
+        raise TransportFailure(f"message of {len(data)} bytes, expected {size + _CRC.size} for {nbits} bits")
+    head = frame_header(epoch, round_no, sender, range_id, nbits)
+    if zlib.crc32(data, zlib.crc32(head)) != _CRC_RESIDUE:
+        raise TransportFailure(
+            f"message fails its checksum under the expected (epoch, round, sender, range) "
+            f"{(epoch, round_no, sender, range_id)} with {nbits} bits"
+        )
+    return data[:size]
 
 
 def read_frame(data: bytes, epoch: int, round_no: int, sender: int, range_id: int,
                nbits: int, mismatch=TransportFailure) -> bytes:
-    """The packed payload of a frame that must carry exactly this header
-    and `nbits` bits; raises `mismatch` when a header field or the bit
-    count differs."""
-    *head, got, payload = decode_frame(data)
+    """The packed payload of a frame that carries its header in front of
+    its message, as a share blob does, and must carry exactly this header
+    and `nbits` bits: `TransportFailure` unless the message checks under
+    the header in front of it, as `decode_frame` checks it (a frame of
+    another version never does), and `mismatch` when that header names
+    another epoch, round, sender, range or bit count."""
+    if len(data) < _HEAD.size:
+        raise TransportFailure("frame shorter than header")
+    _, *head, got = _HEAD.unpack_from(data)
+    payload = decode_frame(data[_HEAD.size :], *head, got)
     want = [epoch, round_no, sender, range_id]
     if head != want or got != nbits:
         raise mismatch(
@@ -556,6 +571,26 @@ class Transcript:
 # -- engine ----------------------------------------------------------------------
 
 
+def _first_occurrences(values: np.ndarray):
+    """The distinct items of `values` in the order of their first
+    occurrence, and the index of each item of `values` among them. Not
+    np.unique, for the reason `Engine.restore_shares` gives; a stable
+    sort, as the schedule's builder makes, puts each item's first
+    occurrence first among its equals."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    new = np.empty(ranked.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    firsts = order[new]  # each distinct item's first position, by value
+    by_position = np.argsort(firsts, kind="stable")
+    rank = np.empty_like(by_position)
+    rank[by_position] = np.arange(by_position.size)
+    where = np.empty_like(order)
+    where[order] = rank[np.cumsum(new) - 1]
+    return values[firsts[by_position]], where
+
+
 @dataclass
 class ReactiveOpen:
     """Open `wires` after the last AND layer, before the outputs;
@@ -715,39 +750,39 @@ class Engine:
         return self._range_id
 
     def _post(self, sender: int, recipients: list[int], range_id: int, nbits: int, payload) -> int:
-        """Frame `nbits` bits packed in `payload` once in the current round
-        and send the frame to each recipient; returns the frame's length."""
-        frame = encode_frame(self.epoch, self._round, sender, range_id, nbits, payload)
+        """Seal `nbits` bits packed in `payload` once in the current round
+        and send the message to each recipient; returns its length."""
+        message = encode_frame(self.epoch, self._round, sender, range_id, nbits, payload)
         for other in recipients:
-            self.transport.send(sender, other, frame)
-        return len(frame)
+            self.transport.send(sender, other, message)
+        return len(message)
 
     def _abort(self, recipient: int, kind: str, reason) -> TransportFailure:
         return TransportFailure(f"recipient {recipient}, {kind} round {self._round}: {reason}")
 
     def _take(self, recipient: int, sender: int, range_id: int, nbits: int, kind: str) -> bytes:
-        """The packed payload of the next frame from `sender`, checked to
-        be this round's `range_id` and to carry `nbits` bits."""
+        """The packed payload of the next message from `sender`, checked
+        to be sealed under this round's `range_id` and `nbits` bits."""
         try:
             data = self.transport.recv(recipient, sender)
-            return read_frame(data, self.epoch, self._round, sender, range_id, nbits)
+            return decode_frame(data, self.epoch, self._round, sender, range_id, nbits)
         except TransportFailure as exc:
             raise self._abort(recipient, kind, exc) from exc
 
     def _end_round(self, kind: str):
-        """Close the current round; a frame still unread aborts the run."""
+        """Close the current round; a message still unread aborts the run."""
         left = self.transport.pending()
         if left:
             sender, recipient = min(left)
             raise self._abort(
                 recipient, kind,
-                f"{sum(left.values())} unread frames at the end of the round, the first from party {sender}",
+                f"{sum(left.values())} unread messages at the end of the round, the first from party {sender}",
             )
         self.transcript.rounds = self._round
 
     def _broadcast_round(self, packed: np.ndarray, kind: str) -> np.ndarray:
         """One communication round. Row i of `packed`, (parties, rows,
-        width), is the i-th computing party's, framed once and sent to
+        width), is the i-th computing party's, sealed once and sent to
         every peer. Returns each recipient's XOR of its own row and the
         rows it received, packed the same way.
         """
@@ -759,45 +794,47 @@ class Engine:
         n, size = own.shape
         for pid, payload in zip(self.computing_ids, own):
             self._post(pid, self._peers[pid], rid, nbits, payload)
-        length = _HEAD.size + size + _CRC.size
+        length = size + _CRC.size
         self.transcript._bump_round(nbits, length, kind == _AND_LAYER)
-        # `read_frame` accepts exactly the frames that are the expected
-        # header, `size` payload bytes and a CRC that checks; a frame that
-        # fails this goes through it only for the message, and is refused.
-        heads = {
-            pid: _HEAD.pack(FRAME_VERSION, self.epoch, self._round, pid, rid, nbits)
+        # `decode_frame`'s check, with each sender's expected header folded
+        # into a CRC seed once per round; a message that fails it goes
+        # through `decode_frame` only for the reason, and is refused.
+        seeds = {
+            pid: zlib.crc32(frame_header(self.epoch, self._round, pid, rid, nbits))
             for pid in self.computing_ids
         }
         recv, crc32 = self.transport.recv, zlib.crc32
-        received = []  # per recipient, the frames of its peers
+        received = []  # per recipient, the messages of its peers
         try:
             for recipient in self.computing_ids:
                 for sender in self._peers[recipient]:
                     data = recv(recipient, sender)
-                    if (len(data) != length or not data.startswith(heads[sender])
-                            or crc32(data) != _CRC_RESIDUE):
-                        read_frame(data, self.epoch, self._round, sender, rid, nbits)
-                        raise TransportFailure("frame failed its header check")
+                    if len(data) != length or crc32(data, seeds[sender]) != _CRC_RESIDUE:
+                        decode_frame(data, self.epoch, self._round, sender, rid, nbits)
+                        raise TransportFailure("message failed its check")
                     received.append(data)
         except TransportFailure as exc:
             raise self._abort(recipient, kind, exc) from exc
         self._end_round(kind)
-        frames = np.frombuffer(b"".join(received), dtype=np.uint8).reshape(n, n - 1, length)
-        opened = np.bitwise_xor.reduce(frames[:, :, _HEAD.size : _HEAD.size + size], axis=1)
+        messages = np.frombuffer(b"".join(received), dtype=np.uint8).reshape(n, n - 1, length)
+        opened = np.bitwise_xor.reduce(messages[:, :, :size], axis=1)
         opened ^= own
         return _packed_rows(opened, rows, self.batch)
 
     def open_wires(self, wires, kind: str) -> np.ndarray:
-        """Broadcast-open a wire range; all parties reconstruct equally."""
-        wires = list(wires)
-        views = self._broadcast_round(self.parties.shares[:, wires], kind)
+        """Broadcast-open the distinct wires of `wires`, each once, in the
+        order of their first occurrence; all parties must reconstruct
+        equally. Returns the bits of `wires`, repeats included, as (wires,
+        batch)."""
+        distinct, where = _first_occurrences(np.asarray(wires, dtype=np.intp))
+        views = self._broadcast_round(self.parties.shares[:, distinct], kind)
         differ = np.flatnonzero((views != views[0]).any(axis=(1, 2)))
         if differ.size:
             raise self._abort(
                 self.computing_ids[differ[0]], kind,
                 f"reconstructed another opening than party {self.computing_ids[0]}",
             )
-        return unpack_batch(views[0], self.batch)
+        return unpack_batch(views[0][where], self.batch)
 
     def run(self, inputs: dict[int, np.ndarray], rng_of) -> np.ndarray:
         """Share inputs, evaluate, open and return outputs."""
@@ -821,8 +858,10 @@ class Engine:
     # persistence ----------------------------------------------------------------
 
     def persist_shares(self, pid: int, wires, range_id: int = 1) -> bytes:
-        """`pid`'s share blob of `wires`: its packed rows of them framed
-        in round 0, with `range_id` naming the input owner."""
+        """`pid`'s share blob of `wires`: its packed rows of them sealed
+        in round 0, with `range_id` naming the input owner, behind the
+        header they were sealed under."""
         rows = self.parties.shares[self._row[pid], np.asarray(wires, dtype=np.intp)]
         payload = _frame_payloads(rows[None], self.batch)[0]
-        return encode_frame(self.epoch, 0, pid, range_id, len(rows) * self.batch, payload)
+        head = (self.epoch, 0, pid, range_id, len(rows) * self.batch)
+        return frame_header(*head) + encode_frame(*head, payload)

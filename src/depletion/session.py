@@ -366,6 +366,15 @@ def prepare_inputs(
         if values.dtype != np.uint8:
             raise SessionError(f"rows of values are uint8, not {values.dtype}")
         rows = values.copy()
+        # as equal-width byte strings, rows compare as the big-endian values
+        # they hold: each nonzero row is above the row before it, which is
+        # nonzero too, and the pad bits of every row are zero
+        items = row_items(rows).view(f"S{rows.shape[2]}")
+        held = rows.any(axis=2)
+        if ((held[:, 1:] & ~(held[:, :-1] & (items[:, 1:] > items[:, :-1]))).any()
+                or (rows[..., 0] > 0xFF >> (8 * rows.shape[2] - sigma)).any()):
+            raise SessionError(f"rows of values must hold distinct ascending nonzero values below 2^{sigma}, "
+                               "then zero rows")
     else:
         real = _distinct_values(values, sigma)
         if len(real) > u:

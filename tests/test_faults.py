@@ -1,10 +1,12 @@
 """Transport faults: a bad frame in any kind of round aborts the run.
 
-One fault is injected into the first frame sent in one round of the
-round's own engine (the engine that negotiates u is left alone). Every
-cell must raise `TransportFailure`, so no reports come back, and its
-message must name the recipient of the faulted frame and the kind of
-round.
+One fault is injected into the first message sent in one round of the
+round's own engine (the engine that negotiates u is left alone). A
+message carries no header, so the round is read from the sending engine
+and the header the message was sealed under from the `seals` fixture.
+Every cell must raise `TransportFailure`, so no reports come back, and
+its message must name the recipient of the faulted message and the kind
+of round.
 """
 
 import zlib
@@ -25,32 +27,36 @@ CONFIGS = {
 HEADER = ("version", "epoch", "round", "sender", "range")
 
 
-def _reframe(data, trim=0, **steps):
-    """The frame with its last `trim` payload bits dropped and each header
-    field named in `steps` (version, epoch, round, sender, range) moved by
-    its step, under a CRC that checks: only the header compare can refuse
-    it."""
-    *head, nbits, payload = mpc.decode_frame(data)
-    head = [mpc.FRAME_VERSION, *head]
+def _reseal(data, head, trim=0, **steps):
+    """The message `data`, sealed under the header fields `head` (epoch,
+    round, sender, range, bit count), with its last `trim` payload bits
+    dropped, sealed again under that header with each field named in
+    `steps` (version, epoch, round, sender, range) moved by its step: its
+    CRC checks under the moved header, so only the header its recipient
+    expects can refuse it."""
+    *fields, nbits = head
+    fields = [mpc.FRAME_VERSION, *fields]
     for name, step in steps.items():
-        head[HEADER.index(name)] += step
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits - trim)
-    body = mpc._HEAD.pack(*head, bits.size) + np.packbits(bits).tobytes()
-    return body + mpc._CRC.pack(zlib.crc32(body))
+        fields[HEADER.index(name)] += step
+    bits = np.unpackbits(np.frombuffer(data[: -mpc._CRC.size], dtype=np.uint8), count=nbits - trim)
+    payload = np.packbits(bits).tobytes()
+    moved = mpc._HEAD.pack(*fields, bits.size)
+    return payload + mpc._CRC.pack(zlib.crc32(payload, zlib.crc32(moved)))
 
 
-# fault -> the frames that reach the queue in place of the original
+# fault -> the messages, given the original and its header, that reach the
+# queue in place of the original
 FAULTS = {
-    "bad-crc": lambda data: [data[:-1] + bytes([data[-1] ^ 1])],
-    "dropped": lambda data: [],
-    "duplicated": lambda data: [data, data],
-    "held-back": None,  # delivered after the next frame on its queue
-    "wrong-epoch": lambda data: [_reframe(data, epoch=1)],
-    "wrong-round": lambda data: [_reframe(data, round=1)],
-    "wrong-sender": lambda data: [_reframe(data, sender=1)],
-    "wrong-range": lambda data: [_reframe(data, range=1)],
-    "wrong-version": lambda data: [_reframe(data, version=1)],
-    "bit-count": lambda data: [_reframe(data, trim=1)],
+    "bad-crc": lambda data, head: [data[:-1] + bytes([data[-1] ^ 1])],
+    "dropped": lambda data, head: [],
+    "duplicated": lambda data, head: [data, data],
+    "held-back": None,  # delivered after the next message on its queue
+    "wrong-epoch": lambda data, head: [_reseal(data, head, epoch=1)],
+    "wrong-round": lambda data, head: [_reseal(data, head, round=1)],
+    "wrong-sender": lambda data, head: [_reseal(data, head, sender=1)],
+    "wrong-range": lambda data, head: [_reseal(data, head, range=1)],
+    "wrong-version": lambda data, head: [_reseal(data, head, version=1)],
+    "bit-count": lambda data, head: [_reseal(data, head, trim=1)],
 }
 
 
@@ -66,26 +72,28 @@ def _target_round(engine: mpc.Engine, kind: str) -> int:
 
 
 class FaultyTransport(mpc.InProcessTransport):
-    """Applies `fault` to the first frame sent in round `target`; with no
-    fault it only records that the round was reached."""
+    """Applies `fault` to the first message `engine` sends in round
+    `target`, whose header is the last of `seals`; with no fault it only
+    records that the round was reached."""
 
-    def __init__(self, target: int, fault: str | None):
+    def __init__(self, engine: mpc.Engine, seals: list, target: int, fault: str | None):
         super().__init__()
+        self.engine, self.seals = engine, seals
         self.target, self.fault = target, fault
         self.hit = False
         self.held = None
         self.recipient = None
 
     def send(self, sender, recipient, data):
-        if not self.hit and mpc.decode_frame(data)[1] == self.target:
+        if not self.hit and self.engine._round == self.target:
             self.hit = True
             self.recipient = recipient
             if self.fault == "held-back":
                 self.held = (sender, recipient, data)
                 return
             if self.fault:
-                for frame in FAULTS[self.fault](data):
-                    super().send(sender, recipient, frame)
+                for message in FAULTS[self.fault](data, self.seals[-1]):
+                    super().send(sender, recipient, message)
                 return
         super().send(sender, recipient, data)
         if self.held and self.held[:2] == (sender, recipient):
@@ -93,7 +101,7 @@ class FaultyTransport(mpc.InProcessTransport):
             self.held = None
 
 
-def _patch_round_engine(monkeypatch, kind, fault):
+def _patch_round_engine(monkeypatch, seals, kind, fault):
     """Give the round's engine (the one with a reactive opening) a faulty
     transport; returns the list of engines patched."""
     patched = []
@@ -102,7 +110,7 @@ def _patch_round_engine(monkeypatch, kind, fault):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             if self.reactive:
-                self.transport = FaultyTransport(_target_round(self, kind), fault)
+                self.transport = FaultyTransport(self, seals, _target_round(self, kind), fault)
                 patched.append(self)
 
     monkeypatch.setattr(mpc, "Engine", RoundEngine)
@@ -120,8 +128,8 @@ KIND_NAMES = {
 
 
 @pytest.mark.parametrize("mode", sorted(CONFIGS))
-def test_clean_transport_returns_correct_reports(monkeypatch, mode):
-    patched = _patch_round_engine(monkeypatch, "final-open", None)
+def test_clean_transport_returns_correct_reports(monkeypatch, seals, mode):
+    patched = _patch_round_engine(monkeypatch, seals, "final-open", None)
     result = S.run_sessions(CONFIGS[mode], [STOCKPILES], seed=3)
     expect = oracle.brute_force_shared(STOCKPILES)
     assert {p: rep.shared for p, rep in result.reports[0].items()} == expect
@@ -134,10 +142,33 @@ def test_clean_transport_returns_correct_reports(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", sorted(CONFIGS))
+def test_every_message_reads_behind_the_header_it_was_sealed_under(monkeypatch, seals, mode):
+    """In every kind of round, a message is a frame without its header:
+    `read_frame` accepts the expected header followed by the message, and
+    the message is its payload and a CRC32 of header and payload."""
+    sent = []
+    send = mpc.InProcessTransport.send
+
+    def recording(transport, sender, recipient, data):
+        sent.append((transport, seals[-1], data))
+        send(transport, sender, recipient, data)
+
+    monkeypatch.setattr(mpc.InProcessTransport, "send", recording)
+    patched = _patch_round_engine(monkeypatch, seals, "final-open", None)
+    S.run_sessions(CONFIGS[mode], [STOCKPILES], seed=3)
+    (engine,) = patched
+    for _, head, data in sent:
+        payload = mpc.read_frame(mpc.frame_header(*head) + data, *head)
+        assert data == payload + mpc._CRC.pack(zlib.crc32(payload, zlib.crc32(mpc.frame_header(*head))))
+    rounds = {head[1] for transport, head, _ in sent if transport is engine.transport}
+    assert {_target_round(engine, kind) for kind in KINDS} <= rounds
+
+
+@pytest.mark.parametrize("mode", sorted(CONFIGS))
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 @pytest.mark.parametrize("kind", KINDS)
-def test_fault_aborts_the_run(monkeypatch, kind, fault, mode):
-    patched = _patch_round_engine(monkeypatch, kind, fault)
+def test_fault_aborts_the_run(monkeypatch, seals, kind, fault, mode):
+    patched = _patch_round_engine(monkeypatch, seals, kind, fault)
     with pytest.raises(mpc.TransportFailure) as exc:
         S.run_sessions(CONFIGS[mode], [STOCKPILES], seed=3)
     (engine,) = patched

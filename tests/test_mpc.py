@@ -45,10 +45,11 @@ def run_engine(circ, inputs, seed=0, batch=1, **kw):
     return out, engine
 
 
-def frame_bits(data):
-    """A frame's header fields and its payload unpacked to bits."""
-    *head, nbits, payload = mpc.decode_frame(data)
-    return head, np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits)
+def message_bits(data, head):
+    """The payload of a message sealed under the header fields `head`,
+    checked as its recipient checks it and unpacked to bits."""
+    payload = mpc.decode_frame(data, *head)
+    return np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=head[-1])
 
 
 # -- framing -------------------------------------------------------------------
@@ -56,26 +57,48 @@ def frame_bits(data):
 
 def test_frame_round_trip():
     bits = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.uint8)
-    frame = mpc.encode_frame(3, 17, 2, 9, bits.size, np.packbits(bits))
-    *head, nbits, payload = mpc.decode_frame(frame)
-    assert head == [3, 17, 2, 9] and nbits == bits.size
-    assert payload == np.packbits(bits).tobytes()
-    assert mpc.encode_frame(*head, nbits, payload) == frame
+    head = (3, 17, 2, 9, bits.size)
+    message = mpc.encode_frame(*head, np.packbits(bits))
+    # the payload and the CRC32 of header and payload: no header travels
+    assert message[:-4] == np.packbits(bits).tobytes()
+    assert zlib.crc32(message, zlib.crc32(mpc.frame_header(*head))) == mpc._CRC_RESIDUE
+    assert mpc.decode_frame(message, *head) == np.packbits(bits).tobytes()
+    # behind its header it is a frame that `read_frame` reads
+    assert mpc.read_frame(mpc.frame_header(*head) + message, *head) == message[:-4]
 
 
 def test_frame_corruption_detected():
-    frame = bytearray(mpc.encode_frame(1, 1, 0, 0, 16, b"\xff\xff"))
-    frame[7] ^= 0x40
-    with pytest.raises(mpc.TransportFailure):
-        mpc.decode_frame(bytes(frame))
-    with pytest.raises(mpc.TransportFailure):
-        mpc.decode_frame(b"\x01\x02")
+    message = mpc.encode_frame(1, 1, 0, 0, 16, b"\xff\xff")
+    for at in range(len(message)):
+        flipped = bytearray(message)
+        flipped[at] ^= 0x40
+        with pytest.raises(mpc.TransportFailure, match="checksum"):
+            mpc.decode_frame(bytes(flipped), 1, 1, 0, 0, 16)
+    for head in [(2, 1, 0, 0, 16), (1, 2, 0, 0, 16), (1, 1, 1, 0, 16), (1, 1, 0, 1, 16),
+                 (1, 1, 0, 0, 15), (1, 1, 0, 0, 9)]:
+        with pytest.raises(mpc.TransportFailure, match="checksum"):
+            mpc.decode_frame(message, *head)
+    for data in (b"\x01\x02", message[:-1], message + b"\x00"):
+        with pytest.raises(mpc.TransportFailure, match="bytes, expected 6 for 16 bits"):
+            mpc.decode_frame(data, 1, 1, 0, 0, 16)
+    # another version: the same fields behind another version byte
+    other = b"\x02" + mpc.frame_header(1, 1, 0, 0, 16)[1:]
+    resealed = message[:-4] + struct.pack("<I", zlib.crc32(message[:-4], zlib.crc32(other)))
+    with pytest.raises(mpc.TransportFailure, match="checksum"):
+        mpc.decode_frame(resealed, 1, 1, 0, 0, 16)
+    with pytest.raises(mpc.TransportFailure, match="checksum"):
+        mpc.read_frame(other + resealed, 1, 1, 0, 0, 16)
 
 
 def test_read_frame_checks_every_header_field_and_the_bit_count():
     bits = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-    frame = mpc.encode_frame(3, 17, 2, 9, bits.size, np.packbits(bits))
+    frame = mpc.frame_header(3, 17, 2, 9, 6) + mpc.encode_frame(3, 17, 2, 9, bits.size, np.packbits(bits))
     assert mpc.read_frame(frame, 3, 17, 2, 9, 6) == np.packbits(bits).tobytes()
+    corrupt = bytearray(frame)
+    corrupt[7] ^= 0x40
+    for data in (bytes(corrupt), b"\x01\x02"):
+        with pytest.raises(mpc.TransportFailure):
+            mpc.read_frame(data, 3, 17, 2, 9, 6)
     for header, nbits in [
         ((4, 17, 2, 9), 6),
         ((3, 18, 2, 9), 6),
@@ -415,12 +438,12 @@ def test_accounting_identities():
 
 
 @pytest.mark.parametrize("batch", [1, 3, 256])
-def test_transcript_counts_what_each_sender_sent(batch):
+def test_transcript_counts_what_each_sender_sent(batch, seals):
     sent = {}
 
     class Counting(mpc.InProcessTransport):
         def send(self, sender, recipient, data):
-            nbits = mpc.decode_frame(data)[4]
+            nbits = seals[-1][4]
             messages, bits, nbytes = sent.get(sender, (0, 0, 0))
             sent[sender] = (messages + 1, bits + nbits, nbytes + len(data))
             super().send(sender, recipient, data)
@@ -472,15 +495,46 @@ def test_open_wires_consistent():
     assert np.array_equal(opened, again)
 
 
-def test_opening_aborts_when_recipients_reconstruct_differently():
-    """A sender that frames another valid payload for one peer makes
+def test_open_wires_opens_each_distinct_wire_once(seals):
+    """A wire list with repeats is opened one row per distinct wire, and
+    its bits come back in the given order, repeats included; a circuit
+    whose outputs repeat wires does the same in its final opening."""
+    b = CircuitBuilder()
+    x = b.input_vector(0, 3)
+    y = b.input_vector(1, 3)
+    z = b.input_vector(2, 1)
+    a = b.and_v(x, y)
+    outputs = [a[0], a[1], a[0], b.xor_v(a[2], z[0]), a[1], a[0]]
+    circ = b.finish(outputs)
+    ids, batch = [0, 1, 2], 3
+    rng = np.random.default_rng(6)
+    inputs = {p: rng.integers(0, 2, size=(len(ws), batch), dtype=np.uint8) for p, ws in circ.input_map.items()}
+    transport = RecordingTransport(seals)
+    out, engine = run_engine(circ, inputs, batch=batch, transport=transport)
+    assert np.array_equal(out, circ.evaluate(inputs))
+    final = [(head, data) for _, _, head, data in transport.log if head[1] == engine.transcript.rounds]
+    # each computing party sends its peers the 3 distinct output wires
+    assert len(final) == len(ids) * (len(ids) - 1)
+    assert {head[4] for head, _ in final} == {3 * batch}
+
+    wires = [x[2], y[0], x[2], x[2], y[0], x[1]]
+    want = np.concatenate([inputs[0], inputs[1]])[[2, 3, 2, 2, 3, 1]]
+    before = dict(engine.transcript.payload_bits_sent)
+    opened = engine.open_wires(wires, "final opening")
+    assert np.array_equal(opened, want)
+    for pid in ids:
+        assert engine.transcript.payload_bits_sent[pid] - before[pid] == 3 * batch * (len(ids) - 1)
+
+
+def test_opening_aborts_when_recipients_reconstruct_differently(seals):
+    """A sender that seals another valid payload for one peer makes
     that peer's view differ; the opening names it and aborts."""
 
     class Equivocating(mpc.InProcessTransport):
         def send(self, sender, recipient, data):
             if (sender, recipient) == (0, 2):
-                head, bits = frame_bits(data)
-                data = mpc.encode_frame(*head, bits.size, np.packbits(bits ^ 1))
+                head = seals[-1]
+                data = mpc.encode_frame(*head, np.packbits(message_bits(data, head) ^ 1))
             super().send(sender, recipient, data)
 
     b = CircuitBuilder()
@@ -567,7 +621,7 @@ def _restore_circuit():
     return b.finish(np.concatenate([t, b.xor_v(b.and_v(t, z), y)]))
 
 
-def test_restored_wires_are_left_out_of_input_sharing():
+def test_restored_wires_are_left_out_of_input_sharing(seals):
     circ, batch = _restore_circuit(), 3
     ids = [0, 1, 2]
     rng = np.random.default_rng(4)
@@ -578,23 +632,23 @@ def test_restored_wires_are_left_out_of_input_sharing():
     earlier.share_inputs(inputs, lambda p: rngs[p])
 
     restored, todo = circ.input_map[0][1::2], circ.input_map[0][0::2]
-    transport = RecordingTransport()
+    transport = RecordingTransport(seals)
     engine = mpc.Engine(circ, ids, dealer_seed=2, batch=batch, transport=transport)
     engine.restore_shares(restored, earlier.parties.shares[:, restored])
     rngs = {p: np.random.default_rng(20 + p) for p in ids}
     assert np.array_equal(engine.run(inputs, lambda p: rngs[p]), circ.evaluate(inputs))
 
-    round0 = [(s, r, mpc.decode_frame(f)) for s, r, f in transport.log if mpc.decode_frame(f)[1] == 0]
-    from_owner = {r: frame for s, r, frame in round0 if s == 0}
+    round0 = [(s, r, head, f) for s, r, head, f in transport.log if head[1] == 0]
+    from_owner = {r: (head, f) for s, r, head, f in round0 if s == 0}
     assert sorted(from_owner) == [1, 2]
-    for recipient, (*_, nbits, payload) in from_owner.items():
+    for recipient, (head, message) in from_owner.items():
         # exactly the recipient's shares of the unrestored bits
-        assert nbits == len(todo) * batch
-        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits)
+        assert head[4] == len(todo) * batch
+        bits = message_bits(message, head)
         own = mpc.unpack_batch(engine.parties.shares[ids.index(recipient), todo], batch)
         assert np.array_equal(bits.reshape(len(todo), batch), own)
     for owner in (1, 2):
-        assert all(frame[4] == 3 * batch for s, _, frame in round0 if s == owner)
+        assert all(head[4] == 3 * batch for s, _, head, _ in round0 if s == owner)
     assert np.array_equal(engine.parties.shares[:, restored], earlier.parties.shares[:, restored])
 
 
@@ -793,12 +847,16 @@ def test_transport_failure_on_missing_message():
 
 
 class RecordingTransport(mpc.InProcessTransport):
-    def __init__(self):
+    """Logs (sender, recipient, header fields, message) for every message
+    sent, its header fields the last of the `seals` fixture's."""
+
+    def __init__(self, seals):
         super().__init__()
+        self.seals = seals
         self.log = []
 
     def send(self, sender, recipient, data):
-        self.log.append((sender, recipient, data))
+        self.log.append((sender, recipient, self.seals[-1], data))
         super().send(sender, recipient, data)
 
 
@@ -825,33 +883,33 @@ def _bits(rows, batch):
     ({0: np.full((2, 2), 0.5), 1: _bits(2, 2)}, C.CircuitError),
     ({0: np.full((2, 2), -1), 1: _bits(2, 2)}, C.CircuitError),
 ], ids=["missing-party", "unknown-party", "wire-count", "ragged-batch", "two", "half", "negative"])
-def test_evaluate_and_the_engine_refuse_the_same_inputs(inputs, error):
+def test_evaluate_and_the_engine_refuse_the_same_inputs(inputs, error, seals):
     """Both evaluators read their inputs through `input_bits`, so each bad
     round is the same error from either, and the engine sends nothing."""
     circ = _two_owner_circuit()
     with pytest.raises(C.CircuitError) as plain:
         circ.evaluate(inputs)
-    transport = RecordingTransport()
+    transport = RecordingTransport(seals)
     with pytest.raises(C.CircuitError) as protocol:
         run_engine(circ, inputs, batch=2, transport=transport)
     assert type(plain.value) is type(protocol.value) is error
     assert transport.log == []
 
 
-def test_engine_refuses_a_batch_other_than_its_own():
+def test_engine_refuses_a_batch_other_than_its_own(seals):
     """A consistent batch the plaintext evaluator accepts is still refused
     by an engine built for another width, before any frame is sent."""
     circ = _two_owner_circuit()
     inputs = {0: _bits(2, 3), 1: _bits(2, 3)}
     assert circ.evaluate(inputs).shape == (2, 3)
     for batch, given in ((2, inputs), (3, {0: [1, 0], 1: [0, 1]})):
-        transport = RecordingTransport()
+        transport = RecordingTransport(seals)
         with pytest.raises(C.WidthMismatch, match=f"for a batch of {batch}"):
             run_engine(circ, given, batch=batch, transport=transport)
         assert transport.log == []
 
 
-def test_masked_messages_look_uniform():
+def test_masked_messages_look_uniform(seals):
     """Received AND-layer payloads are one-time-pad masked: bit frequency
     stays near 1/2 no matter what the counterpart holds."""
     circ = tiny_and_circuit()
@@ -860,13 +918,13 @@ def test_masked_messages_look_uniform():
         ones = total = 0
         inputs = {0: np.ones((1, batch), dtype=np.uint8), 1: np.full((1, batch), x1, dtype=np.uint8)}
         for r in range(runs):
-            tr = RecordingTransport()
+            tr = RecordingTransport(seals)
             engine = mpc.Engine(circ, [0, 1], dealer_seed=r, batch=batch, transport=tr)
             rngs = {p: np.random.default_rng(1000 * r + p) for p in (0, 1)}
             engine.run(inputs, lambda p: rngs[p])
-            for sender, recipient, data in tr.log:
+            for sender, recipient, head, data in tr.log:
                 if recipient == 0 and sender == 1:
-                    _, bits = frame_bits(data)
+                    bits = message_bits(data, head)
                     ones += int(bits.sum())
                     total += bits.size
         return ones / total
@@ -878,7 +936,7 @@ def test_masked_messages_look_uniform():
         assert abs(f0 - f1) < 0.07
 
 
-def test_openings_of_shared_inputs_are_uniform_and_independent():
+def test_openings_of_shared_inputs_are_uniform_and_independent(seals):
     """x is an input of all 64 ANDs of the first layer, and of the second
     layer's AND. Over seeds, each opening of either layer is a uniform
     bit, x's is independent of a neighbour's, and x's two openings, one
@@ -899,13 +957,13 @@ def test_openings_of_shared_inputs_are_uniform_and_independent():
         """Per run, the 65 openings of the first layer, then the 2 of the second."""
         seen = []
         for r in range(runs):
-            tr = RecordingTransport()
+            tr = RecordingTransport(seals)
             engine = mpc.Engine(circ, [0, 1], dealer_seed=r, transport=tr)
             rngs = {p: np.random.default_rng(1000 * r + p) for p in (0, 1)}
             engine.run({0: [x_bit], 1: [1, 0] * 32}, lambda p: rngs[p])
             # an opening is the XOR of both parties' masked payloads
             seen.append(np.concatenate([
-                np.bitwise_xor.reduce([frame_bits(f)[1] for _, _, f in tr.log if mpc.decode_frame(f)[1] == rnd])
+                np.bitwise_xor.reduce([message_bits(f, head) for _, _, head, f in tr.log if head[1] == rnd])
                 for rnd in (1, 2)
             ]))
         return np.array(seen)
@@ -935,12 +993,16 @@ def test_openings_of_shared_inputs_are_uniform_and_independent():
 # words read as packed share bytes, and again when a record came to carry
 # one key k instead of two, and again when each AND layer came to open
 # each of its distinct inputs once, masked by the dealer's per-layer
-# masks, in place of a (d, e) pair per AND (the reports they return did
-# not change any time).
+# masks, in place of a (d, e) pair per AND, and again when messages came
+# to leave their header off and each opening to carry each distinct wire
+# once: every message outside a final opening was checked to be the one
+# before with its 19 header bytes dropped, and every final opening to
+# carry the earlier payload's bits of each distinct wire, in the order
+# of first occurrence (the reports they return did not change any time).
 TRANSCRIPT_DIGESTS = {
-    "direct-fixed-plus-m": "5db8fa9e0ae40e08847946c2656dccc7d29f19aec1474bc522363d2b96e2181c",
-    "outsourced-at-least-m-batch-3": "3c62ffe23e7dc5ab6aa384cbf3704dd9346cb3bbbeaeabc567ccaead01555c98",
-    "session-two-epochs": "6e3f57472e24e67179d223f0738875ad2eea5740b2c6e27ced00f2ea1c9624e4",
+    "direct-fixed-plus-m": "0feac5c620f278935c978dada367e1318ea5a8204db928f1a7cde53148ee152f",
+    "outsourced-at-least-m-batch-3": "eb29dd64934598f9b2478d6dfaaa04b3db8a8c3ac73a7ff35d6aa7907140834f",
+    "session-two-epochs": "604ce5519eda5f14629c9144775353ba7e284d6b3613b1eb4269ef0cb7dabaa6",
 }
 
 
@@ -1013,14 +1075,17 @@ def test_transcript_is_identical_frame_for_frame(monkeypatch, name):
 # that the packed batch layout left frames, openings and blobs as they
 # were; re-recorded when the dealer's triples and the input shares became
 # the generators' next raw words read as packed share bytes, and again
-# when each AND layer came to open each of its distinct inputs once (the
-# outputs and openings did not change).
+# when each AND layer came to open each of its distinct inputs once, and
+# again when messages came to leave their header off: every message was
+# checked to be the one before with its 19 header bytes dropped (these
+# circuits open no wire twice), and the blobs to be byte for byte the
+# ones before (the outputs and openings did not change).
 ENGINE_DIGESTS = {
-    1: "123a90c2298f4f43d91784851235a6eeac65c70e97e4f72d2beb20ce936f926f",
-    3: "79e62748b519a07a512f24f295918c7aaba9bbba45474d394d79f9de8cc66658",
-    9: "bf2f80daf8128331549171869ae3758bd9527dc390abeaa62f7ddd8b91291d5e",
-    16: "418dc59ea087264e16f5b5d8701515224e71f89fd1f0c442056ac071a8efe4a7",
-    256: "f6f96cb3a0508f60d8769f4703d1cc62c33de27cf59c43723dae43f6262668cf",
+    1: "f6eb91436b84867ed5c324debd1f3c4512ba2d50a6984e431a369508b6d5b7c7",
+    3: "b6d19f7fd736d901b04b1a1a242df626986177436b91c8c9cc6fb28eb932040b",
+    9: "f3ffeeeeb2f1af933ac1dd75a8489f4022afc367fbc2f4fab65efbe805a691c4",
+    16: "b91b7db4470e5ab0db9494fdb37bc6c9ca5ac021c35272a905074ed41c5ed4bf",
+    256: "d2d39fed467e04fc9e606c3052652703756fbada4992836ecbefee88f096b683",
 }
 
 
@@ -1052,6 +1117,32 @@ def _engine_digest(batch):
     for pid in ids:
         h.update(engine.persist_shares(pid, wires, range_id=pid + 1))
     return h.hexdigest(), engine
+
+
+# SHA-256 over every computing party's share blob of `_engine_digest`'s
+# run, recorded before messages left their header off: a blob keeps the
+# header in front of its message, so its bytes did not change.
+BLOB_DIGESTS = {
+    1: "8bc18941f02043662e2d55dfc9c9b72857478faee3b0d4cb7b608ec772177cca",
+    9: "890b8393b1925cbdf315ea3d4bad78883fabcfe0332a9fa744ccf2d3e4658e15",
+    256: "a458e18243c98a5c3dc901723f818d30ffe084726784044748e0c754853edd71",
+}
+
+
+@pytest.mark.parametrize("batch", sorted(BLOB_DIGESTS))
+def test_share_blobs_are_the_header_and_the_message(batch):
+    _, engine = _engine_digest(batch)
+    ids = engine.computing_ids
+    wires = [w for p in ids for w in engine.circuit.input_map[p]]
+    h = hashlib.sha256()
+    for pid in ids:
+        blob = engine.persist_shares(pid, wires, range_id=pid + 1)
+        head = (2, 0, pid, pid + 1, len(wires) * batch)
+        assert blob[:len(mpc.frame_header(*head))] == mpc.frame_header(*head)
+        payload = mpc.read_frame(blob, *head)
+        assert blob == mpc.frame_header(*head) + mpc.encode_frame(*head, payload)
+        h.update(blob)
+    assert h.hexdigest() == BLOB_DIGESTS[batch]
 
 
 @pytest.mark.parametrize("batch", sorted(ENGINE_DIGESTS))

@@ -15,7 +15,7 @@ import pytest
 
 from depletion import compiler as CP
 from depletion import mpc, oracle, session as S
-from depletion.bits import ints_to_rows, rows_to_ints
+from depletion.bits import ints_to_rows, row_bytes, rows_to_ints
 
 
 def cfg2(**kw):
@@ -89,6 +89,37 @@ def test_prepare_errors():
     # and rows as uint8: int64 rows would come back mixed with uint8 dummies
     with pytest.raises(S.SessionError, match="uint8, not int64"):
         S.prepare_inputs(np.zeros((1, 4, 2), np.int64), 4, 16, rng)
+
+
+def test_prepare_refuses_rows_that_are_not_ascending_values_below_two_to_sigma():
+    """Rows hold each session's distinct nonzero values below 2^σ in
+    ascending order, then zero rows; any other rows are refused before
+    they could come back reordered or as records out of range."""
+    rng = np.random.default_rng(0)
+
+    def rows(sessions, sigma):
+        """Each session's ints as rows of ⌈σ/8⌉ whole bytes."""
+        return np.stack([ints_to_rows(values, 8 * row_bytes(sigma)) for values in sessions])
+
+    for sessions, sigma in [
+        ([[5, 3, 5, 0]], 16),                     # out of order, and 5 twice
+        ([[3, 5, 5, 0]], 16),                     # 5 twice
+        ([[3, 0, 5, 0]], 16),                     # a value after a zero row
+        ([[0xFF00, 0, 0, 0]], 12),                # a value of 16 bits at σ = 12
+        ([[3, 5, 0, 0], [9, 7, 0, 0]], 16),       # one session of two out of order
+        ([[1 << 200, 1 << 199, 0, 0]], 256),      # out of order in a later byte
+    ]:
+        with pytest.raises(S.SessionError, match="distinct ascending nonzero values below"):
+            S.prepare_inputs(rows(sessions, sigma), 4, sigma, rng)
+    for sessions, sigma in [
+        ([[3, 5, 0, 0], [7, 9, 11, 13]], 16),
+        ([[0, 0, 0, 0]], 16),
+        ([[0xF00, 0xFFF, 0, 0]], 12),
+        ([[1 << 199, 1 << 200, (1 << 256) - 1, 0]], 256),
+    ]:
+        prepared = S.prepare_inputs(rows(sessions, sigma), 4, sigma, rng)
+        for held, got in zip(sessions, rows_to_ints(prepared.values)):
+            assert [v for v in got if v in held] == sorted(set(held) - {0})
 
 
 def test_prepare_refuses_values_that_are_not_integers():
@@ -547,7 +578,7 @@ def test_unsorted_injection_aborts_with_exact_party():
 
 
 @pytest.mark.parametrize("mode", ["direct", "outsourced"])
-def test_unsorted_abort_comes_before_any_key_is_opened(monkeypatch, mode):
+def test_unsorted_abort_comes_before_any_key_is_opened(monkeypatch, seals, mode):
     """The sortedness flags are the first opening, in the round after the
     last AND layer; the abort there leaves the final opening unsent."""
     config = S.SessionConfig(parties=(0, 1, 2), sigma=8, mode=mode, n_servers=2)
@@ -563,7 +594,7 @@ def test_unsorted_abort_comes_before_any_key_is_opened(monkeypatch, mode):
     send = mpc.InProcessTransport.send
 
     def recording(transport, sender, recipient, data):
-        sent.append((transport, mpc.decode_frame(data)[1]))
+        sent.append((transport, seals[-1][1]))
         send(transport, sender, recipient, data)
 
     monkeypatch.setattr(mpc, "Engine", RoundEngine)
@@ -617,7 +648,7 @@ def test_dummy_keys_never_open_as_shared():
 
 
 @pytest.mark.parametrize("sessions", [1, 9])
-def test_one_server_round_sends_no_frame_after_the_input_shares(monkeypatch, sessions):
+def test_one_server_round_sends_no_frame_after_the_input_shares(monkeypatch, seals, sessions):
     """With one computing server every broadcast round has no peer: only
     the owners' input shares travel, in round 0, and the opened keys still
     equal the plaintext circuit's and the oracle's answer."""
@@ -628,7 +659,7 @@ def test_one_server_round_sends_no_frame_after_the_input_shares(monkeypatch, ses
     send = mpc.InProcessTransport.send
 
     def recording(transport, sender, recipient, data):
-        rounds.append(mpc.decode_frame(data)[1])
+        rounds.append(seals[-1][1])
         send(transport, sender, recipient, data)
 
     monkeypatch.setattr(mpc.InProcessTransport, "send", recording)
